@@ -757,16 +757,29 @@ let serve_bench ~jobs ~quick () =
         let _, warm = pass ~cache ~pool in
         (cold, warm))
   in
+  (* nearest rank: the smallest sample with at least p% of them at or
+     below it *)
   let percentile sorted p =
-    List.nth sorted (min (List.length sorted - 1) (p * List.length sorted / 100))
+    let n = List.length sorted in
+    List.nth sorted (max 0 (((p * n) + 99) / 100 - 1))
   in
+  (* The tail the sample count supports: the highest percentile with at
+     least ten samples beyond it (p75 for 40 samples; a "p99" of 40
+     samples would be their maximum). Below 40 samples that percentile
+     is no tail, and only the median is reported. *)
+  let tail_pct n = if n >= 40 then Some (100 * (n - 10) / n) else None in
   let stats_of lat =
     let sorted = List.sort compare lat in
+    let n = List.length lat in
     let total = List.fold_left ( +. ) 0.0 lat in
     ( total,
-      float_of_int (List.length lat) /. total,
+      float_of_int n /. total,
       1000.0 *. percentile sorted 50,
-      1000.0 *. percentile sorted 99 )
+      (n, Option.map (fun p -> (p, 1000.0 *. percentile sorted p)) (tail_pct n)) )
+  in
+  let pp_tail ppf = function
+    | n, Some (p, ms) -> Fmt.pf ppf "p%d %.1f ms (n=%d)" p ms n
+    | n, None -> Fmt.pf ppf "no supported tail (n=%d)" n
   in
   (* the measured run: one pool at the requested jobs *)
   Par.with_pool ~jobs
@@ -774,16 +787,16 @@ let serve_bench ~jobs ~quick () =
   let cache = Serve.Cache.create () in
   let cold_lat, cold_resp = pass ~cache ~pool in
   let warm_lat, warm_resp = pass ~cache ~pool in
-  let cold_s, cold_rps, cold_p50, cold_p99 = stats_of cold_lat in
-  let warm_s, warm_rps, warm_p50, warm_p99 = stats_of warm_lat in
+  let cold_s, cold_rps, cold_p50, cold_tail = stats_of cold_lat in
+  let warm_s, warm_rps, warm_p50, warm_tail = stats_of warm_lat in
   let speedup = warm_rps /. cold_rps in
   let s = Serve.Cache.stats cache in
   let hit_rate h m = float_of_int h /. float_of_int (max 1 (h + m)) in
   Fmt.pr "%d requests (%d programs)@." nreq (List.length (builtins @ fuzzed));
-  Fmt.pr "cold: %.2f s  %.1f req/s  p50 %.1f ms  p99 %.1f ms@." cold_s cold_rps
-    cold_p50 cold_p99;
-  Fmt.pr "warm: %.2f s  %.1f req/s  p50 %.1f ms  p99 %.1f ms  (%.1fx)@." warm_s
-    warm_rps warm_p50 warm_p99 speedup;
+  Fmt.pr "cold: %.2f s  %.1f req/s  p50 %.1f ms  %a@." cold_s cold_rps cold_p50 pp_tail
+    cold_tail;
+  Fmt.pr "warm: %.2f s  %.1f req/s  p50 %.1f ms  %a  (%.1fx)@." warm_s warm_rps warm_p50
+    pp_tail warm_tail speedup;
   Fmt.pr
     "hit rates: entry %.2f  tilesize %.2f  run %.2f  compile %.2f  \
      (collisions %d)@."
@@ -843,23 +856,27 @@ let serve_bench ~jobs ~quick () =
   if speedup < 3.0 then
     failwith
       (Fmt.str "serve: warm throughput %.2fx cold, below the 3x floor" speedup);
-  let leg name (total, rps, p50, p99) =
+  let leg name (total, rps, p50, (n, tail)) =
     ( name,
       Json.Obj
-        [
-          ("total_s", Json.Float total);
-          ("req_per_s", Json.Float rps);
-          ("p50_ms", Json.Float p50);
-          ("p99_ms", Json.Float p99);
-        ] )
+        ([
+           ("total_s", Json.Float total);
+           ("req_per_s", Json.Float rps);
+           ("n", Json.Int n);
+           ("p50_ms", Json.Float p50);
+         ]
+        @
+        match tail with
+        | Some (p, ms) -> [ ("tail_pct", Json.Int p); ("tail_ms", Json.Float ms) ]
+        | None -> []) )
   in
   Json.Obj
     [
       ("jobs", Json.Int jobs);
       ("requests", Json.Int nreq);
       ("programs", Json.Int (List.length (builtins @ fuzzed)));
-      leg "cold" (cold_s, cold_rps, cold_p50, cold_p99);
-      leg "warm" (warm_s, warm_rps, warm_p50, warm_p99);
+      leg "cold" (cold_s, cold_rps, cold_p50, cold_tail);
+      leg "warm" (warm_s, warm_rps, warm_p50, warm_tail);
       ("warm_speedup", Json.Float speedup);
       ( "hit_rates",
         Json.Obj
@@ -987,12 +1004,17 @@ let meta ~jobs =
       ( "git_rev",
         match git_rev () with Some r -> Json.Str r | None -> Json.Null );
       ("ocaml_version", Json.Str Sys.ocaml_version);
+      ("cores", Json.Int (Domain.recommended_domain_count ()));
       ("jobs", Json.Int jobs);
       ( "timestamp",
         match Sys.getenv_opt "HEXTILE_BENCH_TIMESTAMP" with
         | Some t -> Json.Str t
         | None -> Json.Null );
     ]
+
+(* A command line the bench cannot honour is an error: report it and
+   exit 2 before running anything. *)
+let usage fmt = Fmt.kstr (fun m -> Fmt.epr "bench: %s@." m; exit 2) fmt
 
 let () =
   let only = ref []
@@ -1015,7 +1037,7 @@ let () =
     | "--jobs" :: n :: rest ->
         (match int_of_string_opt n with
         | Some j when j >= 1 -> jobs := j
-        | _ -> Fmt.epr "--jobs expects a positive integer, got %s@." n);
+        | _ -> usage "--jobs expects a positive integer, got %s" n);
         parse rest
     | "--trace-out" :: f :: rest ->
         trace_out := Some f;
@@ -1023,12 +1045,11 @@ let () =
     | "--json" :: f :: rest ->
         json_out := Some f;
         parse rest
-    | x :: rest ->
-        Fmt.epr
+    | x :: _ ->
+        usage
           "unknown argument %s (expected --only <id> | --full | --no-micro | \
-           --jobs <n> | --trace-out <file> | --json <file>)@."
-          x;
-        parse rest
+           --jobs <n> | --trace-out <file> | --json <file>)"
+          x
   in
   parse (List.tl (Array.to_list Sys.argv));
   let quick = !quick and jobs = !jobs and trace_out = !trace_out in
@@ -1075,16 +1096,12 @@ let () =
           (fun x -> if x = "table4" || x = "table5" then [ "table45" ] else [ x ])
           (List.rev l)
   in
-  let results =
-    List.filter_map
-      (fun id ->
-        match List.assoc_opt id all with
-        | Some f -> Some (id, f ())
-        | None ->
-            Fmt.epr "unknown experiment id %s@." id;
-            None)
-      selected
-  in
+  List.iter
+    (fun id ->
+      if not (List.mem_assoc id all) then
+        usage "unknown experiment id %s (known: %s)" id (String.concat ", " (List.map fst all)))
+    selected;
+  let results = List.map (fun id -> (id, (List.assoc id all) ())) selected in
   let results =
     if !do_micro && !only = [] then results @ [ ("micro", micro ()) ] else results
   in

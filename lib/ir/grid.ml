@@ -49,27 +49,10 @@ let set g idx v = g.data.(offset g idx) <- v
 
 let slot g tau = match g.decl.fold with Some m -> Intutil.fmod tau m | None -> 0
 
-let full_index g (a : Stencil.access) ~time ~point =
-  let spatial = Array.mapi (fun i o -> point.(i) + o) a.offsets in
-  match g.decl.fold with
-  | Some _ -> Array.append [| slot g (time + a.time_off) |] spatial
-  | None -> spatial
-
 let find tbl name =
   match Hashtbl.find_opt tbl name with
   | Some g -> g
   | None -> invalid_arg ("Grid.find: unknown array " ^ name)
-
-let read_access tbl (a : Stencil.access) ~t ~point =
-  let g = find tbl a.array in
-  get g (full_index g a ~time:t ~point)
-
-let write_access tbl (a : Stencil.access) ~t ~point v =
-  let g = find tbl a.array in
-  set g (full_index g a ~time:t ~point) v
-
-let flat_index_of_access g (a : Stencil.access) ~time ~point =
-  offset g (full_index g a ~time ~point)
 
 let checksum g = Array.fold_left ( +. ) 0.0 g.data
 

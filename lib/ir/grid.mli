@@ -26,16 +26,7 @@ val set : t -> int array -> float -> unit
 val slot : t -> int -> int
 (** [slot g tau] maps a logical time index to a storage slot: [tau mod m]
     for folded arrays, [0] for in-place arrays (callers then drop the
-    leading coordinate — see [index_of_access]). *)
-
-val read_access : (string, t) Hashtbl.t -> Stencil.access -> t:int -> point:int array -> float
-(** Evaluate a read access at time [t] and spatial point [point]. *)
-
-val write_access : (string, t) Hashtbl.t -> Stencil.access -> t:int -> point:int array -> float -> unit
-
-val flat_index_of_access : t -> Stencil.access -> time:int -> point:int array -> int
-(** The flat element offset touched by an access — used by the memory
-    simulator for coalescing analysis. *)
+    leading coordinate of the index). *)
 
 val checksum : t -> float
 val equal : ?eps:float -> t -> t -> bool

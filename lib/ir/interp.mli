@@ -1,23 +1,21 @@
 (** Reference interpreter: sequential, textual-order execution of a
-    stencil program. Ground truth for every tiled/simulated schedule. *)
+    stencil program. Ground truth for every tiled/simulated schedule.
 
-val eval_fexpr :
-  (string, Grid.t) Hashtbl.t -> Stencil.fexpr -> t:int -> point:int array -> float
-(** Evaluate a right-hand side at a statement instance. *)
-
-val eval_with :
-  read:(Stencil.access -> int array -> float) ->
-  Stencil.fexpr ->
-  point:int array ->
-  float
-(** Evaluate with a custom read function (e.g. against a snapshot or a
-    simulated shared-memory buffer). *)
-
-val exec_instance : (string, Grid.t) Hashtbl.t -> Stencil.stmt -> t:int -> point:int array -> unit
-(** Execute one statement instance (evaluate rhs, store). *)
+    Each statement is compiled once per run: its right-hand side becomes
+    a closure over the accesses' grid data and per-row flat bases, and
+    the domain runs row by row along the innermost (stride-1) dimension,
+    with both row endpoints bounds-checked through {!Grid.offset}.
+    Instances are still evaluated and written one at a time in row-major
+    order, so every instance sees the same operands, in-place
+    read-after-write included, and performs the same IEEE operations as
+    a per-instance tree walk. The interpreter shares no code with the
+    scheme executors or their tapes: it is the independent side of every
+    differential check. *)
 
 val run : Stencil.t -> (string -> int) -> (string, Grid.t) Hashtbl.t
-(** Allocate, initialise and run the whole program; returns final grids. *)
+(** Allocate, initialise and run the whole program; returns final grids.
+    Raises [Invalid_argument] when [Analysis.bounds_check] rejects the
+    program under the valuation. *)
 
 val stencil_updates : Stencil.t -> (string -> int) -> int
 (** Total number of statement instances executed — the "stencils" of the

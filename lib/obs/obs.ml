@@ -128,6 +128,8 @@ let fork_end () =
       r
   | None -> invalid_arg "Obs.fork_end: no fork is active on this domain"
 
+let fork_resume (f : fork) = Domain.DLS.set local (Some f)
+
 let absorb (f : fork) =
   let r = cur () in
   let parent = top r in

@@ -87,6 +87,11 @@ val fork_end : unit -> fork
     the process registry. Raises [Invalid_argument] if no fork is
     active. *)
 
+val fork_resume : fork -> unit
+(** Reinstall a fork detached by {!fork_end} as the current domain's
+    registry, so recording continues into it (a task can set its own
+    fork aside while one unit of its work records into a fresh one). *)
+
 val absorb : fork -> unit
 (** Merge a fork into the current registry: its top-level spans and
     events become children/events of the innermost open span (appended

@@ -175,9 +175,25 @@ let map p f (xs : 'a array) : 'b array =
     let lo s = s * n / ntasks in
     let hi s = (s + 1) * n / ntasks in
     let cursors = Array.init ntasks (fun s -> Atomic.make (lo s)) in
-    let do_one i =
+    (* While Obs records, each element records into its own fork,
+       absorbed in index order after the region: which task ran an
+       element (its shard's owner or a thief) must not change the trace's
+       shape. A disabled Obs records nothing, so no forks are made. *)
+    let forks = Array.make n None in
+    let per_element = Obs.enabled () in
+    let apply i =
       try out.(i) <- Some (f xs.(i))
       with e -> errs.(i) <- Some (e, Printexc.get_raw_backtrace ())
+    in
+    let do_one i =
+      if per_element then begin
+        let task_fork = Obs.fork_end () in
+        Obs.fork_begin ();
+        apply i;
+        forks.(i) <- Some (Obs.fork_end ());
+        Obs.fork_resume task_fork
+      end
+      else apply i
     in
     let drain s =
       let h = hi s in
@@ -202,6 +218,7 @@ let map p f (xs : 'a array) : 'b array =
                drain v
              end
            done));
+    Array.iter (Option.iter Obs.absorb) forks;
     (match Array.find_map Fun.id errs with
     | Some (e, bt) -> Printexc.raise_with_backtrace e bt
     | None -> ());

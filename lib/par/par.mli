@@ -75,8 +75,10 @@ val map : pool -> ('a -> 'b) -> 'a array -> 'b array
     shard of the index space (good locality, no shared hot counter) and
     steals from other shards through their per-shard atomic cursors
     once its own is dry (work-conserving under imbalance). Every index
-    runs exactly once regardless of stealing. Exactly [Array.map f xs]
-    when [jobs p = 1] or inside a region. *)
+    runs exactly once regardless of stealing. While {!Obs} is enabled,
+    each element records into its own fork, absorbed in index order, so the Obs trace has
+    the sequential run's shape whichever task ran (or stole) an element.
+    Exactly [Array.map f xs] when [jobs p = 1] or inside a region. *)
 
 val iter : pool -> ('a -> unit) -> 'a array -> unit
 

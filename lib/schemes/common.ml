@@ -19,6 +19,7 @@ type compiled = {
           analytic epilogue's bulk row replay *)
   tsrcs : (Grid.t * (int -> int array -> int)) array;
       (** tape sources in register order (= [creads] order) *)
+  taccs : Stencil.access array;  (** the accesses of [tsrcs] *)
   tdatas : float array array;  (** [tsrcs] data arrays (read-only share) *)
 }
 
@@ -141,27 +142,31 @@ let tape_cache :
     =
   Hextile_par.Oncemap.create ~bits:8 ~name:"schemes.tape" ()
 
+(* Compile a right-hand side into a closure of (tstep, point), reading
+   each access through the closure [read] builds for it. *)
+let rec compile_eval read (e : Stencil.fexpr) : int -> int array -> float =
+  match e with
+  | Read a -> read a
+  | Fconst f -> fun _ _ -> f
+  | Neg e ->
+      let c = compile_eval read e in
+      fun t p -> -.c t p
+  | Bin (op, l, r) -> (
+      let cl = compile_eval read l and cr = compile_eval read r in
+      match op with
+      | Add -> fun t p -> cl t p +. cr t p
+      | Sub -> fun t p -> cl t p -. cr t p
+      | Mul -> fun t p -> cl t p *. cr t p
+      | Div -> fun t p -> cl t p /. cr t p)
+
 let compile_stmt (ctx : ctx) (s : Stencil.stmt) =
   match Hashtbl.find_opt ctx.compiled s.sname with
   | Some c -> c
   | None ->
-      let rec comp (e : Stencil.fexpr) =
-        match e with
-        | Read a ->
-            let g = Grid.find ctx.grids a.array in
-            let fl = access_flat ctx.grids a in
-            fun tstep point -> g.data.(fl tstep point)
-        | Fconst f -> fun _ _ -> f
-        | Neg e ->
-            let c = comp e in
-            fun t p -> -.c t p
-        | Bin (op, l, r) -> (
-            let cl = comp l and cr = comp r in
-            match op with
-            | Add -> fun t p -> cl t p +. cr t p
-            | Sub -> fun t p -> cl t p -. cr t p
-            | Mul -> fun t p -> cl t p *. cr t p
-            | Div -> fun t p -> cl t p /. cr t p)
+      let read_grid (a : Stencil.access) =
+        let g = Grid.find ctx.grids a.array in
+        let fl = access_flat ctx.grids a in
+        fun tstep point -> g.data.(fl tstep point)
       in
       let cidx =
         let r = ref 0 in
@@ -169,12 +174,12 @@ let compile_stmt (ctx : ctx) (s : Stencil.stmt) =
         !r
       in
       let wg = Grid.find ctx.grids s.write.array in
+      let taccs = Array.of_list (Stencil.distinct_reads s) in
       let tsrcs =
-        Array.of_list
-          (List.map
-             (fun (a : Stencil.access) ->
-               (Grid.find ctx.grids a.array, access_flat ctx.grids a))
-             (Stencil.distinct_reads s))
+        Array.map
+          (fun (a : Stencil.access) ->
+            (Grid.find ctx.grids a.array, access_flat ctx.grids a))
+          taccs
       in
       let tp =
         Hextile_par.Oncemap.find_or_compute tape_cache
@@ -185,13 +190,14 @@ let compile_stmt (ctx : ctx) (s : Stencil.stmt) =
       let c =
         {
           cidx;
-          ceval = comp s.rhs;
+          ceval = compile_eval read_grid s.rhs;
           cwgrid = wg;
           cwflat = access_flat ctx.grids s.write;
           creads = Array.to_list tsrcs;
           tape = Option.map fst tp;
           tplan = Option.map snd tp;
           tsrcs;
+          taccs;
           tdatas = Array.map (fun ((g : Grid.t), _) -> g.data) tsrcs;
         }
       in
@@ -379,6 +385,103 @@ let iter_box_rows box ~f =
     in
     go 0
   end
+
+(* Per-block dense value stores for the overlapped schemes: a block that
+   recomputes a halo must not publish its intermediate values to the
+   grids other blocks of the launch read, so it computes into private
+   copies of the (array, slot) storages it touches, each over a box
+   around its tile. Rows then run through the statement's tape with the
+   overlay arrays as sources and destination, exactly as over the grids;
+   only the flat bases differ. *)
+module Overlay = struct
+  type entry = {
+    earray : string;
+    eslot : int;
+    data : float array;
+    eblo : int array;
+    ebhi : int array;
+    stride : int array;  (** per spatial dim; x (innermost) is 1 *)
+  }
+
+  type t = { mutable entries : entry list }
+
+  let create () = { entries = [] }
+
+  let find t ~array ~slot =
+    List.find_opt (fun e -> e.eslot = slot && String.equal e.earray array) t.entries
+
+  (* flat offset of an in-box spatial point *)
+  let local e (p : int array) =
+    let off = ref 0 in
+    Array.iteri (fun d x -> off := !off + ((x - e.eblo.(d)) * e.stride.(d))) p;
+    !off
+
+  let add t ~(grid : Grid.t) ~slot ~box ~src =
+    let dims = Array.length box.blo in
+    let nd = Array.length grid.dims in
+    let box =
+      box_inter box
+        { blo = Array.make dims 0; bhi = Array.init dims (fun d -> grid.dims.(nd - dims + d) - 1) }
+    in
+    if (not (box_is_empty box)) && find t ~array:grid.decl.aname ~slot = None then begin
+      let stride = Array.make dims 1 in
+      for d = dims - 2 downto 0 do
+        stride.(d) <- stride.(d + 1) * (box.bhi.(d + 1) - box.blo.(d + 1) + 1)
+      done;
+      let e =
+        {
+          earray = grid.decl.aname;
+          eslot = slot;
+          data = Array.make (box_count box) 0.0;
+          eblo = box.blo;
+          ebhi = box.bhi;
+          stride;
+        }
+      in
+      let nx = box.bhi.(dims - 1) - box.blo.(dims - 1) + 1 in
+      iter_box_rows box ~f:(fun row ->
+          Array.blit src (flat grid ~slot row) e.data (local e row) nx);
+      t.entries <- e :: t.entries
+    end
+
+  let[@inline never] outside e d c =
+    invalid_arg
+      (Fmt.str "overlay access to %s slot %d out of its box (dim %d: %d)" e.earray e.eslot d
+         c)
+
+  (* flat offset of [point + a.offsets]; raises outside the box *)
+  let index e (a : Stencil.access) (point : int array) =
+    let off = ref 0 in
+    for d = 0 to Array.length e.eblo - 1 do
+      let c = point.(d) + a.offsets.(d) in
+      if c < e.eblo.(d) || c > e.ebhi.(d) then outside e d c;
+      off := !off + ((c - e.eblo.(d)) * e.stride.(d))
+    done;
+    !off
+
+  let resolve t grids (a : Stencil.access) ~tstep =
+    let slot = Grid.slot (Grid.find grids a.array) (tstep + a.time_off) in
+    match find t ~array:a.array ~slot with
+    | Some e -> e
+    | None -> invalid_arg (Fmt.str "no overlay for %s slot %d" a.array slot)
+
+  let write_back t ~(grid : Grid.t) ~slot ~box =
+    if not (box_is_empty box) then begin
+      let e =
+        match find t ~array:grid.decl.aname ~slot with
+        | Some e -> e
+        | None -> invalid_arg (Fmt.str "no overlay for %s slot %d" grid.decl.aname slot)
+      in
+      Array.iteri
+        (fun d l ->
+          if l < e.eblo.(d) then outside e d l;
+          if box.bhi.(d) > e.ebhi.(d) then outside e d box.bhi.(d))
+        box.blo;
+      let nx = box.bhi.(Array.length box.blo - 1) - box.blo.(Array.length box.blo - 1) + 1 in
+      iter_box_rows box ~f:(fun row ->
+          Array.blit e.data (local e row) grid.data (flat grid ~slot row) nx)
+    end
+end
 
 let chunks_of xs f =
   let n = Array.length xs in
@@ -588,9 +691,8 @@ let exec_rows (ctx : ctx) { crows; cregs; cpoints; cinstrs; cblit } ~off =
 let rows_stats { crows; cblit; _ } =
   (Array.length crows, Array.fold_left (fun a r -> a + r.cmerged) 0 crows, cblit)
 
-let exec_stmt_row ctx ~stmt ~tstep ~point ~xs ?read_value ?write_value
-    ?(count = true) ?loads_subset ~global_reads ~shared_replay
-    ~interleave_store ~use_shared ~shared_addr () =
+let exec_stmt_row ctx ~stmt ~tstep ~point ~xs ?overlay ?(count = true) ?loads_subset
+    ~global_reads ~shared_replay ~interleave_store ~use_shared ~shared_addr () =
   let s : Stencil.stmt = stmt in
   let n = Array.length xs in
   if n > 0 then begin
@@ -627,6 +729,24 @@ let exec_stmt_row ctx ~stmt ~tstep ~point ~xs ?read_value ?write_value
         Addrmap.base ctx.sim.addr c.cwgrid + (4 * c.cwflat tstep point)
       else 0
     and wbase_shared = if use_shared then shared_addr s.write ~point else 0 in
+    (* Per-lane functional execution of the instance at [point]: the
+       compiled evaluator over the grids, or the same closure compiler
+       over the overlay's entries. *)
+    let lane_exec =
+      lazy
+        (match overlay with
+        | None -> fun point -> c.cwgrid.data.(c.cwflat tstep point) <- c.ceval tstep point
+        | Some ov ->
+            let eval =
+              compile_eval
+                (fun a ->
+                  let e = Overlay.resolve ov ctx.grids a ~tstep in
+                  fun _ p -> e.data.(Overlay.index e a p))
+                s.rhs
+            in
+            let we = Overlay.resolve ov ctx.grids s.write ~tstep in
+            fun point -> we.data.(Overlay.index we s.write point) <- eval tstep point)
+    in
     (* The tape engine needs contiguous lanes (all executors pass
        contiguous xs; the check makes the fallback airtight) and cannot
        carry the sanitizer's per-lane thread identities. *)
@@ -663,28 +783,12 @@ let exec_stmt_row ctx ~stmt ~tstep ~point ~xs ?read_value ?write_value
             Sim.global_store_warp ctx.sim
               (Array.init nlanes (fun i -> Some (wbase_global + (4 * (dx0 + i)))));
           (* functional execution *)
-          (match (read_value, write_value) with
-          | None, None ->
-              (* fast path: compiled evaluator, direct grid write *)
-              Array.iter
-                (fun x ->
-                  point.(xdim) <- x;
-                  c.cwgrid.data.(c.cwflat tstep point) <- c.ceval tstep point)
-                lane_xs
-          | _ ->
-              let read =
-                match read_value with
-                | Some rv -> fun a p -> rv a ~point:p
-                | None -> fun a p -> Grid.read_access ctx.grids a ~t:tstep ~point:p
-              in
-              Array.iter
-                (fun x ->
-                  point.(xdim) <- x;
-                  let v = Interp.eval_with ~read s.rhs ~point in
-                  match write_value with
-                  | Some w -> w ~point v
-                  | None -> Grid.write_access ctx.grids s.write ~t:tstep ~point v)
-                lane_xs);
+          let exec = Lazy.force lane_exec in
+          Array.iter
+            (fun x ->
+              point.(xdim) <- x;
+              exec point)
+            lane_xs;
           if count then ignore (Atomic.fetch_and_add ctx.updates nlanes))
     else begin
       (* Batched accounting: one event per warp chunk, same event
@@ -710,40 +814,53 @@ let exec_stmt_row ctx ~stmt ~tstep ~point ~xs ?read_value ?write_value
         i := !i + nl
       done;
       (* Functional execution. *)
-      (match (read_value, write_value, c.tape) with
-      | None, None, Some tape ->
+      (match c.tape with
+      | Some tape ->
           let xlast = xs.(n - 1) in
           let nsrc = Array.length c.tsrcs in
           let bases = Array.make nsrc 0 in
-          (* Resolve per-source word bases at x0 and validate the other
+          (* Resolve a word base at x0 after validating the other
              endpoint: x is the innermost storage dimension (stride 1),
              so per-dimension validity at both row endpoints covers the
              whole contiguous lane range. *)
-          for k = 0 to nsrc - 1 do
-            let _, fl = c.tsrcs.(k) in
-            point.(xdim) <- x0;
-            bases.(k) <- fl tstep point;
+          let row_base flat_at =
             point.(xdim) <- xlast;
-            ignore (fl tstep point)
-          done;
-          point.(xdim) <- x0;
-          let wflat = c.cwflat tstep point in
-          point.(xdim) <- xlast;
-          ignore (c.cwflat tstep point);
-          point.(xdim) <- x0;
+            ignore (flat_at point);
+            point.(xdim) <- x0;
+            flat_at point
+          in
+          let datas, out, wflat =
+            match overlay with
+            | None ->
+                Array.iteri (fun k (_, fl) -> bases.(k) <- row_base (fl tstep)) c.tsrcs;
+                (c.tdatas, c.cwgrid.data, row_base (c.cwflat tstep))
+            | Some ov ->
+                let datas =
+                  Array.mapi
+                    (fun k a ->
+                      let e = Overlay.resolve ov ctx.grids a ~tstep in
+                      bases.(k) <- row_base (Overlay.index e a);
+                      e.data)
+                    c.taccs
+                in
+                let we = Overlay.resolve ov ctx.grids s.write ~tstep in
+                (datas, we.data, row_base (Overlay.index we s.write))
+          in
           let regs = get_scratch (tape.nregs * Tape.lanes) in
-          let out = c.cwgrid.data in
           let i = ref 0 in
           while !i < n do
             let nl = min Tape.lanes (n - !i) in
-            Tape.exec tape regs ~datas:c.tdatas ~bases ~dx:!i ~n:nl ~out
+            Tape.exec tape regs ~datas ~bases ~dx:!i ~n:nl ~out
               ~out_base:(wflat + !i);
             i := !i + nl
           done;
           Obs.incr
             ~by:(Tape.length tape * ((n + Tape.lanes - 1) / Tape.lanes))
             "sim.tape_instrs";
-          if Sim.recording_active ctx.sim then begin
+          if overlay <> None then
+            (* overlay bases are block-private: nothing a stream could replay *)
+            Sim.record_invalidate ctx.sim
+          else if Sim.recording_active ctx.sim then begin
             let srcs =
               Array.init nsrc (fun k ->
                   Addrmap.base ctx.sim.addr (fst c.tsrcs.(k)) + (4 * bases.(k)))
@@ -752,28 +869,16 @@ let exec_stmt_row ctx ~stmt ~tstep ~point ~xs ?read_value ?write_value
               ~waddr:(Addrmap.base ctx.sim.addr c.cwgrid + (4 * wflat))
               ~srcs ~n
           end
-      | _ ->
-          (* aliasing hazard or value overrides: the per-lane interleaved
-             read/write order is semantically significant, and a recorded
-             stream could not replay it *)
+      | None ->
+          (* aliasing hazard: the per-lane interleaved read/write order is
+             semantically significant, and a recorded stream could not
+             replay it *)
           Sim.record_invalidate ctx.sim;
-          let read =
-            match read_value with
-            | Some rv -> fun a p -> rv a ~point:p
-            | None -> fun a p -> Grid.read_access ctx.grids a ~t:tstep ~point:p
-          in
-          let eval_default = read_value = None && write_value = None in
+          let exec = Lazy.force lane_exec in
           Array.iter
             (fun x ->
               point.(xdim) <- x;
-              if eval_default then
-                c.cwgrid.data.(c.cwflat tstep point) <- c.ceval tstep point
-              else begin
-                let v = Interp.eval_with ~read s.rhs ~point in
-                match write_value with
-                | Some w -> w ~point v
-                | None -> Grid.write_access ctx.grids s.write ~t:tstep ~point v
-              end)
+              exec point)
             xs);
       if count then ignore (Atomic.fetch_and_add ctx.updates n)
     end
@@ -873,4 +978,3 @@ let snapshot (ctx : ctx) =
   Hashtbl.iter (fun name (g : Grid.t) -> Hashtbl.replace tbl name (Array.copy g.data)) ctx.grids;
   tbl
 
-let snapshot_read snap (g : Grid.t) idx = (Hashtbl.find snap g.decl.aname).(idx)

@@ -119,6 +119,31 @@ module Layout : sig
   val iter : t -> f:(array:string -> slot:int -> box -> unit) -> unit
 end
 
+(** {2 Block-private overlays} *)
+
+module Overlay : sig
+  (** Dense per-block value stores for the overlapped schemes: one float
+      array per (array, storage slot) over a box of spatial cells, filled
+      from a snapshot when added. A block computes into its overlay so
+      that the values it recomputes in its halo never reach the grids
+      that concurrent blocks of the launch read. *)
+
+  type t
+
+  val create : unit -> t
+
+  val add : t -> grid:Grid.t -> slot:int -> box:box -> src:float array -> unit
+  (** Add storage slot [slot] of [grid] over [box] clipped to the array's
+      spatial extents, filled row by row from [src], a data array laid
+      out like [grid.data] — the grid itself or a {!snapshot} of it.
+      Nothing if that box is empty or the slot is already present. *)
+
+  val write_back : t -> grid:Grid.t -> slot:int -> box:box -> unit
+  (** Copy the overlay's values over [box] into [grid]'s slot [slot].
+      Raises [Invalid_argument] if [box] is not inside the slot's overlay
+      box. *)
+end
+
 (** {2 Warp-level phases} *)
 
 val exec_stmt_row :
@@ -127,8 +152,7 @@ val exec_stmt_row :
   tstep:int ->
   point:int array ->
   xs:int array ->
-  ?read_value:(Stencil.access -> point:int array -> float) ->
-  ?write_value:(point:int array -> float -> unit) ->
+  ?overlay:Overlay.t ->
   ?count:bool ->
   ?loads_subset:Stencil.access list ->
   global_reads:bool ->
@@ -144,10 +168,11 @@ val exec_stmt_row :
     shared per [global_reads]), the statement's flops, and the store
     (shared when [use_shared], plus global when [interleave_store] or no
     shared memory is used); then perform the functional update.
-    [read_value] overrides where read values come from (letting
-    overlapped tiling read from snapshots) — when omitted a compiled
-    fast path reading the context grids directly is used; [write_value]
-    overrides the default write-through to the context grids; [count]
+    [overlay] redirects every read and the write of the functional
+    update to the block's {!Overlay} (overlapped tiling computes into
+    block-private copies seeded from a snapshot); an access outside it
+    raises [Invalid_argument]. Without it the update reads and writes
+    the context grids. Accounting is the same either way. [count]
     (default true) controls whether the instances count toward
     [ctx.updates]; [loads_subset] restricts which reads are *accounted*
     as loads (register tiling keeps the rest in registers across the
@@ -172,6 +197,11 @@ val store_cells : ctx -> grid:Grid.t -> cells:int list -> via_shared:bool -> uni
 (** Copy-out phase: store the given flat cell indices (already grouped in
     ascending order), as warps of 32; [via_shared] adds the shared-memory
     read feeding each store. *)
+
+val flat : Grid.t -> slot:int -> int array -> int
+(** Flat element offset of a spatial point in storage slot [slot] (the
+    slot is ignored for in-place arrays); raises [Invalid_argument] out
+    of bounds. *)
 
 val iter_box_rows : box -> f:(int array -> unit) -> unit
 (** Iterate over rows: all coordinate prefixes; the callback receives the
@@ -221,4 +251,3 @@ val rows_stats : crows -> int * int * int
     introspection for tests. *)
 
 val snapshot : ctx -> (string, float array) Hashtbl.t
-val snapshot_read : (string, float array) Hashtbl.t -> Grid.t -> int -> float

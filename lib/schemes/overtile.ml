@@ -74,9 +74,24 @@ let run ?pool ?engine ?config prog env dev =
   let threads = min dev.Device.max_threads_per_block (Array.fold_left ( * ) 1 tile) in
   let slope = slopes prog in
   let rad = radii prog in
-  (* union domain across statements *)
-  let lo = Array.init ctx.dims (fun d -> Array.fold_left (fun m l -> min m l.(d)) max_int ctx.lo) in
-  let hi = Array.init ctx.dims (fun d -> Array.fold_left (fun m h -> max m h.(d)) min_int ctx.hi) in
+  (* Output tiles partition the cells the statements write: the union of
+     dom(s) + w(s), w(s) the write offset. A tile's cells are the writes
+     of the points in [base], the tile shifted back by every write offset;
+     the trapezoid grows from there. *)
+  let woff si d = ctx.stmts.(si).Stencil.write.offsets.(d) in
+  let wext f init =
+    Array.init ctx.dims (fun d -> Seq.fold_left f init (Seq.init ctx.k (fun si -> woff si d)))
+  in
+  let wlo = wext min max_int and whi = wext max min_int in
+  let wrad = Array.init ctx.dims (fun d -> max (abs wlo.(d)) (abs whi.(d))) in
+  let lo =
+    Array.init ctx.dims (fun d ->
+        Array.fold_left min max_int (Array.mapi (fun si l -> l.(d) + woff si d) ctx.lo))
+  in
+  let hi =
+    Array.init ctx.dims (fun d ->
+        Array.fold_left max min_int (Array.mapi (fun si h -> h.(d) + woff si d) ctx.hi))
+  in
   let ntiles = Array.init ctx.dims (fun d -> max 0 ((hi.(d) - lo.(d) + tile.(d)) / tile.(d))) in
   let blocks = Array.fold_left ( * ) 1 ntiles in
   let reach units = Array.map (fun s -> Rat.ceil (Rat.mul_int s units)) slope in
@@ -105,13 +120,11 @@ let run ?pool ?engine ?config prog env dev =
           }
         in
         if not (Common.box_is_empty out) then begin
-          (* local values written by this block *)
-          let local : (string * int * int list, float) Hashtbl.t = Hashtbl.create 512 in
-          let cell (a : Stencil.access) ~t ~point =
-            let g = Grid.find ctx.grids a.array in
-            ( a.array,
-              Grid.slot g (t + a.time_off),
-              Array.to_list (Array.mapi (fun d o -> point.(d) + o) a.offsets) )
+          let base =
+            {
+              Common.blo = Array.mapi (fun d l -> l - whi.(d)) out.blo;
+              bhi = Array.mapi (fun d h -> h - wlo.(d)) out.bhi;
+            }
           in
           (* copy-in: one shared box per accessed (array, slot) *)
           let copy_by = Array.mapi (fun d r -> r + rad.(d)) (reach (ctx.k * (hh_eff - 1))) in
@@ -119,22 +132,38 @@ let run ?pool ?engine ?config prog env dev =
             let g = Grid.find ctx.grids arr in
             let spatial_dims = ctx.dims in
             let ext d = g.dims.(Array.length g.dims - spatial_dims + d) in
-            dilate out ~by:copy_by ~lo:(Array.make ctx.dims 0)
+            dilate base ~by:copy_by ~lo:(Array.make ctx.dims 0)
               ~hi:(Array.init ctx.dims (fun d -> ext d - 1))
           in
           let lay = Common.Layout.create () in
-          let alloc_box (arr, slot) aname =
-            if Common.Layout.find lay ~array:arr ~slot = None then
-              Common.Layout.add lay ~array:arr ~slot (inbox aname)
+          (* values this block computes live in a dense overlay per
+             touched (array, slot), seeded from the pre-launch snapshot
+             over the base grown by every reach the trapezoid can have
+             and by the largest access offset *)
+          let ov = Common.Overlay.create () in
+          let ov_by =
+            Array.mapi (fun d r -> r + max rad.(d) wrad.(d)) (reach ((ctx.k * hh_eff) + ctx.k))
           in
-          (* allocate shared boxes for every (array, slot) touched *)
+          let ov_box =
+            {
+              Common.blo = Array.mapi (fun d l -> l - ov_by.(d)) base.blo;
+              bhi = Array.mapi (fun d h -> h + ov_by.(d)) base.bhi;
+            }
+          in
+          let touch (arr, slot) =
+            if Common.Layout.find lay ~array:arr ~slot = None then
+              Common.Layout.add lay ~array:arr ~slot (inbox arr);
+            Common.Overlay.add ov ~grid:(Grid.find ctx.grids arr) ~slot ~box:ov_box
+              ~src:(Hashtbl.find snap arr)
+          in
+          (* allocate shared boxes and overlays for every (array, slot) touched *)
           List.iter
             (fun (s : Stencil.stmt) ->
               List.iter
                 (fun (a : Stencil.access) ->
                   let g = Grid.find ctx.grids a.array in
                   for j = 0 to hh_eff - 1 do
-                    alloc_box (a.array, Grid.slot g (tt0v + j + a.time_off)) a.array
+                    touch (a.array, Grid.slot g (tt0v + j + a.time_off))
                   done)
                 (s.write :: Stencil.reads s))
             ctx.prog.stmts;
@@ -155,7 +184,7 @@ let run ?pool ?engine ?config prog env dev =
               (fun si stmt ->
                 let units = (ctx.k * (hh_eff - 1 - j)) + (ctx.k - 1 - si) in
                 let region =
-                  dilate out ~by:(reach units) ~lo:ctx.lo.(si) ~hi:ctx.hi.(si)
+                  dilate base ~by:(reach units) ~lo:ctx.lo.(si) ~hi:ctx.hi.(si)
                 in
                 (* also clip the out-region to the statement domain *)
                 let region =
@@ -168,22 +197,7 @@ let run ?pool ?engine ?config prog env dev =
                       let xs =
                         Array.of_list (Intutil.range region.blo.(xdim) region.bhi.(xdim))
                       in
-                      Common.exec_stmt_row ctx ~stmt ~tstep:t ~point ~xs
-                        ~read_value:(fun a ~point ->
-                          let key = cell a ~t ~point in
-                          match Hashtbl.find_opt local key with
-                          | Some v -> v
-                          | None ->
-                              let g = Grid.find ctx.grids a.array in
-                              let (_, slot, sp) = key in
-                              let idx =
-                                match g.decl.fold with
-                                | Some _ -> Array.of_list (slot :: sp)
-                                | None -> Array.of_list sp
-                              in
-                              Common.snapshot_read snap g (Grid.offset g idx))
-                        ~write_value:(fun ~point v ->
-                          Hashtbl.replace local (cell stmt.Stencil.write ~t ~point) v)
+                      Common.exec_stmt_row ctx ~stmt ~tstep:t ~point ~xs ~overlay:ov
                         ~count:false ~global_reads:false ~shared_replay:1
                         ~interleave_store:false ~use_shared:true
                         ~shared_addr:(fun (a : Stencil.access) ~point ->
@@ -196,42 +210,52 @@ let run ?pool ?engine ?config prog env dev =
               ctx.stmts;
             Sim.sync ctx.sim
           done;
-          (* copy-out: final values of cells inside the output tile *)
-          let per_array : (string, (int * float) list ref) Hashtbl.t = Hashtbl.create 4 in
-          Hashtbl.iter
-            (fun (arr, slot, sp) v ->
-              let inside =
-                List.for_all2
-                  (fun x (l, h) -> x >= l && x <= h)
-                  sp
-                  (Array.to_list (Array.map2 (fun l h -> (l, h)) out.blo out.bhi))
-              in
-              if inside then begin
-                let g = Grid.find ctx.grids arr in
-                let idx =
-                  match g.decl.fold with
-                  | Some _ -> Array.of_list (slot :: sp)
-                  | None -> Array.of_list sp
+          (* copy-out: for every (array, slot) written in this time tile,
+             the output tile within the cells the writing statement
+             writes, as one ascending run of flat cells per array (slots
+             ascending) *)
+          let written : (string, Grid.t * (int * Common.box) list ref) Hashtbl.t =
+            Hashtbl.create 4
+          in
+          for j = 0 to hh_eff - 1 do
+            Array.iteri
+              (fun si (stmt : Stencil.stmt) ->
+                let copy =
+                  Common.box_inter out
+                    {
+                      Common.blo = Array.mapi (fun d l -> l + woff si d) ctx.lo.(si);
+                      bhi = Array.mapi (fun d h -> h + woff si d) ctx.hi.(si);
+                    }
                 in
-                let flat = Grid.offset g idx in
-                let l =
-                  match Hashtbl.find_opt per_array arr with
-                  | Some l -> l
-                  | None ->
-                      let l = ref [] in
-                      Hashtbl.replace per_array arr l;
-                      l
-                in
-                l := (flat, v) :: !l
-              end)
-            local;
+                if not (Common.box_is_empty copy) then begin
+                  let g = Grid.find ctx.grids stmt.write.array in
+                  let slot = Grid.slot g (tt0v + j + stmt.write.time_off) in
+                  let _, slots =
+                    match Hashtbl.find_opt written stmt.write.array with
+                    | Some e -> e
+                    | None ->
+                        let e = (g, ref []) in
+                        Hashtbl.replace written stmt.write.array e;
+                        e
+                  in
+                  if not (List.mem_assoc slot !slots) then slots := (slot, copy) :: !slots
+                end)
+              ctx.stmts
+          done;
           Hashtbl.iter
-            (fun arr l ->
-              let g = Grid.find ctx.grids arr in
-              let sorted = List.sort compare !l in
-              List.iter (fun (flat, v) -> g.data.(flat) <- v) sorted;
-              Common.store_cells ctx ~grid:g ~cells:(List.map fst sorted) ~via_shared:true)
-            per_array
+            (fun _ ((g : Grid.t), slots) ->
+              let cells = ref [] in
+              List.iter
+                (fun (slot, box) ->
+                  Common.Overlay.write_back ov ~grid:g ~slot ~box;
+                  Common.iter_box_rows box ~f:(fun row ->
+                      let f0 = Common.flat g ~slot row in
+                      for dx = 0 to box.Common.bhi.(ctx.dims - 1) - box.blo.(ctx.dims - 1) do
+                        cells := (f0 + dx) :: !cells
+                      done))
+                (List.sort compare !slots);
+              Common.store_cells ctx ~grid:g ~cells:(List.rev !cells) ~via_shared:true)
+            written
         end);
     tt0 := tt0v + hh_eff
   done;

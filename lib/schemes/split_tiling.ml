@@ -38,7 +38,11 @@ let run ?pool ?engine ?(config = default_config) prog env dev =
     else (nbase0, rem)
   in
   let stmts = ctx.stmts in
-  let exec_interval ~tstep ~xlo ~xhi ~read_value ~write_value ~shared_addr =
+  (* cells an upright trapezoid touches beyond its base: the largest read
+     offset (a read-only coefficient array can reach past the slope) or
+     the write offset *)
+  let rad = max (Overtile.radii prog).(0) (abs stmts.(0).write.offsets.(0)) in
+  let exec_interval ?overlay ~tstep ~xlo ~xhi ~shared_addr () =
     if xlo <= xhi then
       Array.iter
         (fun (s : Stencil.stmt) ->
@@ -46,7 +50,7 @@ let run ?pool ?engine ?(config = default_config) prog env dev =
           if xlo <= xhi then
             Common.exec_stmt_row ctx ~stmt:s ~tstep ~point:[| xlo |]
               ~xs:(Array.init (xhi - xlo + 1) (fun i -> xlo + i))
-              ?read_value ?write_value ~global_reads:false ~shared_replay:1
+              ?overlay ~global_reads:false ~shared_replay:1
               ~interleave_store:true ~use_shared:true ~shared_addr ())
         stmts
   in
@@ -82,44 +86,50 @@ let run ?pool ?engine ?(config = default_config) prog env dev =
               ~skip_x:(fun _ -> None)
               ~shared_addr:(fun p -> Common.Layout.addr lay ~array ~slot p));
         Sim.sync ctx.sim;
-        (* local writes so concurrent blocks read pre-launch halo values *)
-        let local : (string * int * int, float) Hashtbl.t = Hashtbl.create 64 in
-        let cell (a : Stencil.access) ~t ~point =
-          let g = Grid.find ctx.grids a.array in
-          (a.array, Grid.slot g (t + a.time_off), point.(0) + a.offsets.(0))
-        in
+        (* the block computes into overlays seeded from the pre-launch
+           snapshot, so concurrent blocks read pre-launch halo values *)
+        let ov = Common.Overlay.create () in
+        let ov_box = { Common.blo = [| base_lo - rad |]; bhi = [| base_hi + rad |] } in
+        List.iter
+          (fun (d : Stencil.array_decl) ->
+            let m = match d.fold with Some m -> m | None -> 1 in
+            for slot = 0 to m - 1 do
+              Common.Overlay.add ov ~grid:(Grid.find ctx.grids d.aname) ~slot ~box:ov_box
+                ~src:(Hashtbl.find snap d.aname)
+            done)
+          prog.arrays;
         let shared_addr (a : Stencil.access) ~point =
           let g = Grid.find ctx.grids a.array in
           let slot = Grid.slot g (t0 + a.time_off) in
           Common.Layout.addr lay ~array:a.array ~slot [| point.(0) + a.offsets.(0) |]
         in
+        let w = stmts.(0).write in
+        let wg = Grid.find ctx.grids w.array in
+        let written = ref [] in
         for j = 0 to hh_eff - 1 do
           let t = t0 + j in
-          exec_interval ~tstep:t ~xlo:(base_lo + (r * j)) ~xhi:(base_hi - (r * j))
-            ~read_value:
-              (Some
-                 (fun a ~point ->
-                   match Hashtbl.find_opt local (cell a ~t ~point) with
-                   | Some v -> v
-                   | None ->
-                       let g = Grid.find ctx.grids a.array in
-                       let _, slot, x = cell a ~t ~point in
-                       let idx =
-                         match g.decl.fold with
-                         | Some _ -> [| slot; x |]
-                         | None -> [| x |]
-                       in
-                       Common.snapshot_read snap g (Grid.offset g idx)))
-            ~write_value:
-              (Some
-                 (fun ~point v ->
-                   (* write-through: local (for later steps of this block)
-                      and global (interleaved copy-out) *)
-                   Hashtbl.replace local (cell stmts.(0).write ~t ~point) v;
-                   Grid.write_access ctx.grids stmts.(0).write ~t ~point v))
-            ~shared_addr;
+          let xlo = base_lo + (r * j) and xhi = base_hi - (r * j) in
+          exec_interval ~overlay:ov ~tstep:t ~xlo ~xhi ~shared_addr ();
+          (* intervals shrink with j: a slot's first one covers its later
+             ones; the points [xlo, xhi] write the cells shifted by the
+             write offset *)
+          let slot = Grid.slot wg (t + w.time_off) in
+          if not (List.mem_assoc slot !written) then begin
+            let wo = w.offsets.(0) in
+            written :=
+              ( slot,
+                {
+                  Common.blo = [| max xlo ctx.lo.(0).(0) + wo |];
+                  bhi = [| min xhi ctx.hi.(0).(0) + wo |];
+                } )
+              :: !written
+          end;
           Sim.sync ctx.sim
-        done)
+        done;
+        (* write through: no block of this launch reads the grids *)
+        List.iter
+          (fun (slot, box) -> Common.Overlay.write_back ov ~grid:wg ~slot ~box)
+          !written)
       ;
     (* ---- phase B: inverted trapezoids -------------------------------- *)
     (* Upright tile k at step j covers [ulo k j, uhi k j]; the inverted
@@ -174,8 +184,7 @@ let run ?pool ?engine ?(config = default_config) prog env dev =
             let t = t0 + j in
             (match gap_of b j with
             | Some (xlo, xhi) ->
-                exec_interval ~tstep:t ~xlo ~xhi ~read_value:None
-                  ~write_value:None ~shared_addr
+                exec_interval ~tstep:t ~xlo ~xhi ~shared_addr ()
             | None -> ());
             Sim.sync ctx.sim
           done

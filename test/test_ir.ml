@@ -153,7 +153,7 @@ let test_interp_fixpoint () =
         let n = Affp.eval (Affp.param "N") env in
         ignore n;
         let rec iter d point =
-          if d = Array.length lo then Interp.exec_instance tbl s ~t ~point
+          if d = Array.length lo then Ref_interp.exec_instance tbl s ~t ~point
           else
             for x = lo.(d) to hi.(d) do
               point.(d) <- x;
@@ -179,6 +179,50 @@ let test_interp_runs () =
           if Float.is_nan c then Alcotest.failf "%s/%s produced NaN" p.name name)
         tbl)
     Suite.all
+
+(* The row-compiled interpreter against the per-instance tree walker
+   (test/ref_interp.ml): every grid equal bit for bit. *)
+let bits_equal a b =
+  Hashtbl.length a = Hashtbl.length b
+  && Hashtbl.fold
+       (fun name (g : Grid.t) acc ->
+         acc
+         &&
+         let r = Grid.find b name in
+         g.dims = r.dims
+         && Array.for_all2
+              (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+              g.data r.data)
+       a true
+
+let check_oracle what prog env =
+  if not (bits_equal (Interp.run prog env) (Ref_interp.run prog env)) then
+    Alcotest.failf "%s: compiled interpreter differs from the tree walker" what
+
+let test_interp_vs_oracle_suite () =
+  let odd = function
+    | 1 -> [ [ ("N", 31); ("T", 7) ]; [ ("N", 9); ("T", 4) ] ]
+    | 2 -> [ [ ("N", 23); ("T", 5) ]; [ ("N", 13); ("T", 3) ] ]
+    | _ -> [ [ ("N", 11); ("T", 3) ]; [ ("N", 7); ("T", 2) ] ]
+  in
+  (* in-place sweeps read cells their own row wrote a lane earlier *)
+  let in_place = [ Test_overlay.gauss_seidel ~dims:1; Test_overlay.gauss_seidel ~dims:2 ] in
+  List.iter
+    (fun (p : Stencil.t) ->
+      List.iter
+        (fun params ->
+          check_oracle
+            (Fmt.str "%s %a" p.name Fmt.(list ~sep:comma (pair ~sep:(any "=") string int)) params)
+            p (env_of params))
+        (Suite.test_params p :: odd (Stencil.spatial_dims p)))
+    (Suite.all @ in_place)
+
+let test_interp_vs_oracle_generated () =
+  let rng = Hextile_check.Rng.create 0x1e7e in
+  for i = 0 to 59 do
+    let prog, params = Hextile_check.Gen.generate (Hextile_check.Rng.derive rng i) in
+    check_oracle (Fmt.str "generated #%d" i) prog (env_of params)
+  done
 
 let test_stencil_updates () =
   (* heat1d: T=10 steps, domain 1..28 → 28 points *)
@@ -287,6 +331,10 @@ let suite =
       test_grid_equal_short_circuit;
     Alcotest.test_case "interp fixpoint" `Quick test_interp_fixpoint;
     Alcotest.test_case "interp runs all benchmarks" `Quick test_interp_runs;
+    Alcotest.test_case "interp = tree walker (suite, odd sizes)" `Quick
+      test_interp_vs_oracle_suite;
+    Alcotest.test_case "interp = tree walker (60 generated)" `Quick
+      test_interp_vs_oracle_generated;
     Alcotest.test_case "stencil_updates" `Quick test_stencil_updates;
     Alcotest.test_case "footprint" `Quick test_footprint;
     Alcotest.test_case "bounds convention" `Quick test_bounds_check;

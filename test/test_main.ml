@@ -17,6 +17,7 @@ let () =
       ("experiments", Test_experiments.suite);
       ("analytic", Test_analytic.suite);
       ("blit", Test_blit.suite);
+      ("overlay", Test_overlay.suite);
       ("obs", Test_obs.suite);
       ("serve", Test_serve.suite);
       ("timeline", Test_timeline.suite);
