@@ -161,20 +161,35 @@ let compute_iteration cfg dev rng i =
       let schemes =
         Option.map (List.filter (fun n -> List.mem n names)) cfg.schemes
       in
-      match Oracle.check ?mutate:cfg.mutate ?schemes prog env dev with
+      let check prog = Oracle.check ?mutate:cfg.mutate ?schemes prog env dev in
+      (* Outside the mutation self-test, a program that passes runs again
+         with every statement's write translated ({!Gen.translate_writes});
+         a failure reports the translated program. *)
+      let checked =
+        match check prog with
+        | Ok [] when cfg.mutate = None -> (
+            let tprog = Gen.translate_writes prog in
+            match check tprog with
+            | Ok [] -> Ok (prog, [], "")
+            | Ok fs -> Ok (tprog, fs, " (translated writes)")
+            | Error m -> Error (m ^ " (translated writes)"))
+        | r -> Result.map (fun fs -> (prog, fs, "")) r
+      in
+      match checked with
       | Error m ->
           log (Fmt.str "iteration %d: skipped (%s)" i m);
           Skip
-      | Ok [] ->
+      | Ok (_, [], _) ->
           if cfg.mutate <> None then
             log (Fmt.str "iteration %d: mutant MISSED" i);
           Pass
-      | Ok failures ->
+      | Ok (prog, failures, variant) ->
           let f0 = List.hd failures in
           log
-            (Fmt.str "iteration %d: %s failure on %s%s" i
+            (Fmt.str "iteration %d: %s failure on %s%s%s" i
                (Oracle.kind_of_failure f0)
                (Oracle.scheme_of_failure f0)
+               variant
                (if cfg.mutate <> None then " (mutant caught)" else ""));
           let prog, env, failures, shrunk =
             if not cfg.shrink then (prog, env, failures, false)

@@ -206,3 +206,47 @@ let flip_offset (p : Stencil.t) =
     List.map (fun (s : Stencil.stmt) -> { s with rhs = flip_fexpr s.rhs }) p.stmts
   in
   if !flipped then Some { p with stmts } else None
+
+(* Statement [i] writes the cell shifted by [write_shift ~dims i]: one
+   dimension, innermost first, by +1, -1 or +2 in turn. *)
+let write_shift ~dims i =
+  let d = dims - 1 - (i mod dims) in
+  let by = [| 1; -1; 2 |].(i mod 3) in
+  Array.init dims (fun d' -> if d' = d then by else 0)
+
+let translate_writes (p : Stencil.t) =
+  let dims = Stencil.spatial_dims p in
+  let stmts =
+    List.mapi
+      (fun i (s : Stencil.stmt) ->
+        let w = s.write in
+        let sh = write_shift ~dims i in
+        let shifted = Array.map2 ( + ) w.offsets sh in
+        let m =
+          match (Stencil.array_decl p w.array).fold with Some m -> m | None -> 1
+        in
+        (* reads of the write slot must stay the written cell *)
+        let rec move (e : Stencil.fexpr) =
+          match e with
+          | Read a
+            when String.equal a.array w.array
+                 && (a.time_off - w.time_off) mod m = 0
+                 && a.offsets = w.offsets ->
+              Stencil.Read { a with offsets = shifted }
+          | Read _ | Fconst _ -> e
+          | Neg e -> Stencil.Neg (move e)
+          | Bin (op, l, r) ->
+              let l = move l in
+              Stencil.Bin (op, l, move r)
+        in
+        (* the written cells must stay inside the array *)
+        let lo =
+          Array.mapi (fun d l -> if sh.(d) < 0 then Affp.add_const l (-sh.(d)) else l) s.lo
+        in
+        let hi =
+          Array.mapi (fun d h -> if sh.(d) > 0 then Affp.add_const h (-sh.(d)) else h) s.hi
+        in
+        { s with lo; hi; write = { w with offsets = shifted }; rhs = move s.rhs })
+      p.stmts
+  in
+  { p with stmts }

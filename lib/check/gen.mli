@@ -37,3 +37,13 @@ val flip_offset : Stencil.t -> Stencil.t option
     offset is zero. The result stays well-formed and in bounds (margins
     are symmetric), so executors run it without crashing and the
     corruption is purely semantic. *)
+
+val translate_writes : Stencil.t -> Stencil.t
+(** Every statement writes a translated cell, [A[x + v]] for points [x]:
+    statement [i] shifts by +1, -1 or +2 in turn along one dimension,
+    innermost first. Each domain shrinks by the shift on that side, so
+    the written cells stay inside the array, and any read of the write
+    slot moves with the write, so the result stays {!well_formed} and in
+    bounds under the program's valuations. {!generate}'s programs all
+    write at offset 0; the fuzz campaign runs this variant of each one
+    too. *)

@@ -146,9 +146,23 @@ let record_end t =
       if r.rvalid then Some r.rstream else None
   | _ -> None
 
-let record_invalidate t =
+type fallback = Per_lane | Overlay | Hazard | Region
+
+(* Each invalidated recording counts once, under its first reason. *)
+let invalidate r why =
+  if r.rvalid then begin
+    r.rvalid <- false;
+    Obs.incr
+      (match why with
+      | Per_lane -> "sim.recordings_invalidated.per_lane"
+      | Overlay -> "sim.recordings_invalidated.overlay"
+      | Hazard -> "sim.recordings_invalidated.hazard"
+      | Region -> "sim.recordings_invalidated.region")
+  end
+
+let record_invalidate t why =
   match Domain.DLS.get record_key with
-  | Some r when r.rowner == t -> r.rvalid <- false
+  | Some r when r.rowner == t -> invalidate r why
   | _ -> ()
 
 let record_compute t ~stmt ~tstep ~waddr ~srcs ~n =
@@ -157,7 +171,7 @@ let record_compute t ~stmt ~tstep ~waddr ~srcs ~n =
       let wregion = r.region_of waddr in
       let sregions = Array.map r.region_of srcs in
       if wregion < 0 || Array.exists (fun x -> x < 0) sregions then
-        r.rvalid <- false
+        invalidate r Region
       else
         Tileclass.push r.rstream
           (Compute { stmt; tstep; wregion; waddr; sregions; srcs; n })
@@ -221,7 +235,7 @@ let store_line t sh (c : Counters.t) ~serial line =
 let global_load_warp t addrs =
   let n = active addrs in
   if n > 0 then begin
-    record_invalidate t;
+    record_invalidate t Per_lane;
     let sh = shadow t in
     let c = match sh with Some s -> s.sc | None -> t.total in
     c.gld_inst <- c.gld_inst + n;
@@ -233,7 +247,7 @@ let global_load_warp t addrs =
 let global_store_warp ?(serial = false) t addrs =
   let n = active addrs in
   if n > 0 then begin
-    record_invalidate t;
+    record_invalidate t Per_lane;
     let sh = shadow t in
     let c = match sh with Some s -> s.sc | None -> t.total in
     c.gst_inst <- c.gst_inst + n;
@@ -269,7 +283,7 @@ let global_load_run t ~addr ~n =
     match Domain.DLS.get record_key with
     | Some r when r.rowner == t && r.rvalid ->
         let region = r.region_of addr in
-        if region < 0 then r.rvalid <- false
+        if region < 0 then invalidate r Region
         else Tileclass.push r.rstream (Gload_run { region; addr; n })
     | _ -> ()
   end
@@ -287,7 +301,7 @@ let global_store_run ?(serial = false) t ~addr ~n =
     match Domain.DLS.get record_key with
     | Some r when r.rowner == t && r.rvalid ->
         let region = r.region_of addr in
-        if region < 0 then r.rvalid <- false
+        if region < 0 then invalidate r Region
         else Tileclass.push r.rstream (Gstore_run { region; addr; n; serial })
     | _ -> ()
   end
@@ -336,7 +350,7 @@ let global_load_lanes t addrs =
     match Domain.DLS.get record_key with
     | Some r when r.rowner == t && r.rvalid ->
         let region = r.region_of addrs.(0) in
-        if region < 0 then r.rvalid <- false
+        if region < 0 then invalidate r Region
         else Tileclass.push r.rstream (Gload_lanes { region; addrs })
     | _ -> ()
 
@@ -346,7 +360,7 @@ let global_store_lanes ?(serial = false) t addrs =
     match Domain.DLS.get record_key with
     | Some r when r.rowner == t && r.rvalid ->
         let region = r.region_of addrs.(0) in
-        if region < 0 then r.rvalid <- false
+        if region < 0 then invalidate r Region
         else Tileclass.push r.rstream (Gstore_lanes { region; addrs; serial })
     | _ -> ()
 
@@ -372,7 +386,7 @@ let live_counters = counters_of
 let shared_load_warp ?(replay = 1) ?tids t addrs =
   let n = active addrs in
   if n > 0 then begin
-    record_invalidate t;
+    record_invalidate t Per_lane;
     if Sanitize.enabled () then Sanitize.access ~write:false ?tids addrs;
     let c = counters_of t in
     c.shared_load_requests <- c.shared_load_requests + 1;
@@ -383,7 +397,7 @@ let shared_load_warp ?(replay = 1) ?tids t addrs =
 let shared_store_warp ?(replay = 1) ?tids t addrs =
   let n = active addrs in
   if n > 0 then begin
-    record_invalidate t;
+    record_invalidate t Per_lane;
     if Sanitize.enabled () then Sanitize.access ~write:true ?tids addrs;
     let c = counters_of t in
     c.shared_store_requests <- c.shared_store_requests + 1;

@@ -183,10 +183,21 @@ val shared_store_lanes : ?replay:int -> t -> int array -> unit
     with {!record_begin}/{!record_end} and replays the stream for the
     other blocks of the class with {!replay_stream}, translating global
     addresses by per-region byte deltas. Only the batched events above
-    (plus {!flops_warp}, {!sync} and {!record_compute}) are recordable;
-    any per-lane warp event invalidates the recording, so unsupported
-    shapes silently fall back to live execution. Recording state is
+    (plus {!flops_warp}, {!sync} and {!record_compute}) are recordable.
+    Anything else invalidates the recording, and the class's other
+    blocks then run live — same counters, nothing memoized. Each
+    invalidated recording is counted once, under its first
+    {!fallback} reason, in the Obs counter
+    [sim.recordings_invalidated.<reason>]. Recording state is
     domain-local, mirroring the parallel-execution shadows. *)
+
+type fallback =
+  | Per_lane  (** [per_lane]: a per-lane warp event (reference engine, sanitizer) *)
+  | Overlay  (** [overlay]: a row computed into block-private overlays *)
+  | Hazard
+      (** [hazard]: a statement whose reads alias its write slot at
+          another cell, executed lane by lane without a tape *)
+  | Region  (** [region]: a global address outside every array region *)
 
 val record_begin : t -> region_of:(int -> int) -> unit
 (** Start recording the current domain's events. [region_of] classifies
@@ -197,7 +208,8 @@ val record_end : t -> Tileclass.stream option
 (** Stop recording; [None] if the recording was invalidated. *)
 
 val recording_active : t -> bool
-val record_invalidate : t -> unit
+val record_invalidate : t -> fallback -> unit
+(** Invalidate the current domain's recording, if one is active. *)
 
 val record_compute :
   t ->

@@ -5,22 +5,30 @@ module Obs = Hextile_obs.Obs
 
 type engine = Ref | Tape
 
+(* One access of a statement, resolved once against the context: its
+   grid, flat-index closure and global address handle. *)
+type src = {
+  sacc : Stencil.access;
+  sgrid : Grid.t;
+  sflat : int -> int array -> int;  (** tstep -> point -> flat element index *)
+  saddr : Addrmap.handle;
+}
+
 type compiled = {
   cidx : int;  (** statement index in the program (tape replay key) *)
+  cflops : int;  (** [Stencil.flops] of the statement *)
   ceval : int -> int array -> float;  (** tstep -> point -> value *)
-  cwgrid : Grid.t;
-  cwflat : int -> int array -> int;  (** tstep -> point -> flat write index *)
-  creads : (Grid.t * (int -> int array -> int)) list;  (** per distinct read *)
+  cwrite : src;
+  creads : src array;
+      (** distinct reads in first-occurrence order (= tape register
+          order) *)
   tape : Tape.t option;
       (** [None] when row batching would reorder an aliased read/write
           (the per-lane interleaved reference order must be kept) *)
   tplan : Tape.plan option;
       (** the tape's fused run plan (compiled alongside it), for the
           analytic epilogue's bulk row replay *)
-  tsrcs : (Grid.t * (int -> int array -> int)) array;
-      (** tape sources in register order (= [creads] order) *)
-  taccs : Stencil.access array;  (** the accesses of [tsrcs] *)
-  tdatas : float array array;  (** [tsrcs] data arrays (read-only share) *)
+  tdatas : float array array;  (** [creads] data arrays (read-only share) *)
 }
 
 type ctx = {
@@ -35,7 +43,7 @@ type ctx = {
   lo : int array array;
   hi : int array array;
   updates : int Atomic.t;
-  compiled : (string, compiled) Hashtbl.t;
+  compiled : compiled array;
   engine : engine;
 }
 
@@ -47,8 +55,7 @@ let[@inline never] oob_access aname d c =
 
 (* Compile an access into a closure computing the flat element index
    without allocation. *)
-let access_flat grids (a : Stencil.access) =
-  let g = Grid.find grids a.array in
+let access_flat (g : Grid.t) (a : Stencil.access) =
   let dims = g.dims in
   let fold = g.decl.fold in
   let ns = Array.length a.offsets in
@@ -159,50 +166,36 @@ let rec compile_eval read (e : Stencil.fexpr) : int -> int array -> float =
       | Mul -> fun t p -> cl t p *. cr t p
       | Div -> fun t p -> cl t p /. cr t p)
 
-let compile_stmt (ctx : ctx) (s : Stencil.stmt) =
-  match Hashtbl.find_opt ctx.compiled s.sname with
-  | Some c -> c
-  | None ->
-      let read_grid (a : Stencil.access) =
-        let g = Grid.find ctx.grids a.array in
-        let fl = access_flat ctx.grids a in
-        fun tstep point -> g.data.(fl tstep point)
-      in
-      let cidx =
-        let r = ref 0 in
-        Array.iteri (fun i (s' : Stencil.stmt) -> if String.equal s'.sname s.sname then r := i) ctx.stmts;
-        !r
-      in
-      let wg = Grid.find ctx.grids s.write.array in
-      let taccs = Array.of_list (Stencil.distinct_reads s) in
-      let tsrcs =
-        Array.map
-          (fun (a : Stencil.access) ->
-            (Grid.find ctx.grids a.array, access_flat ctx.grids a))
-          taccs
-      in
-      let tp =
-        Hextile_par.Oncemap.find_or_compute tape_cache
-          (s, wg.decl.fold)
-          (fun () ->
-            Option.map (fun t -> (t, Tape.plan t)) (compile_tape s wg))
-      in
-      let c =
-        {
-          cidx;
-          ceval = compile_eval read_grid s.rhs;
-          cwgrid = wg;
-          cwflat = access_flat ctx.grids s.write;
-          creads = Array.to_list tsrcs;
-          tape = Option.map fst tp;
-          tplan = Option.map snd tp;
-          tsrcs;
-          taccs;
-          tdatas = Array.map (fun ((g : Grid.t), _) -> g.data) tsrcs;
-        }
-      in
-      Hashtbl.replace ctx.compiled s.sname c;
-      c
+let resolve_src grids addr (a : Stencil.access) =
+  let g = Grid.find grids a.array in
+  { sacc = a; sgrid = g; sflat = access_flat g a; saddr = Addrmap.resolve addr g }
+
+let compile_stmt grids addr cidx (s : Stencil.stmt) =
+  let read_grid (a : Stencil.access) =
+    let g = Grid.find grids a.array in
+    let fl = access_flat g a in
+    fun tstep point -> g.data.(fl tstep point)
+  in
+  let cwrite = resolve_src grids addr s.write in
+  let creads =
+    Array.of_list (List.map (resolve_src grids addr) (Stencil.distinct_reads s))
+  in
+  let tp =
+    Hextile_par.Oncemap.find_or_compute tape_cache
+      (s, cwrite.sgrid.decl.fold)
+      (fun () ->
+        Option.map (fun t -> (t, Tape.plan t)) (compile_tape s cwrite.sgrid))
+  in
+  {
+    cidx;
+    cflops = Stencil.flops s;
+    ceval = compile_eval read_grid s.rhs;
+    cwrite;
+    creads;
+    tape = Option.map fst tp;
+    tplan = Option.map snd tp;
+    tdatas = Array.map (fun r -> r.sgrid.data) creads;
+  }
 
 let make_ctx ?(engine = Tape) (prog : Stencil.t) env dev =
   (match Stencil.validate prog with
@@ -214,34 +207,39 @@ let make_ctx ?(engine = Tape) (prog : Stencil.t) env dev =
   | Ok () -> ()
   | Error m -> invalid_arg ("Common.make_ctx: " ^ m));
   let stmts = Array.of_list prog.stmts in
-  let ctx =
-    {
-      sim = Sim.create dev;
-      prog;
-      env;
-      grids = Grid.alloc prog env;
-      k = Array.length stmts;
-      dims = Stencil.spatial_dims prog;
-      steps = Affp.eval prog.steps env;
-      stmts;
-      lo = Array.map (fun (s : Stencil.stmt) -> Array.map (fun e -> Affp.eval e env) s.lo) stmts;
-      hi = Array.map (fun (s : Stencil.stmt) -> Array.map (fun e -> Affp.eval e env) s.hi) stmts;
-      updates = Atomic.make 0;
-      compiled = Hashtbl.create 8;
-      engine;
-    }
-  in
+  let sim = Sim.create dev in
+  let grids = Grid.alloc prog env in
   (* Make the context read-only before any (possibly parallel) block
      execution: place every array at its declaration-order address so the
-     lazy first-touch path never runs, and precompile every statement so
-     the memo table is never mutated from a worker domain. *)
+     lazy first-touch path never runs, and compile every statement —
+     flops, distinct reads, grids, flat-index closures and address
+     handles — so row loops only index [compiled] and add offsets.
+     Handles see later re-registrations (the hybrid alignment offsets);
+     base values must be read after them. *)
   List.iter
     (fun (a : Stencil.array_decl) ->
-      Addrmap.register ctx.sim.addr (Grid.find ctx.grids a.aname)
-        ~offset_floats:0)
+      Addrmap.register sim.addr (Grid.find grids a.aname) ~offset_floats:0)
     prog.arrays;
-  Array.iter (fun s -> ignore (compile_stmt ctx s)) stmts;
-  ctx
+  {
+    sim;
+    prog;
+    env;
+    grids;
+    k = Array.length stmts;
+    dims = Stencil.spatial_dims prog;
+    steps = Affp.eval prog.steps env;
+    stmts;
+    lo = Array.map (fun (s : Stencil.stmt) -> Array.map (fun e -> Affp.eval e env) s.lo) stmts;
+    hi = Array.map (fun (s : Stencil.stmt) -> Array.map (fun e -> Affp.eval e env) s.hi) stmts;
+    updates = Atomic.make 0;
+    compiled = Array.mapi (compile_stmt grids sim.addr) stmts;
+    engine;
+  }
+
+let stmt_reads ctx ~stmt_idx = ctx.compiled.(stmt_idx).creads
+let stmt_write ctx ~stmt_idx = ctx.compiled.(stmt_idx).cwrite
+let resolve_reads ctx accs =
+  Array.of_list (List.map (resolve_src ctx.grids ctx.sim.addr) accs)
 
 type result = {
   scheme : string;
@@ -299,13 +297,6 @@ let box_count b =
   if box_is_empty b then 0
   else Array.fold_left ( * ) 1 (Array.map2 (fun l h -> h - l + 1) b.blo b.bhi)
 
-let grow b p =
-  Array.iteri
-    (fun i x ->
-      if x < b.blo.(i) then b.blo.(i) <- x;
-      if x > b.bhi.(i) then b.bhi.(i) <- x)
-    p
-
 let box_inter a b =
   {
     blo = Array.map2 max a.blo b.blo;
@@ -313,36 +304,48 @@ let box_inter a b =
   }
 
 module Layout = struct
+  type entry = { lgrid : Grid.t; lslot : int; lbox : box; lbase : int }
+
+  (* Entries are resolved at [add]: lookups compare the grid physically
+     and the slot, over a handful of entries. [order] only fixes the
+     iteration order — that of a table keyed by (array name, slot) filled
+     in [add] order — which the copy-in phases have always used and on
+     which the L1/L2 state, hence the counters, depend. *)
   type nonrec t = {
-    entries : (string * int, box * int) Hashtbl.t;
+    mutable entries : entry list;
+    order : (string * int, entry) Hashtbl.t;
     mutable next : int;
   }
 
-  let create () = { entries = Hashtbl.create 8; next = 0 }
+  let create () = { entries = []; order = Hashtbl.create 8; next = 0 }
 
-  let add t ~array ~slot box =
-    if not (box_is_empty box) then begin
-      Hashtbl.replace t.entries (array, slot) (box, t.next);
+  let rec find_in grid slot = function
+    | [] -> None
+    | e :: tl -> if e.lgrid == grid && e.lslot = slot then Some e else find_in grid slot tl
+
+  let find t ~grid ~slot = find_in grid slot t.entries
+
+  let add t ~(grid : Grid.t) ~slot box =
+    if (not (box_is_empty box)) && find t ~grid ~slot = None then begin
+      let e = { lgrid = grid; lslot = slot; lbox = box; lbase = t.next } in
+      t.entries <- e :: t.entries;
+      Hashtbl.replace t.order (grid.decl.aname, slot) e;
       t.next <- t.next + box_count box
     end
 
-  let find t ~array ~slot =
-    Option.map fst (Hashtbl.find_opt t.entries (array, slot))
-
-  let addr t ~array ~slot point =
-    match Hashtbl.find_opt t.entries (array, slot) with
-    | None -> 0
-    | Some (box, base) ->
-        let off = ref 0 in
-        Array.iteri
-          (fun d x ->
-            let x = max box.blo.(d) (min box.bhi.(d) x) in
-            off := (!off * (box.bhi.(d) - box.blo.(d) + 1)) + (x - box.blo.(d)))
-          point;
-        base + !off
+  (* word address of [point + offsets] clipped into the box *)
+  let addr e (point : int array) (offsets : int array) =
+    let off = ref 0 in
+    for d = 0 to Array.length offsets - 1 do
+      let lo = e.lbox.blo.(d) and hi = e.lbox.bhi.(d) in
+      let x = point.(d) + offsets.(d) in
+      let x = if x < lo then lo else if x > hi then hi else x in
+      off := (!off * (hi - lo + 1)) + (x - lo)
+    done;
+    e.lbase + !off
 
   let words t = t.next
-  let iter t ~f = Hashtbl.iter (fun (array, slot) (box, _) -> f ~array ~slot box) t.entries
+  let iter t ~f = Hashtbl.iter (fun _ e -> f e) t.order
 end
 
 let warp_size = 32
@@ -369,7 +372,25 @@ let full_index (g : Grid.t) ~slot point =
   | Some _ -> Array.append [| slot |] point
   | None -> point
 
-let flat (g : Grid.t) ~slot point = Grid.offset g (full_index g ~slot point)
+(* [Grid.offset] of the full index, which raises its own diagnostic *)
+let[@inline never] flat_invalid (g : Grid.t) ~slot point =
+  Grid.offset g (full_index g ~slot point)
+
+(* Allocation-free on the valid path. *)
+let flat (g : Grid.t) ~slot point =
+  let j0 = match g.decl.fold with Some _ -> 1 | None -> 0 in
+  let nd = Array.length g.dims in
+  if nd <> Array.length point + j0 || (j0 = 1 && (slot < 0 || slot >= g.dims.(0))) then
+    flat_invalid g ~slot point
+  else begin
+    let off = ref (if j0 = 1 then slot else 0) in
+    for d = j0 to nd - 1 do
+      let x = point.(d - j0) in
+      if x < 0 || x >= g.dims.(d) then ignore (flat_invalid g ~slot point);
+      off := (!off * g.dims.(d)) + x
+    done;
+    !off
+  end
 
 let iter_box_rows box ~f =
   if not (box_is_empty box) then begin
@@ -395,7 +416,7 @@ let iter_box_rows box ~f =
    only the flat bases differ. *)
 module Overlay = struct
   type entry = {
-    earray : string;
+    egrid : Grid.t;
     eslot : int;
     data : float array;
     eblo : int array;
@@ -407,8 +428,11 @@ module Overlay = struct
 
   let create () = { entries = [] }
 
-  let find t ~array ~slot =
-    List.find_opt (fun e -> e.eslot = slot && String.equal e.earray array) t.entries
+  let rec find_in grid slot = function
+    | [] -> None
+    | e :: tl -> if e.egrid == grid && e.eslot = slot then Some e else find_in grid slot tl
+
+  let find t ~grid ~slot = find_in grid slot t.entries
 
   (* flat offset of an in-box spatial point *)
   let local e (p : int array) =
@@ -423,14 +447,14 @@ module Overlay = struct
       box_inter box
         { blo = Array.make dims 0; bhi = Array.init dims (fun d -> grid.dims.(nd - dims + d) - 1) }
     in
-    if (not (box_is_empty box)) && find t ~array:grid.decl.aname ~slot = None then begin
+    if (not (box_is_empty box)) && find t ~grid ~slot = None then begin
       let stride = Array.make dims 1 in
       for d = dims - 2 downto 0 do
         stride.(d) <- stride.(d + 1) * (box.bhi.(d + 1) - box.blo.(d + 1) + 1)
       done;
       let e =
         {
-          earray = grid.decl.aname;
+          egrid = grid;
           eslot = slot;
           data = Array.make (box_count box) 0.0;
           eblo = box.blo;
@@ -446,7 +470,8 @@ module Overlay = struct
 
   let[@inline never] outside e d c =
     invalid_arg
-      (Fmt.str "overlay access to %s slot %d out of its box (dim %d: %d)" e.earray e.eslot d
+      (Fmt.str "overlay access to %s slot %d out of its box (dim %d: %d)" e.egrid.decl.aname
+         e.eslot d
          c)
 
   (* flat offset of [point + a.offsets]; raises outside the box *)
@@ -459,16 +484,16 @@ module Overlay = struct
     done;
     !off
 
-  let resolve t grids (a : Stencil.access) ~tstep =
-    let slot = Grid.slot (Grid.find grids a.array) (tstep + a.time_off) in
-    match find t ~array:a.array ~slot with
+  let resolve t (r : src) ~tstep =
+    let slot = Grid.slot r.sgrid (tstep + r.sacc.time_off) in
+    match find t ~grid:r.sgrid ~slot with
     | Some e -> e
-    | None -> invalid_arg (Fmt.str "no overlay for %s slot %d" a.array slot)
+    | None -> invalid_arg (Fmt.str "no overlay for %s slot %d" r.sacc.array slot)
 
   let write_back t ~(grid : Grid.t) ~slot ~box =
     if not (box_is_empty box) then begin
       let e =
-        match find t ~array:grid.decl.aname ~slot with
+        match find t ~grid ~slot with
         | Some e -> e
         | None -> invalid_arg (Fmt.str "no overlay for %s slot %d" grid.decl.aname slot)
       in
@@ -511,12 +536,12 @@ let get_scratch words =
    [wflat]. Shared by the live tape path and [Sim.replay_stream]'s
    [Compute] events (the replay translates the recorded bases first). *)
 let exec_tape_row ctx ~stmt_idx ~wflat ~src_flats ~n =
-  let c = compile_stmt ctx ctx.stmts.(stmt_idx) in
+  let c = ctx.compiled.(stmt_idx) in
   match c.tape with
   | None -> invalid_arg "Common.exec_tape_row: statement has no tape"
   | Some tape ->
       let regs = get_scratch (tape.nregs * Tape.lanes) in
-      let out = c.cwgrid.data in
+      let out = c.cwrite.sgrid.data in
       let i = ref 0 in
       while !i < n do
         let nl = min Tape.lanes (n - !i) in
@@ -622,7 +647,7 @@ let compile_rows ctx rows =
   in
   Array.iter
     (fun (stmt_idx, tstep, wflat, srcs, n) ->
-      let c = compile_stmt ctx ctx.stmts.(stmt_idx) in
+      let c = ctx.compiled.(stmt_idx) in
       match (c.tape, c.tplan) with
       | Some tape, Some plan ->
           points := !points + n;
@@ -660,7 +685,7 @@ let compile_rows ctx rows =
                   pmerged = 1;
                   pplan = plan;
                   pdatas = c.tdatas;
-                  pout = c.cwgrid.data;
+                  pout = c.cwrite.sgrid.data;
                 }
           end
       | _ -> invalid_arg "Common.compile_rows: statement has no tape")
@@ -691,196 +716,223 @@ let exec_rows (ctx : ctx) { crows; cregs; cpoints; cinstrs; cblit } ~off =
 let rows_stats { crows; cblit; _ } =
   (Array.length crows, Array.fold_left (fun a r -> a + r.cmerged) 0 crows, cblit)
 
-let exec_stmt_row ctx ~stmt ~tstep ~point ~xs ?overlay ?(count = true) ?loads_subset
-    ~global_reads ~shared_replay ~interleave_store ~use_shared ~shared_addr () =
-  let s : Stencil.stmt = stmt in
+(* Per-domain per-source integer bases of the row being executed: the
+   loads' global byte (or shared word) addresses during accounting, then
+   the tape sources' flat word bases ([Tape.exec] reads the first
+   [nsrcs] entries). *)
+let ibases_key : int array Domain.DLS.key = Domain.DLS.new_key (fun () -> [||])
+
+let get_ibases n =
+  let b = Domain.DLS.get ibases_key in
+  if Array.length b >= n then b
+  else begin
+    let nb = Array.make n 0 in
+    Domain.DLS.set ibases_key nb;
+    nb
+  end
+
+(* Shared-memory word address of [r] at [point] (x at the row start):
+   0 without a layout or an entry, as an unaccounted access. *)
+let shared_addr layout (r : src) ~tstep point =
+  match layout with
+  | None -> 0
+  | Some lay -> (
+      let slot = Grid.slot r.sgrid (tstep + r.sacc.time_off) in
+      match Layout.find lay ~grid:r.sgrid ~slot with
+      | None -> 0
+      | Some e -> Layout.addr e point r.sacc.offsets)
+
+(* Resolve a word base at the row start after validating the other
+   endpoint: x is the innermost storage dimension (stride 1), so
+   per-dimension validity at both row endpoints covers the whole
+   contiguous lane range. *)
+let grid_row_base (r : src) ~tstep point ~xdim ~x0 ~xlast =
+  point.(xdim) <- xlast;
+  ignore (r.sflat tstep point);
+  point.(xdim) <- x0;
+  r.sflat tstep point
+
+let overlay_row_base e (a : Stencil.access) point ~xdim ~x0 ~xlast =
+  point.(xdim) <- xlast;
+  ignore (Overlay.index e a point);
+  point.(xdim) <- x0;
+  Overlay.index e a point
+
+let src_of c (a : Stencil.access) =
+  Option.get (Array.find_opt (fun (s : src) -> s.sacc = a) c.creads)
+
+(* Per-lane functional execution of the instance at a point: the
+   compiled evaluator over the grids, or the same closure compiler over
+   the overlay's entries. *)
+let lane_exec ctx c ~overlay ~tstep =
+  match overlay with
+  | None ->
+      let w = c.cwrite in
+      fun point -> w.sgrid.data.(w.sflat tstep point) <- c.ceval tstep point
+  | Some ov ->
+      let eval =
+        compile_eval
+          (fun a ->
+            let e = Overlay.resolve ov (src_of c a) ~tstep in
+            fun _ p -> e.data.(Overlay.index e a p))
+          ctx.stmts.(c.cidx).rhs
+      in
+      let we = Overlay.resolve ov c.cwrite ~tstep in
+      let wa = c.cwrite.sacc in
+      fun point -> we.data.(Overlay.index we wa point) <- eval tstep point
+
+let run_lanes ctx c ~overlay ~tstep point xs =
+  let exec = lane_exec ctx c ~overlay ~tstep in
+  let xdim = ctx.dims - 1 in
+  Array.iter
+    (fun x ->
+      point.(xdim) <- x;
+      exec point)
+    xs
+
+(* Functional execution of a contiguous row through the statement's
+   tape, with sources and destination in the grids or in the block's
+   overlay. [ib] is scratch for the source bases. *)
+let exec_tape_lanes ctx c tape ~overlay ~tstep ~point ~x0 ~xlast ib =
+  let n = xlast - x0 + 1 in
+  let xdim = ctx.dims - 1 in
+  let nsrc = Array.length c.creads in
+  let datas, out, wflat =
+    match overlay with
+    | None ->
+        for k = 0 to nsrc - 1 do
+          ib.(k) <- grid_row_base c.creads.(k) ~tstep point ~xdim ~x0 ~xlast
+        done;
+        let wflat = grid_row_base c.cwrite ~tstep point ~xdim ~x0 ~xlast in
+        (c.tdatas, c.cwrite.sgrid.data, wflat)
+    | Some ov ->
+        let datas =
+          Array.init nsrc (fun k ->
+              let r = c.creads.(k) in
+              let e = Overlay.resolve ov r ~tstep in
+              ib.(k) <- overlay_row_base e r.sacc point ~xdim ~x0 ~xlast;
+              e.data)
+        in
+        let we = Overlay.resolve ov c.cwrite ~tstep in
+        (datas, we.data, overlay_row_base we c.cwrite.sacc point ~xdim ~x0 ~xlast)
+  in
+  let regs = get_scratch (tape.Tape.nregs * Tape.lanes) in
+  let i = ref 0 in
+  while !i < n do
+    let nl = Int.min Tape.lanes (n - !i) in
+    Tape.exec tape regs ~datas ~bases:ib ~dx:!i ~n:nl ~out ~out_base:(wflat + !i);
+    i := !i + nl
+  done;
+  Obs.incr ~by:(Tape.length tape * ((n + Tape.lanes - 1) / Tape.lanes)) "sim.tape_instrs";
+  if Option.is_some overlay then
+    (* overlay bases are block-private: nothing a stream could replay *)
+    Sim.record_invalidate ctx.sim Sim.Overlay
+  else if Sim.recording_active ctx.sim then begin
+    let srcs = Array.init nsrc (fun k -> Addrmap.base c.creads.(k).saddr + (4 * ib.(k))) in
+    Sim.record_compute ctx.sim ~stmt:c.cidx ~tstep
+      ~waddr:(Addrmap.base c.cwrite.saddr + (4 * wflat))
+      ~srcs ~n
+  end
+
+let exec_stmt_row ctx ~stmt_idx ~tstep ~point ~xs ?overlay ?layout ?(count = true)
+    ?loads_subset ~global_reads ~shared_replay ~interleave_store ~use_shared () =
   let n = Array.length xs in
   if n > 0 then begin
+    let c = ctx.compiled.(stmt_idx) in
+    let loads = match loads_subset with Some l -> l | None -> c.creads in
+    let nloads = Array.length loads in
     let xdim = ctx.dims - 1 in
     let x0 = xs.(0) in
-    let reads =
-      match loads_subset with
-      | Some l -> l
-      | None -> Stencil.distinct_reads s
-    in
-    let nflops = Stencil.flops s in
-    let c = compile_stmt ctx s in
     point.(xdim) <- x0;
-    (* Per-row base addresses; lanes advance with stride 1 along x (the
-       innermost storage dimension). *)
-    let read_bases =
-      if global_reads then
-        let flats =
-          match loads_subset with
-          | None -> c.creads
-          | Some l ->
-              List.map
-                (fun (a : Stencil.access) ->
-                  (Grid.find ctx.grids a.array, access_flat ctx.grids a))
-                l
-        in
-        List.map
-          (fun (g, fl) -> Addrmap.base ctx.sim.addr g + (4 * fl tstep point))
-          flats
-      else List.map (fun (r : Stencil.access) -> shared_addr r ~point) reads
-    in
+    let global_store = interleave_store || not use_shared in
     let wbase_global =
-      if interleave_store || not use_shared then
-        Addrmap.base ctx.sim.addr c.cwgrid + (4 * c.cwflat tstep point)
+      if global_store then Addrmap.base c.cwrite.saddr + (4 * c.cwrite.sflat tstep point)
       else 0
-    and wbase_shared = if use_shared then shared_addr s.write ~point else 0 in
-    (* Per-lane functional execution of the instance at [point]: the
-       compiled evaluator over the grids, or the same closure compiler
-       over the overlay's entries. *)
-    let lane_exec =
-      lazy
-        (match overlay with
-        | None -> fun point -> c.cwgrid.data.(c.cwflat tstep point) <- c.ceval tstep point
-        | Some ov ->
-            let eval =
-              compile_eval
-                (fun a ->
-                  let e = Overlay.resolve ov ctx.grids a ~tstep in
-                  fun _ p -> e.data.(Overlay.index e a p))
-                s.rhs
-            in
-            let we = Overlay.resolve ov ctx.grids s.write ~tstep in
-            fun point -> we.data.(Overlay.index we s.write point) <- eval tstep point)
     in
+    let replay = Some shared_replay in
     (* The tape engine needs contiguous lanes (all executors pass
        contiguous xs; the check makes the fallback airtight) and cannot
        carry the sanitizer's per-lane thread identities. *)
     let batched =
-      ctx.engine = Tape
-      && (not (Sanitize.enabled ()))
-      && xs.(n - 1) - x0 = n - 1
+      ctx.engine = Tape && (not (Sanitize.enabled ())) && xs.(n - 1) - x0 = n - 1
     in
-    if not batched then
-      chunks_of xs (fun lane_xs ->
-          let nlanes = Array.length lane_xs in
-          let dx0 = lane_xs.(0) - x0 in
-          let tids = lane_tids point lane_xs in
-          (* loads *)
-          if global_reads then
-            List.iter
-              (fun base ->
-                Sim.global_load_warp ctx.sim
-                  (Array.init nlanes (fun i -> Some (base + (4 * (dx0 + i))))))
-              read_bases
-          else
-            List.iter
-              (fun base ->
-                Sim.shared_load_warp ~replay:shared_replay ?tids ctx.sim
-                  (Array.init nlanes (fun i -> Some (base + dx0 + i))))
-              read_bases;
-          (* arithmetic *)
-          Sim.flops_warp ctx.sim ~active:nlanes ~per_lane:nflops;
-          (* store accounting *)
-          if use_shared then
-            Sim.shared_store_warp ~replay:shared_replay ?tids ctx.sim
-              (Array.init nlanes (fun i -> Some (wbase_shared + dx0 + i)));
-          if interleave_store || not use_shared then
-            Sim.global_store_warp ctx.sim
-              (Array.init nlanes (fun i -> Some (wbase_global + (4 * (dx0 + i)))));
-          (* functional execution *)
-          let exec = Lazy.force lane_exec in
-          Array.iter
-            (fun x ->
-              point.(xdim) <- x;
-              exec point)
-            lane_xs;
-          if count then ignore (Atomic.fetch_and_add ctx.updates nlanes))
-    else begin
+    (* Per-row load bases; lanes advance with stride 1 along x (the
+       innermost storage dimension). Shared addresses do not enter the
+       batched run forms, so only the per-lane path materializes them. *)
+    let ib = get_ibases (Int.max nloads (Array.length c.creads)) in
+    for k = 0 to nloads - 1 do
+      let r = loads.(k) in
+      if global_reads then ib.(k) <- Addrmap.base r.saddr + (4 * r.sflat tstep point)
+      else if not batched then ib.(k) <- shared_addr layout r ~tstep point
+    done;
+    if batched then begin
       (* Batched accounting: one event per warp chunk, same event
-         sequence (and counters) as the per-lane path above. *)
+         sequence (and counters) as the per-lane path below. *)
       let i = ref 0 in
       while !i < n do
-        let nl = min warp_size (n - !i) in
+        let nl = Int.min warp_size (n - !i) in
         let dx0 = !i in
         if global_reads then
-          List.iter
-            (fun base ->
-              Sim.global_load_run ctx.sim ~addr:(base + (4 * dx0)) ~n:nl)
-            read_bases
+          for k = 0 to nloads - 1 do
+            Sim.global_load_run ctx.sim ~addr:(ib.(k) + (4 * dx0)) ~n:nl
+          done
         else
-          List.iter
-            (fun _base -> Sim.shared_load_run ~replay:shared_replay ctx.sim ~n:nl)
-            read_bases;
-        Sim.flops_warp ctx.sim ~active:nl ~per_lane:nflops;
-        if use_shared then
-          Sim.shared_store_run ~replay:shared_replay ctx.sim ~n:nl;
-        if interleave_store || not use_shared then
+          for _ = 1 to nloads do
+            Sim.shared_load_run ?replay ctx.sim ~n:nl
+          done;
+        Sim.flops_warp ctx.sim ~active:nl ~per_lane:c.cflops;
+        if use_shared then Sim.shared_store_run ?replay ctx.sim ~n:nl;
+        if global_store then
           Sim.global_store_run ctx.sim ~addr:(wbase_global + (4 * dx0)) ~n:nl;
         i := !i + nl
       done;
       (* Functional execution. *)
       (match c.tape with
       | Some tape ->
-          let xlast = xs.(n - 1) in
-          let nsrc = Array.length c.tsrcs in
-          let bases = Array.make nsrc 0 in
-          (* Resolve a word base at x0 after validating the other
-             endpoint: x is the innermost storage dimension (stride 1),
-             so per-dimension validity at both row endpoints covers the
-             whole contiguous lane range. *)
-          let row_base flat_at =
-            point.(xdim) <- xlast;
-            ignore (flat_at point);
-            point.(xdim) <- x0;
-            flat_at point
-          in
-          let datas, out, wflat =
-            match overlay with
-            | None ->
-                Array.iteri (fun k (_, fl) -> bases.(k) <- row_base (fl tstep)) c.tsrcs;
-                (c.tdatas, c.cwgrid.data, row_base (c.cwflat tstep))
-            | Some ov ->
-                let datas =
-                  Array.mapi
-                    (fun k a ->
-                      let e = Overlay.resolve ov ctx.grids a ~tstep in
-                      bases.(k) <- row_base (Overlay.index e a);
-                      e.data)
-                    c.taccs
-                in
-                let we = Overlay.resolve ov ctx.grids s.write ~tstep in
-                (datas, we.data, row_base (Overlay.index we s.write))
-          in
-          let regs = get_scratch (tape.nregs * Tape.lanes) in
-          let i = ref 0 in
-          while !i < n do
-            let nl = min Tape.lanes (n - !i) in
-            Tape.exec tape regs ~datas ~bases ~dx:!i ~n:nl ~out
-              ~out_base:(wflat + !i);
-            i := !i + nl
-          done;
-          Obs.incr
-            ~by:(Tape.length tape * ((n + Tape.lanes - 1) / Tape.lanes))
-            "sim.tape_instrs";
-          if overlay <> None then
-            (* overlay bases are block-private: nothing a stream could replay *)
-            Sim.record_invalidate ctx.sim
-          else if Sim.recording_active ctx.sim then begin
-            let srcs =
-              Array.init nsrc (fun k ->
-                  Addrmap.base ctx.sim.addr (fst c.tsrcs.(k)) + (4 * bases.(k)))
-            in
-            Sim.record_compute ctx.sim ~stmt:c.cidx ~tstep
-              ~waddr:(Addrmap.base ctx.sim.addr c.cwgrid + (4 * wflat))
-              ~srcs ~n
-          end
+          exec_tape_lanes ctx c tape ~overlay ~tstep ~point ~x0 ~xlast:xs.(n - 1) ib
       | None ->
           (* aliasing hazard: the per-lane interleaved read/write order is
              semantically significant, and a recorded stream could not
              replay it *)
-          Sim.record_invalidate ctx.sim;
-          let exec = Lazy.force lane_exec in
+          Sim.record_invalidate ctx.sim Sim.Hazard;
+          run_lanes ctx c ~overlay ~tstep point xs);
+      if count then ignore (Atomic.fetch_and_add ctx.updates n)
+    end
+    else begin
+      let wbase_shared =
+        if use_shared then shared_addr layout c.cwrite ~tstep point else 0
+      in
+      let exec = lane_exec ctx c ~overlay ~tstep in
+      chunks_of xs (fun lane_xs ->
+          let nlanes = Array.length lane_xs in
+          let dx0 = lane_xs.(0) - x0 in
+          let tids = lane_tids point lane_xs in
+          (* loads *)
+          for k = 0 to nloads - 1 do
+            let base = ib.(k) in
+            if global_reads then
+              Sim.global_load_warp ctx.sim
+                (Array.init nlanes (fun i -> Some (base + (4 * (dx0 + i)))))
+            else
+              Sim.shared_load_warp ?replay ?tids ctx.sim
+                (Array.init nlanes (fun i -> Some (base + dx0 + i)))
+          done;
+          (* arithmetic *)
+          Sim.flops_warp ctx.sim ~active:nlanes ~per_lane:c.cflops;
+          (* store accounting *)
+          if use_shared then
+            Sim.shared_store_warp ?replay ?tids ctx.sim
+              (Array.init nlanes (fun i -> Some (wbase_shared + dx0 + i)));
+          if global_store then
+            Sim.global_store_warp ctx.sim
+              (Array.init nlanes (fun i -> Some (wbase_global + (4 * (dx0 + i)))));
+          (* functional execution *)
           Array.iter
             (fun x ->
               point.(xdim) <- x;
               exec point)
-            xs);
-      if count then ignore (Atomic.fetch_and_add ctx.updates n)
+            lane_xs;
+          if count then ignore (Atomic.fetch_and_add ctx.updates nlanes))
     end
   end
 
@@ -893,75 +945,97 @@ let strictly_ascending a =
   done;
   !ok
 
-let load_box_rows ctx ~grid ~slot ~box ~skip_x ~shared_addr =
-  let batched = batched_engine ctx in
-  iter_box_rows box ~f:(fun row ->
-      let xdim = Array.length row - 1 in
-      let xlo = box.blo.(xdim) and xhi = box.bhi.(xdim) in
-      let skip = skip_x row in
-      let xs =
-        let keep x = match skip with None -> true | Some (a, b) -> x < a || x > b in
-        Array.of_list (List.filter keep (Intutil.range xlo xhi))
-      in
-      if Array.length xs > 0 then begin
-        row.(xdim) <- xlo;
-        let gbase = Addrmap.addr ctx.sim.addr grid (flat grid ~slot row) in
-        let sbase = shared_addr row in
-        if batched then
-          chunks_of xs (fun lane_xs ->
-              let nl = Array.length lane_xs in
-              if lane_xs.(nl - 1) - lane_xs.(0) = nl - 1 then begin
-                let d = lane_xs.(0) - xlo in
-                Sim.global_load_run ctx.sim ~addr:(gbase + (4 * d)) ~n:nl;
-                Sim.shared_store_run ctx.sim ~n:nl
-              end
-              else begin
-                (* this warp straddles the reuse gap *)
-                Sim.global_load_lanes ctx.sim
-                  (Array.map (fun x -> gbase + (4 * (x - xlo))) lane_xs);
-                Sim.shared_store_lanes ctx.sim
-                  (Array.map (fun x -> sbase + x - xlo) lane_xs)
-              end)
-        else
-          chunks_of xs (fun lane_xs ->
-              let tids = lane_tids row lane_xs in
-              Sim.global_load_warp ctx.sim
-                (Array.map (fun x -> Some (gbase + (4 * (x - xlo)))) lane_xs);
-              Sim.shared_store_warp ?tids ctx.sim
-                (Array.map (fun x -> Some (sbase + x - xlo)) lane_xs))
-      end)
+(* Warp chunks of the x's of [xlo, xhi] outside the skip interval, in
+   ascending order: [f ~x0 ~nl ~x_of] gets each chunk's first x, its
+   lane count and the x of its i-th kept element (chunks may straddle
+   the skip gap). *)
+let iter_kept_chunks ~xlo ~xhi ~skip f =
+  let n1, rstart =
+    match skip with
+    | Some (a, b) when a <= b ->
+        (Int.max 0 (Int.min xhi (a - 1) - xlo + 1), Int.max xlo (b + 1))
+    | _ -> (xhi - xlo + 1, xhi + 1)
+  in
+  let total = n1 + Int.max 0 (xhi - rstart + 1) in
+  let x_of i = if i < n1 then xlo + i else rstart + (i - n1) in
+  let i = ref 0 in
+  while !i < total do
+    let nl = Int.min warp_size (total - !i) in
+    f ~first:!i ~nl ~x_of;
+    i := !i + nl
+  done
 
-let shared_copy_rows ctx ~box ~shared_addr =
+let load_box_rows ctx (e : Layout.entry) ?skip_x () =
+  let grid = e.lgrid and slot = e.lslot and box = e.lbox in
+  let h = Addrmap.resolve ctx.sim.addr grid in
   let batched = batched_engine ctx in
+  let xdim = Array.length box.blo - 1 in
+  let xlo = box.blo.(xdim) and xhi = box.bhi.(xdim) in
+  let zero = Array.make (xdim + 1) 0 in
   iter_box_rows box ~f:(fun row ->
-      let xdim = Array.length row - 1 in
-      let xlo = box.blo.(xdim) in
-      let xs = Array.of_list (Intutil.range xlo box.bhi.(xdim)) in
-      if Array.length xs > 0 then begin
-        row.(xdim) <- xlo;
-        let sbase = shared_addr row in
-        if batched then
-          chunks_of xs (fun lane_xs ->
-              let nl = Array.length lane_xs in
-              Sim.shared_load_run ctx.sim ~n:nl;
-              Sim.shared_store_run ctx.sim ~n:nl)
-        else
-          chunks_of xs (fun lane_xs ->
-              (* one lane moves one word: load and store share identities *)
-              let tids = lane_tids row lane_xs in
-              let saddrs = Array.map (fun x -> Some (sbase + x - xlo)) lane_xs in
-              Sim.shared_load_warp ?tids ctx.sim saddrs;
-              Sim.shared_store_warp ?tids ctx.sim saddrs)
-      end)
+      let skip = match skip_x with None -> None | Some f -> f row in
+      row.(xdim) <- xlo;
+      let gbase = ref 0 and sbase = ref 0 in
+      iter_kept_chunks ~xlo ~xhi ~skip (fun ~first ~nl ~x_of ->
+          if first = 0 then begin
+            gbase := Addrmap.addr h (flat grid ~slot row);
+            sbase := Layout.addr e row zero
+          end;
+          let gbase = !gbase and sbase = !sbase in
+          if batched then begin
+            let xa = x_of first in
+            if x_of (first + nl - 1) - xa = nl - 1 then begin
+              Sim.global_load_run ctx.sim ~addr:(gbase + (4 * (xa - xlo))) ~n:nl;
+              Sim.shared_store_run ctx.sim ~n:nl
+            end
+            else begin
+              (* this warp straddles the reuse gap *)
+              Sim.global_load_lanes ctx.sim
+                (Array.init nl (fun i -> gbase + (4 * (x_of (first + i) - xlo))));
+              Sim.shared_store_lanes ctx.sim
+                (Array.init nl (fun i -> sbase + x_of (first + i) - xlo))
+            end
+          end
+          else begin
+            let lane_xs = Array.init nl (fun i -> x_of (first + i)) in
+            let tids = lane_tids row lane_xs in
+            Sim.global_load_warp ctx.sim
+              (Array.map (fun x -> Some (gbase + (4 * (x - xlo)))) lane_xs);
+            Sim.shared_store_warp ?tids ctx.sim
+              (Array.map (fun x -> Some (sbase + x - xlo)) lane_xs)
+          end))
+
+let shared_copy_rows ctx (e : Layout.entry) ~box =
+  let batched = batched_engine ctx in
+  let xdim = Array.length box.blo - 1 in
+  let xlo = box.blo.(xdim) and xhi = box.bhi.(xdim) in
+  let zero = Array.make (xdim + 1) 0 in
+  iter_box_rows box ~f:(fun row ->
+      row.(xdim) <- xlo;
+      let sbase = Layout.addr e row zero in
+      iter_kept_chunks ~xlo ~xhi ~skip:None (fun ~first ~nl ~x_of:_ ->
+          if batched then begin
+            Sim.shared_load_run ctx.sim ~n:nl;
+            Sim.shared_store_run ctx.sim ~n:nl
+          end
+          else begin
+            (* one lane moves one word: load and store share identities *)
+            let lane_xs = Array.init nl (fun i -> xlo + first + i) in
+            let tids = lane_tids row lane_xs in
+            let saddrs = Array.map (fun x -> Some (sbase + x - xlo)) lane_xs in
+            Sim.shared_load_warp ?tids ctx.sim saddrs;
+            Sim.shared_store_warp ?tids ctx.sim saddrs
+          end))
 
 let store_cells ctx ~grid ~cells ~via_shared =
   let batched = batched_engine ctx in
+  let h = Addrmap.resolve ctx.sim.addr grid in
   let arr = Array.of_list cells in
   chunks_of arr (fun lane_cells ->
       if batched && strictly_ascending lane_cells then begin
         if via_shared then Sim.shared_load_lanes ctx.sim lane_cells;
         Sim.global_store_lanes ~serial:true ctx.sim
-          (Array.map (fun c -> Addrmap.addr ctx.sim.addr grid c) lane_cells)
+          (Array.map (fun c -> Addrmap.addr h c) lane_cells)
       end
       else begin
         if via_shared then
@@ -970,11 +1044,10 @@ let store_cells ctx ~grid ~cells ~via_shared =
             ctx.sim
             (Array.map (fun c -> Some c) lane_cells);
         Sim.global_store_warp ~serial:true ctx.sim
-          (Array.map (fun c -> Some (Addrmap.addr ctx.sim.addr grid c)) lane_cells)
+          (Array.map (fun c -> Some (Addrmap.addr h c)) lane_cells)
       end)
 
 let snapshot (ctx : ctx) =
   let tbl = Hashtbl.create 8 in
   Hashtbl.iter (fun name (g : Grid.t) -> Hashtbl.replace tbl name (Array.copy g.data)) ctx.grids;
   tbl
-

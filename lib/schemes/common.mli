@@ -15,9 +15,21 @@ type engine = Ref | Tape
     reference path runs regardless (it needs per-lane thread
     identities). *)
 
+type src = private {
+  sacc : Stencil.access;
+  sgrid : Grid.t;  (** the context grid the access reads or writes *)
+  sflat : int -> int array -> int;
+      (** tstep -> point -> flat element index; raises
+          [Invalid_argument] out of bounds *)
+  saddr : Addrmap.handle;  (** the grid's global placement *)
+}
+(** One access of a statement, resolved against the context once. *)
+
 type compiled
-(** Per-statement compiled evaluator (closure "JIT" over the grids, plus
-    the statement's register tape when row batching is sound). *)
+(** Per-statement facts fixed for the whole run, resolved in {!make_ctx}:
+    flop count, distinct reads and write as {!src}s, the compiled
+    evaluator (closure "JIT" over the grids) and the statement's register
+    tape when row batching is sound. *)
 
 type ctx = {
   sim : Sim.t;
@@ -33,12 +45,25 @@ type ctx = {
   updates : int Atomic.t;
       (** statement instances executed (atomic: blocks of one launch may
           run on different domains; the sum is order-independent) *)
-  compiled : (string, compiled) Hashtbl.t;
+  compiled : compiled array;  (** indexed by statement index *)
   engine : engine;
 }
 
 val make_ctx : ?engine:engine -> Stencil.t -> (string -> int) -> Device.t -> ctx
-(** [engine] defaults to {!Tape}. *)
+(** [engine] defaults to {!Tape}. Registers every array with the
+    simulator's {!Addrmap} at offset 0 and compiles every statement.
+    Address handles see a later {!Addrmap.register} of an alignment
+    offset; a base value read from them does not, so read bases after
+    any re-registration. *)
+
+val stmt_reads : ctx -> stmt_idx:int -> src array
+(** The statement's distinct reads, in first-occurrence order. *)
+
+val stmt_write : ctx -> stmt_idx:int -> src
+
+val resolve_reads : ctx -> Stencil.access list -> src array
+(** Resolve a subset of a statement's reads (see [loads_subset] of
+    {!exec_stmt_row}). *)
 
 type result = {
   scheme : string;
@@ -92,8 +117,6 @@ type box = { blo : int array; bhi : int array }
 val empty_box : dims:int -> box
 val box_is_empty : box -> bool
 val box_count : box -> int
-val grow : box -> int array -> unit
-(** Mutate to include a point. *)
 
 val box_inter : box -> box -> box
 
@@ -106,17 +129,32 @@ module Layout : sig
 
   type t
 
-  val create : unit -> t
-  val add : t -> array:string -> slot:int -> box -> unit
-  (** No-op if the box is empty. *)
+  type entry = private {
+    lgrid : Grid.t;
+    lslot : int;
+    lbox : box;
+    lbase : int;  (** word address of [lbox]'s first cell *)
+  }
+  (** One (array, slot) box, resolved at {!add}. *)
 
-  val find : t -> array:string -> slot:int -> box option
-  val addr : t -> array:string -> slot:int -> int array -> int
-  (** Word address of a spatial point (clipped into the box). Returns 0
-      for unknown keys. *)
+  val create : unit -> t
+  val add : t -> grid:Grid.t -> slot:int -> box -> unit
+  (** No-op if the box is empty or the (grid, slot) is already present.
+      Grids are compared physically: pass the context's grids. *)
+
+  val find : t -> grid:Grid.t -> slot:int -> entry option
+
+  val addr : entry -> int array -> int array -> int
+  (** [addr e point offsets]: word address of [point + offsets], clipped
+      into the entry's box. *)
 
   val words : t -> int
-  val iter : t -> f:(array:string -> slot:int -> box -> unit) -> unit
+
+  val iter : t -> f:(entry -> unit) -> unit
+  (** Visits the entries in the order of a hash table keyed by (array
+      name, slot) filled in [add] order. The copy-in phases iterate in
+      this order, and the cache state, hence the counters, depend on
+      it. *)
 end
 
 (** {2 Block-private overlays} *)
@@ -148,21 +186,21 @@ end
 
 val exec_stmt_row :
   ctx ->
-  stmt:Stencil.stmt ->
+  stmt_idx:int ->
   tstep:int ->
   point:int array ->
   xs:int array ->
   ?overlay:Overlay.t ->
+  ?layout:Layout.t ->
   ?count:bool ->
-  ?loads_subset:Stencil.access list ->
+  ?loads_subset:src array ->
   global_reads:bool ->
   shared_replay:int ->
   interleave_store:bool ->
   use_shared:bool ->
-  shared_addr:(Stencil.access -> point:int array -> int) ->
   unit ->
   unit
-(** Execute the instances of one statement at [tstep] for all [x ∈ xs]
+(** Execute the instances of statement [stmt_idx] at [tstep] for all [x ∈ xs]
     varying the innermost dimension of [point] (other coordinates fixed),
     chunked into warps: account one load per distinct read (global or
     shared per [global_reads]), the statement's flops, and the store
@@ -172,26 +210,26 @@ val exec_stmt_row :
     update to the block's {!Overlay} (overlapped tiling computes into
     block-private copies seeded from a snapshot); an access outside it
     raises [Invalid_argument]. Without it the update reads and writes
-    the context grids. Accounting is the same either way. [count]
+    the context grids. Accounting is the same either way. [layout] is
+    the block's shared memory: shared accesses are at the word address
+    of their (array, slot) entry, 0 without one (only the per-lane
+    reference path materializes shared addresses; they are bank-conflict
+    neutral along a row and feed the sanitizer). [count]
     (default true) controls whether the instances count toward
-    [ctx.updates]; [loads_subset] restricts which reads are *accounted*
+    [ctx.updates]; [loads_subset] ({!resolve_reads}) restricts which reads are *accounted*
     as loads (register tiling keeps the rest in registers across the
     unrolled sweep — functional execution is unaffected). *)
 
 val load_box_rows :
-  ctx ->
-  grid:Grid.t ->
-  slot:int ->
-  box:box ->
-  skip_x:(int array -> (int * int) option) ->
-  shared_addr:(int array -> int) ->
-  unit
-(** Copy-in phase: global loads + shared stores over all rows of [box]
-    (x = innermost dim varies). [skip_x row] gives an x-interval already
-    present in shared memory (reuse) to exclude. Pure accounting. *)
+  ctx -> Layout.entry -> ?skip_x:(int array -> (int * int) option) -> unit -> unit
+(** Copy-in phase: global loads of the entry's (array, slot) + shared
+    stores into it, over all rows of its box (x = innermost dim varies).
+    [skip_x row] gives an x-interval already present in shared memory
+    (reuse) to exclude. Pure accounting. *)
 
-val shared_copy_rows : ctx -> box:box -> shared_addr:(int array -> int) -> unit
-(** Dynamic-reuse phase: shared-to-shared movement of a region. *)
+val shared_copy_rows : ctx -> Layout.entry -> box:box -> unit
+(** Dynamic-reuse phase: shared-to-shared movement of a region of the
+    entry. *)
 
 val store_cells : ctx -> grid:Grid.t -> cells:int list -> via_shared:bool -> unit
 (** Copy-out phase: store the given flat cell indices (already grouped in

@@ -156,7 +156,9 @@ let run ?pool ?engine ?(analytic = false) ?(name = "hybrid") ?config prog env de
          (fun (d : Stencil.array_decl) -> Grid.find ctx.grids d.aname)
          prog.arrays)
   in
-  let rbases = Array.map (fun g -> Addrmap.base ctx.sim.addr g) regions in
+  let rbases =
+    Array.map (fun g -> Addrmap.base (Addrmap.resolve ctx.sim.addr g)) regions
+  in
   let rlens = Array.map (fun (g : Grid.t) -> 4 * Array.length g.data) regions in
   let stride0s =
     Array.map
@@ -226,31 +228,26 @@ let run ?pool ?engine ?(analytic = false) ?(name = "hybrid") ?config prog env de
   (* register tiling: reads whose cell was read (or produced) by the
      previous unrolled iteration along the sweep direction stay in
      registers; only the leading cells load from shared memory. *)
-  let loads_subset_of =
-    if not config.register_tile then fun _ -> None
-    else begin
-      let sweep = if dims >= 2 then dims - 1 else 0 in
-      let memo = Hashtbl.create 4 in
-      fun (s : Stencil.stmt) ->
-        match Hashtbl.find_opt memo s.sname with
-        | Some l -> Some l
-        | None ->
-            let reads = Stencil.distinct_reads s in
-            let shift (a : Stencil.access) =
-              {
-                a with
-                offsets =
-                  Array.mapi (fun i o -> if i = sweep then o + 1 else o) a.offsets;
-              }
-            in
-            let avail a =
-              let a' = shift a in
-              List.exists (fun r -> r = a') reads || a' = s.write
-            in
-            let l = List.filter (fun r -> not (avail r)) reads in
-            Hashtbl.replace memo s.sname l;
-            Some l
-    end
+  let loads_subset =
+    let sweep = if dims >= 2 then dims - 1 else 0 in
+    Array.map
+      (fun (s : Stencil.stmt) ->
+        if not config.register_tile then None
+        else begin
+          let reads = Stencil.distinct_reads s in
+          let shift (a : Stencil.access) =
+            {
+              a with
+              offsets = Array.mapi (fun i o -> if i = sweep then o + 1 else o) a.offsets;
+            }
+          in
+          let avail a =
+            let a' = shift a in
+            List.exists (fun r -> r = a') reads || a' = s.write
+          in
+          Some (Common.resolve_reads ctx (List.filter (fun r -> not (avail r)) reads))
+        end)
+      stmts
   in
   (* Iterate the instance rows of one tile in execution order: for each
      valid t' step, every (prefix point, x-range) with x the innermost
@@ -264,7 +261,6 @@ let run ?pool ?engine ?(analytic = false) ?(name = "hybrid") ?config prog env de
         | Some (rb_lo, rb_hi) ->
             let si = Hybrid.stmt_of_u t u in
             let tstep = Hybrid.tstep_of_u t u in
-            let stmt = stmts.(si) in
             let slo = ctx.lo.(si) and shi = ctx.hi.(si) in
             let s0lo = max (s00 + rb_lo) slo.(0) and s0hi = min (s00 + rb_hi) shi.(0) in
             if s0lo <= s0hi then begin
@@ -281,7 +277,7 @@ let run ?pool ?engine ?(analytic = false) ?(name = "hybrid") ?config prog env de
                 if dims = 1 then begin
                   let point = [| s0lo |] in
                   let xs = Array.init (s0hi - s0lo + 1) (fun i -> s0lo + i) in
-                  on_row ~stmt ~tstep ~point ~xs
+                  on_row ~si ~tstep ~point ~xs
                 end
                 else begin
                   (* prefix dims: s0 and windows 1..dims-2; x = last dim *)
@@ -289,7 +285,7 @@ let run ?pool ?engine ?(analytic = false) ?(name = "hybrid") ?config prog env de
                   let xs = Array.init (xhi - xlo + 1) (fun i -> xlo + i) in
                   let point = Array.make dims 0 in
                   let rec go d =
-                    if d = dims - 1 then on_row ~stmt ~tstep ~point ~xs
+                    if d = dims - 1 then on_row ~si ~tstep ~point ~xs
                     else if d = 0 then
                       for s0 = s0lo to s0hi do
                         point.(0) <- s0;
@@ -314,31 +310,42 @@ let run ?pool ?engine ?(analytic = false) ?(name = "hybrid") ?config prog env de
   let process_tile ~u0 ~s00 ~(cls : int array) ~(prev : Common.Layout.t option) =
     let lay = Common.Layout.create () in
     if strat.use_shared then begin
-      (* pre-pass: accessed boxes per (array, slot) *)
-      let boxes : (string * int, Common.box) Hashtbl.t = Hashtbl.create 8 in
-      let grow_access (acc : Stencil.access) ~tstep ~point ~xs =
-        let g = Grid.find ctx.grids acc.array in
-        let slot = Grid.slot g (tstep + acc.time_off) in
-        let box =
-          match Hashtbl.find_opt boxes (acc.array, slot) with
-          | Some b -> b
-          | None ->
-              let b = Common.empty_box ~dims in
-              Hashtbl.replace boxes (acc.array, slot) b;
-              b
+      (* pre-pass: accessed boxes per (array, slot). Rows find their box
+         in [seen] by grid identity; [boxes] is filled once per key and
+         fixes the order in which the layout receives them. *)
+      let boxes : (string * int, Grid.t * Common.box) Hashtbl.t = Hashtbl.create 8 in
+      let seen = ref [] in
+      let rec find_box g slot = function
+        | [] ->
+            let b = Common.empty_box ~dims in
+            seen := (g, slot, b) :: !seen;
+            Hashtbl.replace boxes (g.Grid.decl.aname, slot) (g, b);
+            b
+        | (g', slot', b) :: tl -> if g' == g && slot' = slot then b else find_box g slot tl
+      in
+      let grow_access (r : Common.src) ~tstep ~point ~xs =
+        let box = find_box r.sgrid (Grid.slot r.sgrid (tstep + r.sacc.time_off)) !seen in
+        let offsets = r.sacc.offsets in
+        let grow d v =
+          if v < box.blo.(d) then box.blo.(d) <- v;
+          if v > box.bhi.(d) then box.bhi.(d) <- v
         in
-        let p = Array.mapi (fun d o -> point.(d) + o) acc.offsets in
-        p.(dims - 1) <- xs.(0) + acc.offsets.(dims - 1);
-        Common.grow box p;
-        p.(dims - 1) <- xs.(Array.length xs - 1) + acc.offsets.(dims - 1);
-        Common.grow box p
+        for d = 0 to dims - 2 do
+          grow d (point.(d) + offsets.(d))
+        done;
+        grow (dims - 1) (xs.(0) + offsets.(dims - 1));
+        grow (dims - 1) (xs.(Array.length xs - 1) + offsets.(dims - 1))
       in
       iter_tile ~u0 ~s00 ~cls
         ~on_step:(fun () -> ())
-        ~on_row:(fun ~stmt ~tstep ~point ~xs ->
-          List.iter (fun a -> grow_access a ~tstep ~point ~xs) (Stencil.distinct_reads stmt);
-          grow_access stmt.Stencil.write ~tstep ~point ~xs);
-      Hashtbl.iter (fun (arr, slot) box -> Common.Layout.add lay ~array:arr ~slot box) boxes;
+        ~on_row:(fun ~si ~tstep ~point ~xs ->
+          Array.iter
+            (fun r -> grow_access r ~tstep ~point ~xs)
+            (Common.stmt_reads ctx ~stmt_idx:si);
+          grow_access (Common.stmt_write ctx ~stmt_idx:si) ~tstep ~point ~xs);
+      Hashtbl.iter
+        (fun (_, slot) (grid, box) -> Common.Layout.add lay ~grid ~slot box)
+        boxes;
       if
         4 * Common.Layout.words lay > dev.Device.shared_mem_bytes
         (* blocks may run on several domains: claim the warning atomically *)
@@ -355,11 +362,14 @@ let run ?pool ?engine ?(analytic = false) ?(name = "hybrid") ?config prog env de
           dev.Device.shared_mem_bytes
       end;
       (* copy-in, with inter-tile reuse *)
-      Common.Layout.iter lay ~f:(fun ~array ~slot box ->
+      Common.Layout.iter lay ~f:(fun e ->
           let pbox =
             match (strat.reuse, prev) with
             | No_reuse, _ | _, None -> None
-            | _, Some p -> Common.Layout.find p ~array ~slot
+            | _, Some p ->
+                Option.map
+                  (fun (pe : Common.Layout.entry) -> pe.lbox)
+                  (Common.Layout.find p ~grid:e.lgrid ~slot:e.lslot)
           in
           let skip_x row =
             match pbox with
@@ -371,15 +381,13 @@ let run ?pool ?engine ?(analytic = false) ?(name = "hybrid") ?config prog env de
                 done;
                 if !inside then Some (pb.blo.(dims - 1), pb.bhi.(dims - 1)) else None
           in
-          Common.load_box_rows ctx ~grid:(Grid.find ctx.grids array) ~slot ~box ~skip_x
-            ~shared_addr:(fun p -> Common.Layout.addr lay ~array ~slot p);
+          Common.load_box_rows ctx e ~skip_x ();
           (* dynamic reuse: move the overlap within shared memory *)
           match (strat.reuse, pbox) with
           | Dynamic, Some pb ->
-              let overlap = Common.box_inter box pb in
+              let overlap = Common.box_inter e.lbox pb in
               if not (Common.box_is_empty overlap) then
-                Common.shared_copy_rows ctx ~box:overlap ~shared_addr:(fun p ->
-                    Common.Layout.addr lay ~array ~slot p)
+                Common.shared_copy_rows ctx e ~box:overlap
           | _ -> ());
       Sim.sync ctx.sim
     end;
@@ -387,46 +395,42 @@ let run ?pool ?engine ?(analytic = false) ?(name = "hybrid") ?config prog env de
     let replay = match strat.reuse with Static -> 2 | _ -> 1 in
     let pending_sync = ref false in
     let nsteps = ref 0 in
-    let copyout : (string, int list ref) Hashtbl.t = Hashtbl.create 4 in
+    (* written cells for the copy-out phase, per statement (each array
+       has one writer); [copyout] is filled on a statement's first row and
+       fixes the order of the copy-out *)
+    let copyout : (string, Grid.t * int list ref) Hashtbl.t = Hashtbl.create 4 in
+    let out_cells = Array.make ctx.k None in
+    let wp = Array.make dims 0 in
     iter_tile ~u0 ~s00 ~cls
       ~on_step:(fun () ->
         if !pending_sync then Sim.sync ctx.sim;
         pending_sync := true;
         incr nsteps)
-      ~on_row:(fun ~stmt ~tstep ~point ~xs ->
-        Common.exec_stmt_row ctx ~stmt ~tstep ~point ~xs
-          ?loads_subset:(loads_subset_of stmt)
-          ~global_reads:(not strat.use_shared) ~shared_replay:replay
-          ~interleave_store:strat.interleave ~use_shared:strat.use_shared
-          ~shared_addr:(fun (a : Stencil.access) ~point ->
-            let g = Grid.find ctx.grids a.array in
-            let slot = Grid.slot g (tstep + a.time_off) in
-            let p = Array.mapi (fun d o -> point.(d) + o) a.offsets in
-            Common.Layout.addr lay ~array:a.array ~slot p)
-          ();
-        (* remember written cells for the copy-out phase *)
+      ~on_row:(fun ~si ~tstep ~point ~xs ->
+        Common.exec_stmt_row ctx ~stmt_idx:si ~tstep ~point ~xs ~layout:lay
+          ?loads_subset:loads_subset.(si) ~global_reads:(not strat.use_shared)
+          ~shared_replay:replay ~interleave_store:strat.interleave
+          ~use_shared:strat.use_shared ();
         if strat.use_shared && not strat.interleave then begin
-          let wa = stmt.Stencil.write in
-          let g = Grid.find ctx.grids wa.array in
-          let slot = Grid.slot g (tstep + wa.time_off) in
+          let w = Common.stmt_write ctx ~stmt_idx:si in
+          let g = w.sgrid and wo = w.sacc.offsets in
+          let slot = Grid.slot g (tstep + w.sacc.time_off) in
           let cells =
-            match Hashtbl.find_opt copyout wa.array with
+            match out_cells.(si) with
             | Some l -> l
             | None ->
                 let l = ref [] in
-                Hashtbl.replace copyout wa.array l;
+                Hashtbl.replace copyout w.sacc.array (g, l);
+                out_cells.(si) <- Some l;
                 l
           in
-          let p = Array.mapi (fun d o -> point.(d) + o) wa.offsets in
+          for d = 0 to dims - 1 do
+            wp.(d) <- point.(d) + wo.(d)
+          done;
           Array.iter
             (fun x ->
-              p.(dims - 1) <- x + wa.offsets.(dims - 1);
-              let full =
-                match g.decl.fold with
-                | Some _ -> Array.append [| slot |] p
-                | None -> Array.copy p
-              in
-              cells := Grid.offset g full :: !cells)
+              wp.(dims - 1) <- x + wo.(dims - 1);
+              cells := Common.flat g ~slot wp :: !cells)
             xs
         end);
     if !pending_sync then Sim.sync ctx.sim;
@@ -442,9 +446,8 @@ let run ?pool ?engine ?(analytic = false) ?(name = "hybrid") ?config prog env de
     (* copy-out *)
     if strat.use_shared && not strat.interleave then
       Hashtbl.iter
-        (fun arr cells ->
-          Common.store_cells ctx ~grid:(Grid.find ctx.grids arr)
-            ~cells:(List.rev !cells) ~via_shared:true)
+        (fun _ (grid, cells) ->
+          Common.store_cells ctx ~grid ~cells:(List.rev !cells) ~via_shared:true)
         copyout;
     lay
   in

@@ -151,10 +151,9 @@ let run ?pool ?engine ?config prog env dev =
             }
           in
           let touch (arr, slot) =
-            if Common.Layout.find lay ~array:arr ~slot = None then
-              Common.Layout.add lay ~array:arr ~slot (inbox arr);
-            Common.Overlay.add ov ~grid:(Grid.find ctx.grids arr) ~slot ~box:ov_box
-              ~src:(Hashtbl.find snap arr)
+            let grid = Grid.find ctx.grids arr in
+            Common.Layout.add lay ~grid ~slot (inbox arr);
+            Common.Overlay.add ov ~grid ~slot ~box:ov_box ~src:(Hashtbl.find snap arr)
           in
           (* allocate shared boxes and overlays for every (array, slot) touched *)
           List.iter
@@ -169,19 +168,16 @@ let run ?pool ?engine ?config prog env dev =
             ctx.prog.stmts;
           Hashtbl.iter
             (fun (arr, slot) () ->
-              match Common.Layout.find lay ~array:arr ~slot with
+              match Common.Layout.find lay ~grid:(Grid.find ctx.grids arr) ~slot with
               | None -> ()
-              | Some box ->
-                  Common.load_box_rows ctx ~grid:(Grid.find ctx.grids arr) ~slot ~box
-                    ~skip_x:(fun _ -> None)
-                    ~shared_addr:(fun p -> Common.Layout.addr lay ~array:arr ~slot p))
+              | Some e -> Common.load_box_rows ctx e ())
             needed;
           Sim.sync ctx.sim;
           (* redundant compute over the shrinking trapezoid *)
           for j = 0 to hh_eff - 1 do
             let t = tt0v + j in
             Array.iteri
-              (fun si stmt ->
+              (fun si _ ->
                 let units = (ctx.k * (hh_eff - 1 - j)) + (ctx.k - 1 - si) in
                 let region =
                   dilate base ~by:(reach units) ~lo:ctx.lo.(si) ~hi:ctx.hi.(si)
@@ -191,22 +187,18 @@ let run ?pool ?engine ?config prog env dev =
                   Common.box_inter region
                     { Common.blo = ctx.lo.(si); bhi = ctx.hi.(si) }
                 in
-                if not (Common.box_is_empty region) then
+                if not (Common.box_is_empty region) then begin
+                  let xdim = ctx.dims - 1 in
+                  let xs =
+                    Array.init
+                      (region.bhi.(xdim) - region.blo.(xdim) + 1)
+                      (fun i -> region.blo.(xdim) + i)
+                  in
                   Common.iter_box_rows region ~f:(fun point ->
-                      let xdim = ctx.dims - 1 in
-                      let xs =
-                        Array.of_list (Intutil.range region.blo.(xdim) region.bhi.(xdim))
-                      in
-                      Common.exec_stmt_row ctx ~stmt ~tstep:t ~point ~xs ~overlay:ov
-                        ~count:false ~global_reads:false ~shared_replay:1
-                        ~interleave_store:false ~use_shared:true
-                        ~shared_addr:(fun (a : Stencil.access) ~point ->
-                          let g = Grid.find ctx.grids a.array in
-                          let slot = Grid.slot g (t + a.time_off) in
-                          let p = Array.mapi (fun d o -> point.(d) + o) a.offsets in
-                          Common.Layout.addr lay ~array:a.array ~slot p)
-                        ())
-              )
+                      Common.exec_stmt_row ctx ~stmt_idx:si ~tstep:t ~point ~xs ~overlay:ov
+                        ~layout:lay ~count:false ~global_reads:false ~shared_replay:1
+                        ~interleave_store:false ~use_shared:true ())
+                end)
               ctx.stmts;
             Sim.sync ctx.sim
           done;

@@ -47,11 +47,9 @@ let run ?pool ?engine ?(config = default_config) prog env dev =
                 let frag = min (row_len - off) (stop - !i) in
                 let point = row_point row in
                 let xs = Array.init frag (fun j -> lo.(xdim) + off + j) in
-                Common.exec_stmt_row ctx ~stmt ~tstep ~point ~xs
+                Common.exec_stmt_row ctx ~stmt_idx:si ~tstep ~point ~xs
                   ~global_reads:true ~shared_replay:1 ~interleave_store:false
-                  ~use_shared:false
-                  ~shared_addr:(fun _ ~point:_ -> 0)
-                  ();
+                  ~use_shared:false ();
                 i := !i + frag
               done)
         end)

@@ -1,6 +1,5 @@
 open Hextile_ir
 open Hextile_gpusim
-open Hextile_util
 
 type config = { tile : int array option }
 
@@ -18,11 +17,10 @@ let default_tile ~dims =
 
 (* The rectangular input boxes a tile region needs, per (array, slot):
    the region dilated by each read's offsets, clipped to array extents. *)
-let input_boxes (ctx : Common.ctx) (stmt : Stencil.stmt) ~tstep ~(region : Common.box) =
+let input_boxes (ctx : Common.ctx) ~stmt_idx ~tstep ~(region : Common.box) =
   let boxes = Hashtbl.create 4 in
-  List.iter
-    (fun (r : Stencil.access) ->
-      let g = Grid.find ctx.grids r.array in
+  Array.iter
+    (fun ({ sacc = r; sgrid = g; _ } : Common.src) ->
       let slot = Grid.slot g (tstep + r.time_off) in
       let spatial_dims = Array.length r.offsets in
       let ext d = g.dims.(Array.length g.dims - spatial_dims + d) in
@@ -30,14 +28,15 @@ let input_boxes (ctx : Common.ctx) (stmt : Stencil.stmt) ~tstep ~(region : Commo
       let bhi = Array.mapi (fun d h -> min (ext d - 1) (h + r.offsets.(d))) region.bhi in
       let key = (r.array, slot) in
       match Hashtbl.find_opt boxes key with
-      | None -> Hashtbl.replace boxes key { Common.blo; bhi }
-      | Some (b : Common.box) ->
+      | None -> Hashtbl.replace boxes key (g, { Common.blo; bhi })
+      | Some (_, (b : Common.box)) ->
           Hashtbl.replace boxes key
-            {
-              Common.blo = Array.map2 min b.blo blo;
-              bhi = Array.map2 max b.bhi bhi;
-            })
-    (Stencil.distinct_reads stmt);
+            ( g,
+              {
+                Common.blo = Array.map2 min b.blo blo;
+                bhi = Array.map2 max b.bhi bhi;
+              } ))
+    (Common.stmt_reads ctx ~stmt_idx);
   boxes
 
 let run ?pool ?engine ?(config = default_config) ?(name = "ppcg") prog env dev =
@@ -80,30 +79,23 @@ let run ?pool ?engine ?(config = default_config) ?(name = "ppcg") prog env dev =
               if not (Common.box_is_empty region) then begin
                 (* copy-in *)
                 let lay = Common.Layout.create () in
-                let boxes = input_boxes ctx stmt ~tstep ~region in
+                let boxes = input_boxes ctx ~stmt_idx:si ~tstep ~region in
                 Hashtbl.iter
-                  (fun (arr, slot) box -> Common.Layout.add lay ~array:arr ~slot box)
+                  (fun (_, slot) (grid, box) -> Common.Layout.add lay ~grid ~slot box)
                   boxes;
-                Common.Layout.iter lay ~f:(fun ~array ~slot box ->
-                    Common.load_box_rows ctx ~grid:(Grid.find ctx.grids array) ~slot ~box
-                      ~skip_x:(fun _ -> None)
-                      ~shared_addr:(fun p -> Common.Layout.addr lay ~array ~slot p));
+                Common.Layout.iter lay ~f:(fun e -> Common.load_box_rows ctx e ());
                 Sim.sync ctx.sim;
                 (* compute *)
+                let xdim = ctx.dims - 1 in
+                let xs =
+                  Array.init
+                    (region.bhi.(xdim) - region.blo.(xdim) + 1)
+                    (fun i -> region.blo.(xdim) + i)
+                in
                 Common.iter_box_rows region ~f:(fun point ->
-                    let xdim = ctx.dims - 1 in
-                    let xs =
-                      Array.of_list (Intutil.range region.blo.(xdim) region.bhi.(xdim))
-                    in
-                    Common.exec_stmt_row ctx ~stmt ~tstep ~point ~xs
+                    Common.exec_stmt_row ctx ~stmt_idx:si ~tstep ~point ~xs ~layout:lay
                       ~global_reads:false ~shared_replay:1 ~interleave_store:true
-                      ~use_shared:false
-                      ~shared_addr:(fun (a : Stencil.access) ~point ->
-                        let g = Grid.find ctx.grids a.array in
-                        let slot = Grid.slot g (tstep + a.time_off) in
-                        let p = Array.mapi (fun d o -> point.(d) + o) a.offsets in
-                        Common.Layout.addr lay ~array:a.array ~slot p)
-                      ());
+                      ~use_shared:false ());
                 Sim.sync ctx.sim
               end))
       ctx.stmts

@@ -42,20 +42,32 @@ let run ?pool ?engine ?(config = default_config) prog env dev =
      offset (a read-only coefficient array can reach past the slope) or
      the write offset *)
   let rad = max (Overtile.radii prog).(0) (abs stmts.(0).write.offsets.(0)) in
-  let exec_interval ?overlay ~tstep ~xlo ~xhi ~shared_addr () =
+  let exec_interval ?overlay ~layout ~tstep ~xlo ~xhi () =
+    let xlo = max xlo ctx.lo.(0).(0) and xhi = min xhi ctx.hi.(0).(0) in
     if xlo <= xhi then
-      Array.iter
-        (fun (s : Stencil.stmt) ->
-          let xlo = max xlo ctx.lo.(0).(0) and xhi = min xhi ctx.hi.(0).(0) in
-          if xlo <= xhi then
-            Common.exec_stmt_row ctx ~stmt:s ~tstep ~point:[| xlo |]
-              ~xs:(Array.init (xhi - xlo + 1) (fun i -> xlo + i))
-              ?overlay ~global_reads:false ~shared_replay:1
-              ~interleave_store:true ~use_shared:true ~shared_addr ())
-        stmts
+      Common.exec_stmt_row ctx ~stmt_idx:0 ~tstep ~point:[| xlo |]
+        ~xs:(Array.init (xhi - xlo + 1) (fun i -> xlo + i))
+        ?overlay ~layout ~global_reads:false ~shared_replay:1 ~interleave_store:true
+        ~use_shared:true ()
+  in
+  (* shared memory: the copied-in interval, in every slot of every array *)
+  let layout_of box =
+    let lay = Common.Layout.create () in
+    List.iter
+      (fun (d : Stencil.array_decl) ->
+        let m = match d.fold with Some m -> m | None -> 1 in
+        for slot = 0 to m - 1 do
+          Common.Layout.add lay ~grid:(Grid.find ctx.grids d.aname) ~slot box
+        done)
+      prog.arrays;
+    Common.Layout.iter lay ~f:(fun e -> Common.load_box_rows ctx e ());
+    Sim.sync ctx.sim;
+    lay
   in
   let tt0 = ref 0 in
-  while !tt0 < ctx.steps do
+  (* an empty domain launches nothing (and would give blocks of height 0,
+     which never advance the time loop) *)
+  while span > 0 && !tt0 < ctx.steps do
     (* a single-tile domain can itself be narrower than the reach over
        the block; cap the block height so the tile survives every step *)
     let hh_eff =
@@ -72,20 +84,7 @@ let run ?pool ?engine ?(config = default_config) prog env dev =
         let base_hi = if b = nbase - 1 then hi else base_lo + width - 1 in
         (* copy-in the base plus read halo, from the pre-launch snapshot *)
         let inlo = max lo (base_lo - r) and inhi = min hi (base_hi + r) in
-        let lay = Common.Layout.create () in
-        let box = { Common.blo = [| inlo |]; bhi = [| inhi |] } in
-        List.iter
-          (fun (d : Stencil.array_decl) ->
-            let m = match d.fold with Some m -> m | None -> 1 in
-            for slot = 0 to m - 1 do
-              Common.Layout.add lay ~array:d.aname ~slot box
-            done)
-          prog.arrays;
-        Common.Layout.iter lay ~f:(fun ~array ~slot box ->
-            Common.load_box_rows ctx ~grid:(Grid.find ctx.grids array) ~slot ~box
-              ~skip_x:(fun _ -> None)
-              ~shared_addr:(fun p -> Common.Layout.addr lay ~array ~slot p));
-        Sim.sync ctx.sim;
+        let layout = layout_of { Common.blo = [| inlo |]; bhi = [| inhi |] } in
         (* the block computes into overlays seeded from the pre-launch
            snapshot, so concurrent blocks read pre-launch halo values *)
         let ov = Common.Overlay.create () in
@@ -98,18 +97,13 @@ let run ?pool ?engine ?(config = default_config) prog env dev =
                 ~src:(Hashtbl.find snap d.aname)
             done)
           prog.arrays;
-        let shared_addr (a : Stencil.access) ~point =
-          let g = Grid.find ctx.grids a.array in
-          let slot = Grid.slot g (t0 + a.time_off) in
-          Common.Layout.addr lay ~array:a.array ~slot [| point.(0) + a.offsets.(0) |]
-        in
         let w = stmts.(0).write in
         let wg = Grid.find ctx.grids w.array in
         let written = ref [] in
         for j = 0 to hh_eff - 1 do
           let t = t0 + j in
           let xlo = base_lo + (r * j) and xhi = base_hi - (r * j) in
-          exec_interval ~overlay:ov ~tstep:t ~xlo ~xhi ~shared_addr ();
+          exec_interval ~overlay:ov ~layout ~tstep:t ~xlo ~xhi ();
           (* intervals shrink with j: a slot's first one covers its later
              ones; the points [xlo, xhi] write the cells shifted by the
              write offset *)
@@ -157,34 +151,14 @@ let run ?pool ?engine ?(config = default_config) prog env dev =
       ~blocks:(nbase + 1) ~threads:(min (2 * r * hh) 256) ~shared_bytes:0
       ~f:(fun b ->
         let bnd = bnd_of b in
-        let lay = Common.Layout.create () in
         let inlo = max lo (bnd - (r * hh_eff) - r)
         and inhi = min hi (bnd + (r * hh_eff) + r - 1) in
         if inlo <= inhi then begin
-          let box = { Common.blo = [| inlo |]; bhi = [| inhi |] } in
-          List.iter
-            (fun (d : Stencil.array_decl) ->
-              let m = match d.fold with Some m -> m | None -> 1 in
-              for slot = 0 to m - 1 do
-                Common.Layout.add lay ~array:d.aname ~slot box
-              done)
-            prog.arrays;
-          Common.Layout.iter lay ~f:(fun ~array ~slot box ->
-              Common.load_box_rows ctx ~grid:(Grid.find ctx.grids array) ~slot ~box
-                ~skip_x:(fun _ -> None)
-                ~shared_addr:(fun p -> Common.Layout.addr lay ~array ~slot p));
-          Sim.sync ctx.sim;
-          let shared_addr (a : Stencil.access) ~point =
-            let g = Grid.find ctx.grids a.array in
-            let slot = Grid.slot g (t0 + a.time_off) in
-            Common.Layout.addr lay ~array:a.array ~slot
-              [| point.(0) + a.offsets.(0) |]
-          in
+          let layout = layout_of { Common.blo = [| inlo |]; bhi = [| inhi |] } in
           for j = 1 to hh_eff - 1 do
             let t = t0 + j in
             (match gap_of b j with
-            | Some (xlo, xhi) ->
-                exec_interval ~tstep:t ~xlo ~xhi ~shared_addr ()
+            | Some (xlo, xhi) -> exec_interval ~layout ~tstep:t ~xlo ~xhi ()
             | None -> ());
             Sim.sync ctx.sim
           done

@@ -91,6 +91,39 @@ let test_flip_offset () =
   Alcotest.(check bool) "most programs have an offset to flip" true
     (!flipped > 15)
 
+(* The write-translating variant: every statement writes a shifted cell,
+   the program stays well-formed and in bounds, its source round-trips,
+   and every scheme agrees with the interpreter on it. *)
+let test_translate_writes () =
+  let rng = Check.Rng.create 77 in
+  for i = 0 to 29 do
+    let prog, env = Check.Gen.generate (Check.Rng.derive rng i) in
+    let prog' = Check.Gen.translate_writes prog in
+    List.iter
+      (fun (s : Stencil.stmt) ->
+        if Array.for_all (fun o -> o = 0) s.write.offsets then
+          Alcotest.failf "iteration %d: %s still writes at offset 0" i s.sname)
+      prog'.stmts;
+    (match Check.Gen.well_formed prog' with
+    | Ok () -> ()
+    | Error m -> Alcotest.failf "iteration %d: ill-formed: %s" i m);
+    (match Analysis.bounds_check prog' (envf env) with
+    | Ok () -> ()
+    | Error m -> Alcotest.failf "iteration %d: out of bounds: %s" i m);
+    let src = Check.Pretty.to_source prog' in
+    (match Hextile_frontend.Front.parse_string ~name:"gen" src with
+    | Ok parsed when Check.Pretty.equal_program prog' parsed -> ()
+    | Ok _ -> Alcotest.failf "iteration %d: round-trip not structural:\n%s" i src
+    | Error m -> Alcotest.failf "iteration %d: reparse failed: %s\n%s" i m src);
+    match Check.Oracle.check prog' env dev with
+    | Ok [] -> ()
+    | Ok fs ->
+        Alcotest.failf "iteration %d: %a\n%s" i
+          Fmt.(list ~sep:(any "; ") Check.Oracle.pp_failure)
+          fs src
+    | Error m -> Alcotest.failf "iteration %d: %s" i m
+  done
+
 let test_roundtrip_generated () =
   let rng = Check.Rng.create 321 in
   for i = 0 to 29 do
@@ -287,6 +320,7 @@ let suite =
     Alcotest.test_case "generated programs valid" `Quick test_gen_valid;
     Alcotest.test_case "generation deterministic" `Quick test_gen_deterministic;
     Alcotest.test_case "offset flip mutants" `Quick test_flip_offset;
+    Alcotest.test_case "write-translated variants" `Quick test_translate_writes;
     Alcotest.test_case "generated programs round-trip" `Quick
       test_roundtrip_generated;
     Alcotest.test_case "shared out-of-domain convention" `Quick

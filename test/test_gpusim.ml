@@ -153,12 +153,17 @@ let test_addrmap () =
   let grids = Grid.alloc prog env in
   let g = Grid.find grids "A" in
   let am = Addrmap.create () in
-  let a0 = Addrmap.addr am g 0 in
+  let h = Addrmap.resolve am g in
+  let a0 = Addrmap.addr h 0 in
   Alcotest.(check int) "256-aligned base" 0 (a0 mod 256);
-  Alcotest.(check int) "stride 4" 4 (Addrmap.addr am g 1 - a0);
+  Alcotest.(check int) "stride 4" 4 (Addrmap.addr h 1 - a0);
   let am2 = Addrmap.create () in
   Addrmap.register am2 g ~offset_floats:3;
-  Alcotest.(check int) "offset applied" 12 (Addrmap.base am2 g mod 256)
+  Alcotest.(check int) "offset applied" 12 (Addrmap.base (Addrmap.resolve am2 g) mod 256);
+  (* a handle resolved before a re-registration sees the new offset,
+     at the same base *)
+  Addrmap.register am g ~offset_floats:5;
+  Alcotest.(check int) "earlier handle sees the offset" (a0 + 20) (Addrmap.base h)
 
 let test_device_lookup () =
   Alcotest.(check string) "gtx470" "gtx470" (Device.by_name "gtx470").name;

@@ -9,6 +9,7 @@ open Hextile_stencils
 open Hextile_ir
 module Check = Hextile_check
 module Par = Hextile_par.Par
+module Obs = Hextile_obs.Obs
 
 let test_env prog = fun p -> List.assoc p (Suite.test_params prog)
 
@@ -152,6 +153,116 @@ let test_sanitizer_disables_memoization () =
         Alcotest.failf "sanitized run: array %s differs" aname)
     r.grids
 
+(* Which path each program takes: a tile-class recording that meets
+   something it cannot represent is dropped (its class's members then run
+   live) and counted once under its reason. Pinned per program: the
+   Table 3 shapes record cleanly, a statement whose read aliases its
+   write storage at another cell drops every recording as a hazard, a
+   write-back copy-out with a descending warp drops it as per-lane, and
+   the reference engine and the overlapped schemes never record. *)
+let strip2d =
+  match
+    Hextile_frontend.Front.parse_string ~name:"strip2d"
+      {|float A[N][N];
+for (t = 0; t < T; t++)
+  for (i = 0; i < N; i++)
+    for (j = 0; j < 16; j++)
+      A[i][j] = 0.5f * (A[i][j] + A[i][j+16]);
+|}
+  with
+  | Ok p -> p
+  | Error m -> Alcotest.failf "parse strip2d: %s" m
+
+(* the nonzero fallback counters (reason, count) and the memoized block
+   count of one run *)
+let fallbacks run =
+  Obs.reset ();
+  Obs.enable ();
+  let r = Fun.protect ~finally:Obs.disable run in
+  let counts =
+    List.filter_map
+      (fun why ->
+        match Obs.counter ("sim.recordings_invalidated." ^ why) with
+        | 0 -> None
+        | n -> Some (why, n))
+      [ "per_lane"; "overlay"; "hazard"; "region" ]
+  in
+  Obs.reset ();
+  (counts, (r : Common.result).blocks_memoized)
+
+let test_fallback_paths () =
+  let env p = List.assoc p [ ("N", 64); ("T", 16) ] in
+  let strategy_b prog =
+    let config =
+      {
+        (Hybrid_exec.default_config prog) with
+        strategy = Hybrid_exec.strategy_of_step 'b';
+      }
+    in
+    Hybrid_exec.run ~engine:Common.Tape ~config prog env Device.gtx470
+  in
+  List.iter
+    (fun (label, run, want, memoizes) ->
+      let counts, memoized = fallbacks run in
+      Alcotest.(check (list string))
+        (label ^ ": fallback reasons") want (List.map fst counts);
+      Alcotest.(check bool) (label ^ ": memoizes") memoizes (memoized > 0))
+    [
+      ("hybrid heat2d, tape", (fun () -> hybrid ~engine:Common.Tape Suite.heat2d env), [], true);
+      ("hybrid fdtd2d, tape", (fun () -> hybrid ~engine:Common.Tape Suite.fdtd2d env), [], true);
+      ( "hybrid strip2d, tape",
+        (fun () -> hybrid ~engine:Common.Tape strip2d env),
+        [ "hazard" ],
+        false );
+      ( "hybrid heat2d, strategy b (copy-out), tape",
+        (fun () -> strategy_b Suite.heat2d),
+        [ "per_lane" ],
+        false );
+      ("hybrid heat2d, ref", (fun () -> hybrid ~engine:Common.Ref Suite.heat2d env), [], false);
+      ( "overtile heat2d, tape",
+        (fun () -> Overtile.run ~engine:Common.Tape Suite.heat2d env Device.gtx470),
+        [],
+        false );
+    ]
+
+(* A warm tape-path row allocates a fixed handful of words (the option
+   boxes of optional arguments; 4 words when written) whatever the
+   statement's read count and expression size: statement facts, address
+   bases and shared-memory entries are resolved before the row loop, and
+   per-source bases live in per-domain scratch. *)
+let test_row_allocation_budget () =
+  let budget = 16.0 in
+  List.iter
+    (fun (prog : Stencil.t) ->
+      let ctx = Common.make_ctx ~engine:Common.Tape prog (test_env prog) Device.gtx470 in
+      let lo = ctx.lo.(0) and hi = ctx.hi.(0) in
+      let xdim = ctx.dims - 1 in
+      let n = Int.min 64 (hi.(xdim) - lo.(xdim) + 1) in
+      let xs = Array.init n (fun i -> lo.(xdim) + i) in
+      let point = Array.copy lo in
+      List.iter
+        (fun global_reads ->
+          let row () =
+            Common.exec_stmt_row ctx ~stmt_idx:0 ~tstep:0 ~point ~xs ~global_reads
+              ~shared_replay:2 ~interleave_store:true ~use_shared:(not global_reads) ()
+          in
+          row ();
+          let calls = 200 in
+          let before = Gc.minor_words () in
+          for _ = 1 to calls do
+            row ()
+          done;
+          let per_call = (Gc.minor_words () -. before) /. float_of_int calls in
+          if per_call > budget then
+            Alcotest.failf
+              "%s (%s reads, %d sources): %.1f minor words per row (budget %.0f)"
+              prog.name
+              (if global_reads then "global" else "shared")
+              (Array.length (Common.stmt_reads ctx ~stmt_idx:0))
+              per_call budget)
+        [ true; false ])
+    Suite.all
+
 let suite =
   [
     Alcotest.test_case "hybrid tape vs ref, suite, jobs 1/2/4" `Quick
@@ -163,4 +274,6 @@ let suite =
     Alcotest.test_case "tile-class memoization fires" `Quick test_memoization_fires;
     Alcotest.test_case "sanitizer forces uncached execution" `Quick
       test_sanitizer_disables_memoization;
+    Alcotest.test_case "recording fallbacks counted by reason" `Quick test_fallback_paths;
+    Alcotest.test_case "warm tape row allocation budget" `Quick test_row_allocation_budget;
   ]
