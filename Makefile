@@ -22,11 +22,13 @@ profile-smoke:
 	@python3 -c "import json; json.load(open('_build/prof_smoke.json'))" && echo "profile JSON ok"
 
 # Fixed-seed differential-testing smoke: a clean campaign across all
-# schemes, then a mutation self-test (inject an off-by-one into the
+# schemes, a longer one for Split (which applies only to 1-D programs),
+# then a mutation self-test (inject an off-by-one into the
 # hybrid executor's view of each program; the oracle must catch every
 # observable mutant).
 fuzz:
 	dune exec bin/hextile.exe -- fuzz --seed 42 --count 25
+	dune exec bin/hextile.exe -- fuzz --seed 42 --count 300 --schemes split
 	dune exec bin/hextile.exe -- fuzz --seed 7 --count 12 --mutate hybrid --shrink
 
 # Parallel-runtime benchmark: times the Table 12 suite at jobs=1 vs

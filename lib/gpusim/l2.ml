@@ -27,8 +27,13 @@ let hit_bit = 1
 let writeback_bit = 2
 
 (* top-level (closure-free) way lookup: a local [let rec] would capture
-   [set]/[tag] and allocate a closure on every probe *)
-let rec find_way set tag assoc i =
+   [set]/[tag] and allocate a closure on every probe. Every L1 and L2
+   probe runs through here, so tags must compare as ints, never with
+   polymorphic compare: without the annotations [=] is polymorphic and
+   calls [caml_equal] on every way probed (~2.6x slower per replayed
+   line). The polymorphic compares in lib/schemes run once per statement,
+   not per probe, and can stay. *)
+let rec find_way (set : int array) (tag : int) assoc i =
   if i >= assoc then -1
   else if Array.unsafe_get set i = tag then i
   else find_way set tag assoc (i + 1)

@@ -148,7 +148,10 @@ type plan = {
 
 (* Strip width of plan execution: wide enough to amortize pass setup,
    small enough that the whole register file stays in L1
-   (pregs * 256 * 8 bytes; the microbenchmarked sweet spot). *)
+   (pregs * 256 * 8 bytes). Re-measured with the unrolled kernels on
+   laplacian2d's plan over a hot 640^2 grid: 64 and 128 cost 10-25% more
+   per point than 256, and 512..2048 stay within the run-to-run noise of
+   256. *)
 let strip = 256
 
 (* pending value descriptions during planning: what a (single-use) tape
@@ -411,6 +414,25 @@ let plan (t : t) =
 
 let plan_scratch_words p = max 1 (p.pregs * strip)
 
+(* Unchecked float-array access for the strip kernels below. Declared
+   as externals at the concrete float type so every use compiles to an
+   inline unboxed load or store, exactly like [Array.unsafe_get]/
+   [Array.unsafe_set] on a [float array]. *)
+external ( .!() ) : float array -> int -> float = "%array_unsafe_get"
+external ( .!()<- ) : float array -> int -> float -> unit = "%array_unsafe_set"
+
+(* Every strip kernel is a main loop of 4 written-out element statements
+   followed by a scalar tail. Without flambda, a one-element loop reloads
+   its spilled operand bases and polls once per element; unrolled x4,
+   laplacian2d's two-pass plan costs ~2.5 instead of ~6 ns per point
+   (hot-cache microbenchmark; DESIGN.md has the numbers). The statements
+   are spelled out on purpose: reading through a local helper (say
+   [let g v o k = v.!(o + k)]) is not inlined, and doing so in the sum4
+   kernel alone made the whole plan 1.4-2x slower. Each element
+   statement reads its operands and stores its result before the next
+   element starts, and keeps the scalar operation order, so results (and
+   the in-place accumulator passes, whose destination is their first
+   operand) are bit-identical to the one-element loops. *)
 let exec_plan p (regs : scratch) ~(datas : float array array)
     ~(bases : int array) ~dx ~n ~(out : float array) ~out_base =
   if n < 0 then invalid_arg "Tape.exec_plan: negative n";
@@ -432,6 +454,8 @@ let exec_plan p (regs : scratch) ~(datas : float array array)
   while !i < n do
     let i0 = !i in
     let nl = min strip (n - i0) in
+    (* first lane of the scalar tail *)
+    let nq = nl land lnot 3 in
     let off_of = function
       | Psrc s -> bases.(s) + dx + i0
       | Preg r -> r * strip
@@ -446,8 +470,16 @@ let exec_plan p (regs : scratch) ~(datas : float array array)
       | P_neg { dst; a } ->
           let av = arr_of a and ao = off_of a in
           let ev = darr_of dst and eo = doff_of dst in
-          for j = 0 to nl - 1 do
-            Array.unsafe_set ev (eo + j) (-.Array.unsafe_get av (ao + j))
+          for q = 0 to (nl lsr 2) - 1 do
+            let j = q lsl 2 in
+            let ao = ao + j and eo = eo + j in
+            ev.!(eo) <- -.av.!(ao);
+            ev.!(eo + 1) <- -.av.!(ao + 1);
+            ev.!(eo + 2) <- -.av.!(ao + 2);
+            ev.!(eo + 3) <- -.av.!(ao + 3)
+          done;
+          for j = nq to nl - 1 do
+            ev.!(eo + j) <- -.av.!(ao + j)
           done
       | P_bin { op; dst; a; b } -> (
           let av = arr_of a and ao = off_of a in
@@ -455,35 +487,68 @@ let exec_plan p (regs : scratch) ~(datas : float array array)
           let ev = darr_of dst and eo = doff_of dst in
           match op with
           | Badd ->
-              for j = 0 to nl - 1 do
-                Array.unsafe_set ev (eo + j)
-                  (Array.unsafe_get av (ao + j) +. Array.unsafe_get bv (bo + j))
+              for q = 0 to (nl lsr 2) - 1 do
+                let j = q lsl 2 in
+                let ao = ao + j and bo = bo + j and eo = eo + j in
+                ev.!(eo) <- av.!(ao) +. bv.!(bo);
+                ev.!(eo + 1) <- av.!(ao + 1) +. bv.!(bo + 1);
+                ev.!(eo + 2) <- av.!(ao + 2) +. bv.!(bo + 2);
+                ev.!(eo + 3) <- av.!(ao + 3) +. bv.!(bo + 3)
+              done;
+              for j = nq to nl - 1 do
+                ev.!(eo + j) <- av.!(ao + j) +. bv.!(bo + j)
               done
           | Bsub ->
-              for j = 0 to nl - 1 do
-                Array.unsafe_set ev (eo + j)
-                  (Array.unsafe_get av (ao + j) -. Array.unsafe_get bv (bo + j))
+              for q = 0 to (nl lsr 2) - 1 do
+                let j = q lsl 2 in
+                let ao = ao + j and bo = bo + j and eo = eo + j in
+                ev.!(eo) <- av.!(ao) -. bv.!(bo);
+                ev.!(eo + 1) <- av.!(ao + 1) -. bv.!(bo + 1);
+                ev.!(eo + 2) <- av.!(ao + 2) -. bv.!(bo + 2);
+                ev.!(eo + 3) <- av.!(ao + 3) -. bv.!(bo + 3)
+              done;
+              for j = nq to nl - 1 do
+                ev.!(eo + j) <- av.!(ao + j) -. bv.!(bo + j)
               done
           | Bmul ->
-              for j = 0 to nl - 1 do
-                Array.unsafe_set ev (eo + j)
-                  (Array.unsafe_get av (ao + j) *. Array.unsafe_get bv (bo + j))
+              for q = 0 to (nl lsr 2) - 1 do
+                let j = q lsl 2 in
+                let ao = ao + j and bo = bo + j and eo = eo + j in
+                ev.!(eo) <- av.!(ao) *. bv.!(bo);
+                ev.!(eo + 1) <- av.!(ao + 1) *. bv.!(bo + 1);
+                ev.!(eo + 2) <- av.!(ao + 2) *. bv.!(bo + 2);
+                ev.!(eo + 3) <- av.!(ao + 3) *. bv.!(bo + 3)
+              done;
+              for j = nq to nl - 1 do
+                ev.!(eo + j) <- av.!(ao + j) *. bv.!(bo + j)
               done
           | Bdiv ->
-              for j = 0 to nl - 1 do
-                Array.unsafe_set ev (eo + j)
-                  (Array.unsafe_get av (ao + j) /. Array.unsafe_get bv (bo + j))
+              for q = 0 to (nl lsr 2) - 1 do
+                let j = q lsl 2 in
+                let ao = ao + j and bo = bo + j and eo = eo + j in
+                ev.!(eo) <- av.!(ao) /. bv.!(bo);
+                ev.!(eo + 1) <- av.!(ao + 1) /. bv.!(bo + 1);
+                ev.!(eo + 2) <- av.!(ao + 2) /. bv.!(bo + 2);
+                ev.!(eo + 3) <- av.!(ao + 3) /. bv.!(bo + 3)
+              done;
+              for j = nq to nl - 1 do
+                ev.!(eo + j) <- av.!(ao + j) /. bv.!(bo + j)
               done)
       | P_sum3 { dst; a; b; c } ->
           let av = arr_of a and ao = off_of a in
           let bv = arr_of b and bo = off_of b in
           let cv = arr_of c and co = off_of c in
           let ev = darr_of dst and eo = doff_of dst in
-          for j = 0 to nl - 1 do
-            Array.unsafe_set ev (eo + j)
-              (Array.unsafe_get av (ao + j)
-              +. Array.unsafe_get bv (bo + j)
-              +. Array.unsafe_get cv (co + j))
+          for q = 0 to (nl lsr 2) - 1 do
+            let j = q lsl 2 in
+            let ao = ao + j and bo = bo + j and co = co + j and eo = eo + j in
+            ev.!(eo) <- av.!(ao) +. bv.!(bo) +. cv.!(co);
+            ev.!(eo + 1) <- av.!(ao + 1) +. bv.!(bo + 1) +. cv.!(co + 1);
+            ev.!(eo + 2) <- av.!(ao + 2) +. bv.!(bo + 2) +. cv.!(co + 2);
+            ev.!(eo + 3) <- av.!(ao + 3) +. bv.!(bo + 3) +. cv.!(co + 3)
+          done;
+          for j = nq to nl - 1 do
+            ev.!(eo + j) <- av.!(ao + j) +. bv.!(bo + j) +. cv.!(co + j)
           done
       | P_sum4 { dst; a; b; c; d } ->
           let av = arr_of a and ao = off_of a in
@@ -491,44 +556,109 @@ let exec_plan p (regs : scratch) ~(datas : float array array)
           let cv = arr_of c and co = off_of c in
           let dv = arr_of d and d_o = off_of d in
           let ev = darr_of dst and eo = doff_of dst in
-          for j = 0 to nl - 1 do
-            Array.unsafe_set ev (eo + j)
-              (Array.unsafe_get av (ao + j)
-              +. Array.unsafe_get bv (bo + j)
-              +. Array.unsafe_get cv (co + j)
-              +. Array.unsafe_get dv (d_o + j))
+          for q = 0 to (nl lsr 2) - 1 do
+            let j = q lsl 2 in
+            let ao = ao + j and bo = bo + j and co = co + j and d_o = d_o + j and eo = eo + j in
+            ev.!(eo) <- av.!(ao) +. bv.!(bo) +. cv.!(co) +. dv.!(d_o);
+            ev.!(eo + 1) <- av.!(ao + 1) +. bv.!(bo + 1) +. cv.!(co + 1) +. dv.!(d_o + 1);
+            ev.!(eo + 2) <- av.!(ao + 2) +. bv.!(bo + 2) +. cv.!(co + 2) +. dv.!(d_o + 2);
+            ev.!(eo + 3) <- av.!(ao + 3) +. bv.!(bo + 3) +. cv.!(co + 3) +. dv.!(d_o + 3)
+          done;
+          for j = nq to nl - 1 do
+            ev.!(eo + j) <- av.!(ao + j) +. bv.!(bo + j) +. cv.!(co + j) +. dv.!(d_o + j)
           done
       | P_mulc { dst; k; a; kleft } ->
           let av = arr_of a and ao = off_of a in
           let ev = darr_of dst and eo = doff_of dst in
-          if kleft then
-            for j = 0 to nl - 1 do
-              Array.unsafe_set ev (eo + j) (k *. Array.unsafe_get av (ao + j))
+          if kleft then begin
+            for q = 0 to (nl lsr 2) - 1 do
+              let j = q lsl 2 in
+              let ao = ao + j and eo = eo + j in
+              ev.!(eo) <- k *. av.!(ao);
+              ev.!(eo + 1) <- k *. av.!(ao + 1);
+              ev.!(eo + 2) <- k *. av.!(ao + 2);
+              ev.!(eo + 3) <- k *. av.!(ao + 3)
+            done;
+            for j = nq to nl - 1 do
+              ev.!(eo + j) <- k *. av.!(ao + j)
             done
-          else
-            for j = 0 to nl - 1 do
-              Array.unsafe_set ev (eo + j) (Array.unsafe_get av (ao + j) *. k)
+          end
+          else begin
+            for q = 0 to (nl lsr 2) - 1 do
+              let j = q lsl 2 in
+              let ao = ao + j and eo = eo + j in
+              ev.!(eo) <- av.!(ao) *. k;
+              ev.!(eo + 1) <- av.!(ao + 1) *. k;
+              ev.!(eo + 2) <- av.!(ao + 2) *. k;
+              ev.!(eo + 3) <- av.!(ao + 3) *. k
+            done;
+            for j = nq to nl - 1 do
+              ev.!(eo + j) <- av.!(ao + j) *. k
             done
+          end
       | P_axpby { dst; ka; a; kb; b } ->
           let av = arr_of a and ao = off_of a in
           let bv = arr_of b and bo = off_of b in
           let ev = darr_of dst and eo = doff_of dst in
-          for j = 0 to nl - 1 do
-            Array.unsafe_set ev (eo + j)
-              ((ka *. Array.unsafe_get av (ao + j))
-              +. (kb *. Array.unsafe_get bv (bo + j)))
+          for q = 0 to (nl lsr 2) - 1 do
+            let j = q lsl 2 in
+            let ao = ao + j and bo = bo + j and eo = eo + j in
+            ev.!(eo) <- (ka *. av.!(ao)) +. (kb *. bv.!(bo));
+            ev.!(eo + 1) <- (ka *. av.!(ao + 1)) +. (kb *. bv.!(bo + 1));
+            ev.!(eo + 2) <- (ka *. av.!(ao + 2)) +. (kb *. bv.!(bo + 2));
+            ev.!(eo + 3) <- (ka *. av.!(ao + 3)) +. (kb *. bv.!(bo + 3))
+          done;
+          for j = nq to nl - 1 do
+            ev.!(eo + j) <- (ka *. av.!(ao + j)) +. (kb *. bv.!(bo + j))
           done
       | P_submulc { dst; a; k; b } ->
           let av = arr_of a and ao = off_of a in
           let bv = arr_of b and bo = off_of b in
           let ev = darr_of dst and eo = doff_of dst in
-          for j = 0 to nl - 1 do
-            Array.unsafe_set ev (eo + j)
-              (Array.unsafe_get av (ao + j)
-              -. (k *. Array.unsafe_get bv (bo + j)))
+          for q = 0 to (nl lsr 2) - 1 do
+            let j = q lsl 2 in
+            let ao = ao + j and bo = bo + j and eo = eo + j in
+            ev.!(eo) <- av.!(ao) -. (k *. bv.!(bo));
+            ev.!(eo + 1) <- av.!(ao + 1) -. (k *. bv.!(bo + 1));
+            ev.!(eo + 2) <- av.!(ao + 2) -. (k *. bv.!(bo + 2));
+            ev.!(eo + 3) <- av.!(ao + 3) -. (k *. bv.!(bo + 3))
+          done;
+          for j = nq to nl - 1 do
+            ev.!(eo + j) <- av.!(ao + j) -. (k *. bv.!(bo + j))
           done
     done;
     i := i0 + nl
   done
 
 let plan_passes p = p.pops
+
+let pp_plan ppf p =
+  let op ppf = function
+    | Psrc s -> Fmt.pf ppf "s%d" s
+    | Preg r -> Fmt.pf ppf "r%d" r
+  in
+  let pass ppf pi =
+    let dst, name, args =
+      match pi with
+      | P_const { dst; v } -> (dst, "const", Fmt.str "%h" v)
+      | P_copy { dst; a } -> (dst, "copy", Fmt.str "%a" op a)
+      | P_neg { dst; a } -> (dst, "neg", Fmt.str "%a" op a)
+      | P_bin { op = o; dst; a; b } ->
+          let name =
+            match o with Badd -> "add" | Bsub -> "sub" | Bmul -> "mul" | Bdiv -> "div"
+          in
+          (dst, name, Fmt.str "%a, %a" op a op b)
+      | P_sum3 { dst; a; b; c } -> (dst, "sum3", Fmt.str "%a, %a, %a" op a op b op c)
+      | P_sum4 { dst; a; b; c; d } ->
+          (dst, "sum4", Fmt.str "%a, %a, %a, %a" op a op b op c op d)
+      | P_mulc { dst; k; a; kleft = true } -> (dst, "kmul", Fmt.str "%h, %a" k op a)
+      | P_mulc { dst; k; a; kleft = false } -> (dst, "mulk", Fmt.str "%a, %h" op a k)
+      | P_axpby { dst; ka; a; kb; b } ->
+          (dst, "axpby", Fmt.str "%h, %a, %h, %a" ka op a kb op b)
+      | P_submulc { dst; a; k; b } ->
+          (dst, "submulc", Fmt.str "%a, %h, %a" op a k op b)
+    in
+    (match dst with Dreg r -> Fmt.pf ppf "r%d" r | Dout -> Fmt.string ppf "out");
+    Fmt.pf ppf " <- %s(%s)" name args
+  in
+  Fmt.(array ~sep:semi pass) ppf p.pinstrs

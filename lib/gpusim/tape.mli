@@ -94,6 +94,13 @@ val plan_passes : plan -> int
 (** Fused passes per strip window (diagnostic; compare [length t + nsrcs
     + 1] scratch passes for {!exec}). *)
 
+val pp_plan : plan Fmt.t
+(** One [dst <- kind(operands)] entry per fused pass, [;]-separated:
+    destinations are plan registers [rN] or [out]; operands are sources
+    [sN], plan registers and [%h] constants. Kinds: [const], [copy],
+    [neg], [add], [sub], [mul], [div], [sum3], [sum4], [kmul] ([k*a]),
+    [mulk] ([a*k]), [axpby], [submulc]. *)
+
 val plan_scratch_words : plan -> int
 (** Scratch floats [exec_plan] needs: materialized registers × {!strip}. *)
 

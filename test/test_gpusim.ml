@@ -312,6 +312,76 @@ let test_sanitizer_disabled_and_reset () =
       Alcotest.(check int) "reset clears" 0
         (List.length (Sanitize.findings ())))
 
+(* [L2.access_run] against [L2.access_code]: one run-length probe of [n]
+   lines from [line0] must touch the cache exactly like [n] successive
+   per-line probes on a twin cache. Both caches first see the same random
+   warm-up traffic, so runs meet resident, dirty and evicted lines; line0
+   and n are drawn so runs often wrap past [sets] (several lines per set).
+   After the aggregate hit/writeback counts, a further probe sequence run
+   on both caches exposes any difference in the final LRU order or dirty
+   bits. *)
+type l2_case = {
+  sets_log : int;
+  assoc : int;
+  warm : (int * bool) list;
+  runs : (int * int * bool) list;
+  probes : (int * bool) list;
+}
+
+let arb_l2_case =
+  let open QCheck.Gen in
+  let gen =
+    let* sets_log = int_range 0 4 and* assoc = int_range 1 4 in
+    let lines = (1 lsl sets_log) * assoc in
+    let span = 4 * lines in
+    let access = pair (int_bound span) bool in
+    let* warm = list_size (int_bound (2 * lines)) access
+    and* runs =
+      list_size (int_range 1 4)
+        (triple (int_bound span) (int_bound (3 * lines)) bool)
+    and* probes = list_size (int_range 1 (3 * lines)) access in
+    return { sets_log; assoc; warm; runs; probes }
+  in
+  QCheck.make
+    ~print:(fun c ->
+      Printf.sprintf "sets=%d assoc=%d warm=%d runs=[%s] probes=%d"
+        (1 lsl c.sets_log) c.assoc (List.length c.warm)
+        (String.concat "; "
+           (List.map (fun (l, n, w) -> Printf.sprintf "%d+%d%s" l n (if w then "w" else "r")) c.runs))
+        (List.length c.probes))
+    gen
+
+let prop_access_run_equals_access_code =
+  QCheck.Test.make ~name:"L2.access_run = per-line L2.access_code" ~count:300
+    arb_l2_case (fun { sets_log; assoc; warm; runs; probes } ->
+      let line_bytes = 128 in
+      let mk () = L2.create ~bytes:((1 lsl sets_log) * assoc * line_bytes) ~assoc ~line_bytes in
+      let run_c = mk () and line_c = mk () in
+      let probe c (line, write) = L2.access_code c ~addr:(line * line_bytes) ~write in
+      List.iter
+        (fun a ->
+          ignore (probe run_c a);
+          ignore (probe line_c a))
+        warm;
+      List.iter
+        (fun (line0, n, write) ->
+          let code = L2.access_run run_c ~line0 ~n ~write in
+          let hits = ref 0 and wbs = ref 0 in
+          for l = line0 to line0 + n - 1 do
+            let c = probe line_c (l, write) in
+            if c land L2.hit_bit <> 0 then incr hits;
+            if c land L2.writeback_bit <> 0 then incr wbs
+          done;
+          if code lsr L2.run_shift <> !hits || code land ((1 lsl L2.run_shift) - 1) <> !wbs
+          then
+            QCheck.Test.fail_reportf "run %d+%d: access_run hits/wbs %d/%d, per line %d/%d"
+              line0 n (code lsr L2.run_shift)
+              (code land ((1 lsl L2.run_shift) - 1))
+              !hits !wbs)
+        runs;
+      List.for_all (fun a -> probe run_c a = probe line_c a) probes
+      && L2.flush run_c = L2.flush line_c)
+
 let suite =
   [
     Alcotest.test_case "coalesced warp load" `Quick test_coalesced_load;
@@ -321,6 +391,7 @@ let suite =
     Alcotest.test_case "L2 hits" `Quick test_l2_hit;
     Alcotest.test_case "L1 filtering" `Quick test_l1_filter;
     Alcotest.test_case "dirty writeback" `Quick test_writeback;
+    QCheck_alcotest.to_alcotest prop_access_run_equals_access_code;
     Alcotest.test_case "shared bank conflicts" `Quick test_bank_conflicts;
     Alcotest.test_case "replay parameter" `Quick test_replay_param;
     Alcotest.test_case "launch limits" `Quick test_launch_limits;

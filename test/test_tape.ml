@@ -263,6 +263,166 @@ let test_row_allocation_budget () =
         [ true; false ])
     Suite.all
 
+(* ---- fused run plans: [Tape.exec_plan] against [Tape.exec] ----------
+
+   Random SSA tapes built from instruction patterns the planner fuses
+   (left-assoc sums of up to 11 terms, constant factors on either side,
+   [ka*x + kb*y], [x - k*y]) next to plain Neg/Sub/Mul/Div. Operands are
+   drawn from the sources and earlier pattern results, so values are
+   sometimes read twice and must be materialized. The plan runs over
+   [n] lanes at a nonzero [dx]; the reference is [Tape.exec] over the
+   same lanes in 32-lane chunks. Lane counts cross the kernels' unroll
+   tail (0..9) and the 256-lane strip boundary (255..259, 515). *)
+
+let plan_consts = [| 0.125; 0.5; -1.5; 3.0; 0.111 |]
+
+let gen_tape rand =
+  let nsrcs = 1 + QCheck.Gen.int_bound 4 rand in
+  let instrs = ref [] and next = ref nsrcs in
+  (* registers later operands may read: sources and pattern results, not
+     a pattern's internal values, so a fusable pattern always fuses *)
+  let avail = ref (List.init nsrcs Fun.id) in
+  let push ?(pick = true) f =
+    let d = !next in
+    incr next;
+    instrs := f d :: !instrs;
+    if pick then avail := d :: !avail;
+    d
+  in
+  let any () = List.nth !avail (QCheck.Gen.int_bound (List.length !avail - 1) rand) in
+  let konst ?pick () =
+    let v = plan_consts.(QCheck.Gen.int_bound (Array.length plan_consts - 1) rand) in
+    push ?pick (fun dst -> Tape.Const { dst; v })
+  in
+  let kmul ?pick ~kleft x =
+    let k = konst ~pick:false () in
+    push ?pick (fun dst ->
+        if kleft then Tape.Mul { dst; a = k; b = x } else Tape.Mul { dst; a = x; b = k })
+  in
+  let pattern () =
+    match QCheck.Gen.int_bound 8 rand with
+    | 0 ->
+        let a = any () in
+        ignore (push (fun dst -> Tape.Neg { dst; a }))
+    | 1 ->
+        (* left-assoc sum chain of 2..11 terms: sum3/sum4 windows, and
+           from 8 terms on an accumulator register updated in place *)
+        let acc = ref (any ()) in
+        let adds = 1 + QCheck.Gen.int_bound 9 rand in
+        for i = 1 to adds do
+          let a = !acc and b = any () in
+          acc := push ~pick:(i = adds) (fun dst -> Tape.Add { dst; a; b })
+        done
+    | 2 -> ignore (kmul ~kleft:(QCheck.Gen.bool rand) (any ()))
+    | 3 ->
+        let x = kmul ~pick:false ~kleft:true (any ()) in
+        let y = kmul ~pick:false ~kleft:true (any ()) in
+        ignore (push (fun dst -> Tape.Add { dst; a = x; b = y }))
+    | 4 ->
+        let a = any () in
+        let y = kmul ~pick:false ~kleft:true (any ()) in
+        ignore (push (fun dst -> Tape.Sub { dst; a; b = y }))
+    | 5 -> ignore (konst ())
+    | _ ->
+        let a = any () and b = any () in
+        ignore
+          (push (fun dst ->
+               match QCheck.Gen.int_bound 3 rand with
+               | 0 -> Tape.Add { dst; a; b }
+               | 1 -> Tape.Sub { dst; a; b }
+               | 2 -> Tape.Mul { dst; a; b }
+               | _ -> Tape.Div { dst; a; b }))
+  in
+  for _ = 1 to 1 + QCheck.Gen.int_bound 5 rand do
+    pattern ()
+  done;
+  (* usually the last value (whose pass the planner retargets to the
+     output), sometimes any readable register: a source or a constant
+     (copy / const to the output) or a value other passes read *)
+  let result = if QCheck.Gen.int_bound 4 rand = 0 then any () else !next - 1 in
+  Tape.make ~nsrcs ~nregs:!next ~result ~instrs:(Array.of_list (List.rev !instrs))
+
+let plan_lane_counts = [| 0; 1; 2; 3; 4; 5; 6; 7; 8; 9; 255; 256; 257; 259; 515 |]
+
+type plan_case = { tape : Tape.t; n : int; dx : int; seed : int }
+
+let arb_plan_case =
+  QCheck.make
+    ~print:(fun c ->
+      Fmt.str "n=%d dx=%d seed=%d nsrcs=%d result=r%d@.plan: %a" c.n c.dx c.seed
+        c.tape.Tape.nsrcs c.tape.Tape.result Tape.pp_plan (Tape.plan c.tape))
+    (fun rand ->
+      let tape = gen_tape rand in
+      let n = plan_lane_counts.(QCheck.Gen.int_bound (Array.length plan_lane_counts - 1) rand) in
+      { tape; n; dx = 1 + QCheck.Gen.int_bound 6 rand; seed = QCheck.Gen.int_bound 1_000_000 rand })
+
+(* plan-shape witnesses across the whole property run *)
+let plan_kinds_seen = Hashtbl.create 16
+let saw_out_rewrite = ref false
+let saw_inplace_acc = ref false
+
+let note_plan_shape plan =
+  let passes = String.split_on_char ';' (Fmt.str "%a" Tape.pp_plan plan) in
+  List.iteri
+    (fun i pass ->
+      match String.split_on_char ' ' (String.trim pass) with
+      | dst :: "<-" :: call :: _ ->
+          let kind = List.hd (String.split_on_char '(' call) in
+          Hashtbl.replace plan_kinds_seen kind ();
+          (* a materialized value's defining pass, retargeted to the
+             output grid (pending sums and constant factors are emitted
+             to the output directly instead) *)
+          if i = List.length passes - 1 && dst = "out"
+             && List.mem kind [ "neg"; "sub"; "mul"; "div"; "axpby"; "submulc" ]
+          then saw_out_rewrite := true;
+          (* an accumulator pass reads and writes the same register *)
+          if String.equal call (kind ^ "(" ^ dst ^ ",") then saw_inplace_acc := true
+      | _ -> ())
+    passes
+
+let bits_equal (a : float array) (b : float array) =
+  Array.length a = Array.length b
+  && Array.for_all2 (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)) a b
+
+let prop_exec_plan_equals_exec =
+  QCheck.Test.make ~name:"exec_plan = exec in 32-lane chunks, bit for bit" ~count:400
+    arb_plan_case (fun { tape; n; dx; seed } ->
+      let rng = Random.State.make [| seed |] in
+      let margin = 9 in
+      let datas =
+        Array.init tape.Tape.nsrcs (fun _ ->
+            Array.init (n + dx + (2 * margin)) (fun _ ->
+                Random.State.float rng 8.0 -. 4.0))
+      in
+      let bases = Array.init tape.Tape.nsrcs (fun _ -> Random.State.int rng margin) in
+      let out_base = Random.State.int rng margin in
+      let out_len = n + out_base + margin in
+      let plan = Tape.plan tape in
+      note_plan_shape plan;
+      let got = Array.make out_len Float.nan in
+      Tape.exec_plan plan
+        (Array.make (Tape.plan_scratch_words plan) 0.0)
+        ~datas ~bases ~dx ~n ~out:got ~out_base;
+      let want = Array.make out_len Float.nan in
+      let regs = Tape.scratch tape in
+      let c = ref 0 in
+      while !c < n do
+        let m = min Tape.lanes (n - !c) in
+        Tape.exec tape regs ~datas ~bases ~dx:(dx + !c) ~n:m ~out:want
+          ~out_base:(out_base + !c);
+        c := !c + m
+      done;
+      bits_equal got want)
+
+let test_plan_shapes_covered () =
+  List.iter
+    (fun kind ->
+      Alcotest.(check bool) (kind ^ " pass generated") true (Hashtbl.mem plan_kinds_seen kind))
+    [ "const"; "copy"; "neg"; "add"; "sub"; "mul"; "div"; "sum3"; "sum4"; "kmul"; "mulk";
+      "axpby"; "submulc" ];
+  Alcotest.(check bool) "final pass retargeted to out" true !saw_out_rewrite;
+  Alcotest.(check bool) "in-place sum accumulator" true !saw_inplace_acc
+
 let suite =
   [
     Alcotest.test_case "hybrid tape vs ref, suite, jobs 1/2/4" `Quick
@@ -276,4 +436,7 @@ let suite =
       test_sanitizer_disables_memoization;
     Alcotest.test_case "recording fallbacks counted by reason" `Quick test_fallback_paths;
     Alcotest.test_case "warm tape row allocation budget" `Quick test_row_allocation_budget;
+    QCheck_alcotest.to_alcotest prop_exec_plan_equals_exec;
+    Alcotest.test_case "exec_plan property covers every pass kind" `Quick
+      test_plan_shapes_covered;
   ]
