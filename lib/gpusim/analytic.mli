@@ -14,8 +14,9 @@
       lines (line counts invariant), the per-block L1's set mapping is
       rotated bijectively (hit/miss sequence invariant), and shared
       memory events carry base-independent conflict counts. The executor
-      checks this condition and falls back to the exact per-event
-      {!Sim.replay_stream} path when it fails.
+      checks this condition and falls back to exact memoized replay
+      ({!Sim.replay_stream}) when it fails, counting
+      [sim.regime_fallback.unaligned_stride].
     - {b DRAM traffic} depends on the shared cross-block L2 state, which
       a skipped block does not evolve. It is modelled by replaying each
       scaled block's {e compressed trace} — the first-touch-ordered set

@@ -9,8 +9,6 @@ type t = {
   l1 : L2.t;  (** per-SM L1, reset at block boundaries *)
   addr : Addrmap.t;
   mutable launches : launch list;
-  mutable blocks_in_flight : int;
-  epoch : int Atomic.t;  (** bumped per launch; part of {!generation} *)
   blocks_memoized : int Atomic.t;  (** blocks retired by {!replay_stream} *)
   blocks_analytic : int Atomic.t;
       (** blocks retired by analytic class scaling, never instanced *)
@@ -46,8 +44,6 @@ let create (dev : Device.t) =
         ~assoc:4 ~line_bytes:dev.line_bytes;
     addr = Addrmap.create ();
     launches = [];
-    blocks_in_flight = 0;
-    epoch = Atomic.make 0;
     blocks_memoized = Atomic.make 0;
     blocks_analytic = Atomic.make 0;
     tile_classes = Atomic.make 0;
@@ -89,14 +85,7 @@ type shadow = {
   sc : Counters.t;  (** per-domain accumulator, added into [total] at join *)
   sl1 : L2.t;  (** private L1 replica (reset per block, like the real one) *)
   mutable strace : tbuf;  (** current block's L2 trace: (line lsl 1) lor write *)
-  sserial : int;  (** unique per shadow; part of {!generation} *)
 }
-
-(* Unique shadow identities: two chunks of one launch scheduled onto the
-   same domain must still look like different generations to per-chunk
-   memo tables, or memoized-block counts would depend on work-stealing
-   order. *)
-let shadow_serials = Atomic.make 0
 
 let shadow_key : shadow option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
@@ -107,10 +96,6 @@ let shadow t =
   match Domain.DLS.get shadow_key with
   | Some s as o when s.owner == t -> o
   | _ -> None
-
-let generation t =
-  let serial = match shadow t with Some s -> s.sserial | None -> 0 in
-  (Atomic.get t.epoch, serial)
 
 (* ---- address-stream recording ----------------------------------------- *)
 
@@ -491,10 +476,9 @@ let sync t =
    execution, with each global address translated by its region's byte
    delta; line ranges, coalescing and L1/L2 behaviour are recomputed
    from the translated addresses, so the accounting is exact at any
-   alignment. [Compute] events are handed raw to [compute], which owns
-   the translation (it already knows the deltas) and the tape
-   evaluation. *)
-let replay_stream t (s : Tileclass.stream) ~(deltas : int array) ~compute =
+   alignment. [Compute] events are skipped: the caller reproduces the
+   grid writes from the class's compiled rows. *)
+let replay_stream t (s : Tileclass.stream) ~(deltas : int array) =
   Tileclass.iter s ~f:(fun ev ->
       match ev with
       | Tileclass.Gload_run { region; addr; n } ->
@@ -514,8 +498,7 @@ let replay_stream t (s : Tileclass.stream) ~(deltas : int array) ~compute =
           c.shared_store_transactions <- c.shared_store_transactions + transactions
       | Flops { active; per_lane } -> flops_warp t ~active ~per_lane
       | Sync -> sync t
-      | Compute { stmt; tstep; wregion; waddr; sregions; srcs; n } ->
-          compute ~stmt ~tstep ~wregion ~waddr ~sregions ~srcs ~n);
+      | Compute _ -> ());
   Atomic.incr t.blocks_memoized;
   if Obs.enabled () then begin
     Obs.incr "sim.blocks_memoized";
@@ -703,7 +686,6 @@ let run_blocks_parallel t pool ~name ~order ?wave_of ~f () =
                    sc = chunk_counters.(ci);
                    sl1 = domain_l1 t d;
                    strace = d.dt;
-                   sserial = 1 + Atomic.fetch_and_add shadow_serials 1;
                  }
                in
                Domain.DLS.set shadow_key (Some sh);
@@ -767,10 +749,6 @@ let launch ?pool ?post ?wave_of t ~name ~blocks ~threads ~shared_bytes ~f =
     Tl.begin_ ~arg:(float_of_int blocks) "sim.launch";
     Fun.protect ~finally:Tl.end_ @@ fun () ->
     let before = Counters.copy t.total in
-    (* new launch, new generation: tile-class memo tables keyed by
-       {!generation} never leak streams across launches *)
-    Atomic.incr t.epoch;
-    t.blocks_in_flight <- blocks;
     if Sanitize.enabled () then Sanitize.launch_begin ~name;
     let par =
       match pool with
@@ -790,7 +768,6 @@ let launch ?pool ?post ?wave_of t ~name ~blocks ~threads ~shared_bytes ~f =
             if Sanitize.enabled () then Sanitize.block_end ())
           (scrambled blocks));
     if Sanitize.enabled () then Sanitize.launch_end ();
-    t.blocks_in_flight <- 0;
     (* launch epilogue: runs on the main domain (no shadow, counters go
        straight to [t.total], memory events reach the real shared L2)
        after every block has retired but before the launch delta is

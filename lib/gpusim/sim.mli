@@ -28,8 +28,6 @@ type t = {
   l1 : L2.t;  (** per-SM L1 model, reset at block boundaries *)
   addr : Addrmap.t;
   mutable launches : launch list;
-  mutable blocks_in_flight : int;  (** of the current launch *)
-  epoch : int Atomic.t;  (** bumped per launch; part of {!generation} *)
   blocks_memoized : int Atomic.t;
       (** blocks retired by {!replay_stream} instead of live execution *)
   blocks_analytic : int Atomic.t;
@@ -105,12 +103,14 @@ val launch :
     with a full pool join between them, while counter absorption and L2
     trace replay still happen once, in canonical scrambled-position
     order, after the last wave — so waves change scheduling but never
-    results. The hybrid executor uses two waves to publish one
-    representative tile-class recording (wave 0) before every member
-    block replays it (wave 1), without spinning or racing on the shared
-    table. The sequential path ignores [wave_of]: the scrambled order
-    already visits each class's representative first (see
-    {!block_order}).
+    results. The hybrid executor runs every launch in two waves: each
+    tile class's representative runs in wave 0 and publishes its class
+    record (recorded stream, counter delta, compiled rows), and every
+    other block runs in wave 1 by its class's strategy — replaying,
+    skipping for the epilogue to derive, or executing live — without
+    spinning or racing on the shared records. The sequential path
+    ignores [wave_of]: the scrambled order already visits each class's
+    representative first (see {!block_order}).
 
     When {!Hextile_obs.Timeline} recording is enabled, every launch
     emits a ["sim.launch"] slice, and the parallel path additionally
@@ -222,26 +222,14 @@ val record_compute :
 (** Record the functional execution of one statement row (write base and
     per-source base byte addresses); takes ownership of [srcs]. *)
 
-val replay_stream :
-  t ->
-  Tileclass.stream ->
-  deltas:int array ->
-  compute:
-    (stmt:int ->
-    tstep:int ->
-    wregion:int ->
-    waddr:int ->
-    sregions:int array ->
-    srcs:int array ->
-    n:int ->
-    unit) ->
-  unit
-(** Replay a recorded stream with per-region byte deltas added to every
-    global address (line ranges and cache behaviour are recomputed, so
-    the replay is exact). [Compute] events are passed through raw —
-    [compute] translates the addresses itself and runs the statement's
-    tape. Bumps [blocks_memoized] and the [sim.blocks_memoized] /
-    [sim.addr_streams_replayed] Obs counters. *)
+val replay_stream : t -> Tileclass.stream -> deltas:int array -> unit
+(** Replay a recorded stream's memory, flop and barrier events with
+    per-region byte deltas added to every global address (line ranges
+    and cache behaviour are recomputed, so the replay is exact).
+    [Compute] events are skipped: the caller reproduces the block's grid
+    writes itself (the hybrid executor runs the class's compiled rows at
+    the member's word offset). Bumps [blocks_memoized] and the
+    [sim.blocks_memoized] / [sim.addr_streams_replayed] Obs counters. *)
 
 val live_counters : t -> Counters.t
 (** The counter accumulator the calling domain is currently simulating
@@ -253,16 +241,6 @@ val live_counters : t -> Counters.t
     placement-dependent: sequential blocks charge the shared L2 inline
     while pooled blocks defer it to trace replay — so per-block deltas
     are jobs-invariant only outside [dram_read/write_transactions]. *)
-
-val generation : t -> int * int
-(** Identity of (launch, executing chunk): the launch epoch plus the
-    current parallel shadow's unique serial (0 when sequential).
-    Domain-local scratch keyed by this (e.g. the tape engine's compiled
-    scratch rows) is valid for at most one launch on one chunk and can
-    never leak across launches or domains. The shared tile-class memo is
-    {e not} keyed by this any more — it is a per-launch publish-once
-    table with precomputed class representatives, so memoized-block
-    counts are identical across every jobs value. *)
 
 (** {2 Results} *)
 

@@ -531,30 +531,7 @@ let get_scratch words =
     nb
   end
 
-(* Run one statement row through its tape: [n] lanes with per-source flat
-   word bases [src_flats] (tape register order) writing from flat word
-   [wflat]. Shared by the live tape path and [Sim.replay_stream]'s
-   [Compute] events (the replay translates the recorded bases first). *)
-let exec_tape_row ctx ~stmt_idx ~wflat ~src_flats ~n =
-  let c = ctx.compiled.(stmt_idx) in
-  match c.tape with
-  | None -> invalid_arg "Common.exec_tape_row: statement has no tape"
-  | Some tape ->
-      let regs = get_scratch (tape.nregs * Tape.lanes) in
-      let out = c.cwrite.sgrid.data in
-      let i = ref 0 in
-      while !i < n do
-        let nl = min Tape.lanes (n - !i) in
-        Tape.exec tape regs ~datas:c.tdatas ~bases:src_flats ~dx:!i ~n:nl ~out
-          ~out_base:(wflat + !i);
-        i := !i + nl
-      done;
-      Obs.incr
-        ~by:(Tape.length tape * ((n + Tape.lanes - 1) / Tape.lanes))
-        "sim.tape_instrs";
-      ignore (Atomic.fetch_and_add ctx.updates n)
-
-(* Pre-resolved compute rows for the analytic mode's scaled blocks: the
+(* Pre-resolved compute rows for replayed and derived class members: the
    per-row tape/grid/base lookups are paid once per tile class, and
    adjacent recorded rows that continue each other in memory are
    coalesced into long runs executed through the statement's fused

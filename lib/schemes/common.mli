@@ -245,17 +245,8 @@ val iter_box_rows : box -> f:(int array -> unit) -> unit
 (** Iterate over rows: all coordinate prefixes; the callback receives the
     full point with x set to [blo] of the innermost dim. *)
 
-val exec_tape_row :
-  ctx -> stmt_idx:int -> wflat:int -> src_flats:int array -> n:int -> unit
-(** Functional replay of one memoized statement row: run statement
-    [stmt_idx]'s tape over [n] lanes with the given per-source flat word
-    bases (tape register order) writing from flat word [wflat], counting
-    the instances toward [ctx.updates]. Raises [Invalid_argument] if the
-    statement has no tape (recorded streams only contain [Compute]
-    events for tape-executed rows, so replay never hits that case). *)
-
 type crows
-(** Pre-resolved compute rows of one tile class: the analytic mode
+(** Pre-resolved compute rows of one tile class: the hybrid executor
     compiles a representative's recorded [Compute] events once —
     coalescing adjacent same-statement same-tstep rows whose write and
     source bases continue each other exactly into long runs — and

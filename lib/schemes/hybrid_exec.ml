@@ -88,29 +88,41 @@ let align_offsets (t : Hybrid.t) ~reuse =
       Intutil.fmod (-base) 32
   end
 
-(* Tile-class memo state is a per-launch shared read-once/replay-many
-   context, not a per-domain table: class roles and representatives are
-   precomputed against the simulator's canonical block order before the
-   launch, the representative records its stream once (wave 0), and
-   every member block — on whatever domain it lands — replays the
-   published stream with its own translation (wave 1). One recording per
-   class per launch, at every jobs value, with identical memoized-block
-   counts; the wave join is the publication barrier, so no domain ever
-   spins on or races for an unpublished stream. *)
+(* How a launch runs the blocks of a tile class other than its
+   representative. [Replay] replays the representative's recorded stream
+   (memory events) translated to the member, then runs its compiled rows
+   (grid writes) at the member's word offset; [Derive] runs nothing in
+   the launch, the launch epilogue derives the member; [Execute] runs it
+   live. A [Replay] or [Derive] class whose recording was dropped runs
+   its members live. *)
+type member = Execute | Replay | Derive
 
-(* Cross-launch class cache entry (analytic mode): everything needed to
-   derive a block of an equal-signature class in a later launch without
-   re-executing a representative — the recording rep's s0 origin (for the
+(* What deriving a block of a class needs, and what the cross-launch
+   class cache keeps: the recording block's s0 origin (for the
    translation delta), its exact per-block counter delta, its compressed
-   DRAM line runs and its fused-plan compute rows. *)
-type cached_class = {
-  c_s00 : int;
-  c_delta : Counters.t;
-  c_runs : int array;
-  c_crows : Common.crows;
+   DRAM line runs (analytic runs only) and its fused-plan compute
+   rows. *)
+type source = {
+  s00 : int;
+  delta : Counters.t;
+  runs : int array;
+  crows : Common.crows;
 }
 
-let rec gcd a b = if b = 0 then a else gcd b (a mod b)
+(* A representative's publication for its class: written once in wave 0
+   on the representative's domain, read in wave 1 by every member (the
+   wave join orders the two) and by the epilogue. The recorded stream is
+   kept only for [Replay] members; nothing reads it after wave 0
+   otherwise. [points]/[syncs] are the stream's compute lanes and
+   barriers, for the epilogue's model check. *)
+type record = {
+  replay : Tileclass.stream option;
+  points : int;
+  syncs : int;
+  src : source;
+}
+
+type regime = Exact | Memo | Analytic
 
 let run ?pool ?engine ?(analytic = false) ?(name = "hybrid") ?config prog env dev =
   let ctx = Common.make_ctx ?engine prog env dev in
@@ -148,8 +160,10 @@ let run ?pool ?engine ?(analytic = false) ?(name = "hybrid") ?config prog env de
   (* Region table for address-stream memoization: blocks of one launch
      differ only by a translation along s0, so every global address of a
      same-class block is the representative's address plus a per-array
-     byte delta of 4·Δs00·stride0. Bases are read after alignment
-     registration so the deltas see the translated layout. *)
+     byte delta of 4·Δs00·stride0, and every flat word index its index
+     plus Δs00·stride0 (one stride for all arrays, see the regime below).
+     Bases are read after alignment registration so the deltas see the
+     translated layout. *)
   let regions =
     Array.of_list
       (List.map
@@ -181,23 +195,32 @@ let run ?pool ?engine ?(analytic = false) ?(name = "hybrid") ?config prog env de
     done;
     !r
   in
-  let memo_ok = ctx.engine = Common.Tape && not (Sanitize.enabled ()) in
-  (* Analytic (hierarchical) mode additionally needs the class
-     translation to be a cache-bijection: one shared s0 stride across
-     every array region, moving same-class blocks by a whole number of
-     128 B lines. Then coalescing runs, the per-block L1's set mapping
-     and all shared-memory counts are translation-invariant, so a class
-     member's counter delta equals its representative's bit for bit and
-     population scaling is exact (see Gpusim.Analytic). When the
-     condition fails — 1D programs (stride 1) or extents not divisible
-     by 32 — the run silently degrades to the exact per-block memo
-     path. *)
-  let uniform_stride =
-    Array.length stride0s > 0
-    && Array.for_all (fun s -> s = stride0s.(0)) stride0s
-    && 4 * stride0s.(0) mod dev.Device.line_bytes = 0
+  (* The launch regime, chosen once per run. Memoized replay moves a
+     representative's compiled rows to a member by one word offset, so it
+     needs one s0 stride shared by every array region. Analytic
+     derivation also needs that stride to move same-class blocks by a
+     whole number of 128 B lines: then coalescing runs, the per-block
+     L1's set mapping and all shared-memory counts are
+     translation-invariant, so a class member's counter delta equals its
+     representative's bit for bit and population scaling is exact (see
+     Gpusim.Analytic). The reference engine and the sanitizer need
+     per-lane events, which no recording can hold. Each fallback from
+     the requested regime is counted under
+     [sim.regime_fallback.<reason>]. *)
+  let stride0 = stride0s.(0) in
+  let regime =
+    if ctx.engine <> Common.Tape || Sanitize.enabled () then Exact
+    else if not (Array.for_all (( = ) stride0) stride0s) then begin
+      Obs.incr "sim.regime_fallback.unequal_stride";
+      Exact
+    end
+    else if not analytic then Memo
+    else if 4 * stride0 mod dev.Device.line_bytes <> 0 then begin
+      Obs.incr "sim.regime_fallback.unaligned_stride";
+      Memo
+    end
+    else Analytic
   in
-  let analytic_on = analytic && memo_ok && uniform_stride in
   (* Cross-launch class cache: classes recur across launches. Two blocks
      (of any launch) whose clip vectors match and whose [u0] agree modulo
      [k · lcm(folds)] run the same statement at every hexagon row with
@@ -214,7 +237,7 @@ let run ?pool ?engine ?(analytic = false) ?(name = "hybrid") ?config prog env de
     * List.fold_left
         (fun acc (d : Stencil.array_decl) ->
           match d.fold with
-          | Some f when f > 0 -> acc * f / gcd acc f
+          | Some f when f > 0 -> Intutil.lcm acc f
           | _ -> acc)
         1 prog.arrays
   in
@@ -223,7 +246,7 @@ let run ?pool ?engine ?(analytic = false) ?(name = "hybrid") ?config prog env de
     s.(0) <- Intutil.fmod key.(0) sig_mod;
     s
   in
-  let cls_cache : (int array, cached_class) Hashtbl.t = Hashtbl.create 64 in
+  let cls_cache : (int array, source) Hashtbl.t = Hashtbl.create 64 in
   let stmts = ctx.stmts in
   (* register tiling: reads whose cell was read (or produced) by the
      previous unrolled iteration along the sweep direction stay in
@@ -534,7 +557,30 @@ let run ?pool ?engine ?(analytic = false) ?(name = "hybrid") ?config prog env de
            "%s: analytic class model mismatch: %d syncs recorded, %d expected"
            lname syncs exp_syncs)
   in
-  (* host loop: time tiles x phases *)
+  (* The compute rows of a recorded stream, as (statement, tstep, write
+     flat index, source flat indices, lanes), with the stream's compute
+     lanes and barriers. *)
+  let rows_of_stream stream =
+    let rows = ref [] and points = ref 0 and syncs = ref 0 in
+    let flat region addr = (addr - rbases.(region)) / 4 in
+    Tileclass.iter stream ~f:(function
+      | Tileclass.Compute { stmt; tstep; wregion; waddr; sregions; srcs; n } ->
+          points := !points + n;
+          let sf = Array.mapi (fun i s -> flat sregions.(i) s) srcs in
+          rows := (stmt, tstep, flat wregion waddr, sf, n) :: !rows
+      | Tileclass.Sync -> incr syncs
+      | _ -> ());
+    (List.rev !rows, !points, !syncs)
+  in
+  (* Host loop: time tiles x phases. Every launch takes one path: classify
+     its blocks in canonical order; in wave 0 each class's representative
+     runs (outside the exact regime it records its stream, counter delta
+     and compiled rows into the class's record); in wave 1 every other
+     block follows its class's member strategy; in the analytic regime
+     the launch epilogue then derives the [Derive] blocks. The plan, the
+     strategies and the cache hits are fixed before the launch and the
+     wave join publishes the records, so every jobs value runs the same
+     blocks the same way. *)
   let launch_phase ~tt ~phase =
     (* does any u of this phase's tiles fall in the domain? *)
     let u0, _ = Hex_schedule.tile_origin t.hs ~phase ~tt ~s_tile:0 in
@@ -574,395 +620,168 @@ let run ?pool ?engine ?(analytic = false) ?(name = "hybrid") ?config prog env de
           if dims = 1 then ignore (process_tile ~u0 ~s00 ~cls ~prev:None)
           else loop 0
         in
-        if analytic_on then begin
-          (* ---- analytic (hierarchical) launch --------------------------
-             Enumerate every block's class up front without executing
-             anything; instance-execute one recording representative per
-             class whose signature the cross-launch cache has not seen,
-             and derive everything else in the launch epilogue's
-             three-stage fast path: (1) counters by population scaling of
-             the representative's exact delta, (2) DRAM by batched
-             sorted-line-run replay through the shared L2 in canonical
-             block order (sequential — the L2 is order-sensitive state),
-             (3) grids by bulk fused-plan blits of the representative's
-             coalesced compute rows at each member's word offset
-             (parallel — disjoint writes, commutative counters). The
-             live set and the cache's evolution are fixed before the
-             launch, so everything derived is identical at every --jobs
-             value. *)
-          let keytbl : (int array, int) Hashtbl.t = Hashtbl.create 16 in
-          let nclasses = ref 0 in
-          let rkeys = ref [] and rreps = ref [] in
-          let role = Array.make blocks (-1) in
-          for b = 0 to blocks - 1 do
-            let u0b, s00 = origin_of b in
-            let key = class_key ~u0:u0b ~s00 in
-            match Hashtbl.find_opt keytbl key with
-            | Some cid -> role.(b) <- cid
-            | None ->
-                let cid = !nclasses in
-                incr nclasses;
-                Hashtbl.add keytbl key cid;
-                rkeys := key :: !rkeys;
-                rreps := b :: !rreps;
-                role.(b) <- cid
-          done;
-          let nclasses = !nclasses in
-          let ckey = Array.of_list (List.rev !rkeys) in
-          let crep = Array.of_list (List.rev !rreps) in
-          let members = Array.make nclasses [] in
-          for b = blocks - 1 downto 0 do
-            if crep.(role.(b)) <> b then
-              members.(role.(b)) <- b :: members.(role.(b))
-          done;
-          (* a class is scaled when it is interior (no s0 clipping
-             anywhere) and has members beyond its representative;
-             clipped classes are singletons within a launch (a positive
-             clip pins s00), so only interior classes have members *)
-          let scaled =
-            Array.init nclasses (fun cid ->
-                members.(cid) <> []
-                &&
-                let key = ckey.(cid) in
-                let ok = ref true in
-                for i = 1 to Array.length key - 1 do
-                  if key.(i) > 0 then ok := false
-                done;
-                !ok)
-          in
-          let csig = Array.init nclasses (fun cid -> sig_of_key ckey.(cid)) in
-          let chit =
-            Array.init nclasses (fun cid -> Hashtbl.find_opt cls_cache csig.(cid))
-          in
-          let nhits =
-            Array.fold_left
-              (fun a h -> if Option.is_some h then a + 1 else a)
-              0 chit
-          in
-          if nhits > 0 then Obs.incr ~by:nhits "sim.class_cache_hits";
-          let rep_stream = Array.make nclasses None in
-          let rep_delta = Array.make nclasses None in
-          let post () =
-            let ep0 = Unix.gettimeofday () in
-            ignore (Atomic.fetch_and_add ctx.sim.tile_classes nclasses);
-            Obs.incr ~by:nclasses "sim.tile_classes";
-            (* --- stage 1 (parallel): per-class derivation prep ---
-               Compress each fresh recording into its sorted DRAM line
-               runs and fused-plan compute rows, and count its stream's
-               compute lanes and syncs for the closed-form model check.
-               Pure per-class work; results are absorbed in class-id
-               order below, so the cache and counters evolve identically
-               at every jobs value. *)
-            let fresh =
-              Array.of_list
-                (List.filter
-                   (fun cid -> Option.is_some rep_stream.(cid))
-                   (List.init nclasses (fun cid -> cid)))
-            in
-            let prep cid =
-              let stream = Option.get rep_stream.(cid) in
-              let runs =
-                Analytic.compress_lines
-                  (Analytic.lines_of_stream stream
-                     ~line_bytes:dev.Device.line_bytes)
-              in
-              let rows = ref [] and points = ref 0 and syncs = ref 0 in
-              Tileclass.iter stream ~f:(function
-                | Tileclass.Compute
-                    { stmt; tstep; wregion; waddr; sregions; srcs; n } ->
-                    points := !points + n;
-                    let wflat = (waddr - rbases.(wregion)) / 4 in
-                    let sf =
-                      Array.mapi
-                        (fun i s -> (s - rbases.(sregions.(i))) / 4)
-                        srcs
-                    in
-                    rows := (stmt, tstep, wflat, sf, n) :: !rows
-                | Tileclass.Sync -> incr syncs
-                | _ -> ());
-              let crows = Common.compile_rows ctx (List.rev !rows) in
-              (runs, crows, !points, !syncs)
-            in
-            let preps =
-              match pool with
-              | Some p when Par.jobs p > 1 && Array.length fresh > 1 ->
-                  Par.map p prep fresh
-              | _ -> Array.map prep fresh
-            in
-            (* absorb: validate, publish to the cross-launch cache, and
-               pick the derivation source for every class *)
-            let deriv = Array.make nclasses None in
-            Array.iteri
-              (fun i cid ->
-                let runs, crows, points, syncs = preps.(i) in
-                check_class ~lname ~key:ckey.(cid) ~points ~syncs;
-                let _, rep_s00 = origin_of crep.(cid) in
-                if not (Hashtbl.mem cls_cache csig.(cid)) then
-                  Hashtbl.add cls_cache csig.(cid)
-                    {
-                      c_s00 = rep_s00;
-                      c_delta = Option.get rep_delta.(cid);
-                      c_runs = runs;
-                      c_crows = crows;
-                    };
-                if scaled.(cid) then
-                  (* fresh rep ran live: derive the members only *)
-                  deriv.(cid) <- Some (runs, crows, rep_s00, false))
-              fresh;
-            for cid = 0 to nclasses - 1 do
-              match chit.(cid) with
-              | Some c ->
-                  (* cached signature: derive every block, rep included *)
-                  deriv.(cid) <- Some (c.c_runs, c.c_crows, c.c_s00, true)
-              | None -> ()
-            done;
-            (* counters: population-scale each derived class's delta *)
-            let nderived = ref 0 in
-            for cid = 0 to nclasses - 1 do
-              match deriv.(cid) with
-              | Some (_, _, _, with_rep) ->
-                  let m =
-                    List.length members.(cid) + if with_rep then 1 else 0
-                  in
-                  let delta =
-                    match chit.(cid) with
-                    | Some c -> c.c_delta
-                    | None -> Option.get rep_delta.(cid)
-                  in
-                  Analytic.scale_into ctx.sim.total ~delta ~times:m;
-                  nderived := !nderived + m
-              | None -> ()
-            done;
-            (* invalidated recordings (a per-lane fallback row): run the
-               members live in the epilogue — exact, just not scaled *)
-            for cid = 0 to nclasses - 1 do
-              if
-                scaled.(cid)
-                && Option.is_none chit.(cid)
-                && Option.is_none rep_stream.(cid)
-              then
-                List.iter
-                  (fun b ->
-                    let u0b, s00 = origin_of b in
-                    L2.reset ctx.sim.l1;
-                    exec_block ~u0:u0b ~s00)
-                  members.(cid)
-            done;
-            let t1 = Unix.gettimeofday () in
-            ctx.sim.analytic_derive_s <-
-              ctx.sim.analytic_derive_s +. (t1 -. ep0);
-            (* --- stage 2 (sequential): batched DRAM line replay ---
-               The shared L2 is order-sensitive state: replay every
-               derived block's translated line runs in the simulator's
-               canonical block order, on the main domain only. *)
-            if !nderived > 0 then begin
-              Tl.begin_ ~arg:(float_of_int !nderived) "sim.analytic_dram";
-              Array.iter
-                (fun b ->
-                  let cid = role.(b) in
-                  match deriv.(cid) with
-                  | Some (runs, _, src_s00, with_rep)
-                    when with_rep || crep.(cid) <> b ->
-                      let _, s00 = origin_of b in
-                      let ds = s00 - src_s00 in
-                      Analytic.replay_line_runs ctx.sim runs
-                        ~dline:(ds * stride0s.(0) * 4 / dev.Device.line_bytes)
-                  | _ -> ())
-                (Sim.block_order ~blocks);
-              Tl.end_ ()
-            end;
-            let t2 = Unix.gettimeofday () in
-            ctx.sim.analytic_dram_s <- ctx.sim.analytic_dram_s +. (t2 -. t1);
-            (* --- stage 3 (parallel): bulk grid reconstruction ---
-               Derived blocks write disjoint grid cells and the run
-               counters are commutative atomics, so the flattened
-               (class, block) blit tasks fan out over the pool with
-               bit-identical grids at every jobs value. *)
-            let gtasks = ref [] in
-            for cid = nclasses - 1 downto 0 do
-              match deriv.(cid) with
-              | Some (_, crows, src_s00, with_rep) ->
-                  let push b =
-                    let _, s00 = origin_of b in
-                    gtasks :=
-                      (crows, (s00 - src_s00) * stride0s.(0)) :: !gtasks
-                  in
-                  List.iter push members.(cid);
-                  if with_rep then push crep.(cid)
-              | None -> ()
-            done;
-            let gtasks = Array.of_list !gtasks in
-            if Array.length gtasks > 0 then begin
-              Tl.begin_
-                ~arg:(float_of_int (Array.length gtasks))
-                "sim.analytic_grids";
-              let run_task (crows, off) = Common.exec_rows ctx crows ~off in
-              (match pool with
-              | Some p when Par.jobs p > 1 && Array.length gtasks > 1 ->
-                  Par.iter p run_task gtasks
-              | _ -> Array.iter run_task gtasks);
-              Tl.end_ ()
-            end;
-            ignore (Atomic.fetch_and_add ctx.sim.blocks_analytic !nderived);
-            Obs.incr ~by:!nderived "sim.blocks_analytic";
-            let t3 = Unix.gettimeofday () in
-            ctx.sim.analytic_grids_s <-
-              ctx.sim.analytic_grids_s +. (t3 -. t2);
-            ctx.sim.analytic_epilogue_s <-
-              ctx.sim.analytic_epilogue_s +. (t3 -. ep0)
-          in
-          Sim.launch ?pool ~post ctx.sim ~name:lname ~blocks
-            ~threads:config.threads ~shared_bytes:0
-            ~f:(fun b ->
-              let u0b, s00 = origin_of b in
-              let cid = role.(b) in
-              if Option.is_some chit.(cid) then
-                (* cached class: every block derived in the epilogue *)
-                ()
-              else if crep.(cid) = b then begin
-                (* fresh representative: record the stream and capture
-                   the block's exact counter delta (the active
-                   accumulator is only mutated by this domain) *)
-                let before = Counters.copy (Sim.live_counters ctx.sim) in
-                Sim.record_begin ctx.sim ~region_of;
-                (match exec_block ~u0:u0b ~s00 with
-                | () -> rep_stream.(cid) <- Sim.record_end ctx.sim
-                | exception e ->
-                    ignore (Sim.record_end ctx.sim);
-                    raise e);
-                rep_delta.(cid) <-
-                  Some (Counters.diff (Sim.live_counters ctx.sim) before)
-              end
-              else if scaled.(cid) then
-                (* scaled member — derived in the epilogue *)
-                ()
-              else exec_block ~u0:u0b ~s00)
-        end
-        else if not memo_ok then
-          Sim.launch ?pool ctx.sim ~name:lname ~blocks ~threads:config.threads
-            ~shared_bytes:0
-            ~f:(fun b ->
+        let plan =
+          Classplan.classify ~blocks ~key:(fun b ->
               let u0, s00 = origin_of b in
-              exec_block ~u0 ~s00)
-        else begin
-          (* ---- memoized (tape) launch ---------------------------------
-             Classify every block against the simulator's canonical
-             scrambled order, so each class's representative is the
-             first block of the class to execute at jobs=1 — and, via
-             the wave split below, the recording exists before any
-             member runs at every jobs value. The publish-once [pub]
-             array is the shared read-once/replay-many context: written
-             by the representative's domain during wave 0, read by
-             every member during wave 1 (the wave join orders the two). *)
-          let order = Sim.block_order ~blocks in
-          let keytbl : (int array, int) Hashtbl.t = Hashtbl.create 16 in
-          let role = Array.make blocks (-1) in
-          let rreps = ref [] and nclasses = ref 0 in
+              class_key ~u0 ~s00)
+        in
+        let nclasses = Classplan.classes plan in
+        let cached =
+          Array.map
+            (fun key ->
+              if regime = Analytic then Hashtbl.find_opt cls_cache (sig_of_key key)
+              else None)
+            plan.key
+        in
+        let nhits =
+          Array.fold_left (fun a c -> if Option.is_some c then a + 1 else a) 0 cached
+        in
+        if nhits > 0 then Obs.incr ~by:nhits "sim.class_cache_hits";
+        (* analytic runs derive the members of interior classes (no s0
+           clipping anywhere); clipped classes are singletons within a
+           launch (a positive clip pins s00) *)
+        let member =
+          Array.map
+            (fun key ->
+              match regime with
+              | Exact -> Execute
+              | Memo -> Replay
+              | Analytic ->
+                  let clips = Array.sub key 1 (Array.length key - 1) in
+                  if Array.exists (fun c -> c > 0) clips then Execute else Derive)
+            plan.key
+        in
+        let records = Array.make nclasses None in
+        let record cid ~u0 ~s00 =
+          (* the active accumulator is only mutated by this domain *)
+          let before = Counters.copy (Sim.live_counters ctx.sim) in
+          Sim.record_begin ctx.sim ~region_of;
+          match exec_block ~u0 ~s00 with
+          | exception e ->
+              ignore (Sim.record_end ctx.sim);
+              raise e
+          | () ->
+              let delta = Counters.diff (Sim.live_counters ctx.sim) before in
+              Sim.record_end ctx.sim
+              |> Option.map (fun stream ->
+                     let rows, points, syncs = rows_of_stream stream in
+                     let runs =
+                       if regime <> Analytic then [||]
+                       else
+                         Analytic.compress_lines
+                           (Analytic.lines_of_stream stream
+                              ~line_bytes:dev.Device.line_bytes)
+                     in
+                     let crows = Common.compile_rows ctx rows in
+                     let replay = if member.(cid) = Replay then Some stream else None in
+                     { replay; points; syncs; src = { s00; delta; runs; crows } })
+        in
+        let run_block b =
+          let u0, s00 = origin_of b in
+          let cid = plan.role.(b) in
+          if Option.is_some cached.(cid) then ()
+          else if plan.rep.(cid) = b && regime <> Exact then
+            records.(cid) <- record cid ~u0 ~s00
+          else
+            match (member.(cid), records.(cid)) with
+            | Replay, Some { replay = Some stream; src; _ } ->
+                let ds = s00 - src.s00 in
+                Sim.replay_stream ctx.sim stream
+                  ~deltas:(Array.make (Array.length regions) (4 * ds * stride0));
+                Common.exec_rows ctx src.crows ~off:(ds * stride0)
+            | Derive, Some _ -> ()
+            | _ -> exec_block ~u0 ~s00
+        in
+        (* Analytic epilogue: check and publish the fresh records in
+           class-id order, then derive every [Derive] block — counters by
+           population scaling of its source's exact delta, DRAM by
+           sorted-line-run replay through the shared L2 in canonical block
+           order (sequential: the L2 is order-sensitive state), grids by
+           fused-plan blits of its source's compute rows at the block's
+           word offset (parallel: disjoint writes, commutative
+           counters). *)
+        let derive () =
+          let ep0 = Unix.gettimeofday () in
+          ignore (Atomic.fetch_and_add ctx.sim.tile_classes nclasses);
+          Obs.incr ~by:nclasses "sim.tile_classes";
+          Array.iteri
+            (fun cid r ->
+              Option.iter
+                (fun r ->
+                  check_class ~lname ~key:plan.key.(cid) ~points:r.points
+                    ~syncs:r.syncs;
+                  let s = sig_of_key plan.key.(cid) in
+                  if not (Hashtbl.mem cls_cache s) then Hashtbl.add cls_cache s r.src)
+                r)
+            records;
+          (* each derived class's source and derived blocks: a cache hit
+             derives its representative too *)
+          let derived =
+            Array.init nclasses (fun cid ->
+                match (cached.(cid), member.(cid), records.(cid)) with
+                | Some src, _, _ -> Some (src, plan.rep.(cid) :: plan.members.(cid))
+                | None, Derive, Some r -> Some (r.src, plan.members.(cid))
+                | _ -> None)
+          in
+          let nderived = ref 0 in
           Array.iter
-            (fun b ->
-              let u0b, s00 = origin_of b in
-              let key = class_key ~u0:u0b ~s00 in
-              match Hashtbl.find_opt keytbl key with
-              | Some cid -> role.(b) <- cid
-              | None ->
-                  let cid = !nclasses in
-                  incr nclasses;
-                  Hashtbl.add keytbl key cid;
-                  rreps := b :: !rreps;
-                  role.(b) <- cid)
-            order;
-          let crep = Array.of_list (List.rev !rreps) in
-          let rep_s00 = Array.map (fun b -> snd (origin_of b)) crep in
-          let pub :
-              (Tileclass.stream * Common.crows option) option array =
-            Array.make !nclasses None
+            (Option.iter (fun (src, bs) ->
+                 let m = List.length bs in
+                 Analytic.scale_into ctx.sim.total ~delta:src.delta ~times:m;
+                 nderived := !nderived + m))
+            derived;
+          let t1 = Unix.gettimeofday () in
+          ctx.sim.analytic_derive_s <- ctx.sim.analytic_derive_s +. (t1 -. ep0);
+          if !nderived > 0 then begin
+            Tl.begin_ ~arg:(float_of_int !nderived) "sim.analytic_dram";
+            Array.iter
+              (fun b ->
+                let cid = plan.role.(b) in
+                match derived.(cid) with
+                | Some (src, _)
+                  when Option.is_some cached.(cid) || plan.rep.(cid) <> b ->
+                    let _, s00 = origin_of b in
+                    Analytic.replay_line_runs ctx.sim src.runs
+                      ~dline:((s00 - src.s00) * stride0 * 4 / dev.Device.line_bytes)
+                | _ -> ())
+              (Sim.block_order ~blocks);
+            Tl.end_ ()
+          end;
+          let t2 = Unix.gettimeofday () in
+          ctx.sim.analytic_dram_s <- ctx.sim.analytic_dram_s +. (t2 -. t1);
+          let gtasks =
+            Array.of_list
+              (List.concat_map
+                 (function
+                   | None -> []
+                   | Some (src, bs) ->
+                       List.map
+                         (fun b ->
+                           let _, s00 = origin_of b in
+                           (src.crows, (s00 - src.s00) * stride0))
+                         bs)
+                 (Array.to_list derived))
           in
-          let noop ~stmt:_ ~tstep:_ ~wregion:_ ~waddr:_ ~sregions:_ ~srcs:_
-              ~n:_ =
-            ()
-          in
-          Sim.launch ?pool ctx.sim ~name:lname ~blocks ~threads:config.threads
-            ~shared_bytes:0
-            ~wave_of:(fun b -> if crep.(role.(b)) = b then 0 else 1)
-            ~f:(fun b ->
-              let u0b, s00 = origin_of b in
-              let cid = role.(b) in
-              if crep.(cid) = b then begin
-                Sim.record_begin ctx.sim ~region_of;
-                match exec_block ~u0:u0b ~s00 with
-                | () -> (
-                    match Sim.record_end ctx.sim with
-                    | Some stream ->
-                        (* under a uniform stride, compile the stream's
-                           compute rows once per class: members then
-                           replay memory events with a no-op callback
-                           and run the compiled rows at a word offset,
-                           with no per-event closure work or boxing *)
-                        let crows =
-                          if not uniform_stride then None
-                          else begin
-                            let rows = ref [] in
-                            Tileclass.iter stream ~f:(function
-                              | Tileclass.Compute
-                                  {
-                                    stmt;
-                                    tstep;
-                                    wregion;
-                                    waddr;
-                                    sregions;
-                                    srcs;
-                                    n;
-                                  } ->
-                                  let wflat = (waddr - rbases.(wregion)) / 4 in
-                                  let sf =
-                                    Array.mapi
-                                      (fun i s ->
-                                        (s - rbases.(sregions.(i))) / 4)
-                                      srcs
-                                  in
-                                  rows := (stmt, tstep, wflat, sf, n) :: !rows
-                              | _ -> ());
-                            Some (Common.compile_rows ctx (List.rev !rows))
-                          end
-                        in
-                        pub.(cid) <- Some (stream, crows)
-                    | None -> ())
-                | exception e ->
-                    ignore (Sim.record_end ctx.sim);
-                    raise e
-              end
-              else
-                match pub.(cid) with
-                | Some (stream, crows) -> (
-                    let ds = s00 - rep_s00.(cid) in
-                    let deltas = Array.map (fun st -> 4 * ds * st) stride0s in
-                    match crows with
-                    | Some crows ->
-                        Sim.replay_stream ctx.sim stream ~deltas ~compute:noop;
-                        Common.exec_rows ctx crows ~off:(ds * stride0s.(0))
-                    | None ->
-                        Sim.replay_stream ctx.sim stream ~deltas
-                          ~compute:(fun
-                              ~stmt ~tstep:_ ~wregion ~waddr ~sregions ~srcs ~n
-                            ->
-                            let wflat =
-                              (waddr + deltas.(wregion) - rbases.(wregion)) / 4
-                            in
-                            let src_flats =
-                              Array.init (Array.length srcs) (fun i ->
-                                  (srcs.(i) + deltas.(sregions.(i))
-                                  - rbases.(sregions.(i)))
-                                  / 4)
-                            in
-                            Common.exec_tape_row ctx ~stmt_idx:stmt ~wflat
-                              ~src_flats ~n))
-                | None ->
-                    (* the representative's recording was invalidated (a
-                       per-lane fallback row): members run live — same
-                       counters, nothing memoized, and no domain ever
-                       re-attempts the recording *)
-                    exec_block ~u0:u0b ~s00)
-        end
+          if Array.length gtasks > 0 then begin
+            Tl.begin_ ~arg:(float_of_int (Array.length gtasks)) "sim.analytic_grids";
+            let run_task (crows, off) = Common.exec_rows ctx crows ~off in
+            (match pool with
+            | Some p when Par.jobs p > 1 && Array.length gtasks > 1 ->
+                Par.iter p run_task gtasks
+            | _ -> Array.iter run_task gtasks);
+            Tl.end_ ()
+          end;
+          ignore (Atomic.fetch_and_add ctx.sim.blocks_analytic !nderived);
+          Obs.incr ~by:!nderived "sim.blocks_analytic";
+          let t3 = Unix.gettimeofday () in
+          ctx.sim.analytic_grids_s <- ctx.sim.analytic_grids_s +. (t3 -. t2);
+          ctx.sim.analytic_epilogue_s <- ctx.sim.analytic_epilogue_s +. (t3 -. ep0)
+        in
+        Sim.launch ?pool ctx.sim ~name:lname ~blocks ~threads:config.threads
+          ~shared_bytes:0
+          ?post:(if regime = Analytic then Some derive else None)
+          ~wave_of:(fun b -> if Classplan.is_rep plan b then 0 else 1)
+          ~f:run_block
       end
     end
   in

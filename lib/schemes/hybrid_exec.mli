@@ -73,14 +73,23 @@ val run :
     per interior tile class, derives every other interior block's
     counters by population scaling ({!Hextile_gpusim.Analytic}), models
     their DRAM traffic by compressed-trace L2 replay, and reproduces
-    their grid writes with a compute-only tape replay — falling back to
-    full instance execution for boundary-clipped classes. Counters are
-    bit-identical to the exact simulator except the two DRAM fields,
-    whose relative error is bounded by
-    {!Hextile_gpusim.Analytic.dram_error_bound}. The mode silently
-    degrades to the exact memoized path when the program's regions do
-    not share a single line-aligned s0 stride (the condition under which
-    class translation is a cache bijection), or when the [Ref] engine or
-    the sanitizer is active; [Common.result.blocks_analytic] reports how
-    many blocks were scaled. Results remain bit-identical across
-    [--jobs] values. *)
+    their grid writes with a compute-only tape replay — running
+    boundary-clipped classes, and the members of any class whose
+    recording was dropped, live. Counters are bit-identical to the exact
+    simulator except the two DRAM fields, whose relative error is
+    bounded by {!Hextile_gpusim.Analytic.dram_error_bound}; a run that
+    derives no block equals the exact run bit for bit.
+    [Common.result.blocks_analytic] reports how many blocks were
+    derived.
+
+    Without [analytic], blocks of a class other than its representative
+    replay the representative's recorded stream ([blocks_memoized]).
+    Either mode needs the [Tape] engine without the sanitizer, and
+    otherwise runs every block live. A run that cannot take the mode it
+    asked for falls back and counts the reason in an Obs counter:
+    [sim.regime_fallback.unequal_stride] when the arrays do not share
+    one s0 stride (every block then runs live), and
+    [sim.regime_fallback.unaligned_stride] when an analytic run's shared
+    stride is not a whole number of cache lines, the condition under
+    which class translation is a cache bijection (the run memoizes
+    instead). Results remain bit-identical across [--jobs] values. *)

@@ -183,6 +183,47 @@ let test_analytic_jobs_deterministic () =
         [ 2; 4 ])
     Suite.table3
 
+(* A class whose recording is dropped (a per-lane copy-out warp under
+   strategy b, a hazard statement in strip2d) derives nothing: its
+   members run live in the launch, in canonical block order like every
+   other live block. With no block derived, the analytic run must equal
+   the exact run bit for bit — grids and every counter, DRAM included —
+   at every jobs value. *)
+let test_dropped_recordings_exact () =
+  let strategy_b =
+    {
+      (Hybrid_exec.default_config Suite.heat2d) with
+      strategy = Hybrid_exec.strategy_of_step 'b';
+    }
+  in
+  List.iter
+    (fun (label, prog, config, env) ->
+      let e x = List.assoc x env in
+      let exact = Hybrid_exec.run ?config prog e dev in
+      List.iter
+        (fun jobs ->
+          Par.with_pool ~jobs (fun pool ->
+              let r = Hybrid_exec.run ~pool ~analytic:true ?config prog e dev in
+              let label = Fmt.str "%s/jobs%d" label jobs in
+              if grids_sig exact <> grids_sig r then
+                Alcotest.failf "%s: grids differ from the exact run" label;
+              Alcotest.(check (list (pair string int)))
+                (label ^ ": counters")
+                (Counters.to_assoc exact.counters)
+                (Counters.to_assoc r.counters);
+              Alcotest.(check int) (label ^ ": updates") exact.updates r.updates;
+              Alcotest.(check int)
+                (label ^ ": no analytic blocks")
+                0 r.blocks_analytic))
+        [ 1; 2; 4 ])
+    [
+      ( "heat2d strategy b",
+        Suite.heat2d,
+        Some strategy_b,
+        [ ("N", 384); ("T", 16) ] );
+      ("strip2d", Test_tape.strip2d, None, [ ("N", 64); ("T", 16) ]);
+    ]
+
 let suite =
   [
     Alcotest.test_case "dram error bound value" `Quick test_bound_value;
@@ -192,6 +233,8 @@ let suite =
       test_fallback_exact;
     Alcotest.test_case "analytic grids = reference interpreter" `Quick
       test_analytic_vs_reference;
+    Alcotest.test_case "dropped recordings: analytic = exact" `Quick
+      test_dropped_recordings_exact;
     Alcotest.test_case "fuzzed programs: analytic = exact" `Slow
       test_fuzzed_programs;
     Alcotest.test_case "analytic: bit-identical at jobs 1/2/4" `Slow

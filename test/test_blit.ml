@@ -3,8 +3,8 @@
    [Common.exec_rows] — which sorts the rows, coalesces contiguous
    same-(statement, tstep) extents into long runs and executes them
    through the statement's fused tape plan — must reproduce, bit for
-   bit, the exact per-row replay ([Common.exec_tape_row], the PR-7 path)
-   on randomized class extents: randomly segmented rows (adjacent
+   bit, the exact per-row replay ([exec_row_ref] below) on randomized
+   class extents: randomly segmented rows (adjacent
    segments must merge), randomly gapped and clipped boundary rows (gaps
    break contiguity, so those rows must take the single-row fallback),
    and randomly shuffled within-tstep input order (the internal sort
@@ -17,6 +17,42 @@ module Suite = Hextile_stencils.Suite
 module Device = Hextile_gpusim.Device
 
 let n_env = 32
+
+(* The reference: each row evaluated lane by lane straight from the
+   statement's right-hand side, source [i] being the [i]-th of
+   [Stencil.distinct_reads] (the tape's register order) at flat word
+   [src_flats.(i)], counting the instances toward [ctx.updates]. *)
+let exec_row_ref (ctx : Common.ctx) ~stmt_idx ~wflat ~src_flats ~n =
+  let s = ctx.Common.stmts.(stmt_idx) in
+  let reads = Array.of_list (Stencil.distinct_reads s) in
+  let data (a : Stencil.access) = (Grid.find ctx.Common.grids a.array).Grid.data in
+  let src a =
+    let i = ref 0 in
+    while reads.(!i) <> a do
+      incr i
+    done;
+    (data a, src_flats.(!i))
+  in
+  let out = data s.write in
+  for j = 0 to n - 1 do
+    let rec eval : Stencil.fexpr -> float = function
+      | Read a ->
+          let d, base = src a in
+          d.(base + j)
+      | Fconst v -> v
+      | Neg e -> -.eval e
+      | Bin (op, l, r) -> (
+          let a = eval l in
+          let b = eval r in
+          match op with
+          | Add -> a +. b
+          | Sub -> a -. b
+          | Mul -> a *. b
+          | Div -> a /. b)
+    in
+    out.(wflat + j) <- eval s.rhs
+  done;
+  ignore (Atomic.fetch_and_add ctx.Common.updates n)
 
 let env p = List.assoc p [ ("N", n_env); ("T", 8) ]
 
@@ -119,8 +155,7 @@ let prop_blit_equals_row_replay =
         let ctx_ref = Common.make_ctx prog env dev in
         List.iter
           (fun (stmt_idx, _tstep, wflat, srcs, n) ->
-            Common.exec_tape_row ctx_ref ~stmt_idx ~wflat
-              ~src_flats:(Array.copy srcs) ~n)
+            exec_row_ref ctx_ref ~stmt_idx ~wflat ~src_flats:srcs ~n)
           rows;
         (* blit path: sort + coalesce + fused-plan runs *)
         let ctx_blit = Common.make_ctx prog env dev in

@@ -235,6 +235,50 @@ for (t = 0; t < T; t++)
   let r = Hybrid_exec.run prog env Device.gtx470 in
   check_against_reference "e2e" r prog env
 
+(* Class plans against their definition: equal keys share a class,
+   ids count classes in order of first appearance in the simulator's
+   block order, the representative is the class's first block in that
+   order, and the members are the class's other blocks, ascending. Keys
+   mimic a launch: interior blocks share one key, the two boundary
+   blocks get their own. *)
+let test_classplan () =
+  List.iter
+    (fun blocks ->
+      let key b =
+        if b = 0 then [| 0; 1 |]
+        else if b = blocks - 1 then [| 0; -1 |]
+        else [| b mod 3; 0 |]
+      in
+      let p = Classplan.classify ~blocks ~key in
+      let order = Array.to_list (Sim.block_order ~blocks) in
+      let keys =
+        List.fold_left
+          (fun ks b -> if List.mem (key b) ks then ks else ks @ [ key b ])
+          [] order
+      in
+      let label = Fmt.str "blocks=%d" blocks in
+      Alcotest.(check int) (label ^ ": classes") (List.length keys) (Classplan.classes p);
+      List.iteri
+        (fun cid k ->
+          let label = Fmt.str "%s, class %d" label cid in
+          let rep = List.find (fun b -> key b = k) order in
+          let in_class = List.filter (fun b -> key b = k) (List.init blocks Fun.id) in
+          Alcotest.(check (array int)) (label ^ ": key") k p.key.(cid);
+          Alcotest.(check int) (label ^ ": rep") rep p.rep.(cid);
+          Alcotest.(check (list int))
+            (label ^ ": members")
+            (List.filter (( <> ) rep) in_class)
+            p.members.(cid);
+          List.iter
+            (fun b ->
+              Alcotest.(check int) (Fmt.str "%s: role of %d" label b) cid p.role.(b);
+              Alcotest.(check bool)
+                (Fmt.str "%s: is_rep %d" label b)
+                (b = rep) (Classplan.is_rep p b))
+            in_class)
+        keys)
+    [ 1; 2; 3; 7; 30; 64 ]
+
 let suite =
   [
     Alcotest.test_case "par4all correct on all benchmarks" `Slow test_par4all_all;
@@ -258,4 +302,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_split_random_sizes;
     Alcotest.test_case "end-to-end: C source -> hybrid -> verified" `Quick
       test_end_to_end_from_source;
+    Alcotest.test_case "class plan: canonical-order classes" `Quick test_classplan;
   ]

@@ -159,7 +159,11 @@ let test_sanitizer_disables_memoization () =
    Table 3 shapes record cleanly, a statement whose read aliases its
    write storage at another cell drops every recording as a hazard, a
    write-back copy-out with a descending warp drops it as per-lane, and
-   the reference engine and the overlapped schemes never record. *)
+   the reference engine and the overlapped schemes never record. A run
+   whose regime falls back is counted once under its reason too: an
+   analytic run whose shared s0 stride is not a whole number of cache
+   lines memoizes instead, and a run whose arrays do not share one s0
+   stride runs exact. *)
 let strip2d =
   match
     Hextile_frontend.Front.parse_string ~name:"strip2d"
@@ -173,6 +177,22 @@ for (t = 0; t < T; t++)
   | Ok p -> p
   | Error m -> Alcotest.failf "parse strip2d: %s" m
 
+(* Arrays with different s0 strides (N and N+4 floats per row). *)
+let unequal_extents =
+  match
+    Hextile_frontend.Front.parse_string ~name:"unequal_extents"
+      {|float A[2][N][N];
+float B[N][N+4];
+for (t = 0; t < T; t++)
+  for (i = 1; i < N - 1; i++)
+    for (j = 1; j < N - 1; j++)
+      A[(t+1)%2][i][j] = 0.25f * (A[t%2][i][j] + A[t%2][i-1][j]
+          + A[t%2][i+1][j] + B[i][j+4]);
+|}
+  with
+  | Ok p -> p
+  | Error m -> Alcotest.failf "parse unequal_extents: %s" m
+
 (* the nonzero fallback counters (reason, count) and the memoized block
    count of one run *)
 let fallbacks run =
@@ -182,10 +202,20 @@ let fallbacks run =
   let counts =
     List.filter_map
       (fun why ->
-        match Obs.counter ("sim.recordings_invalidated." ^ why) with
+        match
+          Obs.counter ("sim.recordings_invalidated." ^ why)
+          + Obs.counter ("sim.regime_fallback." ^ why)
+        with
         | 0 -> None
         | n -> Some (why, n))
-      [ "per_lane"; "overlay"; "hazard"; "region" ]
+      [
+        "per_lane";
+        "overlay";
+        "hazard";
+        "region";
+        "unaligned_stride";
+        "unequal_stride";
+      ]
   in
   Obs.reset ();
   (counts, (r : Common.result).blocks_memoized)
@@ -219,11 +249,35 @@ let test_fallback_paths () =
         [ "per_lane" ],
         false );
       ("hybrid heat2d, ref", (fun () -> hybrid ~engine:Common.Ref Suite.heat2d env), [], false);
+      ( "hybrid heat2d N=48, analytic",
+        (fun () ->
+          Hybrid_exec.run ~analytic:true Suite.heat2d
+            (fun p -> List.assoc p [ ("N", 48); ("T", 8) ])
+            Device.gtx470),
+        [ "unaligned_stride" ],
+        true );
+      ( "hybrid unequal extents, tape",
+        (fun () -> hybrid ~engine:Common.Tape unequal_extents env),
+        [ "unequal_stride" ],
+        false );
       ( "overtile heat2d, tape",
         (fun () -> Overtile.run ~engine:Common.Tape Suite.heat2d env Device.gtx470),
         [],
         false );
     ]
+
+(* The unequal-stride fallback runs exact: right grids, nothing
+   memoized. *)
+let test_unequal_stride_exact () =
+  let env p = List.assoc p [ ("N", 64); ("T", 16) ] in
+  let r = hybrid ~engine:Common.Tape unequal_extents env in
+  Alcotest.(check int) "no memoized blocks" 0 r.blocks_memoized;
+  let reference = Interp.run unequal_extents env in
+  Hashtbl.iter
+    (fun aname g ->
+      if not (Grid.equal g (Grid.find reference aname)) then
+        Alcotest.failf "array %s differs from Interp.run" aname)
+    r.grids
 
 (* A warm tape-path row allocates a fixed handful of words (the option
    boxes of optional arguments; 4 words when written) whatever the
@@ -435,6 +489,7 @@ let suite =
     Alcotest.test_case "sanitizer forces uncached execution" `Quick
       test_sanitizer_disables_memoization;
     Alcotest.test_case "recording fallbacks counted by reason" `Quick test_fallback_paths;
+    Alcotest.test_case "unequal strides run exact" `Quick test_unequal_stride_exact;
     Alcotest.test_case "warm tape row allocation budget" `Quick test_row_allocation_budget;
     QCheck_alcotest.to_alcotest prop_exec_plan_equals_exec;
     Alcotest.test_case "exec_plan property covers every pass kind" `Quick
