@@ -12,7 +12,7 @@ let dram_error_bound = 0.5
    base-independent. So a class member's delta equals its
    representative's delta field-for-field, and population scaling is
    bit-exact. The DRAM pair depends on the shared cross-block L2 state
-   and is modelled by {!replay_lines} instead. *)
+   and is modelled by {!replay_line_runs} instead. *)
 let scale_into (into : Counters.t) ~(delta : Counters.t) ~times =
   if times < 0 then invalid_arg "Analytic.scale_into: negative times";
   let k = times in
@@ -26,18 +26,9 @@ let scale_into (into : Counters.t) ~(delta : Counters.t) ~times =
     into.l2_read_transactions + (k * delta.l2_read_transactions);
   into.l2_write_transactions <-
     into.l2_write_transactions + (k * delta.l2_write_transactions);
-  into.shared_load_requests <-
-    into.shared_load_requests + (k * delta.shared_load_requests);
-  into.shared_load_transactions <-
-    into.shared_load_transactions + (k * delta.shared_load_transactions);
-  into.shared_store_requests <-
-    into.shared_store_requests + (k * delta.shared_store_requests);
-  into.shared_store_transactions <-
-    into.shared_store_transactions + (k * delta.shared_store_transactions);
   into.serial_store_transactions <-
     into.serial_store_transactions + (k * delta.serial_store_transactions);
-  into.flops <- into.flops + (k * delta.flops);
-  into.syncs <- into.syncs + (k * delta.syncs)
+  Counters.add_invariant into delta ~times:k
 
 (* First-touch-ordered distinct lines of a recorded stream, encoded as
    [(line lsl 1) lor write] — the same encoding as the parallel path's L2
@@ -70,7 +61,7 @@ let lines_of_stream (s : Tileclass.stream) ~line_bytes =
         Array.iter (fun a -> touch ~write:false (a / line_bytes)) addrs
     | Gstore_lanes { addrs; _ } ->
         Array.iter (fun a -> touch ~write:true (a / line_bytes)) addrs
-    | Shared_load _ | Shared_store _ | Flops _ | Sync | Compute _ -> ());
+    | Compute _ -> ());
   let arr = Array.make !n 0 in
   List.iteri (fun i enc -> arr.(!n - 1 - i) <- enc) !out;
   arr
@@ -121,7 +112,7 @@ let compress_lines (lines : int array) =
 (* Replay a translated line-run trace through the shared L2 with one
    {!L2.access_run} probe per run, charging t.total's DRAM counters with
    the aggregated miss/writeback counts — per-line cache semantics
-   identical to {!replay_lines}, in run order. Must run on the main
+   identical to [Sim.replay_l2]'s, in run order. Must run on the main
    domain (launch epilogue). *)
 let replay_line_runs (t : Sim.t) runs ~dline =
   let c = t.Sim.total in
@@ -140,26 +131,3 @@ let replay_line_runs (t : Sim.t) runs ~dline =
     nlines := !nlines + n
   done;
   ignore (Atomic.fetch_and_add t.Sim.analytic_replay_lines !nlines)
-
-(* Touch a translated compressed trace through the shared L2, charging
-   t.total's DRAM counters exactly like [Sim.replay_l2] does for full
-   traces. Must run on the main domain (launch epilogue). *)
-let replay_lines (t : Sim.t) lines ~dline =
-  let c = t.Sim.total in
-  let lb = t.Sim.dev.Device.line_bytes in
-  Array.iter
-    (fun enc ->
-      let addr = ((enc lsr 1) + dline) * lb in
-      if enc land 1 = 1 then begin
-        let o = L2.access t.Sim.l2 ~addr ~write:true in
-        if o.writeback then
-          c.dram_write_transactions <- c.dram_write_transactions + 1
-      end
-      else begin
-        let o = L2.access t.Sim.l2 ~addr ~write:false in
-        if not o.hit then
-          c.dram_read_transactions <- c.dram_read_transactions + 1;
-        if o.writeback then
-          c.dram_write_transactions <- c.dram_write_transactions + 1
-      end)
-    lines

@@ -3,12 +3,12 @@
 
     The hybrid executor partitions each launch's blocks into tile
     classes (equal [Hybrid_exec.class_key] ⇒ identical event streams up
-    to a per-region byte translation of [4·Δs00·stride0]). The analytic
-    mode instance-executes one representative per interior class plus
+    to one word offset [Δs00·stride0], shared by every array). The
+    analytic mode instance-executes one representative per interior class plus
     every boundary-clipped block, and derives the remaining blocks:
 
     - {b Per-block counters} scale bit-exactly by class population
-      ({!scale_into}) whenever every array region shares one s0 stride
+      ({!scale_into}) whenever every array shares one s0 stride
       and the translation is a whole number of cache lines
       ([4·stride0 mod line_bytes = 0]): coalescing runs shift by whole
       lines (line counts invariant), the per-block L1's set mapping is
@@ -21,9 +21,9 @@
       a skipped block does not evolve. It is modelled by replaying each
       scaled block's {e compressed trace} — the first-touch-ordered set
       of distinct lines it loads/stores ({!lines_of_stream}), translated
-      by the block's line delta — through the real shared L2
-      ({!replay_lines}). This keeps compulsory misses, inter-block halo
-      reuse and eviction pressure, and drops only the repeated accesses
+      by the block's line delta and sorted into line runs — through
+      the real shared L2 ({!replay_line_runs}). This keeps compulsory
+      misses, inter-block halo reuse and eviction pressure, and drops only the repeated accesses
       that the block's own cache residency would absorb; the residual
       error against the exact simulator is bounded by
       {!dram_error_bound} (asserted, not just logged, by
@@ -45,11 +45,6 @@ val lines_of_stream : Tileclass.stream -> line_bytes:int -> int array
     encoded [(line lsl 1) lor write] (one entry per line per direction) —
     the scaled blocks' compressed L2 trace. *)
 
-val replay_lines : Sim.t -> int array -> dline:int -> unit
-(** Replay a compressed trace shifted by [dline] lines through the
-    shared L2, charging DRAM counters like the exact trace replay. Call
-    only from a launch epilogue on the main domain. *)
-
 val compress_lines : int array -> int array
 (** Sorted line-run form of a {!lines_of_stream} trace: reads then
     writes, each sorted by line and coalesced into maximal consecutive
@@ -61,6 +56,6 @@ val compress_lines : int array -> int array
 val replay_line_runs : Sim.t -> int array -> dline:int -> unit
 (** Replay a {!compress_lines} trace shifted by [dline] lines through
     the shared L2 with one {!L2.access_run} probe per run — per-line
-    cache and DRAM-counter semantics identical to {!replay_lines}, in
-    run order. Counts the probed lines toward
+    cache and DRAM-counter semantics identical to the exact simulator's
+    L2 trace replay, in run order. Counts the probed lines toward
     [sim.analytic_replay_lines]. Main-domain only (launch epilogue). *)

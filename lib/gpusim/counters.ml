@@ -63,6 +63,20 @@ let add acc x =
   acc.syncs <- acc.syncs + x.syncs;
   acc.kernels <- acc.kernels + x.kernels
 
+(* The counts a uniform s0 translation of a block cannot change:
+   shared-memory requests and bank-conflict transactions (shared
+   addresses are tile-relative or shift uniformly, which rotates the
+   bank assignment), flops and barriers. *)
+let add_invariant acc d ~times =
+  acc.shared_load_requests <- acc.shared_load_requests + (times * d.shared_load_requests);
+  acc.shared_load_transactions <-
+    acc.shared_load_transactions + (times * d.shared_load_transactions);
+  acc.shared_store_requests <- acc.shared_store_requests + (times * d.shared_store_requests);
+  acc.shared_store_transactions <-
+    acc.shared_store_transactions + (times * d.shared_store_transactions);
+  acc.flops <- acc.flops + (times * d.flops);
+  acc.syncs <- acc.syncs + (times * d.syncs)
+
 let diff now before =
   {
     gld_inst = now.gld_inst - before.gld_inst;

@@ -30,6 +30,12 @@ val copy : t -> t
 val add : t -> t -> unit
 (** [add acc x] accumulates [x] into [acc]. *)
 
+val add_invariant : t -> t -> times:int -> unit
+(** [add_invariant acc d ~times] adds [times × d] to the counters a
+    uniform translation of a block leaves unchanged: shared-memory
+    requests and transactions, [flops] and [syncs]. Replay and analytic
+    scaling take these from a class representative's delta. *)
+
 val diff : t -> t -> t
 (** [diff now before] — per-launch deltas. *)
 

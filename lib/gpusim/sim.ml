@@ -99,19 +99,16 @@ let shadow t =
 
 (* ---- address-stream recording ----------------------------------------- *)
 
-(* While a recording is active on the current domain, every batched warp
-   event is appended to the stream (with global addresses classified into
-   array regions). Per-lane warp events carry information the stream
-   cannot represent (arbitrary option arrays, sanitizer thread ids), so
-   they invalidate the recording instead — a missing stream only costs
-   the memoization, never correctness. *)
+(* While a recording is active on the current domain, every batched
+   global memory event and every compute row is appended to the stream;
+   shared-memory, flop and barrier events are not (their counts do not
+   change under translation, see {!replay_stream}). Per-lane warp events
+   carry information the stream cannot represent (arbitrary option
+   arrays, sanitizer thread ids), so they invalidate the recording
+   instead — a missing stream only costs the memoization, never
+   correctness. *)
 
-type recording = {
-  rowner : t;
-  rstream : Tileclass.stream;
-  region_of : int -> int;  (** byte address -> region id, or negative *)
-  mutable rvalid : bool;
-}
+type recording = { rowner : t; rstream : Tileclass.stream; mutable rvalid : bool }
 
 let record_key : recording option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
@@ -120,9 +117,9 @@ let recording_active t =
   | Some r -> r.rowner == t && r.rvalid
   | None -> false
 
-let record_begin t ~region_of =
+let record_begin t =
   Domain.DLS.set record_key
-    (Some { rowner = t; rstream = Tileclass.create (); region_of; rvalid = true })
+    (Some { rowner = t; rstream = Tileclass.create (); rvalid = true })
 
 let record_end t =
   match Domain.DLS.get record_key with
@@ -131,36 +128,29 @@ let record_end t =
       if r.rvalid then Some r.rstream else None
   | _ -> None
 
-type fallback = Per_lane | Overlay | Hazard | Region
+type fallback = Per_lane | Overlay | Hazard
 
 (* Each invalidated recording counts once, under its first reason. *)
-let invalidate r why =
-  if r.rvalid then begin
-    r.rvalid <- false;
-    Obs.incr
-      (match why with
-      | Per_lane -> "sim.recordings_invalidated.per_lane"
-      | Overlay -> "sim.recordings_invalidated.overlay"
-      | Hazard -> "sim.recordings_invalidated.hazard"
-      | Region -> "sim.recordings_invalidated.region")
-  end
-
 let record_invalidate t why =
   match Domain.DLS.get record_key with
-  | Some r when r.rowner == t -> invalidate r why
+  | Some r when r.rowner == t && r.rvalid ->
+      r.rvalid <- false;
+      Obs.incr
+        (match why with
+        | Per_lane -> "sim.recordings_invalidated.per_lane"
+        | Overlay -> "sim.recordings_invalidated.overlay"
+        | Hazard -> "sim.recordings_invalidated.hazard")
   | _ -> ()
 
-let record_compute t ~stmt ~tstep ~waddr ~srcs ~n =
+(* Callers test [recording_active] first, so no event is allocated when
+   nothing records. *)
+let record t ev =
   match Domain.DLS.get record_key with
-  | Some r when r.rowner == t && r.rvalid ->
-      let wregion = r.region_of waddr in
-      let sregions = Array.map r.region_of srcs in
-      if wregion < 0 || Array.exists (fun x -> x < 0) sregions then
-        invalidate r Region
-      else
-        Tileclass.push r.rstream
-          (Compute { stmt; tstep; wregion; waddr; sregions; srcs; n })
+  | Some r when r.rowner == t && r.rvalid -> Tileclass.push r.rstream ev
   | _ -> ()
+
+let record_compute t ~stmt ~tstep ~wflat ~srcs ~n =
+  record t (Compute { stmt; tstep; wflat; srcs; n })
 
 let active addrs =
   Array.fold_left (fun n a -> if a = None then n else n + 1) 0 addrs
@@ -265,12 +255,7 @@ let global_load_run t ~addr ~n =
     for line = hi downto lo do
       load_line t sh c line
     done;
-    match Domain.DLS.get record_key with
-    | Some r when r.rowner == t && r.rvalid ->
-        let region = r.region_of addr in
-        if region < 0 then invalidate r Region
-        else Tileclass.push r.rstream (Gload_run { region; addr; n })
-    | _ -> ()
+    if recording_active t then record t (Gload_run { addr; n })
   end
 
 let global_store_run ?(serial = false) t ~addr ~n =
@@ -283,12 +268,7 @@ let global_store_run ?(serial = false) t ~addr ~n =
     for line = hi downto lo do
       store_line t sh c ~serial line
     done;
-    match Domain.DLS.get record_key with
-    | Some r when r.rowner == t && r.rvalid ->
-        let region = r.region_of addr in
-        if region < 0 then invalidate r Region
-        else Tileclass.push r.rstream (Gstore_run { region; addr; n; serial })
-    | _ -> ()
+    if recording_active t then record t (Gstore_run { addr; n; serial })
   end
 
 (* Nondecreasing lane addresses: adjacent dedup of the backwards walk
@@ -331,23 +311,12 @@ let gstore_lanes_off ~serial t addrs off =
 
 let global_load_lanes t addrs =
   gload_lanes_off t addrs 0;
-  if Array.length addrs > 0 then
-    match Domain.DLS.get record_key with
-    | Some r when r.rowner == t && r.rvalid ->
-        let region = r.region_of addrs.(0) in
-        if region < 0 then invalidate r Region
-        else Tileclass.push r.rstream (Gload_lanes { region; addrs })
-    | _ -> ()
+  if Array.length addrs > 0 && recording_active t then record t (Gload_lanes { addrs })
 
 let global_store_lanes ?(serial = false) t addrs =
   gstore_lanes_off ~serial t addrs 0;
-  if Array.length addrs > 0 then
-    match Domain.DLS.get record_key with
-    | Some r when r.rowner == t && r.rvalid ->
-        let region = r.region_of addrs.(0) in
-        if region < 0 then invalidate r Region
-        else Tileclass.push r.rstream (Gstore_lanes { region; addrs; serial })
-    | _ -> ()
+  if Array.length addrs > 0 && recording_active t then
+    record t (Gstore_lanes { addrs; serial })
 
 (* Bank conflicts: transactions = max over banks of the number of distinct
    words requested in that bank (same word broadcast counts once). *)
@@ -396,21 +365,12 @@ let shared_store_warp ?(replay = 1) ?tids t addrs =
    addresses. Strictly ascending lane arrays hold distinct words, so the
    per-bank distinct-word count is a plain population count. *)
 
-let record_shared t ~write ~transactions =
-  match Domain.DLS.get record_key with
-  | Some r when r.rowner == t && r.rvalid ->
-      Tileclass.push r.rstream
-        (if write then Shared_store { transactions }
-         else Shared_load { transactions })
-  | _ -> ()
-
 let shared_load_run ?(replay = 1) t ~n =
   if n > 0 then begin
     let c = counters_of t in
     c.shared_load_requests <- c.shared_load_requests + 1;
     let tx = replay * max 1 ((n + t.dev.banks - 1) / t.dev.banks) in
-    c.shared_load_transactions <- c.shared_load_transactions + tx;
-    record_shared t ~write:false ~transactions:tx
+    c.shared_load_transactions <- c.shared_load_transactions + tx
   end
 
 let shared_store_run ?(replay = 1) t ~n =
@@ -418,8 +378,7 @@ let shared_store_run ?(replay = 1) t ~n =
     let c = counters_of t in
     c.shared_store_requests <- c.shared_store_requests + 1;
     let tx = replay * max 1 ((n + t.dev.banks - 1) / t.dev.banks) in
-    c.shared_store_transactions <- c.shared_store_transactions + tx;
-    record_shared t ~write:true ~transactions:tx
+    c.shared_store_transactions <- c.shared_store_transactions + tx
   end
 
 let bank_tx_lanes dev addrs =
@@ -440,8 +399,7 @@ let shared_load_lanes ?(replay = 1) t addrs =
     let c = counters_of t in
     c.shared_load_requests <- c.shared_load_requests + 1;
     let tx = replay * max 1 (bank_tx_lanes t.dev addrs) in
-    c.shared_load_transactions <- c.shared_load_transactions + tx;
-    record_shared t ~write:false ~transactions:tx
+    c.shared_load_transactions <- c.shared_load_transactions + tx
   end
 
 let shared_store_lanes ?(replay = 1) t addrs =
@@ -449,56 +407,38 @@ let shared_store_lanes ?(replay = 1) t addrs =
     let c = counters_of t in
     c.shared_store_requests <- c.shared_store_requests + 1;
     let tx = replay * max 1 (bank_tx_lanes t.dev addrs) in
-    c.shared_store_transactions <- c.shared_store_transactions + tx;
-    record_shared t ~write:true ~transactions:tx
+    c.shared_store_transactions <- c.shared_store_transactions + tx
   end
 
 let flops_warp t ~active ~per_lane =
   if active > 0 then begin
     let c = counters_of t in
-    c.flops <- c.flops + (active * per_lane);
-    match Domain.DLS.get record_key with
-    | Some r when r.rowner == t && r.rvalid ->
-        Tileclass.push r.rstream (Flops { active; per_lane })
-    | _ -> ()
+    c.flops <- c.flops + (active * per_lane)
   end
 
 let sync t =
   if Sanitize.enabled () then Sanitize.barrier ();
   let c = counters_of t in
-  c.syncs <- c.syncs + 1;
-  match Domain.DLS.get record_key with
-  | Some r when r.rowner == t && r.rvalid -> Tileclass.push r.rstream Sync
-  | _ -> ()
+  c.syncs <- c.syncs + 1
 
 (* Replay a recorded stream for another block of the same tile class:
    memory events run through the same (shadow-aware) machinery as live
-   execution, with each global address translated by its region's byte
-   delta; line ranges, coalescing and L1/L2 behaviour are recomputed
+   execution, with every global address moved by the member's [off]
+   words; line ranges, coalescing and L1/L2 behaviour are recomputed
    from the translated addresses, so the accounting is exact at any
-   alignment. [Compute] events are skipped: the caller reproduces the
-   grid writes from the class's compiled rows. *)
-let replay_stream t (s : Tileclass.stream) ~(deltas : int array) =
-  Tileclass.iter s ~f:(fun ev ->
-      match ev with
-      | Tileclass.Gload_run { region; addr; n } ->
-          global_load_run t ~addr:(addr + deltas.(region)) ~n
-      | Gstore_run { region; addr; n; serial } ->
-          global_store_run ~serial t ~addr:(addr + deltas.(region)) ~n
-      | Gload_lanes { region; addrs } -> gload_lanes_off t addrs deltas.(region)
-      | Gstore_lanes { region; addrs; serial } ->
-          gstore_lanes_off ~serial t addrs deltas.(region)
-      | Shared_load { transactions } ->
-          let c = counters_of t in
-          c.shared_load_requests <- c.shared_load_requests + 1;
-          c.shared_load_transactions <- c.shared_load_transactions + transactions
-      | Shared_store { transactions } ->
-          let c = counters_of t in
-          c.shared_store_requests <- c.shared_store_requests + 1;
-          c.shared_store_transactions <- c.shared_store_transactions + transactions
-      | Flops { active; per_lane } -> flops_warp t ~active ~per_lane
-      | Sync -> sync t
-      | Compute _ -> ());
+   alignment. The translation-invariant counts come from the
+   representative's [delta] as plain additions. [Compute] events are
+   skipped: the caller reproduces the grid writes from the class's
+   compiled rows. *)
+let replay_stream t (s : Tileclass.stream) ~delta ~off =
+  let db = 4 * off in
+  Tileclass.iter s ~f:(function
+    | Tileclass.Gload_run { addr; n } -> global_load_run t ~addr:(addr + db) ~n
+    | Gstore_run { addr; n; serial } -> global_store_run ~serial t ~addr:(addr + db) ~n
+    | Gload_lanes { addrs } -> gload_lanes_off t addrs db
+    | Gstore_lanes { addrs; serial } -> gstore_lanes_off ~serial t addrs db
+    | Compute _ -> ());
+  Counters.add_invariant (counters_of t) delta ~times:1;
   Atomic.incr t.blocks_memoized;
   if Obs.enabled () then begin
     Obs.incr "sim.blocks_memoized";

@@ -181,10 +181,12 @@ val shared_store_lanes : ?replay:int -> t -> int array -> unit
 
     The hybrid executor records one representative block per tile class
     with {!record_begin}/{!record_end} and replays the stream for the
-    other blocks of the class with {!replay_stream}, translating global
-    addresses by per-region byte deltas. Only the batched events above
-    (plus {!flops_warp}, {!sync} and {!record_compute}) are recordable.
-    Anything else invalidates the recording, and the class's other
+    other blocks of the class with {!replay_stream}, moving every global
+    address by one word offset. The stream holds the batched global
+    events above and the {!record_compute} rows; the batched shared
+    events, {!flops_warp} and {!sync} are not recorded, because their
+    counts do not change under translation. A per-lane warp event, an
+    overlay row or a hazard statement invalidates the recording, and the class's other
     blocks then run live — same counters, nothing memoized. Each
     invalidated recording is counted once, under its first
     {!fallback} reason, in the Obs counter
@@ -197,12 +199,9 @@ type fallback =
   | Hazard
       (** [hazard]: a statement whose reads alias its write slot at
           another cell, executed lane by lane without a tape *)
-  | Region  (** [region]: a global address outside every array region *)
 
-val record_begin : t -> region_of:(int -> int) -> unit
-(** Start recording the current domain's events. [region_of] classifies
-    a global byte address into the replay delta index (negative =
-    unclassifiable, which invalidates the recording). *)
+val record_begin : t -> unit
+(** Start recording the current domain's events. *)
 
 val record_end : t -> Tileclass.stream option
 (** Stop recording; [None] if the recording was invalidated. *)
@@ -212,24 +211,21 @@ val record_invalidate : t -> fallback -> unit
 (** Invalidate the current domain's recording, if one is active. *)
 
 val record_compute :
-  t ->
-  stmt:int ->
-  tstep:int ->
-  waddr:int ->
-  srcs:int array ->
-  n:int ->
-  unit
-(** Record the functional execution of one statement row (write base and
-    per-source base byte addresses); takes ownership of [srcs]. *)
+  t -> stmt:int -> tstep:int -> wflat:int -> srcs:int array -> n:int -> unit
+(** Record the functional execution of one statement row (write and
+    per-source flat word indices of its first lane); takes ownership of
+    [srcs]. *)
 
-val replay_stream : t -> Tileclass.stream -> deltas:int array -> unit
-(** Replay a recorded stream's memory, flop and barrier events with
-    per-region byte deltas added to every global address (line ranges
-    and cache behaviour are recomputed, so the replay is exact).
-    [Compute] events are skipped: the caller reproduces the block's grid
-    writes itself (the hybrid executor runs the class's compiled rows at
-    the member's word offset). Bumps [blocks_memoized] and the
-    [sim.blocks_memoized] / [sim.addr_streams_replayed] Obs counters. *)
+val replay_stream : t -> Tileclass.stream -> delta:Counters.t -> off:int -> unit
+(** Replay a recorded stream's global memory events with [4·off] bytes
+    added to every address ([off] is the member's word offset; line
+    ranges and cache behaviour are recomputed, so the replay is exact),
+    then add the translation-invariant counters of the representative's
+    [delta] once ({!Counters.add_invariant}). [Compute] events are
+    skipped: the caller reproduces the block's grid writes itself (the
+    hybrid executor runs the class's compiled rows at the same word
+    offset). Bumps [blocks_memoized] and the [sim.blocks_memoized] /
+    [sim.addr_streams_replayed] (global memory events) Obs counters. *)
 
 val live_counters : t -> Counters.t
 (** The counter accumulator the calling domain is currently simulating

@@ -1,48 +1,44 @@
 (** Recorded warp-event streams for tile-class memoization.
 
-    A {!stream} is the complete event sequence of one representative
-    block of a hybrid launch, with global byte addresses tagged by the
-    array region they fall in. [Sim.replay_stream] replays it for
-    another block of the same class by adding a per-region byte delta to
-    every global address and recomputing coalescing/cache behaviour from
-    the translated addresses — nothing cache-related is memoized, so the
-    replay is exact at any alignment. Shared-memory events carry only
-    their transaction counts: shared addresses are tile-relative
-    (identical across a class) or shifted uniformly, and a uniform shift
-    rotates the bank assignment without changing the conflict count.
+    A {!stream} holds what a translation moves in one representative
+    block of a hybrid launch: its global memory events, at byte
+    addresses, and its compute rows, at flat word indices. A class
+    member is the representative moved by one word offset
+    ([Δs00·stride0], one s0 stride shared by every array), so
+    [Sim.replay_stream] replays the memory events with [4·offset] added
+    to every address and recomputes coalescing/cache behaviour from the
+    translated addresses — nothing cache-related is memoized, so the
+    replay is exact at any alignment. Shared-memory accesses, flops and
+    barriers are not recorded: their counts are translation-invariant
+    (shared addresses are tile-relative or shift uniformly, which
+    rotates the bank assignment without changing the conflict count),
+    and replay adds them from the representative's counter delta.
 
     Streams are recorded by [Sim.record_begin]/[record_end] and consumed
     by [Sim.replay_stream]; the hybrid executor owns the per-class memo
     table. *)
 
 type ev =
-  | Gload_run of { region : int; addr : int; n : int }
+  | Gload_run of { addr : int; n : int }
       (** coalesced load of [n] consecutive words at byte [addr] *)
-  | Gstore_run of { region : int; addr : int; n : int; serial : bool }
-  | Gload_lanes of { region : int; addrs : int array }
+  | Gstore_run of { addr : int; n : int; serial : bool }
+  | Gload_lanes of { addrs : int array }
       (** ascending per-lane byte addresses (gapped copy-in rows) *)
-  | Gstore_lanes of { region : int; addrs : int array; serial : bool }
-  | Shared_load of { transactions : int }
-  | Shared_store of { transactions : int }
-  | Flops of { active : int; per_lane : int }
-  | Sync
-  | Compute of {
-      stmt : int;
-      tstep : int;
-      wregion : int;
-      waddr : int;
-      sregions : int array;
-      srcs : int array;
-      n : int;
-    }
+  | Gstore_lanes of { addrs : int array; serial : bool }
+  | Compute of { stmt : int; tstep : int; wflat : int; srcs : int array; n : int }
+      (** one statement row: write and per-source flat word indices of
+          the row's first lane, and its lane count *)
 
 type stream
 
 val create : unit -> stream
 val push : stream -> ev -> unit
-val length : stream -> int
 
 val mem_events : stream -> int
-(** Memory events only (the [sim.addr_streams_replayed] unit). *)
+(** Global memory events only (the [sim.addr_streams_replayed] unit). *)
 
 val iter : stream -> f:(ev -> unit) -> unit
+
+val rows : stream -> (int * int * int * int array * int) list
+(** The [Compute] rows in stream order, as [Common.compile_rows] takes
+    them: [(stmt, tstep, wflat, srcs, n)]. *)

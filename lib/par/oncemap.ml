@@ -15,7 +15,9 @@
    identity), which the domain-local memo tables this module replaces
    also guaranteed.
 
-   Stats: every [find] bumps a per-table hit or miss atomic. The counts
+   Stats: every [find] bumps a per-table hit or miss atomic, and every
+   [publish] that finds its probe window full bumps an uncached atomic
+   (the value was handed back unpublished). The counts
    are scheduling-dependent (two domains racing on a cold key both
    miss), so they are observability data, never inputs to any computed
    result — the determinism contract covers results, not stats. Tables
@@ -34,8 +36,10 @@ type ('k, 'v) t = {
   probe : int;  (** max linear-probe window before giving up *)
   hits : int Atomic.t;
   misses : int Atomic.t;
+  uncached : int Atomic.t;  (** publishes that found the window full *)
   obs_hits : int Atomic.t;  (** already folded into Obs by [publish_obs] *)
   obs_misses : int Atomic.t;
+  obs_uncached : int Atomic.t;
 }
 
 (* Process-global registry of named tables, for stats snapshots and Obs
@@ -58,8 +62,10 @@ let create ?(bits = 10) ?(probe = 32) ?name () =
       probe = min probe size;
       hits = Atomic.make 0;
       misses = Atomic.make 0;
+      uncached = Atomic.make 0;
       obs_hits = Atomic.make 0;
       obs_misses = Atomic.make 0;
+      obs_uncached = Atomic.make 0;
     }
   in
   Option.iter (fun n -> register (Reg (n, t))) name;
@@ -70,8 +76,10 @@ let clear t =
   Atomic.set t.slots (Array.init size (fun _ -> Atomic.make Empty));
   Atomic.set t.hits 0;
   Atomic.set t.misses 0;
+  Atomic.set t.uncached 0;
   Atomic.set t.obs_hits 0;
-  Atomic.set t.obs_misses 0
+  Atomic.set t.obs_misses 0;
+  Atomic.set t.obs_uncached 0
 
 let stats t = (Atomic.get t.hits, Atomic.get t.misses)
 
@@ -79,7 +87,8 @@ let stats_all () =
   List.rev_map (fun (Reg (n, t)) -> (n, Atomic.get t.hits, Atomic.get t.misses))
     (Atomic.get registry)
 
-(* Fold the per-table counts into Obs as oncemap.<name>.{hits,misses}.
+(* Fold the per-table counts into Obs as
+   oncemap.<name>.{hits,misses,uncached}.
    Deltas since the previous publication are added, so a driver may call
    this at several report points without double counting; when Obs is
    disabled nothing is recorded and nothing is consumed. Main-domain
@@ -95,7 +104,8 @@ let publish_obs () =
             Obs.incr ~by:(cur - old) ("oncemap." ^ n ^ "." ^ label)
         in
         bump t.hits t.obs_hits "hits";
-        bump t.misses t.obs_misses "misses")
+        bump t.misses t.obs_misses "misses";
+        bump t.uncached t.obs_uncached "uncached")
       (Atomic.get registry)
 
 let find t k =
@@ -122,7 +132,11 @@ let publish t k v =
   let arr = Atomic.get t.slots in
   let h = Hashtbl.hash k land t.mask in
   let rec go i n =
-    if n >= t.probe then v (* window full: hand back unpublished *)
+    if n >= t.probe then begin
+      (* window full: hand back unpublished *)
+      Atomic.incr t.uncached;
+      v
+    end
     else
       let s = arr.(i) in
       match Atomic.get s with

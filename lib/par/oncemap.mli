@@ -51,7 +51,9 @@ val clear : ('k, 'v) t -> unit
 (** {2 Stats}
 
     Every {!find} (and hence {!find_or_compute}) bumps a per-table hit
-    or miss atomic. Counts depend on scheduling — two domains racing on
+    or miss atomic, and every {!publish} that finds its probe window
+    full bumps an uncached atomic (folded into Obs by {!publish_obs};
+    not part of {!stats}). Counts depend on scheduling — two domains racing on
     a cold key both record a miss — so they are monitoring data and are
     never fed back into computed results. *)
 
@@ -64,7 +66,9 @@ val stats_all : unit -> (string * int * int) list
 
 val publish_obs : unit -> unit
 (** Fold every named table's stats into the {!Hextile_obs.Obs} counter
-    registry as [oncemap.<name>.hits] / [oncemap.<name>.misses]. Only
+    registry as [oncemap.<name>.hits] / [oncemap.<name>.misses] /
+    [oncemap.<name>.uncached] (publishes handed back unpublished because
+    the probe window was full). Only
     the delta since the previous publication is added, so report paths
     may call this repeatedly. No-op while Obs is disabled. Main-domain
     only (it writes the Obs registry). *)

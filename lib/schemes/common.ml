@@ -690,6 +690,8 @@ let exec_rows (ctx : ctx) { crows; cregs; cpoints; cinstrs; cblit } ~off =
     ignore (Atomic.fetch_and_add ctx.sim.Sim.analytic_blit_rows cblit)
   end
 
+let points c = c.cpoints
+
 let rows_stats { crows; cblit; _ } =
   (Array.length crows, Array.fold_left (fun a r -> a + r.cmerged) 0 crows, cblit)
 
@@ -804,12 +806,8 @@ let exec_tape_lanes ctx c tape ~overlay ~tstep ~point ~x0 ~xlast ib =
   if Option.is_some overlay then
     (* overlay bases are block-private: nothing a stream could replay *)
     Sim.record_invalidate ctx.sim Sim.Overlay
-  else if Sim.recording_active ctx.sim then begin
-    let srcs = Array.init nsrc (fun k -> Addrmap.base c.creads.(k).saddr + (4 * ib.(k))) in
-    Sim.record_compute ctx.sim ~stmt:c.cidx ~tstep
-      ~waddr:(Addrmap.base c.cwrite.saddr + (4 * wflat))
-      ~srcs ~n
-  end
+  else if Sim.recording_active ctx.sim then
+    Sim.record_compute ctx.sim ~stmt:c.cidx ~tstep ~wflat ~srcs:(Array.sub ib 0 nsrc) ~n
 
 let exec_stmt_row ctx ~stmt_idx ~tstep ~point ~xs ?overlay ?layout ?(count = true)
     ?loads_subset ~global_reads ~shared_replay ~interleave_store ~use_shared () =

@@ -275,6 +275,9 @@ val exec_rows : ctx -> crows -> off:int -> unit
     members, whose exact execution touches the same cells. Counter
     effects are bit-identical to per-row 32-lane [Tape.exec] replay. *)
 
+val points : crows -> int
+(** Statement instances per replay: the lanes of every compiled row. *)
+
 val rows_stats : crows -> int * int * int
 (** [(runs, recorded_rows, blit_rows)] of a compiled class — run-shape
     introspection for tests. *)

@@ -89,17 +89,18 @@ let align_offsets (t : Hybrid.t) ~reuse =
   end
 
 (* How a launch runs the blocks of a tile class other than its
-   representative. [Replay] replays the representative's recorded stream
-   (memory events) translated to the member, then runs its compiled rows
-   (grid writes) at the member's word offset; [Derive] runs nothing in
+   representative. [Replay] replays the representative's recorded memory
+   events and adds its translation-invariant counts, then runs its
+   compiled rows (grid writes), all at the member's word offset;
+   [Derive] runs nothing in
    the launch, the launch epilogue derives the member; [Execute] runs it
    live. A [Replay] or [Derive] class whose recording was dropped runs
    its members live. *)
 type member = Execute | Replay | Derive
 
-(* What deriving a block of a class needs, and what the cross-launch
-   class cache keeps: the recording block's s0 origin (for the
-   translation delta), its exact per-block counter delta, its compressed
+(* What deriving or replaying a block of a class needs, and what the
+   cross-launch class cache keeps: the recording block's s0 origin (for
+   the word offset), its exact per-block counter delta, its compressed
    DRAM line runs (analytic runs only) and its fused-plan compute
    rows. *)
 type source = {
@@ -113,14 +114,8 @@ type source = {
    on the representative's domain, read in wave 1 by every member (the
    wave join orders the two) and by the epilogue. The recorded stream is
    kept only for [Replay] members; nothing reads it after wave 0
-   otherwise. [points]/[syncs] are the stream's compute lanes and
-   barriers, for the epilogue's model check. *)
-type record = {
-  replay : Tileclass.stream option;
-  points : int;
-  syncs : int;
-  src : source;
-}
+   otherwise. *)
+type record = { replay : Tileclass.stream option; src : source }
 
 type regime = Exact | Memo | Analytic
 
@@ -157,60 +152,36 @@ let run ?pool ?engine ?(analytic = false) ?(name = "hybrid") ?config prog env de
           ~offset_floats:(off_of rx))
       prog.arrays
   end;
-  (* Region table for address-stream memoization: blocks of one launch
-     differ only by a translation along s0, so every global address of a
-     same-class block is the representative's address plus a per-array
-     byte delta of 4·Δs00·stride0, and every flat word index its index
-     plus Δs00·stride0 (one stride for all arrays, see the regime below).
-     Bases are read after alignment registration so the deltas see the
-     translated layout. *)
-  let regions =
-    Array.of_list
-      (List.map
-         (fun (d : Stencil.array_decl) -> Grid.find ctx.grids d.aname)
-         prog.arrays)
-  in
-  let rbases =
-    Array.map (fun g -> Addrmap.base (Addrmap.resolve ctx.sim.addr g)) regions
-  in
-  let rlens = Array.map (fun (g : Grid.t) -> 4 * Array.length g.data) regions in
+  (* Blocks of one launch differ only by a translation along s0, so every
+     flat word index of a same-class block is the representative's plus
+     Δs00·stride0 (one stride for all arrays, see the regime below). *)
   let stride0s =
-    Array.map
-      (fun (g : Grid.t) ->
+    List.map
+      (fun (decl : Stencil.array_decl) ->
+        let g = Grid.find ctx.grids decl.aname in
         let nd = Array.length g.dims in
         let p = ref 1 in
         for d = nd - dims + 1 to nd - 1 do
           p := !p * g.dims.(d)
         done;
         !p)
-      regions
-  in
-  let region_of addr =
-    let r = ref (-1) in
-    let n = Array.length regions in
-    let i = ref 0 in
-    while !r < 0 && !i < n do
-      if addr >= rbases.(!i) && addr < rbases.(!i) + rlens.(!i) then r := !i;
-      incr i
-    done;
-    !r
+      prog.arrays
   in
   (* The launch regime, chosen once per run. Memoized replay moves a
      representative's compiled rows to a member by one word offset, so it
-     needs one s0 stride shared by every array region. Analytic
-     derivation also needs that stride to move same-class blocks by a
-     whole number of 128 B lines: then coalescing runs, the per-block
-     L1's set mapping and all shared-memory counts are
-     translation-invariant, so a class member's counter delta equals its
-     representative's bit for bit and population scaling is exact (see
-     Gpusim.Analytic). The reference engine and the sanitizer need
-     per-lane events, which no recording can hold. Each fallback from
-     the requested regime is counted under
-     [sim.regime_fallback.<reason>]. *)
-  let stride0 = stride0s.(0) in
+     needs one s0 stride shared by every array. Analytic derivation
+     also needs that stride to move same-class blocks by a whole number
+     of 128 B lines: then coalescing runs, the per-block L1's set
+     mapping and all shared-memory counts are translation-invariant, so
+     a class member's counter delta equals its representative's bit for
+     bit and population scaling is exact (see Gpusim.Analytic). The
+     reference engine and the sanitizer need per-lane events, which no
+     recording can hold. Each fallback from the requested regime is
+     counted under [sim.regime_fallback.<reason>]. *)
+  let stride0 = List.hd stride0s in
   let regime =
     if ctx.engine <> Common.Tape || Sanitize.enabled () then Exact
-    else if not (Array.for_all (( = ) stride0) stride0s) then begin
+    else if not (List.for_all (( = ) stride0) stride0s) then begin
       Obs.incr "sim.regime_fallback.unequal_stride";
       Exact
     end
@@ -497,17 +468,18 @@ let run ?pool ?engine ?(analytic = false) ?(name = "hybrid") ?config prog env de
     done;
     key
   in
-  (* Closed-form self-check of a recorded class against its stream: the
-     tile model's per-class counts must match the instanced
-     representative exactly — Σ [Compute] lanes = Σ per live row of
-     (clipped s0 length × inner-domain coverage), and [Sync] events =
-     copy-in barriers (one per classical tile) + steps whose windows are
-     non-empty. Rows the key records as fully clipped (length ≤ 0 after
-     subtracting the left/right clips) contribute nothing. A mismatch
+  (* Closed-form self-check of a recorded class: the tile model's
+     per-class counts must match the instanced representative exactly —
+     its compiled rows' lanes = Σ per live row of (clipped s0 length ×
+     inner-domain coverage), and its counted barriers = copy-in barriers
+     (one per classical tile) + steps whose windows are non-empty. Rows
+     the key records as fully clipped (length ≤ 0 after subtracting the
+     left/right clips) contribute nothing. A mismatch
      means the class decomposition that both the population scaling and
      the cross-launch cache rest on is wrong, so fail loudly rather than
-     degrade. [points]/[syncs] are the stream's recorded counts. *)
-  let check_class ~lname ~(key : int array) ~points ~syncs =
+     degrade. *)
+  let check_class ~lname ~(key : int array) (src : source) =
+    let points = Common.points src.crows and syncs = src.delta.syncs in
     let cu0 = key.(0) in
     let tuples = ref 1 in
     for i = 0 to dims - 2 do
@@ -556,21 +528,6 @@ let run ?pool ?engine ?(analytic = false) ?(name = "hybrid") ?config prog env de
         (Fmt.str
            "%s: analytic class model mismatch: %d syncs recorded, %d expected"
            lname syncs exp_syncs)
-  in
-  (* The compute rows of a recorded stream, as (statement, tstep, write
-     flat index, source flat indices, lanes), with the stream's compute
-     lanes and barriers. *)
-  let rows_of_stream stream =
-    let rows = ref [] and points = ref 0 and syncs = ref 0 in
-    let flat region addr = (addr - rbases.(region)) / 4 in
-    Tileclass.iter stream ~f:(function
-      | Tileclass.Compute { stmt; tstep; wregion; waddr; sregions; srcs; n } ->
-          points := !points + n;
-          let sf = Array.mapi (fun i s -> flat sregions.(i) s) srcs in
-          rows := (stmt, tstep, flat wregion waddr, sf, n) :: !rows
-      | Tileclass.Sync -> incr syncs
-      | _ -> ());
-    (List.rev !rows, !points, !syncs)
   in
   (* Host loop: time tiles x phases. Every launch takes one path: classify
      its blocks in canonical order; in wave 0 each class's representative
@@ -655,7 +612,7 @@ let run ?pool ?engine ?(analytic = false) ?(name = "hybrid") ?config prog env de
         let record cid ~u0 ~s00 =
           (* the active accumulator is only mutated by this domain *)
           let before = Counters.copy (Sim.live_counters ctx.sim) in
-          Sim.record_begin ctx.sim ~region_of;
+          Sim.record_begin ctx.sim;
           match exec_block ~u0 ~s00 with
           | exception e ->
               ignore (Sim.record_end ctx.sim);
@@ -664,7 +621,6 @@ let run ?pool ?engine ?(analytic = false) ?(name = "hybrid") ?config prog env de
               let delta = Counters.diff (Sim.live_counters ctx.sim) before in
               Sim.record_end ctx.sim
               |> Option.map (fun stream ->
-                     let rows, points, syncs = rows_of_stream stream in
                      let runs =
                        if regime <> Analytic then [||]
                        else
@@ -672,9 +628,9 @@ let run ?pool ?engine ?(analytic = false) ?(name = "hybrid") ?config prog env de
                            (Analytic.lines_of_stream stream
                               ~line_bytes:dev.Device.line_bytes)
                      in
-                     let crows = Common.compile_rows ctx rows in
+                     let crows = Common.compile_rows ctx (Tileclass.rows stream) in
                      let replay = if member.(cid) = Replay then Some stream else None in
-                     { replay; points; syncs; src = { s00; delta; runs; crows } })
+                     { replay; src = { s00; delta; runs; crows } })
         in
         let run_block b =
           let u0, s00 = origin_of b in
@@ -685,10 +641,9 @@ let run ?pool ?engine ?(analytic = false) ?(name = "hybrid") ?config prog env de
           else
             match (member.(cid), records.(cid)) with
             | Replay, Some { replay = Some stream; src; _ } ->
-                let ds = s00 - src.s00 in
-                Sim.replay_stream ctx.sim stream
-                  ~deltas:(Array.make (Array.length regions) (4 * ds * stride0));
-                Common.exec_rows ctx src.crows ~off:(ds * stride0)
+                let off = (s00 - src.s00) * stride0 in
+                Sim.replay_stream ctx.sim stream ~delta:src.delta ~off;
+                Common.exec_rows ctx src.crows ~off
             | Derive, Some _ -> ()
             | _ -> exec_block ~u0 ~s00
         in
@@ -708,8 +663,7 @@ let run ?pool ?engine ?(analytic = false) ?(name = "hybrid") ?config prog env de
             (fun cid r ->
               Option.iter
                 (fun r ->
-                  check_class ~lname ~key:plan.key.(cid) ~points:r.points
-                    ~syncs:r.syncs;
+                  check_class ~lname ~key:plan.key.(cid) r.src;
                   let s = sig_of_key plan.key.(cid) in
                   if not (Hashtbl.mem cls_cache s) then Hashtbl.add cls_cache s r.src)
                 r)

@@ -184,6 +184,28 @@ let test_oncemap_stats_roundtrip () =
   Alcotest.(check (option int)) "delta added" (Some 3)
     (counter (counters ()) "oncemap.test.obs_roundtrip.hits")
 
+(* A table of two slots probed one at a time cannot hold four keys: the
+   publishes that find their slot taken hand the value back unpublished,
+   and each is counted as [oncemap.<name>.uncached]. *)
+let test_oncemap_uncached () =
+  let module Oncemap = Hextile_par.Oncemap in
+  let m : (int, int) Oncemap.t =
+    Oncemap.create ~bits:1 ~probe:1 ~name:"test.obs_uncached" ()
+  in
+  let keys = [ 1; 2; 3; 4 ] in
+  List.iter
+    (fun k ->
+      Alcotest.(check int) "publish returns the value" (10 * k)
+        (Oncemap.publish m k (10 * k)))
+    keys;
+  let dropped =
+    List.length (List.filter (fun k -> Oncemap.find m k = None) keys)
+  in
+  Alcotest.(check bool) "window overflowed" true (dropped > 0);
+  Oncemap.publish_obs ();
+  Alcotest.(check int) "uncached counter" dropped
+    (Obs.counter "oncemap.test.obs_uncached.uncached")
+
 let test_absorb_after_reset () =
   (* A fork detached before a reset must still absorb cleanly into the
      fresh registry: its counters are plain deltas, so the merged totals
@@ -301,6 +323,8 @@ let suite =
       (with_obs test_tape_engine_counters);
     Alcotest.test_case "oncemap stats as Obs counters" `Quick
       (with_obs test_oncemap_stats_roundtrip);
+    Alcotest.test_case "oncemap full window counted as uncached" `Quick
+      (with_obs test_oncemap_uncached);
     Alcotest.test_case "absorb after reset" `Quick (with_obs test_absorb_after_reset);
     Alcotest.test_case "absorb order determinism" `Quick
       (with_obs test_absorb_order_determinism);
