@@ -85,7 +85,7 @@ let trace_arg =
     value
     & opt (some string) None
     & info [ "trace" ] ~docv:"FILE"
-        ~doc:"Enable tracing and write the obs trace as JSON to $(docv).")
+        ~doc:"Enable the Obs counters and write them as JSON to $(docv).")
 
 (* With --trace, tracing is on for the whole command and the trace is
    written even when the command fails partway. *)
@@ -134,10 +134,7 @@ let with_prog file builtin k =
   | Ok prog -> k prog
 
 let tiling_of prog h w =
-  let config = Hybrid_exec.default_config prog in
-  let h = Option.value ~default:config.h h in
-  let w = match w with Some l -> Array.of_list l | None -> config.w in
-  (h, w, Hybrid.make prog ~h ~w)
+  Experiments.hybrid_tiling ?h ?w:(Option.map Array.of_list w) prog
 
 (* ---- subcommands ------------------------------------------------------- *)
 
@@ -334,31 +331,6 @@ let output_arg =
     & info [ "output"; "o" ] ~docv:"FILE"
         ~doc:"Write the profile JSON to $(docv) instead of stdout.")
 
-(* Flatten every kernel_launch event of the span tree into one
-   nvprof-style timeline, in trace order. *)
-let timeline_of_trace () =
-  let entries = ref [] in
-  let value_json : Obs.value -> Json.t = function
-    | Obs.Bool b -> Json.Bool b
-    | Obs.Int i -> Json.Int i
-    | Obs.Float f -> Json.Float f
-    | Obs.Str s -> Json.Str s
-  in
-  let rec walk (t : Obs.span_tree) =
-    List.iter
-      (fun (name, t_s, attrs) ->
-        if String.equal name "kernel_launch" then
-          entries :=
-            Json.Obj
-              (("t_s", Json.Float t_s)
-              :: List.map (fun (k, v) -> (k, value_json v)) attrs)
-            :: !entries)
-      t.Obs.events;
-    List.iter walk t.Obs.children
-  in
-  List.iter walk (Obs.roots ());
-  List.rev !entries
-
 let timeline_arg =
   Arg.(
     value & flag
@@ -372,95 +344,37 @@ let profile_cmd =
   let run file builtin scheme dev n t h w output jobs trace_out timeline =
     Obs.reset ();
     Obs.enable ();
-    let record = timeline || trace_out <> None in
-    if record then Timeline.enable ();
+    Timeline.enable ();
     Fun.protect ~finally:(fun () ->
-        if record then begin
-          Option.iter Timeline.write_chrome trace_out;
-          if timeline then Fmt.epr "%a" Timeline.pp_summary ();
-          Timeline.disable ()
-        end)
+        Obs.disable ();
+        Option.iter Timeline.write_chrome trace_out;
+        if timeline then Fmt.epr "%a" Timeline.pp_summary ();
+        Timeline.disable ())
     @@ fun () ->
-    let loaded =
-      Obs.span "frontend" (fun () ->
-          Obs.annot "source"
-            (Obs.Str
-               (match (file, builtin) with
-               | Some f, _ -> f
-               | _, Some b -> "builtin:" ^ b
-               | None, None -> "<none>"));
-          load ~file ~builtin)
+    let source =
+      match (file, builtin) with
+      | Some f, _ -> f
+      | _, Some b -> "builtin:" ^ b
+      | None, None -> "<none>"
     in
-    match loaded with
+    match
+      Experiments.profile ~jobs ~source
+        ~load:(fun () -> load ~file ~builtin)
+        ?h ?w:(Option.map Array.of_list w) scheme
+        [ ("N", n); ("T", t) ]
+        dev
+    with
     | Error m ->
         Fmt.epr "hextile: %s@." m;
         1
-    | Ok prog -> (
-        let env = [ ("N", n); ("T", t) ] in
-        Obs.span "deps" (fun () ->
-            let deps = Dep.analyze prog in
-            Obs.annot "dependences" (Obs.Int (List.length deps));
-            for d = 0 to Stencil.spatial_dims prog - 1 do
-              ignore (Cone.of_deps deps ~dim:d)
-            done);
-        let h, w, tiling =
-          Obs.span "tiling" (fun () ->
-              let h, w, tiling = tiling_of prog h w in
-              Obs.annot "h" (Obs.Int h);
-              Obs.annot "w"
-                (Obs.Str (Fmt.str "%a" Fmt.(array ~sep:(any ",") int) w));
-              Obs.annot "tile_points" (Obs.Int (Hexagon.count tiling.hex));
-              let stats = Tile_size.tile_stats tiling in
-              Obs.annot "loads_per_iteration" (Obs.Float stats.ratio);
-              Obs.annot "shared_footprint_floats" (Obs.Int stats.footprint_box);
-              (match Hybrid.check_legality tiling (env_of ~n ~t) with
-              | Ok () -> Obs.annot "legality" (Obs.Str "ok")
-              | Error m -> Obs.annot "legality" (Obs.Str ("FAILED: " ^ m)));
-              (h, w, tiling))
-        in
-        Obs.span "codegen" (fun () ->
-            let cuda = Hextile_codegen.Cuda_emit.host_and_kernels tiling prog in
-            Obs.annot "cuda_bytes" (Obs.Int (String.length cuda));
-            List.iter
-              (fun (s : Stencil.stmt) ->
-                let l = Hextile_codegen.Ptx_emit.core_listing prog s in
-                Obs.annot (s.sname ^ ".core_loads") (Obs.Int l.loads);
-                Obs.annot (s.sname ^ ".core_ops") (Obs.Int l.arith))
-              prog.stmts);
-        match
-          Obs.span "sim" (fun () ->
-              Par.with_pool ~jobs (fun pool ->
-                  Experiments.run_scheme ~pool scheme prog env dev))
-        with
-        | exception Failure m ->
-            Fmt.epr "hextile: %s@." m;
-            1
-        | result ->
-            Oncemap.publish_obs ();
-            let doc =
-              Json.Obj
-                [
-                  ("profile_version", Json.Int 1);
-                  ("program", Json.Str prog.name);
-                  ("scheme", Json.Str (Experiments.scheme_name scheme));
-                  ("device", Json.Str dev.Device.name);
-                  ("env", Json.Obj [ ("N", Json.Int n); ("T", Json.Int t) ]);
-                  ("h", Json.Int h);
-                  ( "w",
-                    Json.List (Array.to_list (Array.map (fun x -> Json.Int x) w)) );
-                  ("result", Experiments.result_json result);
-                  ("timeline", Json.List (timeline_of_trace ()));
-                  ("trace", Obs.to_json ());
-                ]
-            in
-            Obs.disable ();
-            (match output with
-            | None -> print_endline (Json.to_string doc)
-            | Some path ->
-                Out_channel.with_open_text path (fun oc ->
-                    Out_channel.output_string oc (Json.to_string doc);
-                    Out_channel.output_char oc '\n'));
-            0)
+    | Ok doc ->
+        (match output with
+        | None -> print_endline (Json.to_string doc)
+        | Some path ->
+            Out_channel.with_open_text path (fun oc ->
+                Out_channel.output_string oc (Json.to_string doc);
+                Out_channel.output_char oc '\n'));
+        0
   in
   Cmd.v
     (Cmd.info "profile"

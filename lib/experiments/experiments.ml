@@ -6,6 +6,8 @@ open Hextile_tiling
 open Hextile_deps
 open Hextile_util
 module Obs = Hextile_obs.Obs
+module Timeline = Hextile_obs.Timeline
+module Oncemap = Hextile_par.Oncemap
 module Json = Hextile_obs.Json
 module Par = Hextile_par.Par
 
@@ -130,10 +132,7 @@ let run_scheme ?pool ?engine ?analytic ?(verify = true) scheme (prog : Stencil.t
         "Experiments.run_scheme: analytic mode requires the tape engine (the \
          ref interpreter records no streams to scale)"
   | _ -> ());
-  Obs.span "experiments.run_scheme" @@ fun () ->
-  Obs.annot "scheme" (Obs.Str (scheme_name scheme));
-  Obs.annot "stencil" (Obs.Str prog.name);
-  List.iter (fun (p, v) -> Obs.annot p (Obs.Int v)) env;
+  Timeline.slice "schemes.run_scheme" @@ fun () ->
   let dev = scaled_device dev prog env in
   let e = env_fn env in
   let r =
@@ -163,7 +162,7 @@ let run_scheme ?pool ?engine ?analytic ?(verify = true) scheme (prog : Stencil.t
         |> Option.get
     | Hybrid -> Hybrid_exec.run ?pool ?engine ?analytic prog e dev
   in
-  if verify then Obs.span "experiments.verify" (fun () -> verify_result r prog env);
+  if verify then Timeline.slice "ir.verify" (fun () -> verify_result r prog env);
   r
 
 (* ---- Tables 1 and 2 --------------------------------------------------- *)
@@ -173,8 +172,7 @@ type perf_row = { kernel : string; cells : (scheme * float) list }
 let table12_schemes = [ Ppcg; Par4all; Overtile; Hybrid ]
 
 let table12 ?pool ?(quick = true) dev =
-  Obs.span "experiments.table12" @@ fun () ->
-  Obs.annot "device" (Obs.Str dev.Device.name);
+  Timeline.slice "schemes.table12" @@ fun () ->
   match pool with
   | Some p when Par.jobs p > 1 && not (Par.in_region ()) ->
       (* Shard at the experiment level: fan out over the (kernel,
@@ -317,8 +315,7 @@ let ladder_labels =
   ]
 
 let ladder ?pool ?(quick = true) dev =
-  Obs.span "experiments.ladder" @@ fun () ->
-  Obs.annot "device" (Obs.Str dev.Device.name);
+  Timeline.slice "schemes.ladder" @@ fun () ->
   let prog = Suite.heat3d in
   let env = sizes ~quick prog in
   let step_of (step, label) =
@@ -491,7 +488,7 @@ let patus_note ?pool ?(quick = true) dev =
     (cell Suite.laplacian3d) (cell Suite.heat3d)
 
 let h_sweep ?pool ?(quick = true) dev (prog : Stencil.t) =
-  Obs.span "experiments.h_sweep" @@ fun () ->
+  Timeline.slice "schemes.h_sweep" @@ fun () ->
   let env = sizes ~quick prog in
   let k = List.length prog.stmts in
   let base = Hybrid_exec.default_config prog in
@@ -625,3 +622,119 @@ let h_sweep_json rows =
        (fun (h, g) ->
          Json.Obj [ ("h", Json.Int h); ("gstencils_per_s", Json.Float g) ])
        rows)
+
+(* ---- hextile profile --------------------------------------------------- *)
+
+let hybrid_tiling ?h ?w prog =
+  let config = Hybrid_exec.default_config prog in
+  let h = Option.value ~default:config.h h and w = Option.value ~default:config.w w in
+  (h, w, Hybrid.make prog ~h ~w)
+
+let launch_json (dev : Device.t) (l : Sim.launch) =
+  Json.Obj
+    ([
+       ("kernel", Json.Str l.lname);
+       ("blocks", Json.Int l.blocks);
+       ("threads", Json.Int l.threads);
+       ("shared_bytes", Json.Int l.shared_bytes);
+       ("time_s", Json.Float l.time_s);
+       ("occupancy", Json.Float (Sim.occupancy dev ~blocks:l.blocks));
+       ("bottleneck", Json.Str l.bottleneck);
+       ("gld_efficiency", Json.Float (Counters.gld_efficiency l.delta));
+       ( "shared_loads_per_request",
+         Json.Float (Counters.shared_loads_per_request l.delta) );
+     ]
+    @ List.map (fun (k, v) -> (k, Json.Int v)) (Counters.to_assoc l.delta))
+
+(* Count and inclusive time of every slice name on the calling domain's
+   track, by name. *)
+let stages_json () =
+  let me = (Domain.self () :> int) in
+  let slices =
+    match
+      List.find_opt
+        (fun (tk : Timeline.track_tot) -> tk.tk_tid = me)
+        (Timeline.summary ()).su_tracks
+    with
+    | Some tk -> tk.tk_slices
+    | None -> []
+  in
+  Json.Obj
+    (List.sort compare
+       (List.map
+          (fun (sl : Timeline.slice_tot) ->
+            ( sl.sl_name,
+              Json.Obj
+                [
+                  ("count", Json.Int sl.sl_count);
+                  ("incl_ms", Json.Float (1000.0 *. sl.sl_incl_s));
+                ] ))
+          slices))
+
+let profile ~jobs ~source ~load ?h ?w scheme env dev =
+  match Timeline.slice "frontend" load with
+  | Error m -> Error m
+  | Ok (prog : Stencil.t) -> (
+      let deps =
+        Timeline.slice "deps" (fun () ->
+            let deps = Dep.analyze prog in
+            for d = 0 to Stencil.spatial_dims prog - 1 do
+              ignore (Cone.of_deps deps ~dim:d)
+            done;
+            deps)
+      in
+      let h, w, points, stats, legality, tiling =
+        Timeline.slice "tiling" (fun () ->
+            let h, w, tiling = hybrid_tiling ?h ?w prog in
+            let points = Hexagon.count tiling.hex in
+            let stats = Tile_size.tile_stats tiling in
+            (h, w, points, stats, Hybrid.check_legality tiling (env_fn env), tiling))
+      in
+      let cuda, core =
+        Timeline.slice "codegen" (fun () ->
+            ( Hextile_codegen.Cuda_emit.host_and_kernels tiling prog,
+              List.map
+                (fun (s : Stencil.stmt) ->
+                  let l = Hextile_codegen.Ptx_emit.core_listing prog s in
+                  ( s.sname,
+                    Json.Obj [ ("loads", Json.Int l.loads); ("ops", Json.Int l.arith) ] ))
+                prog.stmts ))
+      in
+      match
+        Timeline.slice "sim" (fun () ->
+            Par.with_pool ~jobs (fun pool -> run_scheme ~pool scheme prog env dev))
+      with
+      | exception Failure m -> Error m
+      | result ->
+          Oncemap.publish_obs ();
+          let stages = stages_json () and trace = Obs.to_json () in
+          Ok
+            (Json.Obj
+               [
+                 ("profile_version", Json.Int 2);
+                 ("program", Json.Str prog.name);
+                 ("scheme", Json.Str (scheme_name scheme));
+                 ("device", Json.Str dev.Device.name);
+                 ("env", Json.Obj (List.map (fun (p, v) -> (p, Json.Int v)) env));
+                 ("h", Json.Int h);
+                 ("w", Json.List (Array.to_list (Array.map (fun x -> Json.Int x) w)));
+                 ("frontend", Json.Obj [ ("source", Json.Str source) ]);
+                 ("deps", Json.Obj [ ("dependences", Json.Int (List.length deps)) ]);
+                 ( "tiling",
+                   Json.Obj
+                     [
+                       ("tile_points", Json.Int points);
+                       ("loads_per_iteration", Json.Float stats.ratio);
+                       ("shared_footprint_floats", Json.Int stats.footprint_box);
+                       ( "legality",
+                         Json.Str
+                           (match legality with Ok () -> "ok" | Error m -> "FAILED: " ^ m) );
+                     ] );
+                 ( "codegen",
+                   Json.Obj
+                     [ ("cuda_bytes", Json.Int (String.length cuda)); ("core", Json.Obj core) ] );
+                 ("stages", stages);
+                 ("result", result_json result);
+                 ("timeline", Json.List (List.map (launch_json result.device) result.launches));
+                 ("trace", trace);
+               ]))

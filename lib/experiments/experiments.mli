@@ -147,3 +147,33 @@ val result_json : Common.result -> Hextile_obs.Json.t
 val table12_json : Device.t -> perf_row list -> Hextile_obs.Json.t
 val ladder_json : Device.t -> ladder_step list -> Hextile_obs.Json.t
 val h_sweep_json : (int * float) list -> Hextile_obs.Json.t
+
+(** {2 Whole-pipeline profile} *)
+
+val hybrid_tiling :
+  ?h:int -> ?w:int array -> Stencil.t -> int * int array * Hextile_tiling.Hybrid.t
+(** The hybrid tiling of a program, with [h] and [w] defaulting to
+    {!Hybrid_exec.default_config}'s; returns the [h] and [w] used. *)
+
+val profile :
+  jobs:int ->
+  source:string ->
+  load:(unit -> (Stencil.t, string) result) ->
+  ?h:int ->
+  ?w:int array ->
+  scheme ->
+  (string * int) list ->
+  Device.t ->
+  (Hextile_obs.Json.t, string) result
+(** The [hextile profile] document: runs the program from [load]
+    through the frontend, deps, tiling, codegen and sim stages, each
+    under a {!Hextile_obs.Timeline} slice of that name, and reports what
+    each stage produced ([frontend.source] echoes [source];
+    [tiling.legality] is ["ok"] or the violation), the run's
+    {!result_json}, one [timeline] entry per kernel launch (launch
+    record, occupancy, efficiency ratios and its full counter delta, in
+    launch order), [stages] (count and inclusive milliseconds of every
+    slice name on the calling domain's track; empty unless the caller
+    enabled Timeline) and [trace] ({!Hextile_obs.Obs.to_json}, counters
+    only; empty unless the caller enabled Obs). [Error] carries a load
+    failure or the sim stage's [Failure] message. *)

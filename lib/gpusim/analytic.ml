@@ -30,83 +30,72 @@ let scale_into (into : Counters.t) ~(delta : Counters.t) ~times =
     into.serial_store_transactions + (k * delta.serial_store_transactions);
   Counters.add_invariant into delta ~times:k
 
-(* First-touch-ordered distinct lines of a recorded stream, encoded as
-   [(line lsl 1) lor write] — the same encoding as the parallel path's L2
-   traces. A line is emitted once at its first load and once at its first
-   store: repeated accesses overwhelmingly hit (the block's own L1/L2
-   residency absorbs them), so the compressed trace keeps the L2's state
-   evolution while dropping the per-event walk. *)
-let lines_of_stream (s : Tileclass.stream) ~line_bytes =
-  let seen : (int, unit) Hashtbl.t = Hashtbl.create 512 in
-  let out = ref [] in
-  let n = ref 0 in
-  let touch ~write line =
-    let enc = (line lsl 1) lor if write then 1 else 0 in
-    if not (Hashtbl.mem seen enc) then begin
-      Hashtbl.add seen enc ();
-      out := enc :: !out;
-      incr n
-    end
-  in
-  let run ~write addr bytes =
-    let lo = addr / line_bytes and hi = (addr + bytes - 1) / line_bytes in
-    for l = lo to hi do
-      touch ~write l
-    done
-  in
-  Tileclass.iter s ~f:(function
-    | Tileclass.Gload_run { addr; n; _ } -> run ~write:false addr (4 * n)
-    | Gstore_run { addr; n; _ } -> run ~write:true addr (4 * n)
-    | Gload_lanes { addrs; _ } ->
-        Array.iter (fun a -> touch ~write:false (a / line_bytes)) addrs
-    | Gstore_lanes { addrs; _ } ->
-        Array.iter (fun a -> touch ~write:true (a / line_bytes)) addrs
-    | Compute _ -> ());
-  let arr = Array.make !n 0 in
-  List.iteri (fun i enc -> arr.(!n - 1 - i) <- enc) !out;
-  arr
-
-(* Sorted line-run form of a compressed trace: reads first, then
-   writes, each direction sorted by line and coalesced into maximal
-   consecutive runs, flattened as [(enc, n)] pairs ([enc] is the run's
-   first line in the [(line lsl 1) lor write] encoding). Replaying runs
-   instead of first-touch order reorders distinct-line touches within
-   one block's trace; the DRAM model's error contract
+(* The sorted line-run form of a recorded stream's distinct global
+   lines: the scaled blocks' compressed L2 trace. Each touched line is
+   a code [(line lsl 1) lor write], the same encoding as the parallel
+   path's L2 traces, and counts once per direction: repeated accesses
+   overwhelmingly hit (the block's own L1/L2 residency absorbs them),
+   so the compressed trace keeps the L2's state evolution while
+   dropping the per-event walk. The codes are sorted reads first, then
+   writes, each by line, deduplicated and coalesced into maximal
+   consecutive runs, flattened as [(code, n)] pairs ([code] is the
+   run's first line). Replaying runs reorders distinct-line touches
+   within one block's trace; the DRAM model's error contract
    ({!dram_error_bound}) already covers exactly this class of
    order-of-touch perturbation, and the analytic bench/tests assert the
    bound holds. *)
-let compress_lines (lines : int array) =
-  let a = Array.copy lines in
-  (* (write, line) ascending *)
+let line_runs (s : Tileclass.stream) ~line_bytes =
+  let codes = ref (Array.make 256 0) and n = ref 0 in
+  (* a direct-mapped filter of recently pushed codes drops most repeat
+     touches before they reach the buffer (a stencil block touches each
+     line several times); the sort below removes the rest *)
+  let recent = Array.make 4096 min_int in
+  let push c =
+    let slot = c land 4095 in
+    if Array.unsafe_get recent slot <> c then begin
+      Array.unsafe_set recent slot c;
+      if !n = Array.length !codes then begin
+        let a = Array.make (2 * !n) 0 in
+        Array.blit !codes 0 a 0 !n;
+        codes := a
+      end;
+      Array.unsafe_set !codes !n c;
+      incr n
+    end
+  in
+  let run w addr bytes =
+    for l = addr / line_bytes to (addr + bytes - 1) / line_bytes do
+      push ((l lsl 1) lor w)
+    done
+  in
+  let lanes w addrs = Array.iter (fun a -> push (((a / line_bytes) lsl 1) lor w)) addrs in
+  Tileclass.iter s ~f:(function
+    | Tileclass.Gload_run { addr; n } -> run 0 addr (4 * n)
+    | Gstore_run { addr; n; _ } -> run 1 addr (4 * n)
+    | Gload_lanes { addrs } -> lanes 0 addrs
+    | Gstore_lanes { addrs; _ } -> lanes 1 addrs
+    | Compute _ -> ());
+  let a = Array.sub !codes 0 !n in
   Array.sort
-    (fun e1 e2 ->
-      let c = compare (e1 land 1) (e2 land 1) in
-      if c <> 0 then c else compare (e1 asr 1) (e2 asr 1))
+    (fun (x : int) y ->
+      let c = Int.compare (x land 1) (y land 1) in
+      if c <> 0 then c else Int.compare x y)
     a;
-  let out = ref [] and nruns = ref 0 in
-  let n = Array.length a in
-  let i = ref 0 in
-  while !i < n do
-    let e0 = a.(!i) in
-    let c = ref 1 in
-    while
-      !i + !c < n
-      && a.(!i + !c) land 1 = e0 land 1
-      && a.(!i + !c) asr 1 = (e0 asr 1) + !c
-    do
-      incr c
-    done;
-    out := (e0, !c) :: !out;
-    incr nruns;
-    i := !i + !c
-  done;
-  let runs = Array.make (2 * !nruns) 0 in
-  List.iteri
-    (fun j (e, c) ->
-      let k = !nruns - 1 - j in
-      runs.(2 * k) <- e;
-      runs.((2 * k) + 1) <- c)
-    !out;
+  (* a code that neither repeats nor extends its predecessor by one line
+     in the same direction starts a run *)
+  let starts i = i = 0 || (a.(i) <> a.(i - 1) && a.(i) <> a.(i - 1) + 2) in
+  let nruns = ref 0 in
+  Array.iteri (fun i _ -> if starts i then incr nruns) a;
+  let runs = Array.make (2 * !nruns) 0 and k = ref (-2) in
+  Array.iteri
+    (fun i c ->
+      if starts i then begin
+        k := !k + 2;
+        runs.(!k) <- c;
+        runs.(!k + 1) <- 1
+      end
+      else if c <> a.(i - 1) then runs.(!k + 1) <- runs.(!k + 1) + 1)
+    a;
   runs
 
 (* Replay a translated line-run trace through the shared L2 with one

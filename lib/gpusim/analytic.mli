@@ -19,10 +19,9 @@
       [sim.regime_fallback.unaligned_stride].
     - {b DRAM traffic} depends on the shared cross-block L2 state, which
       a skipped block does not evolve. It is modelled by replaying each
-      scaled block's {e compressed trace} — the first-touch-ordered set
-      of distinct lines it loads/stores ({!lines_of_stream}), translated
-      by the block's line delta and sorted into line runs — through
-      the real shared L2 ({!replay_line_runs}). This keeps compulsory
+      scaled block's {e compressed trace} — the set of distinct lines it
+      loads/stores, sorted into line runs ({!line_runs}) and translated
+      by the block's line delta — through the real shared L2 ({!replay_line_runs}). This keeps compulsory
       misses, inter-block halo reuse and eviction pressure, and drops only the repeated accesses
       that the block's own cache residency would absorb; the residual
       error against the exact simulator is bounded by
@@ -40,21 +39,19 @@ val scale_into : Counters.t -> delta:Counters.t -> times:int -> unit
     except [dram_read_transactions], [dram_write_transactions] (modelled
     separately) and [kernels] (owned by {!Sim.launch}). *)
 
-val lines_of_stream : Tileclass.stream -> line_bytes:int -> int array
-(** Distinct global lines of a recorded stream in first-touch order,
-    encoded [(line lsl 1) lor write] (one entry per line per direction) —
-    the scaled blocks' compressed L2 trace. *)
-
-val compress_lines : int array -> int array
-(** Sorted line-run form of a {!lines_of_stream} trace: reads then
-    writes, each sorted by line and coalesced into maximal consecutive
-    runs, flattened as [(enc, n)] pairs. Computed once per class; the
-    run order (instead of first-touch order) perturbs only the
-    order-of-touch of distinct lines within one block's trace, which the
-    {!dram_error_bound} contract already covers. *)
+val line_runs : Tileclass.stream -> line_bytes:int -> int array
+(** The scaled blocks' compressed L2 trace: the distinct global lines a
+    recorded stream loads and stores, as codes
+    [(line lsl 1) lor write] (one per line per direction), sorted reads
+    then writes, each by line, and coalesced into maximal consecutive
+    runs, flattened as [(code, n)] pairs. The runs depend only on the
+    set of codes, not on the order the stream touched them. Computed
+    once per class; replaying in run order perturbs only the
+    order-of-touch of distinct lines within one block's trace, which
+    the {!dram_error_bound} contract already covers. *)
 
 val replay_line_runs : Sim.t -> int array -> dline:int -> unit
-(** Replay a {!compress_lines} trace shifted by [dline] lines through
+(** Replay a {!line_runs} trace shifted by [dline] lines through
     the shared L2 with one {!L2.access_run} probe per run — per-line
     cache and DRAM-counter semantics identical to the exact simulator's
     L2 trace replay, in run order. Counts the probed lines toward

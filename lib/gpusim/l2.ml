@@ -6,8 +6,6 @@ type t = {
   dirty : bool array array;
 }
 
-type outcome = { hit : bool; writeback : bool }
-
 let create ~bytes ~assoc ~line_bytes =
   let lines = max 1 (bytes / line_bytes) in
   let sets = max 1 (lines / assoc) in
@@ -19,10 +17,10 @@ let create ~bytes ~assoc ~line_bytes =
     dirty = Array.make_matrix sets assoc false;
   }
 
-(* The simulator calls this once per memory transaction, so the hot form
-   returns the outcome as a bit pair ([hit_bit] lor [writeback_bit])
-   instead of a freshly allocated record — the encode path's
-   allocation-free guarantee depends on it. *)
+(* The simulator probes once per memory transaction, so a probe returns
+   its outcome as a bit pair ([hit_bit] lor [writeback_bit]), never a
+   freshly allocated record — the encode path's allocation-free
+   guarantee depends on it. *)
 let hit_bit = 1
 let writeback_bit = 2
 
@@ -64,10 +62,6 @@ let access_code t ~addr ~write =
     dirty.(0) <- write;
     if victim_dirty then writeback_bit else 0
   end
-
-let access t ~addr ~write =
-  let c = access_code t ~addr ~write in
-  { hit = c land hit_bit <> 0; writeback = c land writeback_bit <> 0 }
 
 (* Run-length probe for the batched compressed-trace replay: touch [n]
    consecutive lines starting at [line0] and return the aggregate

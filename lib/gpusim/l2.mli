@@ -5,21 +5,16 @@
 
 type t
 
-type outcome = { hit : bool; writeback : bool }
-
 val create : bytes:int -> assoc:int -> line_bytes:int -> t
-
-val access : t -> addr:int -> write:bool -> outcome
-(** Touch the line containing byte [addr]. [writeback] reports that the
-    victim line was dirty (one DRAM write transaction). *)
 
 val hit_bit : int
 val writeback_bit : int
 
 val access_code : t -> addr:int -> write:bool -> int
-(** [access] without the record: the outcome as
-    [hit_bit lor writeback_bit] bits. The simulator's per-transaction
-    hot paths use this form so a cache probe allocates nothing. *)
+(** Touch the line containing byte [addr]; the outcome as
+    [hit_bit lor writeback_bit] bits, where [writeback_bit] reports that
+    the victim line was dirty (one DRAM write transaction). The code is
+    an int so a cache probe allocates nothing. *)
 
 val run_shift : int
 

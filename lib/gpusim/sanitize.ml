@@ -107,30 +107,10 @@ let pp_finding ppf = function
 let record s f =
   s.nfound <- s.nfound + 1;
   if s.nfound <= max_recorded then s.found <- f :: s.found;
-  if Obs.enabled () then
-    match f with
-    | Race r ->
-        Obs.event "sanitizer_race"
-          [
-            ("kind",
-             Obs.Str
-               (match r.r_kind with
-               | `Write_write -> "write_write"
-               | `Write_read -> "write_read"));
-            ("launch", Obs.Str r.r_launch);
-            ("block", Obs.Int r.r_block);
-            ("word", Obs.Int r.r_word);
-            ("tid1", Obs.Int r.r_tid1);
-            ("tid2", Obs.Int r.r_tid2);
-          ]
-    | Divergence d ->
-        Obs.event "sanitizer_divergence"
-          [
-            ("launch", Obs.Str d.d_launch);
-            ("block", Obs.Int d.d_block);
-            ("syncs", Obs.Int d.d_syncs);
-            ("expected", Obs.Int d.d_expected);
-          ]
+  Obs.incr
+    (match f with
+    | Race _ -> "sanitize.races"
+    | Divergence _ -> "sanitize.divergences")
 
 let launch_begin ~name =
   let s = st () in
@@ -294,8 +274,8 @@ let absorb_block_reports reports =
   if s.on then
     Array.iter
       (fun r ->
-        (* race findings were already emitted as Obs events on the worker
-           (and absorbed with its fork), so only re-count them here *)
+        (* race findings were already counted in Obs on the worker (and
+           absorbed with its fork), so only re-record them here *)
         List.iter
           (fun f ->
             s.nfound <- s.nfound + 1;

@@ -23,8 +23,8 @@
     The sanitizer is an explicitly enabled mode (mirroring
     {!Hextile_obs.Obs}): scheme executors stay oblivious, and the fuzz
     harness switches it on around the runs it wants audited. Findings are
-    recorded here and additionally emitted as [Obs] events
-    ([sanitizer_race] / [sanitizer_divergence]) when tracing is on.
+    recorded here and additionally counted as the [Obs] counters
+    [sanitize.races] / [sanitize.divergences] when tracing is on.
 
     All sanitizer state is domain-local: each domain of a
     [Hextile_par.Par] pool sees its own independent sanitizer, so

@@ -721,27 +721,7 @@ let launch ?pool ?post ?wave_of t ~name ~blocks ~threads ~shared_bytes ~f =
     let bottleneck = bottleneck_of t.dev ~blocks delta in
     t.launches <-
       { lname = name; blocks; threads; shared_bytes; delta; time_s; bottleneck }
-      :: t.launches;
-    if Obs.enabled () then
-      (* nvprof-style timeline entry: one event per kernel launch with
-         the full counter delta, occupancy and bottleneck class *)
-      Obs.event "kernel_launch"
-        (List.concat
-           [
-             [
-               ("kernel", Obs.Str name);
-               ("blocks", Obs.Int blocks);
-               ("threads", Obs.Int threads);
-               ("shared_bytes", Obs.Int shared_bytes);
-               ("time_s", Obs.Float time_s);
-               ("occupancy", Obs.Float (occupancy t.dev ~blocks));
-               ("bottleneck", Obs.Str bottleneck);
-               ("gld_efficiency", Obs.Float (Counters.gld_efficiency delta));
-               ( "shared_loads_per_request",
-                 Obs.Float (Counters.shared_loads_per_request delta) );
-             ];
-             List.map (fun (k, v) -> (k, Obs.Int v)) (Counters.to_assoc delta);
-           ])
+      :: t.launches
   end
 
 (* Calibrate the per-event cost of L2-trace encoding. The encode

@@ -1,11 +1,11 @@
 (** Wall-clock per-domain timeline recorder with Chrome trace export.
 
-    Deliberately separate from the deterministic {!Obs} registry: Obs
-    spans and counters must stay bit-identical at every [--jobs]
-    value, while timelines record wall-clock begin/end slices, instant
-    events, and flow arrows whose contents differ run to run. Nothing
-    here feeds back into Obs, so enabling recording never perturbs a
-    deterministic output.
+    The only recorder of durations. Deliberately separate from the
+    deterministic {!Obs} counters, which must stay bit-identical at
+    every [--jobs] value, while timelines record wall-clock begin/end
+    slices, instant events, and flow arrows whose contents differ run
+    to run. Nothing here feeds back into Obs, so enabling recording
+    never perturbs a deterministic output.
 
     Cost model: every record call is a single [!on] test when
     disabled. When enabled, each domain lazily owns one fixed-capacity

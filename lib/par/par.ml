@@ -144,7 +144,7 @@ let run p (thunks : (unit -> unit) array) =
           Mutex.unlock p.mu
     in
     help ();
-    (* deterministic merge: absorb per-task Obs buffers in task order *)
+    (* add the per-task Obs counter tables into the caller's *)
     Tl.begin_ ~arg:(float_of_int n) "par.absorb";
     Array.iter (function Some fk -> Obs.absorb fk | None -> ()) forks;
     Tl.end_ ();
@@ -175,32 +175,16 @@ let map p f (xs : 'a array) : 'b array =
     let lo s = s * n / ntasks in
     let hi s = (s + 1) * n / ntasks in
     let cursors = Array.init ntasks (fun s -> Atomic.make (lo s)) in
-    (* While Obs records, each element records into its own fork,
-       absorbed in index order after the region: which task ran an
-       element (its shard's owner or a thief) must not change the trace's
-       shape. A disabled Obs records nothing, so no forks are made. *)
-    let forks = Array.make n None in
-    let per_element = Obs.enabled () in
     let apply i =
       try out.(i) <- Some (f xs.(i))
       with e -> errs.(i) <- Some (e, Printexc.get_raw_backtrace ())
-    in
-    let do_one i =
-      if per_element then begin
-        let task_fork = Obs.fork_end () in
-        Obs.fork_begin ();
-        apply i;
-        forks.(i) <- Some (Obs.fork_end ());
-        Obs.fork_resume task_fork
-      end
-      else apply i
     in
     let drain s =
       let h = hi s in
       let rec loop () =
         let i = Atomic.fetch_and_add cursors.(s) 1 in
         if i < h then begin
-          do_one i;
+          apply i;
           loop ()
         end
       in
@@ -218,7 +202,6 @@ let map p f (xs : 'a array) : 'b array =
                drain v
              end
            done));
-    Array.iter (Option.iter Obs.absorb) forks;
     (match Array.find_map Fun.id errs with
     | Some (e, bt) -> Printexc.raise_with_backtrace e bt
     | None -> ());

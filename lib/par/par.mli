@@ -22,10 +22,10 @@
     nested library code deterministic for free.
 
     {b Observability.} Each parallel task runs under an {!Obs} fork
-    (domain-local registry); forks are absorbed into the caller's
-    registry in task order once the region completes, so counter totals
-    match the sequential run exactly (span {e ordering} within a region
-    may differ — spans carry wall-clock timestamps anyway).
+    (a domain-local counter table, so no worker writes the main one);
+    forks are absorbed into the caller's table once the region
+    completes. Counter totals are plain sums, so they match the
+    sequential run exactly whichever domain ran which work.
 
     Independently, when {!Hextile_obs.Timeline} recording is enabled the
     pool emits wall-clock slices onto per-domain tracks: ["par.region"]
@@ -75,10 +75,7 @@ val map : pool -> ('a -> 'b) -> 'a array -> 'b array
     shard of the index space (good locality, no shared hot counter) and
     steals from other shards through their per-shard atomic cursors
     once its own is dry (work-conserving under imbalance). Every index
-    runs exactly once regardless of stealing. While {!Obs} is enabled,
-    each element records into its own fork, absorbed in index order, so the Obs trace has
-    the sequential run's shape whichever task ran (or stole) an element.
-    Exactly [Array.map f xs] when [jobs p = 1] or inside a region. *)
+    runs exactly once regardless of stealing. Exactly [Array.map f xs] when [jobs p = 1] or inside a region. *)
 
 val iter : pool -> ('a -> unit) -> 'a array -> unit
 

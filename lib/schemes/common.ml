@@ -249,6 +249,7 @@ type result = {
   transfer_time : float;
   updates : int;
   grids : (string, Grid.t) Hashtbl.t;
+  launches : Sim.launch list;
   blocks : int;
   blocks_memoized : int;
   blocks_analytic : int;
@@ -271,6 +272,7 @@ let finish ctx ~scheme =
     transfer_time = Sim.transfer_time ctx.sim ~bytes;
     updates = Atomic.get ctx.updates;
     grids = ctx.grids;
+    launches = List.rev ctx.sim.launches;
     blocks =
       List.fold_left (fun a (l : Sim.launch) -> a + l.blocks) 0 ctx.sim.launches;
     blocks_memoized = Atomic.get ctx.sim.blocks_memoized;

@@ -73,6 +73,7 @@ type result = {
   transfer_time : float;
   updates : int;
   grids : (string, Grid.t) Hashtbl.t;
+  launches : Sim.launch list;  (** every kernel launch, in launch order *)
   blocks : int;  (** total blocks across all launches *)
   blocks_memoized : int;
       (** blocks retired by tile-class stream replay instead of live

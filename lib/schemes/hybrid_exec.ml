@@ -624,9 +624,7 @@ let run ?pool ?engine ?(analytic = false) ?(name = "hybrid") ?config prog env de
                      let runs =
                        if regime <> Analytic then [||]
                        else
-                         Analytic.compress_lines
-                           (Analytic.lines_of_stream stream
-                              ~line_bytes:dev.Device.line_bytes)
+                         Analytic.line_runs stream ~line_bytes:dev.Device.line_bytes
                      in
                      let crows = Common.compile_rows ctx (Tileclass.rows stream) in
                      let replay = if member.(cid) = Replay then Some stream else None in

@@ -1,7 +1,7 @@
 open Hextile_deps
 open Hextile_ir
 open Hextile_util
-module Obs = Hextile_obs.Obs
+module Timeline = Hextile_obs.Timeline
 
 type coords = {
   phase : int;
@@ -42,16 +42,11 @@ let make ?(hex_dim = 0) ?deps ?cone ?hex (prog : Stencil.t) ~h ~w =
          "Hybrid.make: h+1 = %d must be a multiple of the statement count %d \
           so every tile starts with the same statement"
          (h + 1) k);
-  Obs.span "tiling.hybrid_make" (fun () ->
-      Obs.annot "stencil" (Obs.Str prog.name);
-      Obs.annot "h" (Obs.Int h);
-      Obs.annot "w"
-        (Obs.Str
-           (Fmt.str "%a" Fmt.(array ~sep:(any ",") int) w));
+  Timeline.slice "tiling.hybrid_make" (fun () ->
       let deps =
         match deps with
         | Some d -> d
-        | None -> Obs.span "tiling.dependence_cone" (fun () -> Dep.analyze prog)
+        | None -> Timeline.slice "tiling.dependence_cone" (fun () -> Dep.analyze prog)
       in
       let cone = match cone with Some c -> c | None -> Cone.of_deps deps ~dim:0 in
       let hex =
@@ -64,11 +59,11 @@ let make ?(hex_dim = 0) ?deps ?cone ?hex (prog : Stencil.t) ~h ~w =
                    hx.h hx.w0 h w.(0));
             hx
         | None ->
-            Obs.span "tiling.hexagon_make" (fun () -> Hexagon.make ~h ~w0:w.(0) cone)
+            Timeline.slice "tiling.hexagon_make" (fun () -> Hexagon.make ~h ~w0:w.(0) cone)
       in
       let hs = Hex_schedule.make hex in
       let classical =
-        Obs.span "tiling.classical_make" (fun () ->
+        Timeline.slice "tiling.classical_make" (fun () ->
             Array.init (dims - 1) (fun i ->
                 Classical.make
                   ~delta1:(Cone.delta1_only deps ~dim:(i + 1))
@@ -123,6 +118,7 @@ let point_of_coords t c =
   end
 
 let check_legality t env =
+  Timeline.slice "tiling.check_legality" @@ fun () ->
   let steps = Affp.eval t.prog.steps env in
   let stmts = Array.of_list t.prog.stmts in
   let bounds i =

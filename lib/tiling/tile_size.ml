@@ -1,6 +1,7 @@
 open Hextile_ir
 open Hextile_deps
 module Obs = Hextile_obs.Obs
+module Timeline = Hextile_obs.Timeline
 module Par = Hextile_par.Par
 module M = Tile_model
 
@@ -299,7 +300,7 @@ let rec cartesian_seq = function
    against, and the baseline `bench tilesearch` times. *)
 let select_exhaustive ?pool prog ~h_candidates ~w0_candidates ~wi_candidates
     ~shared_mem_floats ?require_multiple () =
-  Obs.span "tiling.tile_size_select_exhaustive" (fun () ->
+  Timeline.slice "tiling.tile_size_select_exhaustive" (fun () ->
       let k = List.length prog.Stencil.stmts in
       let deps = Dep.analyze prog in
       let cone = Cone.of_deps deps ~dim:0 in
@@ -428,8 +429,7 @@ let prune_margin = 1e-6
 
 let select_with_report ?pool prog ~h_candidates ~w0_candidates ~wi_candidates
     ~shared_mem_floats ?require_multiple () =
-  Obs.span "tiling.tile_size_select" (fun () ->
-      Obs.annot "stencil" (Obs.Str prog.Stencil.name);
+  Timeline.slice "tiling.tile_size_select" (fun () ->
       let k = List.length prog.Stencil.stmts in
       let deps = Dep.analyze prog in
       let cone = Cone.of_deps deps ~dim:0 in
@@ -519,18 +519,6 @@ let select_with_report ?pool prog ~h_candidates ~w0_candidates ~wi_candidates
         end
       in
       drain cands;
-      Obs.annot "candidates_tried" (Obs.Int !candidates);
-      Obs.annot "candidates_feasible" (Obs.Int !feasible);
-      Obs.annot "candidates_pruned_analytic"
-        (Obs.Int (!pruned_infeasible + !pruned_dominated));
-      Obs.annot "exact_evals" (Obs.Int !exact_evals);
-      (match !best with
-      | Some c ->
-          Obs.annot "chosen_h" (Obs.Int c.h);
-          Obs.annot "chosen_w"
-            (Obs.Str (Fmt.str "%a" Fmt.(array ~sep:(any ",") int) c.w));
-          Obs.annot "chosen_ratio" (Obs.Float c.stats.ratio)
-      | None -> Obs.annot "chosen_h" (Obs.Str "none"));
       ( !best,
         {
           candidates = !candidates;

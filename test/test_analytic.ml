@@ -224,6 +224,108 @@ let test_dropped_recordings_exact () =
       ("strip2d", Test_tape.strip2d, None, [ ("N", 64); ("T", 16) ]);
     ]
 
+(* The two-step line-run pipeline [Analytic.line_runs] replaced, kept
+   as its reference: first-touch distinct codes through a Hashtbl, then
+   sorted (reads before writes, each by line) and coalesced into runs.
+   The runs depend only on the set of codes, so the one-step function
+   must match it on any stream. *)
+let ref_line_runs (s : Tileclass.stream) ~line_bytes =
+  let seen : (int, unit) Hashtbl.t = Hashtbl.create 512 in
+  let out = ref [] in
+  let touch ~write line =
+    let enc = (line lsl 1) lor if write then 1 else 0 in
+    if not (Hashtbl.mem seen enc) then begin
+      Hashtbl.add seen enc ();
+      out := enc :: !out
+    end
+  in
+  let run ~write addr bytes =
+    for l = addr / line_bytes to (addr + bytes - 1) / line_bytes do
+      touch ~write l
+    done
+  in
+  Tileclass.iter s ~f:(function
+    | Tileclass.Gload_run { addr; n } -> run ~write:false addr (4 * n)
+    | Gstore_run { addr; n; _ } -> run ~write:true addr (4 * n)
+    | Gload_lanes { addrs } -> Array.iter (fun a -> touch ~write:false (a / line_bytes)) addrs
+    | Gstore_lanes { addrs; _ } -> Array.iter (fun a -> touch ~write:true (a / line_bytes)) addrs
+    | Compute _ -> ());
+  let a = Array.of_list (List.rev !out) in
+  Array.sort
+    (fun e1 e2 ->
+      let c = compare (e1 land 1) (e2 land 1) in
+      if c <> 0 then c else compare (e1 asr 1) (e2 asr 1))
+    a;
+  let runs = ref [] and i = ref 0 in
+  let n = Array.length a in
+  while !i < n do
+    let e0 = a.(!i) and c = ref 1 in
+    while
+      !i + !c < n
+      && a.(!i + !c) land 1 = e0 land 1
+      && a.(!i + !c) asr 1 = (e0 asr 1) + !c
+    do
+      incr c
+    done;
+    runs := !c :: e0 :: !runs;
+    i := !i + !c
+  done;
+  Array.of_list (List.rev !runs)
+
+(* Random streams: coalesced runs and per-lane rows, loads and stores,
+   whole-event repeats and interleaved compute rows, over a few dozen
+   lines so runs overlap, abut and repeat. The lines sit in three
+   windows 256 KiB or more apart, so at 32- and 128-byte lines their
+   codes share slots of [line_runs]'s recent-code filter and repeats get
+   past it to the sort. *)
+let arb_stream =
+  let open QCheck.Gen in
+  let word = map2 (fun base w -> base + (4 * w)) (oneofl [ 0; 1 lsl 18; 1 lsl 20 ]) (int_bound 2048) in
+  let ev =
+    frequency
+      [
+        (3, map2 (fun addr n -> Tileclass.Gload_run { addr; n }) word (int_bound 80));
+        ( 3,
+          map3
+            (fun addr n serial -> Tileclass.Gstore_run { addr; n; serial })
+            word (int_bound 80) bool );
+        ( 2,
+          map
+            (fun l -> Tileclass.Gload_lanes { addrs = Array.of_list (List.sort compare l) })
+            (list_size (int_range 1 32) word) );
+        ( 2,
+          map2
+            (fun l serial ->
+              Tileclass.Gstore_lanes { addrs = Array.of_list (List.sort compare l); serial })
+            (list_size (int_range 1 32) word)
+            bool );
+        ( 1,
+          return
+            (Tileclass.Compute { stmt = 0; tstep = 0; wflat = 0; srcs = [||]; n = 1 }) );
+      ]
+  in
+  let gen =
+    let* evs = list_size (int_range 0 40) ev in
+    let* repeats = list_size (int_bound 10) (int_bound 1000) in
+    let evs = Array.of_list evs in
+    let extra =
+      if Array.length evs = 0 then []
+      else List.map (fun k -> evs.(k mod Array.length evs)) repeats
+    in
+    return (Array.to_list evs @ extra)
+  in
+  QCheck.make ~print:(fun evs -> Printf.sprintf "%d events" (List.length evs)) gen
+
+let prop_line_runs_equal_reference =
+  QCheck.Test.make ~name:"line_runs = first-touch + compress reference" ~count:300
+    arb_stream (fun evs ->
+      let s = Tileclass.create () in
+      List.iter (Tileclass.push s) evs;
+      List.for_all
+        (fun line_bytes ->
+          Analytic.line_runs s ~line_bytes = ref_line_runs s ~line_bytes)
+        [ 32; 128 ])
+
 let suite =
   [
     Alcotest.test_case "dram error bound value" `Quick test_bound_value;
@@ -239,4 +341,5 @@ let suite =
       test_fuzzed_programs;
     Alcotest.test_case "analytic: bit-identical at jobs 1/2/4" `Slow
       test_analytic_jobs_deterministic;
+    QCheck_alcotest.to_alcotest prop_line_runs_equal_reference;
   ]

@@ -153,6 +153,78 @@ let test_verification_catches_corruption () =
   Alcotest.(check bool) "corruption detected" false
     (Hextile_ir.Grid.equal g (Hextile_ir.Grid.find reference "A"))
 
+(* The profile document: one timeline entry per kernel launch whose
+   counter deltas add up to the run's counters, a stage slice for each
+   pipeline stage, and (stage times aside) the same document at every
+   jobs value. *)
+let test_profile_document () =
+  let module Json = Hextile_obs.Json in
+  let module Obs = Hextile_obs.Obs in
+  let module Timeline = Hextile_obs.Timeline in
+  let profile jobs =
+    Obs.reset ();
+    Obs.enable ();
+    Timeline.enable ();
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.disable ();
+        Obs.reset ();
+        Timeline.disable ();
+        Timeline.reset ())
+      (fun () ->
+        match
+          E.profile ~jobs ~source:"builtin:jacobi2d"
+            ~load:(fun () -> Ok Suite.jacobi2d)
+            E.Hybrid [ ("N", 32); ("T", 8) ] Device.gtx470
+        with
+        | Ok (Json.Obj kvs) -> kvs
+        | Ok _ -> Alcotest.fail "profile is not an object"
+        | Error m -> Alcotest.failf "profile failed: %s" m)
+  in
+  let doc = profile 2 in
+  let get k = match List.assoc_opt k doc with Some v -> v | None -> Alcotest.failf "no %s" k in
+  let obj = function Json.Obj kvs -> kvs | _ -> Alcotest.fail "expected an object" in
+  let counters = obj (Option.get (Json.member "counters" (get "result"))) in
+  let launches = Option.get (Json.to_list (get "timeline")) in
+  Alcotest.(check (option int)) "one entry per kernel"
+    (Some (List.length launches))
+    (Json.to_int (List.assoc "kernels" counters));
+  List.iter
+    (fun (k, v) ->
+      let sum =
+        List.fold_left
+          (fun acc l -> acc + Option.value ~default:0 (Option.bind (Json.member k l) Json.to_int))
+          0 launches
+      in
+      Alcotest.(check (option int)) (k ^ ": launch deltas sum to the total") (Json.to_int v) (Some sum))
+    counters;
+  let stages = obj (get "stages") in
+  List.iter
+    (fun s -> Alcotest.(check bool) ("stage " ^ s) true (List.mem_assoc s stages))
+    [ "frontend"; "deps"; "tiling"; "codegen"; "sim" ];
+  Alcotest.(check (option string)) "legality" (Some "ok")
+    (Option.bind (Json.member "legality" (get "tiling")) Json.to_str);
+  (* stage times are wall-clock, and the process-wide caches' oncemap.*
+     counters depend on what ran before in this process *)
+  let comparable kvs =
+    List.filter_map
+      (function
+        | "stages", _ -> None
+        | "trace", t ->
+            let cs = obj (Option.get (Json.member "counters" t)) in
+            Some
+              ( "trace",
+                Json.Obj
+                  (List.filter
+                     (fun (k, _) -> not (String.starts_with ~prefix:"oncemap." k))
+                     cs) )
+        | kv -> Some kv)
+      kvs
+  in
+  Alcotest.(check string) "same document at jobs 1 and 2"
+    (Json.to_string (Json.Obj (comparable (profile 1))))
+    (Json.to_string (Json.Obj (comparable doc)))
+
 let suite =
   [
     Alcotest.test_case "experiment sizes" `Quick test_sizes;
@@ -166,4 +238,6 @@ let suite =
       test_analytic_requires_tape_engine;
     Alcotest.test_case "verification catches corruption" `Quick
       test_verification_catches_corruption;
+    Alcotest.test_case "profile: launches sum to counters, stages named" `Quick
+      test_profile_document;
   ]

@@ -1,6 +1,6 @@
-(* Tests for the lib/obs tracing layer: span nesting/LIFO discipline,
-   disabled no-op behaviour, counter accumulation, and the JSON
-   emitter/parser round trip. *)
+(* Tests for the lib/obs counter registry: disabled no-op behaviour,
+   counter accumulation, fork absorption, and the JSON emitter/parser
+   round trip. *)
 
 module Obs = Hextile_obs.Obs
 module Json = Hextile_obs.Json
@@ -13,55 +13,12 @@ let with_obs f () =
   Obs.enable ();
   Fun.protect ~finally:(fun () -> Obs.disable (); Obs.reset ()) f
 
-let test_nested_spans () =
-  Obs.start "outer";
-  Obs.start "inner";
-  Obs.annot "k" (Obs.Int 3);
-  Obs.stop "inner";
-  Obs.stop "outer";
-  match Obs.roots () with
-  | [ { Obs.sname = "outer"; children = [ inner ]; dur_s; _ } ] ->
-      Alcotest.(check string) "child name" "inner" inner.Obs.sname;
-      Alcotest.(check bool) "outer closed" true (dur_s >= 0.0);
-      Alcotest.(check bool) "inner closed" true (inner.Obs.dur_s >= 0.0);
-      Alcotest.(check bool) "annot kept" true
-        (List.mem_assoc "k" inner.Obs.attrs);
-      Alcotest.(check bool)
-        "child starts within parent" true
-        (inner.Obs.start_s >= 0.0)
-  | roots ->
-      Alcotest.failf "expected one root with one child, got %d roots"
-        (List.length roots)
-
-let test_lifo_mismatch () =
-  Obs.start "a";
-  Obs.start "b";
-  Alcotest.check_raises "wrong name"
-    (Invalid_argument "Obs.stop a: innermost open span is b (LIFO order)")
-    (fun () -> Obs.stop "a");
-  Obs.stop "b";
-  Obs.stop "a";
-  Alcotest.check_raises "nothing open"
-    (Invalid_argument "Obs.stop a: no span is open") (fun () -> Obs.stop "a")
-
-let test_span_closes_on_exception () =
-  (try Obs.span "boom" (fun () -> failwith "x") with Failure _ -> ());
-  Alcotest.(check (list string)) "no span left open" [] (Obs.open_spans ());
-  match Obs.roots () with
-  | [ r ] ->
-      Alcotest.(check string) "span recorded" "boom" r.Obs.sname;
-      Alcotest.(check bool) "span closed" true (r.Obs.dur_s >= 0.0)
-  | _ -> Alcotest.fail "expected exactly one root span"
-
 let test_disabled_noop () =
   Obs.disable ();
-  Obs.start "ghost";
   Obs.incr "ghost_counter";
-  Obs.annot "k" (Obs.Bool true);
-  Obs.event "e" [];
-  Obs.stop "never_opened" (* must not raise while disabled *);
+  Obs.incr ~by:5 "ghost_counter";
   Alcotest.(check int) "counter untouched" 0 (Obs.counter "ghost_counter");
-  Alcotest.(check int) "no spans recorded" 0 (List.length (Obs.roots ()));
+  Alcotest.(check (list (pair string int))) "nothing recorded" [] (Obs.counters ());
   Obs.enable ()
 
 let test_counter_accumulation () =
@@ -121,29 +78,31 @@ let test_tape_engine_counters () =
             (Option.bind (Json.member name counters) Json.to_int))
         [ "sim.tape_instrs"; "sim.blocks_memoized"; "sim.addr_streams_replayed" ]
 
+(* The trace document holds its version and the counters, and nothing
+   else: Obs keeps no clock, so there are no spans or events to emit. *)
 let test_trace_json_roundtrip () =
-  Obs.span "pipeline" (fun () ->
-      Obs.annot "stencil" (Obs.Str "jacobi2d");
-      Obs.incr ~by:4 "poly.lp_solves";
-      Obs.event "kernel_launch"
-        [ ("kernel", Obs.Str "k0"); ("time_s", Obs.Float 1.5e-6) ];
-      Obs.span "sim" (fun () -> ()));
+  Obs.incr ~by:4 "poly.lp_solves";
+  Obs.incr "sim.blocks_memoized";
   let s = Json.to_string (Obs.to_json ()) in
   match Json.parse s with
   | Error e -> Alcotest.failf "trace did not parse: %s" e
   | Ok doc ->
+      Alcotest.(check (option int))
+        "trace version" (Some 2)
+        (Option.bind (Json.member "trace_version" doc) Json.to_int);
       let counters = Option.get (Json.member "counters" doc) in
       Alcotest.(check (option int))
         "counter survives" (Some 4)
         (Option.bind (Json.member "poly.lp_solves" counters) Json.to_int);
-      let spans = Option.get (Json.to_list (Option.get (Json.member "spans" doc))) in
-      Alcotest.(check int) "one root span" 1 (List.length spans);
-      let root = List.hd spans in
-      Alcotest.(check (option string))
-        "span name" (Some "pipeline")
-        (Option.bind (Json.member "name" root) Json.to_str);
-      let events = Option.get (Json.to_list (Option.get (Json.member "events" root))) in
-      Alcotest.(check int) "event recorded" 1 (List.length events)
+      Alcotest.(check (option int))
+        "second counter survives" (Some 1)
+        (Option.bind (Json.member "sim.blocks_memoized" counters) Json.to_int);
+      (match doc with
+      | Json.Obj kvs ->
+          Alcotest.(check (list string))
+            "only version and counters" [ "trace_version"; "counters" ]
+            (List.map fst kvs)
+      | _ -> Alcotest.fail "trace is not an object")
 
 (* Named Oncemap caches publish their hit/miss stats into Obs as
    counters, as deltas since the previous publication, and the counters
@@ -212,44 +171,42 @@ let test_absorb_after_reset () =
      are exactly the fork's own bumps. *)
   Obs.incr ~by:10 "pre.reset";
   Obs.fork_begin ();
-  Obs.span "forked" (fun () -> Obs.incr ~by:3 "fork.count");
+  Obs.incr ~by:3 "fork.count";
   let f = Obs.fork_end () in
   Obs.reset ();
   Alcotest.(check int) "reset dropped main counters" 0 (Obs.counter "pre.reset");
   Obs.absorb f;
   Alcotest.(check int) "fork counters survive" 3 (Obs.counter "fork.count");
-  (match Obs.roots () with
-  | [ r ] -> Alcotest.(check string) "fork span survives" "forked" r.Obs.sname
-  | roots -> Alcotest.failf "expected one root, got %d" (List.length roots));
+  Alcotest.(check (list (pair string int)))
+    "only the fork's counters" [ ("fork.count", 3) ] (Obs.counters ());
   (* absorbing the same fork twice is plain re-addition, like
      Counters.add *)
   Obs.absorb f;
   Alcotest.(check int) "second absorb re-adds" 6 (Obs.counter "fork.count")
 
 let test_absorb_order_determinism () =
-  (* Forks absorbed in task-index order yield the same span sequence no
-     matter which domain ran which task; a second pass in the same order
-     must reproduce the first exactly. *)
+  (* Counter totals are plain sums: forks absorbed in any order (as
+     domains finish in any order) yield the same counters, and a second
+     pass reproduces the first exactly. *)
   let mk i =
     Obs.fork_begin ();
-    Obs.span (Fmt.str "task%d" i) (fun () ->
-        Obs.annot "i" (Obs.Int i);
-        Obs.incr ~by:i "order.count");
+    Obs.incr ~by:i "order.count";
+    Obs.incr (Fmt.str "order.task%d" (i mod 3));
     Obs.fork_end ()
   in
-  let shape () =
-    List.map
-      (fun t -> (t.Obs.sname, List.assoc "i" t.Obs.attrs))
-      (Obs.roots ())
+  let totals order =
+    Obs.reset ();
+    let forks = Array.init 5 mk in
+    List.iter (fun i -> Obs.absorb forks.(i)) order;
+    Obs.counters ()
   in
-  let forks = List.init 5 mk in
-  List.iter Obs.absorb forks;
-  let first = shape () in
-  Alcotest.(check int) "all forks absorbed" 5 (List.length first);
-  Obs.reset ();
-  let forks = List.init 5 mk in
-  List.iter Obs.absorb forks;
-  Alcotest.(check bool) "same order, same trace" true (first = shape ())
+  let first = totals [ 0; 1; 2; 3; 4 ] in
+  Alcotest.(check (option int)) "all forks absorbed" (Some 10)
+    (List.assoc_opt "order.count" first);
+  Alcotest.(check (list (pair string int))) "reverse order, same counters" first
+    (totals [ 4; 3; 2; 1; 0 ]);
+  Alcotest.(check (list (pair string int))) "shuffled order, same counters" first
+    (totals [ 2; 0; 4; 1; 3 ])
 
 let test_json_parse_values () =
   let ok s = Result.get_ok (Json.parse s) in
@@ -310,10 +267,6 @@ let test_json_roundtrip_values () =
 
 let suite =
   [
-    Alcotest.test_case "nested spans" `Quick (with_obs test_nested_spans);
-    Alcotest.test_case "LIFO stop mismatch raises" `Quick (with_obs test_lifo_mismatch);
-    Alcotest.test_case "span closes on exception" `Quick
-      (with_obs test_span_closes_on_exception);
     Alcotest.test_case "disabled is a no-op" `Quick (with_obs test_disabled_noop);
     Alcotest.test_case "counter accumulation matches Counters" `Quick
       (with_obs test_counter_accumulation);

@@ -77,6 +77,18 @@ let test_disabled_noop () =
   let su = Timeline.summary () in
   Alcotest.(check int) "no tracks" 0 (List.length su.Timeline.su_tracks)
 
+(* A slice whose body raises is closed anyway: the next slice starts at
+   top level, not inside it. *)
+let test_slice_closes_on_exception =
+  with_tl (fun () ->
+      (try Timeline.slice "boom" (fun () -> failwith "x") with Failure _ -> ());
+      Timeline.slice "after" (fun () -> Unix.sleepf 0.005);
+      let su = Timeline.summary () in
+      Alcotest.(check bool) "boom does not contain after" true
+        (Timeline.incl_s su "boom" < Timeline.incl_s su "after");
+      Alcotest.(check (float 1e-12)) "boom has no children"
+        (Timeline.incl_s su "boom") (Timeline.excl_s su "boom"))
+
 let test_slice_aggregation =
   with_tl (fun () ->
       Timeline.slice ~arg:2.0 "outer" (fun () ->
@@ -267,8 +279,9 @@ let test_recording_perturbs_nothing () =
     [ 2; 4 ]
 
 let test_obs_shape_stable_under_recording () =
-  (* Obs absorb order (including nested regions degrading to sequential)
-     must be independent of both the jobs value and the recorder. *)
+  (* Obs counters (including bumps from nested regions that degrade to
+     sequential) must be independent of both the jobs value and the
+     recorder. *)
   Obs.reset ();
   Obs.enable ();
   Fun.protect ~finally:(fun () ->
@@ -281,29 +294,27 @@ let test_obs_shape_stable_under_recording () =
     Par.with_pool ~jobs (fun p ->
         Par.iter p
           (fun i ->
-            Obs.span (Fmt.str "outer%d" i) (fun () ->
+            Timeline.slice (Fmt.str "outer%d" i) (fun () ->
                 (* nested region: degrades to sequential on this domain *)
                 ignore (Par.map p (fun j -> Obs.incr "nested.count"; j) (Array.init 4 Fun.id));
-                Obs.annot "i" (Obs.Int i)))
+                Obs.incr ~by:i (Fmt.str "outer.%d" (i mod 3))))
           (Array.init 16 Fun.id));
-    let shape =
-      List.map
-        (fun t -> (t.Obs.sname, List.assoc "i" t.Obs.attrs))
-        (Obs.roots ())
-    in
-    (shape, Obs.counter "nested.count")
+    Obs.counters ()
   in
   let base = workload 1 in
-  Alcotest.(check int) "nested bumps all counted" 64 (snd base);
+  Alcotest.(check (option int)) "nested bumps all counted" (Some 64)
+    (List.assoc_opt "nested.count" base);
   List.iter
     (fun jobs ->
-      if workload jobs <> base then
-        Alcotest.failf "Obs trace shape differs at jobs=%d (recording off)" jobs;
+      Alcotest.(check (list (pair string int)))
+        (Fmt.str "Obs counters at jobs=%d (recording off)" jobs)
+        base (workload jobs);
       Timeline.enable ();
       let on = workload jobs in
       Timeline.disable ();
-      if on <> base then
-        Alcotest.failf "Obs trace shape differs at jobs=%d (recording on)" jobs)
+      Alcotest.(check (list (pair string int)))
+        (Fmt.str "Obs counters at jobs=%d (recording on)" jobs)
+        base on)
     [ 2; 4 ]
 
 (* ---- the run-summary stderr contract ---------------------------------- *)
@@ -360,6 +371,8 @@ let suite =
     Alcotest.test_case "hist: buckets, quantiles" `Quick test_hist_basics;
     Alcotest.test_case "hist: merge" `Quick test_hist_merge;
     Alcotest.test_case "disabled recorder is a no-op" `Quick test_disabled_noop;
+    Alcotest.test_case "slice closes on exception" `Quick
+      test_slice_closes_on_exception;
     Alcotest.test_case "slice aggregation (incl/excl/arg/hist)" `Quick
       test_slice_aggregation;
     Alcotest.test_case "open slices closed at last timestamp" `Quick
