@@ -1,29 +1,25 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation on the GPU simulator, and runs Bechamel micro-benchmarks of
-   each experiment driver.
+   evaluation on the GPU simulator, and runs the gated performance modes
+   whose JSON makes up the committed BENCH_*.json ledger.
 
    Usage:
-     dune exec bench/main.exe                 -- everything, quick sizes
+     dune exec bench/main.exe                  -- every table and figure
      dune exec bench/main.exe -- --only table1 --only fig4
-     dune exec bench/main.exe -- --full       -- larger scaled instances
-     dune exec bench/main.exe -- --no-micro   -- skip Bechamel timings
-     dune exec bench/main.exe -- --json out.json
-                                              -- also write results as JSON
-     dune exec bench/main.exe -- --jobs 4     -- worker domains for the
-                                                 parallel runtime
+     dune exec bench/main.exe -- --only table1 --json out.json
      dune exec bench/main.exe -- --only parcmp --jobs 4 --json BENCH_par.json
-                                              -- jobs=1 vs jobs=N comparison
      dune exec bench/main.exe -- --only parattr --jobs 4 \
          --json BENCH_parattr.json --trace-out parattr_trace.json
-                                              -- attribute jobs=N wall time to
-                                                 {compute, idle, encode,
-                                                 replay, absorb} phases
+     make bench JOBS=4                         -- every perf mode, each into
+                                                  its BENCH_*.json
 
-   With --json every selected experiment contributes a machine-readable
-   entry keyed by its id: structured rows for the performance tables
-   (table1/table2/table45/ablate/micro) and {"text": ...} wrappers for
-   the figure reproductions, so the whole run can be diffed across
-   commits. The top-level "meta" block records git rev, OCaml version,
+   Every mode is one entry of [modes] below. The performance modes run
+   only when named with --only; each raises when one of its gates
+   fails, so the bench exits nonzero and writes no JSON. They print
+   every row and total as a [name key=value ...] line through [emit],
+   which returns the same fields for the JSON.
+
+   With --json every selected mode contributes an entry keyed by its
+   id. The top-level "meta" block records git rev, OCaml version, cores,
    jobs and an injected timestamp (HEXTILE_BENCH_TIMESTAMP) so committed
    BENCH_*.json files carry their provenance. *)
 
@@ -31,14 +27,71 @@ module Experiments = Hextile_experiments.Experiments
 module Json = Hextile_obs.Json
 module Timeline = Hextile_obs.Timeline
 module Par = Hextile_par.Par
+module Common = Hextile_schemes.Common
+module Grid = Hextile_ir.Grid
+module Stencil = Hextile_ir.Stencil
 open Hextile_gpusim
 open Hextile_stencils
 
-let section title = Fmt.pr "@.===== %s =====@." title
+(* ---- shared helpers ---------------------------------------------------- *)
+
+let timed f =
+  let t0 = Unix.gettimeofday () in
+  let r = f () in
+  (r, Unix.gettimeofday () -. t0)
+
+let median l =
+  let a = Array.of_list l in
+  Array.sort compare a;
+  a.(Array.length a / 2)
+
+(* Prints one row as [name key=value ...] and returns its fields, so a
+   printed line and its JSON cannot disagree. *)
+let emit name fields =
+  let pp_value ppf = function
+    | Json.Float f -> Fmt.pf ppf "%.4g" f
+    | Json.Str s -> Fmt.string ppf s
+    | v -> Fmt.string ppf (Json.to_string ~minify:true v)
+  in
+  let pp_field ppf (k, v) = Fmt.pf ppf " %s=%a" k pp_value v in
+  Fmt.pr "%-12s%a@." name Fmt.(list ~sep:nop pp_field) fields;
+  fields
+
+(* A named row of a mode's JSON. *)
+let row name fields = (name, Json.Obj (emit name fields))
+
+(* What differs between two runs of one program, if anything: a counter
+   (except those in [except]), the update or block count, or a grid. *)
+let difference ?(except = []) (a : Common.result) (b : Common.result) =
+  let counters (r : Common.result) =
+    List.filter (fun (k, _) -> not (List.mem k except)) (Counters.to_assoc r.counters)
+  in
+  match
+    List.find_opt (fun ((_, x), (_, y)) -> x <> y) (List.combine (counters a) (counters b))
+  with
+  | Some ((k, x), (_, y)) -> Some (Fmt.str "counter %s (%d vs %d)" k x y)
+  | None when a.updates <> b.updates -> Some "updates"
+  | None when a.blocks <> b.blocks -> Some "blocks"
+  | None ->
+      Hashtbl.fold
+        (fun name g acc ->
+          if acc = None && not (Grid.equal g (Grid.find b.grids name)) then
+            Some ("grid " ^ name)
+          else acc)
+        a.grids None
+
+let check_same what (prog : Stencil.t) ?except a b =
+  Option.iter
+    (fun d -> failwith (Fmt.str "%s: %s %s differs" what prog.name d))
+    (difference ?except a b)
+
+type ctx = { pool : Par.pool; jobs : int; trace_out : string option }
+
+(* ---- the paper's tables and figures ------------------------------------ *)
+
 let text_json s = Json.Obj [ ("text", Json.Str s) ]
 
-let fig1 () =
-  section "Figure 1: Jacobi 2D stencil (frontend input)";
+let fig1 _ =
   print_string Experiments.figure1_source;
   (match
      Hextile_frontend.Front.parse_string ~name:"jacobi2d" Experiments.figure1_source
@@ -51,43 +104,25 @@ let fig1 () =
   | Error m -> Fmt.pr "frontend error: %s@." m);
   text_json Experiments.figure1_source
 
-let fig_text title text =
-  section title;
+let fig_text text _ =
   let s = text () in
   print_string s;
   text_json s
 
-let fig2 () = fig_text "Figure 2: generated PTX-style core" Experiments.figure2_text
-let fig3 () = fig_text "Figure 3: opposite dependence cone" Experiments.figure3_text
-let fig4 () = fig_text "Figure 4: hexagonal tile shape" Experiments.figure4_text
+let table12 dev { pool; _ } =
+  let rows = Experiments.table12 ~pool dev in
+  Experiments.pp_table12 dev Fmt.stdout rows;
+  Experiments.table12_json dev rows
 
-let fig5 () =
-  fig_text "Figure 5: hexagonal tiling pattern (phases 0/1)" Experiments.figure5_text
+let table1 ctx =
+  let json = table12 Device.gtx470 ctx in
+  print_string (Experiments.patus_note ~pool:ctx.pool Device.gtx470);
+  json
 
-let fig6 () =
-  fig_text "Figure 6: hybrid n-dimensional schedule" Experiments.figure6_text
-
-let table3 () = fig_text "Table 3: stencil characteristics" Experiments.table3_text
-
-let table1 ~pool ~quick () =
-  section "Table 1: GStencils/second on (scaled) GTX 470";
-  let rows = Experiments.table12 ~pool ~quick Device.gtx470 in
-  Experiments.pp_table12 Device.gtx470 Fmt.stdout rows;
-  print_string (Experiments.patus_note ~pool ~quick Device.gtx470);
-  Experiments.table12_json Device.gtx470 rows
-
-let table2 ~pool ~quick () =
-  section "Table 2: GStencils/second on (scaled) NVS 5200M";
-  let rows = Experiments.table12 ~pool ~quick Device.nvs5200m in
-  Experiments.pp_table12 Device.nvs5200m Fmt.stdout rows;
-  Experiments.table12_json Device.nvs5200m rows
-
-let tables45 ~pool ~quick () =
-  section "Table 4: shared-memory optimization ladder (heat 3D, GFLOPS)";
-  let gtx = Experiments.ladder ~pool ~quick Device.gtx470 in
-  let nvs = Experiments.ladder ~pool ~quick Device.nvs5200m in
+let tables45 { pool; _ } =
+  let gtx = Experiments.ladder ~pool Device.gtx470 in
+  let nvs = Experiments.ladder ~pool Device.nvs5200m in
   Experiments.pp_table4 Fmt.stdout [ (Device.nvs5200m, nvs); (Device.gtx470, gtx) ];
-  section "Table 5: performance counters (heat 3D ladder)";
   Experiments.pp_table5 Fmt.stdout (Device.gtx470, gtx);
   Json.Obj
     [
@@ -95,22 +130,8 @@ let tables45 ~pool ~quick () =
       ("nvs5200m", Experiments.ladder_json Device.nvs5200m nvs);
     ]
 
-let tilesize () =
-  fig_text "Section 3.7: tile-size selection model" Experiments.tile_size_sweep_text
-
-let diamond () =
-  fig_text "Section 5: diamond vs hexagonal tile regularity"
-    Experiments.diamond_vs_hex_text
-
-let split1d ~quick () =
-  fig_text "1D degenerate case: hexagonal vs split tiling" (fun () ->
-      Experiments.split1d_text ~quick Device.gtx470)
-
-let ablate ~pool ~quick () =
-  section "Ablation: time-tile height h (hybrid, heat 2D, GTX 470)";
-  let sweep =
-    Experiments.h_sweep ~pool ~quick Device.gtx470 Hextile_stencils.Suite.heat2d
-  in
+let ablate { pool; _ } =
+  let sweep = Experiments.h_sweep ~pool Device.gtx470 Suite.heat2d in
   List.iter
     (fun (h, g) -> Fmt.pr "h=%d (%d time steps/tile): %.2f GStencils/s@." h ((2 * h) + 2) g)
     sweep;
@@ -120,8 +141,7 @@ let ablate ~pool ~quick () =
 
 (* Wall-clock comparison of the full table12 sim suite sequentially vs
    fanned out over the pool, plus a bit-exactness check of the rows —
-   the bench-level witness of the determinism contract. The JSON lands
-   in BENCH_par.json via `make bench`.
+   the bench-level witness of the determinism contract.
 
    The run *fails* below a speedup floor, so a scheduling or shared-cache
    regression that quietly re-serializes the suite turns the bench red
@@ -143,72 +163,66 @@ let parcmp_floor ~jobs =
       else if cores >= 2 && jobs >= 2 then 1.2
       else 0.6
 
-let parcmp ~jobs ~quick () =
-  section (Fmt.str "Parallel runtime: table12 suite, jobs=1 vs jobs=%d" jobs);
-  let timed j =
+let parcmp { jobs; _ } =
+  let suite j =
     Par.with_pool ~jobs:j @@ fun pool ->
-    let t0 = Unix.gettimeofday () in
-    let rows = Experiments.table12 ~pool ~quick Device.gtx470 in
-    (rows, Unix.gettimeofday () -. t0)
+    timed (fun () -> Experiments.table12 ~pool Device.gtx470)
   in
-  let rows1, t1 = timed 1 in
-  let rows_n, tn = timed jobs in
-  let identical = rows1 = rows_n in
-  let speedup = t1 /. tn in
-  let cores = Domain.recommended_domain_count () in
-  let floor = parcmp_floor ~jobs in
-  Fmt.pr
-    "jobs=1: %.3f s@.jobs=%d: %.3f s@.speedup: %.2fx (floor %.2fx on %d \
-     cores)@.rows identical: %b@."
-    t1 jobs tn speedup floor cores identical;
-  if not identical then
-    failwith "parcmp: parallel table12 rows differ from sequential";
+  let rows1, t1 = suite 1 in
+  let rows_n, tn = suite jobs in
+  let rows =
+    List.map
+      (fun (r : Experiments.perf_row) ->
+        row r.kernel
+          (List.map (fun (s, g) -> (Experiments.scheme_name s, Json.Float g)) r.cells))
+      rows_n
+  in
+  let identical = rows1 = rows_n and speedup = t1 /. tn in
+  let cores = Domain.recommended_domain_count () and floor = parcmp_floor ~jobs in
+  let total =
+    emit "total"
+      [
+        ("jobs", Json.Int jobs);
+        ("cores", Json.Int cores);
+        ("t1_s", Json.Float t1);
+        ("tN_s", Json.Float tn);
+        ("speedup", Json.Float speedup);
+        ("floor", Json.Float floor);
+        ("identical", Json.Bool identical);
+      ]
+  in
+  if not identical then failwith "parcmp: parallel table12 rows differ from sequential";
   if speedup < floor then
     failwith
-      (Fmt.str "parcmp: jobs=%d speedup %.2fx below the %.2fx floor (%d cores)"
-         jobs speedup floor cores);
-  Json.Obj
-    [
-      ("jobs", Json.Int jobs);
-      ("cores", Json.Int cores);
-      ("t1_s", Json.Float t1);
-      ("tN_s", Json.Float tn);
-      ("speedup", Json.Float speedup);
-      ("floor", Json.Float floor);
-      ("identical", Json.Bool identical);
-      ("rows", Experiments.table12_json Device.gtx470 rows_n);
-    ]
+      (Fmt.str "parcmp: jobs=%d speedup %.2fx below the %.2fx floor (%d cores)" jobs
+         speedup floor cores);
+  Json.Obj (total @ [ ("rows", Json.Obj rows) ])
 
 (* ---- parallel-time attribution: where do jobs=N worker-seconds go? --- *)
 
 (* Runs the Table 3 suite on the hybrid scheme under a jobs=N pool with
    timeline recording on, then folds the per-domain tracks into a
    wall-clock attribution over {compute, encode, idle, replay, absorb,
-   other} — the quantified target for the roadmap's "make parallelism
-   pay" item (BENCH_par.json shows jobs=4 *losing* to sequential).
-   Encode cost is attributed indirectly — the trace-event counts
+   other}. Encode cost is attributed indirectly — the trace-event counts
    carried by the "sim.encode" instants times the calibrated per-event
    tbuf-push cost — because L2-trace encoding happens inline with block
    compute. "other" is the residual of jobs x wall not covered by a
    named phase (main-domain tiling/setup between regions, scheduler
    bookkeeping). Fails if the phases do not sum to jobs x wall within
-   5%. The JSON lands in BENCH_parattr.json via `make bench`. *)
-let parattr ~jobs ~quick ~trace_out () =
-  section
-    (Fmt.str "Parallel-time attribution (Table 3 hybrid suite, jobs=%d)" jobs);
-  let dev = Device.gtx470 in
+   5%. *)
+let parattr { jobs; trace_out; _ } =
   let encode_cost = Sim.encode_cost_per_event_s () in
   Timeline.enable ();
-  let t0 = Unix.gettimeofday () in
-  Par.with_pool ~jobs (fun pool ->
-      List.iter
-        (fun (prog : Hextile_ir.Stencil.t) ->
-          let env = Experiments.sizes ~quick prog in
-          ignore
-            (Experiments.run_scheme ~pool ~verify:false Experiments.Hybrid prog
-               env dev))
-        Suite.table3);
-  let wall = Unix.gettimeofday () -. t0 in
+  let (), wall =
+    timed @@ fun () ->
+    Par.with_pool ~jobs @@ fun pool ->
+    List.iter
+      (fun prog ->
+        ignore
+          (Experiments.run_scheme ~pool ~verify:false Experiments.Hybrid prog
+             (Experiments.sizes prog) Device.gtx470))
+      Suite.table3
+  in
   let su = Timeline.summary () in
   Option.iter Timeline.write_chrome trace_out;
   Timeline.disable ();
@@ -220,117 +234,66 @@ let parattr ~jobs ~quick ~trace_out () =
   let compute = Float.max 0.0 (Timeline.excl_s su "sim.block" -. encode) in
   let idle = Timeline.incl_s su "par.idle" in
   let replay = Timeline.incl_s su "sim.l2_replay" in
-  let absorb =
-    Timeline.incl_s su "par.absorb" +. Timeline.incl_s su "sim.absorb"
-  in
+  let absorb = Timeline.incl_s su "par.absorb" +. Timeline.incl_s su "sim.absorb" in
   let worker_seconds = float_of_int jobs *. wall in
   let named = compute +. encode +. idle +. replay +. absorb in
   let other = Float.max 0.0 (worker_seconds -. named) in
-  let sum = compute +. encode +. idle +. replay +. absorb +. other in
   let phases =
-    [
-      ("compute", compute);
-      ("encode", encode);
-      ("idle", idle);
-      ("replay", replay);
-      ("absorb", absorb);
-      ("other", other);
-    ]
+    List.map
+      (fun (k, v) ->
+        row k [ ("s", Json.Float v); ("fraction", Json.Float (v /. worker_seconds)) ])
+      [
+        ("compute", compute);
+        ("encode", encode);
+        ("idle", idle);
+        ("replay", replay);
+        ("absorb", absorb);
+        ("other", other);
+      ]
   in
-  Fmt.pr "jobs=%d wall %.3f s -> %.3f worker-seconds@." jobs wall worker_seconds;
-  List.iter
-    (fun (k, v) ->
-      Fmt.pr "  %-8s %8.3f s  (%5.1f%%)@." k v (100. *. v /. worker_seconds))
-    phases;
-  Fmt.pr "  coverage: named phases %.1f%%, %d timeline events, %d dropped@."
-    (100. *. named /. worker_seconds)
-    events su.Timeline.su_dropped;
-  let err = Float.abs (sum -. worker_seconds) /. worker_seconds in
+  let total =
+    emit "total"
+      [
+        ("jobs", Json.Int jobs);
+        ("wall_s", Json.Float wall);
+        ("worker_seconds", Json.Float worker_seconds);
+        ("named_coverage", Json.Float (named /. worker_seconds));
+        ("encode_cost_per_event_ns", Json.Float (1e9 *. encode_cost));
+        ("encode_events", Json.Float encode_events);
+        ("tracks", Json.Int (List.length su.Timeline.su_tracks));
+        ("events", Json.Int events);
+        ("dropped", Json.Int su.Timeline.su_dropped);
+      ]
+  in
+  let err = Float.abs (named +. other -. worker_seconds) /. worker_seconds in
   if err > 0.05 then
-    failwith
-      (Fmt.str "parattr: phase attribution off by %.1f%% of jobs x wall"
-         (100. *. err));
-  Json.Obj
-    [
-      ("jobs", Json.Int jobs);
-      ("wall_s", Json.Float wall);
-      ("worker_seconds", Json.Float worker_seconds);
-      ("encode_cost_per_event_ns", Json.Float (1e9 *. encode_cost));
-      ("encode_events", Json.Float encode_events);
-      ("phases_s", Json.Obj (List.map (fun (k, v) -> (k, Json.Float v)) phases));
-      ( "fractions",
-        Json.Obj
-          (List.map (fun (k, v) -> (k, Json.Float (v /. worker_seconds))) phases)
-      );
-      ("named_coverage", Json.Float (named /. worker_seconds));
-      ( "timeline",
-        Json.Obj
-          [
-            ("tracks", Json.Int (List.length su.Timeline.su_tracks));
-            ("events", Json.Int events);
-            ("dropped", Json.Int su.Timeline.su_dropped);
-          ] );
-    ]
+    failwith (Fmt.str "parattr: phase attribution off by %.1f%% of jobs x wall" (100. *. err));
+  Json.Obj (total @ [ ("phases", Json.Obj phases) ])
 
 (* ---- executor benchmark: tape engine vs closure reference ------------ *)
-
-module Common = Hextile_schemes.Common
-module Counters = Hextile_gpusim.Counters
 
 (* Wall-clock comparison of the warp-batched tape engine (with
    tile-class stream memoization in the hybrid scheme) against the
    closure-tree reference interpreter, over the Table 3 suite on the
    hybrid scheme, plus the bit-exactness and jobs-determinism checks.
    Fails if any counter/grid diverges or the total speedup drops below
-   3x. The JSON lands in BENCH_sim.json via `make bench-sim`. *)
-let simcmp ~jobs ~quick () =
-  section
-    (Fmt.str "Execution engine: tape+memo vs closure reference (Table 3, jobs=%d)"
-       jobs);
-  let dev = Device.gtx470 in
-  let rows = ref [] in
-  let tot_ref = ref 0.0 and tot_tape = ref 0.0 and tot_par = ref 0.0 in
-  let identical (a : Common.result) (b : Common.result) =
-    Counters.to_assoc a.counters = Counters.to_assoc b.counters
-    && a.updates = b.updates && a.blocks = b.blocks
-    && Hashtbl.fold
-         (fun name g acc ->
-           acc && Hextile_ir.Grid.equal g (Hextile_ir.Grid.find b.grids name))
-         a.grids true
-  in
-  List.iter
-    (fun (prog : Hextile_ir.Stencil.t) ->
-      let env = Experiments.sizes ~quick prog in
-      let timed f =
-        let t0 = Unix.gettimeofday () in
-        let r = f () in
-        (r, Unix.gettimeofday () -. t0)
-      in
-      let run ?pool engine () =
-        Experiments.run_scheme ?pool ~engine ~verify:false Experiments.Hybrid
-          prog env dev
-      in
-      let r_ref, t_ref = timed (run Common.Ref) in
-      let r_tape, t_tape = timed (run Common.Tape) in
-      let r_par, t_par =
-        timed (fun () -> Par.with_pool ~jobs @@ fun pool -> run ~pool Common.Tape ())
-      in
-      if not (identical r_ref r_tape) then
-        failwith (Fmt.str "simcmp: %s tape result differs from reference" prog.name);
-      if not (identical r_ref r_par) then
-        failwith
-          (Fmt.str "simcmp: %s tape result differs at jobs=%d" prog.name jobs);
-      tot_ref := !tot_ref +. t_ref;
-      tot_tape := !tot_tape +. t_tape;
-      tot_par := !tot_par +. t_par;
-      Fmt.pr
-        "%-12s ref %7.1f ms  tape %7.1f ms (%4.1fx)  tape(jobs=%d) %7.1f ms  \
-         blocks %d (%d memoized)@."
-        prog.name (1000. *. t_ref) (1000. *. t_tape) (t_ref /. t_tape) jobs
-        (1000. *. t_par) r_tape.blocks r_tape.blocks_memoized;
-      rows :=
-        ( prog.name,
-          Json.Obj
+   3x. *)
+let simcmp { jobs; _ } =
+  let per_stencil =
+    List.map
+      (fun (prog : Stencil.t) ->
+        let run ?pool engine () =
+          Experiments.run_scheme ?pool ~engine ~verify:false Experiments.Hybrid prog
+            (Experiments.sizes prog) Device.gtx470
+        in
+        let r_ref, t_ref = timed (run Common.Ref) in
+        let r_tape, t_tape = timed (run Common.Tape) in
+        let r_par, t_par =
+          timed (fun () -> Par.with_pool ~jobs @@ fun pool -> run ~pool Common.Tape ())
+        in
+        check_same "simcmp: tape vs reference" prog r_ref r_tape;
+        check_same (Fmt.str "simcmp: tape at jobs=%d" jobs) prog r_ref r_par;
+        ( row prog.name
             [
               ("t_ref_s", Json.Float t_ref);
               ("t_tape_s", Json.Float t_tape);
@@ -338,35 +301,33 @@ let simcmp ~jobs ~quick () =
               ("speedup", Json.Float (t_ref /. t_tape));
               ("blocks", Json.Int r_tape.blocks);
               ("blocks_memoized", Json.Int r_tape.blocks_memoized);
-              ("identical", Json.Bool true);
-            ] )
-        :: !rows)
-    Suite.table3;
-  let speedup = !tot_ref /. !tot_tape in
-  Fmt.pr "total: ref %.2f s, tape %.2f s (%.2fx), tape jobs=%d %.2f s@." !tot_ref
-    !tot_tape speedup jobs !tot_par;
+            ],
+          (t_ref, t_tape, t_par) ))
+      Suite.table3
+  in
+  let sum f = List.fold_left (fun a (_, t) -> a +. f t) 0.0 per_stencil in
+  let t_ref = sum (fun (t, _, _) -> t) and t_tape = sum (fun (_, t, _) -> t) in
+  let speedup = t_ref /. t_tape in
+  let total =
+    emit "total"
+      [
+        ("jobs", Json.Int jobs);
+        ("t_ref_s", Json.Float t_ref);
+        ("t_tape_s", Json.Float t_tape);
+        ("t_tape_par_s", Json.Float (sum (fun (_, _, t) -> t)));
+        ("speedup", Json.Float speedup);
+        ("identical", Json.Bool true);
+      ]
+  in
   if speedup < 3.0 then
     failwith (Fmt.str "simcmp: tape engine speedup %.2fx below the 3x floor" speedup);
-  Json.Obj
-    [
-      ("jobs", Json.Int jobs);
-      ("t_ref_s", Json.Float !tot_ref);
-      ("t_tape_s", Json.Float !tot_tape);
-      ("t_tape_par_s", Json.Float !tot_par);
-      ("speedup", Json.Float speedup);
-      ("stencils", Json.Obj (List.rev !rows));
-    ]
+  Json.Obj (total @ [ ("stencils", Json.Obj (List.map fst per_stencil)) ])
 
 (* ---- analytic (hierarchical) simulation benchmark --------------------- *)
 
-(* Per-instance wall-clock budget for the full-size runs. The default is
-   the 2-minute acceptance bound (tightened from 5 minutes once the
-   blit/batched-replay epilogue landed); HEXTILE_ANALYTIC_BUDGET_S can
-   widen it for slow machines without editing the tree. *)
-let analytic_budget_s =
-  match Option.bind (Sys.getenv_opt "HEXTILE_ANALYTIC_BUDGET_S") float_of_string_opt with
-  | Some f when f > 0.0 -> f
-  | _ -> 120.0
+(* Per-instance wall-clock budget for the full-size runs: the 2-minute
+   acceptance bound. *)
+let analytic_budget_s = 120.0
 
 (* Ceilings for the two analytic epilogue stages that dominate the
    full-size runs: the best this host does on the same work, so each
@@ -377,16 +338,6 @@ let analytic_budget_s =
    loop below read 2-4x slower from one run to the next while the blit
    path did not move. *)
 let ceiling_reps = 7
-
-let median l =
-  let a = Array.of_list l in
-  Array.sort compare a;
-  a.(Array.length a / 2)
-
-let timed_s f =
-  let t0 = Unix.gettimeofday () in
-  f ();
-  Unix.gettimeofday () -. t0
 
 external ( .!() ) : float array -> int -> float = "%array_unsafe_get"
 external ( .!()<- ) : float array -> int -> float -> unit = "%array_unsafe_set"
@@ -406,8 +357,8 @@ let blit_ceiling (dev : Device.t) =
   let reads = Common.stmt_reads ctx ~stmt_idx:0
   and write = Common.stmt_write ctx ~stmt_idx:0 in
   let g = write.Common.sgrid in
-  let nd = Array.length g.Hextile_ir.Grid.dims in
-  let width = g.Hextile_ir.Grid.dims.(nd - 1) in
+  let nd = Array.length g.Grid.dims in
+  let width = g.Grid.dims.(nd - 1) in
   let lo = ctx.Common.lo.(0) and hi = ctx.Common.hi.(0) in
   let nx = hi.(1) - lo.(1) + 1 in
   let rows =
@@ -421,8 +372,8 @@ let blit_ceiling (dev : Device.t) =
      bit-identity check below fails otherwise *)
   if Array.length reads <> 5 then failwith "ceilings: laplacian2d is not a 5-read stencil";
   let hand_bases = List.map (fun (_, _, wo, srcs, _) -> (wo, srcs.(4))) rows |> Array.of_list in
-  let data = g.Hextile_ir.Grid.data in
-  let src = reads.(4).Common.sgrid.Hextile_ir.Grid.data in
+  let data = g.Grid.data in
+  let src = reads.(4).Common.sgrid.Grid.data in
   (* the hand loop's accesses are unchecked: bound its extremes first *)
   Array.iter
     (fun (wo, c) ->
@@ -472,16 +423,12 @@ let blit_ceiling (dev : Device.t) =
   then failwith "ceilings: hand-written laplacian2d loop differs from the blit path";
   let tb = ref [] and th = ref [] in
   for _ = 1 to ceiling_reps do
-    tb := timed_s blit :: !tb;
-    th := timed_s hand :: !th
+    tb := snd (timed blit) :: !tb;
+    th := snd (timed hand) :: !th
   done;
   let ns t = 1e9 *. t /. float_of_int points in
   let blit_ns = ns (median !tb) and hand_ns = ns (median !th) in
-  Fmt.pr
-    "ceiling: grid blits %.2f ns/point vs hand-written loop %.2f ns/point \
-     (%.0f%% of ceiling; laplacian2d, %d points/sweep)@."
-    blit_ns hand_ns (100. *. hand_ns /. blit_ns) points;
-  Json.Obj
+  row "grid_blits"
     [
       ("stencil", Json.Str prog.name);
       ("points", Json.Int points);
@@ -494,8 +441,9 @@ let blit_ceiling (dev : Device.t) =
 (* DRAM replay: a bare [L2.access_run] loop on the device's L2
    geometry, 8-line runs streamed through a region far larger than the
    cache, each run read and then written back (a miss, then a hit at
-   the MRU way). Returns lines per second; the full-size runs'
-   replay_lines / dram_replay_s is reported as a fraction of it. *)
+   the MRU way). Returns its row and its lines per second; each
+   full-size run's replay_lines / dram_replay_s is reported as a
+   fraction of the latter. *)
 let replay_ceiling (dev : Device.t) =
   let run_lines = 8 and nruns = 1 lsl 19 in
   let l2 =
@@ -511,10 +459,17 @@ let replay_ceiling (dev : Device.t) =
   in
   stream ();
   let lines = 2 * nruns * run_lines in
-  let bare_lps = float_of_int lines /. median (List.init ceiling_reps (fun _ -> timed_s stream)) in
-  Fmt.pr "ceiling: bare L2.access_run loop %.1f M lines/s (%d-line runs)@."
-    (bare_lps /. 1e6) run_lines;
-  (bare_lps, run_lines, lines)
+  let bare_lps =
+    float_of_int lines /. median (List.init ceiling_reps (fun _ -> snd (timed stream)))
+  in
+  ( row "dram_replay"
+      [
+        ("run_lines", Json.Int run_lines);
+        ("lines", Json.Int lines);
+        ("reps", Json.Int ceiling_reps);
+        ("bare_lines_per_s", Json.Float bare_lps);
+      ],
+    bare_lps )
 
 (* Two-part witness for the analytic mode. Part 1, divergence check: on
    the scaled Table 3 suite the analytic run must reproduce the exact
@@ -526,72 +481,32 @@ let replay_ceiling (dev : Device.t) =
    and DRAM-replay ceilings are measured, and the full-size runs report
    their replay rate against the latter. Fails on any divergence, bound
    violation, budget overrun or ceiling loop that disagrees with the
-   blit path. The JSON lands in BENCH_analytic.json via
-   `make bench-analytic`. *)
-let analytic ~jobs ~quick () =
-  section
-    (Fmt.str "Analytic simulation: scaled divergence check + full-size runs \
-              (jobs=%d)" jobs);
+   blit path. *)
+let analytic { jobs; _ } =
   let dev = Device.gtx470 in
-  let timed f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
+  let dram = [ "dram_read_transactions"; "dram_write_transactions" ] in
   (* part 1: scaled instances, exact vs analytic *)
-  let rows = ref [] in
-  let max_err = ref 0.0 and tot_exact = ref 0.0 and tot_an = ref 0.0 in
-  let rel a e = float_of_int (abs (a - e)) /. float_of_int (max 1 e) in
-  List.iter
-    (fun (prog : Hextile_ir.Stencil.t) ->
-      let env = Experiments.sizes ~quick prog in
-      let run analytic () =
-        Par.with_pool ~jobs @@ fun pool ->
-        Experiments.run_scheme ~pool ~analytic ~verify:false Experiments.Hybrid
-          prog env dev
-      in
-      let r_ex, t_ex = timed (run false) in
-      let r_an, t_an = timed (run true) in
-      let grids_equal =
-        Hashtbl.fold
-          (fun name g acc ->
-            acc && Hextile_ir.Grid.equal g (Hextile_ir.Grid.find r_an.Common.grids name))
-          r_ex.Common.grids true
-      in
-      if not grids_equal || r_ex.updates <> r_an.updates then
-        failwith (Fmt.str "analytic: %s grids/updates diverge" prog.name);
-      let dram k = List.assoc k (Counters.to_assoc r_ex.counters),
-                   List.assoc k (Counters.to_assoc r_an.counters) in
-      List.iter2
-        (fun (k, ve) (k', va) ->
-          assert (k = k');
-          let is_dram =
-            k = "dram_read_transactions" || k = "dram_write_transactions"
-          in
-          if (not is_dram) && ve <> va then
-            failwith
-              (Fmt.str "analytic: %s counter %s diverges (%d vs %d)" prog.name
-                 k ve va))
-        (Counters.to_assoc r_ex.counters)
-        (Counters.to_assoc r_an.counters);
-      let er, ar = dram "dram_read_transactions"
-      and ew, aw = dram "dram_write_transactions" in
-      let err = Float.max (rel ar er) (rel aw ew) in
-      if err > Analytic.dram_error_bound then
-        failwith
-          (Fmt.str "analytic: %s DRAM error %.4f exceeds bound %.4f" prog.name
-             err Analytic.dram_error_bound);
-      max_err := Float.max !max_err err;
-      tot_exact := !tot_exact +. t_ex;
-      tot_an := !tot_an +. t_an;
-      Fmt.pr
-        "%-12s exact %7.1f ms  analytic %7.1f ms (%4.1fx)  %d/%d blocks scaled \
-         (%d classes)  dram err %.4f@."
-        prog.name (1000. *. t_ex) (1000. *. t_an) (t_ex /. t_an)
-        r_an.blocks_analytic r_an.blocks r_an.classes err;
-      rows :=
-        ( prog.name,
-          Json.Obj
+  let scaled =
+    List.map
+      (fun (prog : Stencil.t) ->
+        let run analytic () =
+          Par.with_pool ~jobs @@ fun pool ->
+          Experiments.run_scheme ~pool ~analytic ~verify:false Experiments.Hybrid prog
+            (Experiments.sizes prog) dev
+        in
+        let r_ex, t_ex = timed (run false) in
+        let r_an, t_an = timed (run true) in
+        check_same "analytic: analytic vs exact" prog ~except:dram r_ex r_an;
+        let rel k =
+          let get (r : Common.result) = List.assoc k (Counters.to_assoc r.counters) in
+          float_of_int (abs (get r_an - get r_ex)) /. float_of_int (max 1 (get r_ex))
+        in
+        let err = List.fold_left (fun m k -> Float.max m (rel k)) 0.0 dram in
+        if err > Analytic.dram_error_bound then
+          failwith
+            (Fmt.str "analytic: %s DRAM error %.4f exceeds bound %.4f" prog.name err
+               Analytic.dram_error_bound);
+        ( row prog.name
             [
               ("t_exact_s", Json.Float t_ex);
               ("t_analytic_s", Json.Float t_an);
@@ -600,15 +515,13 @@ let analytic ~jobs ~quick () =
               ("blocks_analytic", Json.Int r_an.blocks_analytic);
               ("classes", Json.Int r_an.classes);
               ("dram_err", Json.Float err);
-              ("identical", Json.Bool true);
-            ] )
-        :: !rows)
-    Suite.table3;
-  Fmt.pr "scaled total: exact %.2f s, analytic %.2f s (%.2fx), worst dram err %.4f@."
-    !tot_exact !tot_an (!tot_exact /. !tot_an) !max_err;
+            ],
+          (t_ex, t_an, err) ))
+      Suite.table3
+  in
   (* the epilogue ceilings, on a fresh heap (see [ceiling_reps]) *)
-  let blit_json = blit_ceiling dev in
-  let bare_lps, run_lines, bare_lines = replay_ceiling dev in
+  let blit_row = blit_ceiling dev in
+  let replay_row, bare_lps = replay_ceiling dev in
   (* part 2: the paper's full-size instances. These runs are pure
      compute against a wall-clock budget, so never oversubscribe the
      machine: a pool wider than the physical core count only adds
@@ -616,104 +529,71 @@ let analytic ~jobs ~quick () =
      without changing the result — the output is bit-identical at every
      jobs value by the determinism contract. *)
   let fs_jobs = min jobs (Domain.recommended_domain_count ()) in
-  if fs_jobs < jobs then
-    Fmt.pr "full-size runs at jobs=%d (machine has %d cores)@." fs_jobs
-      (Domain.recommended_domain_count ());
-  let full = ref [] and replay_rates = ref [] in
-  let replay_lps (r : Common.result) =
-    float_of_int r.Common.replay_lines /. (r.Common.dram_ms /. 1000.)
-  in
-  List.iter
-    (fun (prog : Hextile_ir.Stencil.t) ->
-      let env = Experiments.paper_sizes prog in
-      let n = List.assoc "N" env and t = List.assoc "T" env in
-      let r, wall =
-        timed (fun () ->
-            if fs_jobs <= 1 then
-              Experiments.run_scheme ~analytic:true ~verify:false
-                Experiments.Hybrid prog env dev
-            else
+  let full =
+    List.map
+      (fun (prog : Stencil.t) ->
+        let env = Experiments.paper_sizes prog in
+        let r, wall =
+          timed (fun () ->
               Par.with_pool ~jobs:fs_jobs @@ fun pool ->
-              Experiments.run_scheme ~pool ~analytic:true ~verify:false
-                Experiments.Hybrid prog env dev)
-      in
-      Fmt.pr
-        "%-12s N=%d T=%d: %.1f s wall (budget %.0f s)  %d/%d blocks scaled  \
-         %.2f GStencils/s@."
-        prog.name n t wall analytic_budget_s r.Common.blocks_analytic
-        r.Common.blocks
-        (Common.gstencils_per_s r);
-      Fmt.pr
-        "             epilogue %.1f s (derive %.1f, dram replay %.1f, grid \
-         blits %.1f)  blit_rows=%d replay_lines=%d@."
-        (r.Common.epilogue_ms /. 1000.) (r.Common.derive_ms /. 1000.)
-        (r.Common.dram_ms /. 1000.) (r.Common.grids_ms /. 1000.)
-        r.Common.blit_rows r.Common.replay_lines;
-      if wall > analytic_budget_s then
-        failwith
-          (Fmt.str "analytic: full-size %s took %.1f s, over the %.0f s budget"
-             prog.name wall analytic_budget_s);
-      if r.Common.blocks_analytic = 0 then
-        failwith (Fmt.str "analytic: full-size %s scaled no blocks" prog.name);
-      full :=
-        ( prog.name,
-          Json.Obj
+              Experiments.run_scheme ~pool ~analytic:true ~verify:false Experiments.Hybrid
+                prog env dev)
+        in
+        let replay_lps = float_of_int r.replay_lines /. (r.dram_ms /. 1000.) in
+        let full_row =
+          row prog.name
             [
-              ("n", Json.Int n);
-              ("t", Json.Int t);
+              ("n", Json.Int (List.assoc "N" env));
+              ("t", Json.Int (List.assoc "T" env));
               ("jobs", Json.Int fs_jobs);
               ("wall_s", Json.Float wall);
               ("budget_s", Json.Float analytic_budget_s);
-              ("blocks", Json.Int r.Common.blocks);
-              ("blocks_analytic", Json.Int r.Common.blocks_analytic);
-              ("classes", Json.Int r.Common.classes);
-              ("updates", Json.Int r.Common.updates);
+              ("blocks", Json.Int r.blocks);
+              ("blocks_analytic", Json.Int r.blocks_analytic);
+              ("classes", Json.Int r.classes);
+              ("updates", Json.Int r.updates);
               ("gstencils_per_s", Json.Float (Common.gstencils_per_s r));
-              ("epilogue_s", Json.Float (r.Common.epilogue_ms /. 1000.));
-              ("derive_s", Json.Float (r.Common.derive_ms /. 1000.));
-              ("dram_replay_s", Json.Float (r.Common.dram_ms /. 1000.));
-              ("grid_blits_s", Json.Float (r.Common.grids_ms /. 1000.));
-              ("blit_rows", Json.Int r.Common.blit_rows);
-              ("replay_lines", Json.Int r.Common.replay_lines);
-              ("replay_lines_per_s", Json.Float (replay_lps r));
+              ("epilogue_s", Json.Float (r.epilogue_ms /. 1000.));
+              ("derive_s", Json.Float (r.derive_ms /. 1000.));
+              ("dram_replay_s", Json.Float (r.dram_ms /. 1000.));
+              ("grid_blits_s", Json.Float (r.grids_ms /. 1000.));
+              ("blit_rows", Json.Int r.blit_rows);
+              ("replay_lines", Json.Int r.replay_lines);
+              ("replay_lines_per_s", Json.Float replay_lps);
+              ("replay_frac_of_ceiling", Json.Float (replay_lps /. bare_lps));
               ("result", Experiments.result_json r);
-            ] )
-        :: !full;
-      replay_rates := (prog.name, replay_lps r) :: !replay_rates)
-    [ Suite.laplacian2d; Suite.laplacian3d ];
-  let replay_fracs =
-    List.map
-      (fun (name, lps) ->
-        Fmt.pr "ceiling: %-12s DRAM replay %.1f M lines/s = %.0f%% of the bare loop@."
-          name (lps /. 1e6) (100. *. lps /. bare_lps);
-        (name, Json.Float (lps /. bare_lps)))
-      (List.rev !replay_rates)
+            ]
+        in
+        if wall > analytic_budget_s then
+          failwith
+            (Fmt.str "analytic: full-size %s took %.1f s, over the %.0f s budget" prog.name
+               wall analytic_budget_s);
+        if r.blocks_analytic = 0 then
+          failwith (Fmt.str "analytic: full-size %s scaled no blocks" prog.name);
+        full_row)
+      [ Suite.laplacian2d; Suite.laplacian3d ]
+  in
+  let sum f = List.fold_left (fun a (_, t) -> a +. f t) 0.0 scaled in
+  let t_exact = sum (fun (t, _, _) -> t) and t_an = sum (fun (_, t, _) -> t) in
+  let total =
+    emit "total"
+      [
+        ("jobs", Json.Int jobs);
+        ("dram_error_bound", Json.Float Analytic.dram_error_bound);
+        ( "max_dram_err",
+          Json.Float (List.fold_left (fun m (_, (_, _, e)) -> Float.max m e) 0.0 scaled) );
+        ("t_exact_s", Json.Float t_exact);
+        ("t_analytic_s", Json.Float t_an);
+        ("speedup", Json.Float (t_exact /. t_an));
+      ]
   in
   Json.Obj
-    [
-      ("jobs", Json.Int jobs);
-      ("dram_error_bound", Json.Float Analytic.dram_error_bound);
-      ("max_dram_err", Json.Float !max_err);
-      ("t_exact_s", Json.Float !tot_exact);
-      ("t_analytic_s", Json.Float !tot_an);
-      ("speedup", Json.Float (!tot_exact /. !tot_an));
-      ("stencils", Json.Obj (List.rev !rows));
-      ("full_size", Json.Obj (List.rev !full));
-      ( "ceilings",
-        Json.Obj
-          [
-            ("grid_blits", blit_json);
-            ( "dram_replay",
-              Json.Obj
-                [
-                  ("run_lines", Json.Int run_lines);
-                  ("lines", Json.Int bare_lines);
-                  ("reps", Json.Int ceiling_reps);
-                  ("bare_lines_per_s", Json.Float bare_lps);
-                  ("frac_of_ceiling", Json.Obj replay_fracs);
-                ] );
-          ] );
-    ]
+    (total
+    @ [
+        ("stencils", Json.Obj (List.map fst scaled));
+        ("full_size", Json.Obj full);
+        ("ceilings", Json.Obj [ blit_row; replay_row ]);
+      ])
 
 (* ---- staged tile-size search benchmark: staged vs exhaustive --------- *)
 
@@ -723,8 +603,8 @@ module Tile_size = Hextile_tiling.Tile_size
    to prune; h descends so good (large-h) candidates are screened first
    and their ratio bounds dominate the rest of the walk. Candidate order
    is identical for both searches, so the choice contract still holds. *)
-let tilesearch_grids (prog : Hextile_ir.Stencil.t) =
-  if Hextile_ir.Stencil.spatial_dims prog = 3 then
+let tilesearch_grids (prog : Stencil.t) =
+  if Stencil.spatial_dims prog = 3 then
     ([ 5; 3; 2; 1 ], [ 2; 4; 6; 8 ], [ [ 1; 2; 4; 8 ]; [ 32; 64; 128 ] ])
   else ([ 7; 5; 3; 2; 1 ], [ 2; 4; 6; 8; 12; 16 ], [ [ 32; 64; 128; 256 ] ])
 
@@ -741,73 +621,42 @@ let same_choice a b =
    frozen exhaustive oracle over the Table 3 suite, plus the jobs
    determinism check; fails on any choice divergence or if the analytic
    layer stops paying for itself (< 5x fewer exact evaluations than
-   candidates). The JSON lands in BENCH_tilesize.json via
-   `make bench-tilesize`. *)
-let tilesearch ~jobs ~quick () =
-  ignore quick;
-  section (Fmt.str "Tile-size search: staged vs exhaustive (Table 3, jobs=%d)" jobs);
-  let rows = ref [] in
-  let tot_cand = ref 0 and tot_evals = ref 0 in
-  let tot_ex = ref 0.0 and tot_st = ref 0.0 and tot_par = ref 0.0 in
-  List.iter
-    (fun (prog : Hextile_ir.Stencil.t) ->
-      let hc, w0c, wi = tilesearch_grids prog in
-      let timed f =
-        let t0 = Unix.gettimeofday () in
-        let r = f () in
-        (r, Unix.gettimeofday () -. t0)
-      in
-      let oracle, t_ex =
-        timed (fun () ->
-            Tile_size.select_exhaustive prog ~h_candidates:hc ~w0_candidates:w0c
-              ~wi_candidates:wi ~shared_mem_floats:tilesearch_budget
-              ~require_multiple:32 ())
-      in
-      let (staged, report), t_st =
-        timed (fun () ->
-            Tile_size.select_with_report prog ~h_candidates:hc ~w0_candidates:w0c
-              ~wi_candidates:wi ~shared_mem_floats:tilesearch_budget
-              ~require_multiple:32 ())
-      in
-      let (staged_par, report_par), t_par =
-        timed (fun () ->
-            Par.with_pool ~jobs @@ fun pool ->
-            Tile_size.select_with_report ~pool prog ~h_candidates:hc
-              ~w0_candidates:w0c ~wi_candidates:wi
-              ~shared_mem_floats:tilesearch_budget ~require_multiple:32 ())
-      in
-      if not (same_choice staged oracle) then
-        failwith (Fmt.str "tilesearch: %s staged choice differs from exhaustive" prog.name);
-      if not (same_choice staged_par oracle) then
-        failwith
-          (Fmt.str "tilesearch: %s staged choice differs at jobs=%d" prog.name jobs);
-      if report <> report_par then
-        failwith (Fmt.str "tilesearch: %s search counters differ at jobs=%d" prog.name jobs);
-      tot_cand := !tot_cand + report.candidates;
-      tot_evals := !tot_evals + report.exact_evals;
-      tot_ex := !tot_ex +. t_ex;
-      tot_st := !tot_st +. t_st;
-      tot_par := !tot_par +. t_par;
-      Fmt.pr
-        "%-12s %4d candidates -> %3d exact evals (%3d infeasible, %3d dominated)  \
-         exhaustive %6.1f ms  staged %6.1f ms  staged(jobs=%d) %6.1f ms@."
-        prog.name report.candidates report.exact_evals report.pruned_infeasible
-        report.pruned_dominated (1000. *. t_ex) (1000. *. t_st) jobs (1000. *. t_par);
-      let choice_json =
-        match staged with
-        | None -> Json.Str "none"
-        | Some c ->
-            Json.Obj
-              [
-                ("h", Json.Int c.h);
-                ( "w",
-                  Json.List (Array.to_list (Array.map (fun x -> Json.Int x) c.w)) );
-                ("ratio", Json.Float c.stats.ratio);
-              ]
-      in
-      rows :=
-        ( prog.name,
-          Json.Obj
+   candidates). *)
+let tilesearch { jobs; _ } =
+  let per_stencil =
+    List.map
+      (fun (prog : Stencil.t) ->
+        let h_candidates, w0_candidates, wi_candidates = tilesearch_grids prog in
+        let oracle, t_ex =
+          timed (fun () ->
+              Tile_size.select_exhaustive prog ~h_candidates ~w0_candidates ~wi_candidates
+                ~shared_mem_floats:tilesearch_budget ~require_multiple:32 ())
+        in
+        let search ?pool () =
+          Tile_size.select_with_report ?pool prog ~h_candidates ~w0_candidates
+            ~wi_candidates ~shared_mem_floats:tilesearch_budget ~require_multiple:32 ()
+        in
+        let (staged, report), t_st = timed (fun () -> search ()) in
+        let (staged_par, report_par), t_par =
+          timed (fun () -> Par.with_pool ~jobs @@ fun pool -> search ~pool ())
+        in
+        let fail what = failwith (Fmt.str "tilesearch: %s %s" prog.name what) in
+        if not (same_choice staged oracle) then fail "staged choice differs from exhaustive";
+        if not (same_choice staged_par oracle) then
+          fail (Fmt.str "staged choice differs at jobs=%d" jobs);
+        if report <> report_par then fail (Fmt.str "search counters differ at jobs=%d" jobs);
+        let choice =
+          match staged with
+          | None -> Json.Str "none"
+          | Some c ->
+              Json.Obj
+                [
+                  ("h", Json.Int c.h);
+                  ("w", Json.List (Array.to_list (Array.map (fun x -> Json.Int x) c.w)));
+                  ("ratio", Json.Float c.stats.ratio);
+                ]
+        in
+        ( row prog.name
             [
               ("candidates", Json.Int report.candidates);
               ("feasible", Json.Int report.feasible);
@@ -817,52 +666,45 @@ let tilesearch ~jobs ~quick () =
               ("t_exhaustive_s", Json.Float t_ex);
               ("t_staged_s", Json.Float t_st);
               ("t_staged_par_s", Json.Float t_par);
-              ("choice", choice_json);
-              ("identical", Json.Bool true);
-            ] )
-        :: !rows)
-    Suite.table3;
-  Fmt.pr
-    "total: %d candidates, %d exact evals (%.1fx fewer), exhaustive %.2f s, \
-     staged %.2f s (%.2fx), staged jobs=%d %.2f s@."
-    !tot_cand !tot_evals
-    (float_of_int !tot_cand /. float_of_int (max 1 !tot_evals))
-    !tot_ex !tot_st (!tot_ex /. !tot_st) jobs !tot_par;
-  if !tot_evals * 5 > !tot_cand then
+              ("choice", choice);
+            ],
+          (report, (t_ex, t_st, t_par)) ))
+      Suite.table3
+  in
+  let count f = List.fold_left (fun a (_, (r, _)) -> a + f r) 0 per_stencil in
+  let sum f = List.fold_left (fun a (_, (_, t)) -> a +. f t) 0.0 per_stencil in
+  let cands = count (fun r -> r.Tile_size.candidates)
+  and evals = count (fun r -> r.Tile_size.exact_evals) in
+  let total =
+    emit "total"
+      [
+        ("jobs", Json.Int jobs);
+        ("total_candidates", Json.Int cands);
+        ("total_exact_evals", Json.Int evals);
+        ("t_exhaustive_s", Json.Float (sum (fun (t, _, _) -> t)));
+        ("t_staged_s", Json.Float (sum (fun (_, t, _) -> t)));
+        ("t_staged_par_s", Json.Float (sum (fun (_, _, t) -> t)));
+        ("identical", Json.Bool true);
+      ]
+  in
+  if evals * 5 > cands then
     failwith
       (Fmt.str "tilesearch: analytic layer pruned too little (%d exact evals of %d candidates)"
-         !tot_evals !tot_cand);
-  Json.Obj
-    [
-      ("jobs", Json.Int jobs);
-      ("total_candidates", Json.Int !tot_cand);
-      ("total_exact_evals", Json.Int !tot_evals);
-      ("t_exhaustive_s", Json.Float !tot_ex);
-      ("t_staged_s", Json.Float !tot_st);
-      ("t_staged_par_s", Json.Float !tot_par);
-      ("stencils", Json.Obj (List.rev !rows));
-    ]
+         evals cands);
+  Json.Obj (total @ [ ("stencils", Json.Obj (List.map fst per_stencil)) ])
 
 (* ---- serve daemon benchmark ------------------------------------------- *)
 
 module Serve = Hextile_serve
 
 (* Sustained request throughput and latency through the serve daemon,
-   cold cache vs warm, over Table 3 traffic plus seeded fuzz programs
-   with duplicates. Three gates, all failwith on violation (so `make
-   bench-serve` is a real check): (1) every response stream is bit-wise
-   identical at jobs 1, 2 and 4, cold and warm; (2) every run response
-   carries exactly the grids hash and result record of the one-shot
-   pipeline (what `hextile run` prints); (3) the warm cache delivers at
-   least 3x the cold throughput. The JSON lands in BENCH_serve.json via
-   `make bench-serve`. *)
-let serve_bench ~jobs ~quick () =
-  section
-    (Fmt.str
-       "Serve daemon: cold vs warm throughput, Table 3 + fuzz traffic \
-        (jobs=%d%s)"
-       jobs
-       (if quick then ", quick" else ""));
+   cold cache vs warm, over Table 3 traffic (the 1D and 2D builtins)
+   plus seeded fuzz programs with duplicates. Three gates: (1) every
+   response stream is bit-wise identical at jobs 1, 2 and 4, cold and
+   warm; (2) every run response carries exactly the grids hash and
+   result record of the one-shot pipeline (what `hextile run` prints);
+   (3) the warm cache delivers at least 3x the cold throughput. *)
+let serve_bench { jobs; _ } =
   let module Gen = Hextile_check.Gen in
   let module Rng = Hextile_check.Rng in
   let module Pretty = Hextile_check.Pretty in
@@ -870,10 +712,8 @@ let serve_bench ~jobs ~quick () =
      contributing tilesize + run + compile + a duplicate run *)
   let builtins =
     List.filter_map
-      (fun (p : Hextile_ir.Stencil.t) ->
-        let dims = Hextile_ir.Stencil.spatial_dims p in
-        if (not quick) || dims <= 2 then
-          Some (p.name, `Builtin p.name, if dims >= 3 then (16, 4) else (64, 8))
+      (fun (p : Stencil.t) ->
+        if Stencil.spatial_dims p <= 2 then Some (p.name, `Builtin p.name, (64, 8))
         else None)
       Suite.table3
   in
@@ -887,6 +727,7 @@ let serve_bench ~jobs ~quick () =
           (List.assoc "N" env, List.assoc "T" env) ))
       [ 1; 2; 3; 4; 5; 6 ]
   in
+  let programs = builtins @ fuzzed in
   let mk_line id op (_, src, (n, t)) =
     let prog_field =
       match src with
@@ -905,7 +746,7 @@ let serve_bench ~jobs ~quick () =
              mk_line ((i * 10) + 2) "run" p;
              mk_line ((i * 10) + 3) "compile" p;
            ])
-         (builtins @ fuzzed))
+         programs)
   in
   let nreq = List.length traffic in
   (* one request per wave, timed individually, through one pool and one
@@ -913,24 +754,23 @@ let serve_bench ~jobs ~quick () =
   let exec_one ~cache ~pool line =
     let out = ref None in
     let fed = ref false in
-    let t0 = Unix.gettimeofday () in
-    Serve.Daemon.run_lines ~cache ~pool
-      ~read_line:(fun () ->
-        if !fed then None
-        else begin
-          fed := true;
-          Some line
-        end)
-      ~write_line:(fun l -> out := Some l)
-      ();
-    let dt = Unix.gettimeofday () -. t0 in
+    let (), dt =
+      timed (fun () ->
+          Serve.Daemon.run_lines ~cache ~pool
+            ~read_line:(fun () ->
+              if !fed then None
+              else begin
+                fed := true;
+                Some line
+              end)
+            ~write_line:(fun l -> out := Some l)
+            ())
+    in
     match !out with
     | Some l -> (dt, l)
     | None -> failwith "serve: request produced no response"
   in
-  let pass ~cache ~pool =
-    List.split (List.map (exec_one ~cache ~pool) traffic)
-  in
+  let pass ~cache ~pool = List.split (List.map (exec_one ~cache ~pool) traffic) in
   let stream_at jobs =
     Par.with_pool ~jobs (fun pool ->
         let cache = Serve.Cache.create () in
@@ -942,50 +782,53 @@ let serve_bench ~jobs ~quick () =
      below it *)
   let percentile sorted p =
     let n = List.length sorted in
-    List.nth sorted (max 0 (((p * n) + 99) / 100 - 1))
+    List.nth sorted (max 0 ((((p * n) + 99) / 100) - 1))
   in
-  (* The tail the sample count supports: the highest percentile with at
-     least ten samples beyond it (p75 for 40 samples; a "p99" of 40
-     samples would be their maximum). Below 40 samples that percentile
-     is no tail, and only the median is reported. *)
-  let tail_pct n = if n >= 40 then Some (100 * (n - 10) / n) else None in
-  let stats_of lat =
+  (* One pass's row. The tail is the one the sample count supports: the
+     highest percentile with at least ten samples beyond it (p75 for 40
+     samples; a "p99" of 40 samples would be their maximum). Below 40
+     samples that percentile is no tail, and only the median is
+     reported. *)
+  let leg name lat =
     let sorted = List.sort compare lat in
     let n = List.length lat in
     let total = List.fold_left ( +. ) 0.0 lat in
-    ( total,
-      float_of_int n /. total,
-      1000.0 *. percentile sorted 50,
-      (n, Option.map (fun p -> (p, 1000.0 *. percentile sorted p)) (tail_pct n)) )
-  in
-  let pp_tail ppf = function
-    | n, Some (p, ms) -> Fmt.pf ppf "p%d %.1f ms (n=%d)" p ms n
-    | n, None -> Fmt.pf ppf "no supported tail (n=%d)" n
+    let tail =
+      if n < 40 then []
+      else
+        let p = 100 * (n - 10) / n in
+        [ ("tail_pct", Json.Int p); ("tail_ms", Json.Float (1000.0 *. percentile sorted p)) ]
+    in
+    ( row name
+        ([
+           ("total_s", Json.Float total);
+           ("req_per_s", Json.Float (float_of_int n /. total));
+           ("n", Json.Int n);
+           ("p50_ms", Json.Float (1000.0 *. percentile sorted 50));
+         ]
+        @ tail),
+      float_of_int n /. total )
   in
   (* the measured run: one pool at the requested jobs *)
-  Par.with_pool ~jobs
-  @@ fun pool ->
+  Par.with_pool ~jobs @@ fun pool ->
   let cache = Serve.Cache.create () in
   let cold_lat, cold_resp = pass ~cache ~pool in
   let warm_lat, warm_resp = pass ~cache ~pool in
-  let cold_s, cold_rps, cold_p50, cold_tail = stats_of cold_lat in
-  let warm_s, warm_rps, warm_p50, warm_tail = stats_of warm_lat in
+  let cold, cold_rps = leg "cold" cold_lat in
+  let warm, warm_rps = leg "warm" warm_lat in
   let speedup = warm_rps /. cold_rps in
   let s = Serve.Cache.stats cache in
-  let hit_rate h m = float_of_int h /. float_of_int (max 1 (h + m)) in
-  Fmt.pr "%d requests (%d programs)@." nreq (List.length (builtins @ fuzzed));
-  Fmt.pr "cold: %.2f s  %.1f req/s  p50 %.1f ms  %a@." cold_s cold_rps cold_p50 pp_tail
-    cold_tail;
-  Fmt.pr "warm: %.2f s  %.1f req/s  p50 %.1f ms  %a  (%.1fx)@." warm_s warm_rps warm_p50
-    pp_tail warm_tail speedup;
-  Fmt.pr
-    "hit rates: entry %.2f  tilesize %.2f  run %.2f  compile %.2f  \
-     (collisions %d)@."
-    (hit_rate s.entry_hits s.entry_misses)
-    (hit_rate s.tilesize_hits s.tilesize_misses)
-    (hit_rate s.run_hits s.run_misses)
-    (hit_rate s.compile_hits s.compile_misses)
-    s.collisions;
+  let hit_rate h m = Json.Float (float_of_int h /. float_of_int (max 1 (h + m))) in
+  let hit_rates =
+    row "hit_rates"
+      [
+        ("entry", hit_rate s.entry_hits s.entry_misses);
+        ("tilesize", hit_rate s.tilesize_hits s.tilesize_misses);
+        ("run", hit_rate s.run_hits s.run_misses);
+        ("compile", hit_rate s.compile_hits s.compile_misses);
+        ("collisions", Json.Int s.collisions);
+      ]
+  in
   (* gate 1: bit-identical response streams cold/warm and across jobs *)
   if cold_resp <> warm_resp then
     failwith "serve: warm responses diverge bit-wise from cold responses";
@@ -1010,139 +853,41 @@ let serve_bench ~jobs ~quick () =
             | Ok p -> p
             | Error m -> failwith ("serve: " ^ name ^ ": " ^ m))
       in
-      let env = [ ("N", n); ("T", t) ] in
-      let oneshot = Experiments.run_scheme Experiments.Hybrid prog env Device.gtx470 in
-      let response =
-        List.find
+      let oneshot =
+        Experiments.run_scheme Experiments.Hybrid prog [ ("N", n); ("T", t) ] Device.gtx470
+      in
+      let doc =
+        List.find_map
           (fun line ->
             match Json.parse line with
-            | Ok doc -> Json.member "id" doc = Some (Json.Int ((i * 10) + 1))
-            | Error _ -> false)
+            | Ok doc when Json.member "id" doc = Some (Json.Int ((i * 10) + 1)) -> Some doc
+            | _ -> None)
           cold_resp
+        |> Option.get
       in
-      let doc = Result.get_ok (Json.parse response) in
-      let expect_hash =
-        Serve.Engine.grids_hash prog oneshot.Hextile_schemes.Common.grids
-      in
-      if Json.member "grids_hash" doc <> Some (Json.Str expect_hash) then
-        failwith (Fmt.str "serve: %s grids hash diverges from one-shot" name);
+      if
+        Json.member "grids_hash" doc
+        <> Some (Json.Str (Serve.Engine.grids_hash prog oneshot.grids))
+      then failwith (Fmt.str "serve: %s grids hash diverges from one-shot" name);
       if
         Option.map Json.to_string (Json.member "result" doc)
         <> Some (Json.to_string (Experiments.result_json oneshot))
-      then
-        failwith (Fmt.str "serve: %s result diverges from one-shot" name))
-    (builtins @ fuzzed);
-  Fmt.pr "bit-identity: ok at jobs 1/2/4, cold and warm, vs one-shot@.";
+      then failwith (Fmt.str "serve: %s result diverges from one-shot" name))
+    programs;
+  let total =
+    emit "total"
+      [
+        ("jobs", Json.Int jobs);
+        ("requests", Json.Int nreq);
+        ("programs", Json.Int (List.length programs));
+        ("warm_speedup", Json.Float speedup);
+        ("identical", Json.Bool true);
+      ]
+  in
   (* gate 3: the cache must actually pay *)
   if speedup < 3.0 then
-    failwith
-      (Fmt.str "serve: warm throughput %.2fx cold, below the 3x floor" speedup);
-  let leg name (total, rps, p50, (n, tail)) =
-    ( name,
-      Json.Obj
-        ([
-           ("total_s", Json.Float total);
-           ("req_per_s", Json.Float rps);
-           ("n", Json.Int n);
-           ("p50_ms", Json.Float p50);
-         ]
-        @
-        match tail with
-        | Some (p, ms) -> [ ("tail_pct", Json.Int p); ("tail_ms", Json.Float ms) ]
-        | None -> []) )
-  in
-  Json.Obj
-    [
-      ("jobs", Json.Int jobs);
-      ("requests", Json.Int nreq);
-      ("programs", Json.Int (List.length (builtins @ fuzzed)));
-      leg "cold" (cold_s, cold_rps, cold_p50, cold_tail);
-      leg "warm" (warm_s, warm_rps, warm_p50, warm_tail);
-      ("warm_speedup", Json.Float speedup);
-      ( "hit_rates",
-        Json.Obj
-          [
-            ("entry", Json.Float (hit_rate s.entry_hits s.entry_misses));
-            ("tilesize", Json.Float (hit_rate s.tilesize_hits s.tilesize_misses));
-            ("run", Json.Float (hit_rate s.run_hits s.run_misses));
-            ("compile", Json.Float (hit_rate s.compile_hits s.compile_misses));
-            ("collisions", Json.Int s.collisions);
-          ] );
-      ("cache", Serve.Cache.stats_json cache);
-      ("identical", Json.Bool true);
-    ]
-
-(* ---- Bechamel micro-benchmarks: one per table/figure driver ---------- *)
-
-let micro () =
-  section "Bechamel micro-benchmarks (tiny instances)";
-  let open Bechamel in
-  let tiny2 = [ ("N", 64); ("T", 8) ] and tiny3 = [ ("N", 16); ("T", 4) ] in
-  let run s p env () =
-    ignore (Experiments.run_scheme ~verify:false s p env Device.gtx470)
-  in
-  let tests =
-    [
-      Test.make ~name:"fig2:ptx-core"
-        (Staged.stage (fun () -> ignore (Experiments.figure2_text ())));
-      Test.make ~name:"fig3:dependence-cone"
-        (Staged.stage (fun () -> ignore (Experiments.figure3_text ())));
-      Test.make ~name:"fig4:hexagon-shape"
-        (Staged.stage (fun () -> ignore (Experiments.figure4_text ())));
-      Test.make ~name:"fig5:tiling-pattern"
-        (Staged.stage (fun () -> ignore (Experiments.figure5_text ())));
-      Test.make ~name:"fig6:hybrid-schedule"
-        (Staged.stage (fun () -> ignore (Experiments.figure6_text ())));
-      Test.make ~name:"table1:hybrid-heat2d"
-        (Staged.stage (run Experiments.Hybrid Suite.heat2d tiny2));
-      Test.make ~name:"table1:ppcg-heat2d"
-        (Staged.stage (run Experiments.Ppcg Suite.heat2d tiny2));
-      Test.make ~name:"table2:overtile-heat2d"
-        (Staged.stage (run Experiments.Overtile Suite.heat2d tiny2));
-      Test.make ~name:"table3:characterize"
-        (Staged.stage (fun () -> ignore (Experiments.table3_text ())));
-      Test.make ~name:"table4:hybrid-heat3d"
-        (Staged.stage (run Experiments.Hybrid Suite.heat3d tiny3));
-      Test.make ~name:"table5:hybrid-heat3d-noshared"
-        (Staged.stage (fun () ->
-             let config =
-               {
-                 (Hextile_schemes.Hybrid_exec.default_config Suite.heat3d) with
-                 strategy = Hextile_schemes.Hybrid_exec.strategy_of_step 'a';
-               }
-             in
-             ignore
-               (Hextile_schemes.Hybrid_exec.run ~config Suite.heat3d
-                  (fun x -> List.assoc x tiny3)
-                  Device.gtx470)));
-      Test.make ~name:"tilesize:tile-stats"
-        (Staged.stage (fun () ->
-             let t =
-               Hextile_tiling.Hybrid.make Suite.heat3d ~h:2 ~w:[| 7; 10; 32 |]
-             in
-             ignore (Hextile_tiling.Tile_size.tile_stats t)));
-    ]
-  in
-  let cfg = Benchmark.cfg ~limit:50 ~quota:(Time.second 0.5) ~kde:None () in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let ols =
-    Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let rows = ref [] in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg [ instance ] test in
-      let est = Analyze.all ols instance results in
-      Hashtbl.iter
-        (fun name res ->
-          match Analyze.OLS.estimates res with
-          | Some (t :: _) ->
-              Fmt.pr "%-34s %10.3f ms/run@." name (t /. 1e6);
-              rows := (name, Json.Float (t /. 1e6)) :: !rows
-          | _ -> Fmt.pr "%-34s (no estimate)@." name)
-        est)
-    tests;
-  Json.Obj [ ("unit", Json.Str "ms/run"); ("runs", Json.Obj (List.rev !rows)) ]
+    failwith (Fmt.str "serve: warm throughput %.2fx cold, below the 3x floor" speedup);
+  Json.Obj (total @ [ cold; warm; hit_rates; ("cache", Serve.Cache.stats_json cache) ])
 
 (* ---- provenance for committed BENCH_*.json ---------------------------- *)
 
@@ -1154,9 +899,9 @@ let git_rev () =
     with _ -> None
   in
   match read ".git/HEAD" with
-  | Some head when String.length head > 5 && String.sub head 0 5 = "ref: " ->
+  | Some head when String.length head > 5 && String.sub head 0 5 = "ref: " -> (
       let r = String.sub head 5 (String.length head - 5) in
-      (match read (".git/" ^ r) with
+      match read (".git/" ^ r) with
       | Some rev -> Some rev
       | None -> (
           (* the ref may only exist packed *)
@@ -1165,9 +910,7 @@ let git_rev () =
               List.find_map
                 (fun line ->
                   match String.index_opt line ' ' with
-                  | Some i
-                    when String.sub line (i + 1) (String.length line - i - 1) = r
-                    ->
+                  | Some i when String.sub line (i + 1) (String.length line - i - 1) = r ->
                       Some (String.sub line 0 i)
                   | _ -> None)
                 (String.split_on_char '\n' txt)
@@ -1180,40 +923,72 @@ let git_rev () =
    committed BENCH_*.json from the same tree yields a byte-identical
    meta block. *)
 let meta ~jobs =
+  let opt = function Some s -> Json.Str s | None -> Json.Null in
   Json.Obj
     [
-      ( "git_rev",
-        match git_rev () with Some r -> Json.Str r | None -> Json.Null );
+      ("git_rev", opt (git_rev ()));
       ("ocaml_version", Json.Str Sys.ocaml_version);
       ("cores", Json.Int (Domain.recommended_domain_count ()));
       ("jobs", Json.Int jobs);
-      ( "timestamp",
-        match Sys.getenv_opt "HEXTILE_BENCH_TIMESTAMP" with
-        | Some t -> Json.Str t
-        | None -> Json.Null );
+      ("timestamp", opt (Sys.getenv_opt "HEXTILE_BENCH_TIMESTAMP"));
     ]
+
+(* ---- the mode table ---------------------------------------------------- *)
+
+type mode = {
+  id : string;
+  title : string;
+  default : bool;  (** run when no --only is given *)
+  run : ctx -> Json.t;  (** raises [Failure] when a gate fails *)
+}
+
+let paper id title run = { id; title; default = true; run }
+let perf id title run = { id; title; default = false; run }
+
+let modes =
+  [
+    paper "fig1" "Figure 1: Jacobi 2D stencil (frontend input)" fig1;
+    paper "fig2" "Figure 2: generated PTX-style core" (fig_text Experiments.figure2_text);
+    paper "fig3" "Figure 3: opposite dependence cone" (fig_text Experiments.figure3_text);
+    paper "fig4" "Figure 4: hexagonal tile shape" (fig_text Experiments.figure4_text);
+    paper "fig5" "Figure 5: hexagonal tiling pattern (phases 0/1)"
+      (fig_text Experiments.figure5_text);
+    paper "fig6" "Figure 6: hybrid n-dimensional schedule" (fig_text Experiments.figure6_text);
+    paper "table3" "Table 3: stencil characteristics" (fig_text Experiments.table3_text);
+    paper "tilesize" "Section 3.7: tile-size selection model"
+      (fig_text Experiments.tile_size_sweep_text);
+    paper "ablate" "Ablation: time-tile height h (hybrid, heat 2D, GTX 470)" ablate;
+    paper "diamond" "Section 5: diamond vs hexagonal tile regularity"
+      (fig_text Experiments.diamond_vs_hex_text);
+    paper "split1d" "1D degenerate case: hexagonal vs split tiling"
+      (fig_text (fun () -> Experiments.split1d_text Device.gtx470));
+    paper "table1" "Table 1: GStencils/second on (scaled) GTX 470" table1;
+    paper "table2" "Table 2: GStencils/second on (scaled) NVS 5200M" (table12 Device.nvs5200m);
+    paper "table45" "Tables 4 and 5: shared-memory optimization ladder (heat 3D)" tables45;
+    perf "parcmp" "Parallel runtime: table12 suite, jobs=1 vs jobs=N" parcmp;
+    perf "parattr" "Parallel-time attribution (Table 3 hybrid suite, jobs=N)" parattr;
+    perf "simcmp" "Execution engine: tape+memo vs closure reference (Table 3)" simcmp;
+    perf "analytic" "Analytic simulation: scaled divergence check + full-size runs" analytic;
+    perf "tilesearch" "Tile-size search: staged vs exhaustive (Table 3)" tilesearch;
+    perf "serve" "Serve daemon: cold vs warm throughput, Table 3 + fuzz traffic" serve_bench;
+  ]
 
 (* A command line the bench cannot honour is an error: report it and
    exit 2 before running anything. *)
-let usage fmt = Fmt.kstr (fun m -> Fmt.epr "bench: %s@." m; exit 2) fmt
+let usage fmt =
+  Fmt.kstr
+    (fun m ->
+      Fmt.epr "bench: %s@." m;
+      exit 2)
+    fmt
 
 let () =
-  let only = ref []
-  and quick = ref true
-  and do_micro = ref true
-  and jobs = ref (Par.recommended_jobs ())
-  and trace_out = ref None
-  and json_out = ref None in
+  let only = ref [] and jobs = ref (Par.recommended_jobs ()) in
+  let trace_out = ref None and json_out = ref None in
   let rec parse = function
     | [] -> ()
     | "--only" :: x :: rest ->
-        only := x :: !only;
-        parse rest
-    | "--full" :: rest ->
-        quick := false;
-        parse rest
-    | "--no-micro" :: rest ->
-        do_micro := false;
+        only := (if x = "table4" || x = "table5" then "table45" else x) :: !only;
         parse rest
     | "--jobs" :: n :: rest ->
         (match int_of_string_opt n with
@@ -1228,78 +1003,46 @@ let () =
         parse rest
     | x :: _ ->
         usage
-          "unknown argument %s (expected --only <id> | --full | --no-micro | \
-           --jobs <n> | --trace-out <file> | --json <file>)"
+          "unknown argument %s (expected --only <id> | --jobs <n> | --trace-out <file> | \
+           --json <file>)"
           x
   in
   parse (List.tl (Array.to_list Sys.argv));
-  let quick = !quick and jobs = !jobs and trace_out = !trace_out in
-  Par.with_pool ~jobs @@ fun pool ->
-  let all =
-    [
-      ("fig1", fig1);
-      ("fig2", fig2);
-      ("fig3", fig3);
-      ("fig4", fig4);
-      ("fig5", fig5);
-      ("fig6", fig6);
-      ("table3", table3);
-      ("tilesize", tilesize);
-      ("ablate", ablate ~pool ~quick);
-      ("diamond", diamond);
-      ("split1d", split1d ~quick);
-      ("table1", table1 ~pool ~quick);
-      ("table2", table2 ~pool ~quick);
-      ("table45", tables45 ~pool ~quick);
-      ("parcmp", parcmp ~jobs ~quick);
-      ("parattr", parattr ~jobs ~quick ~trace_out);
-      ("simcmp", simcmp ~jobs ~quick);
-      ("analytic", analytic ~jobs ~quick);
-      ("tilesearch", tilesearch ~jobs ~quick);
-      ("serve", serve_bench ~jobs ~quick);
-      ("micro", micro);
-    ]
-  in
   let selected =
-    match !only with
-    | [] ->
-        (* micro has its own timing loop; parcmp, parattr, tilesearch,
-           simcmp, analytic and serve spawn their own pools and time
-           things — all run only on request *)
-        List.filter
+    match List.rev !only with
+    | [] -> List.filter (fun m -> m.default) modes
+    | ids ->
+        List.map
           (fun id ->
-            id <> "micro" && id <> "parcmp" && id <> "parattr"
-            && id <> "tilesearch" && id <> "simcmp" && id <> "analytic"
-            && id <> "serve")
-          (List.map fst all)
-    | l ->
-        List.concat_map
-          (fun x -> if x = "table4" || x = "table5" then [ "table45" ] else [ x ])
-          (List.rev l)
+            match List.find_opt (fun m -> m.id = id) modes with
+            | Some m -> m
+            | None ->
+                usage "unknown experiment id %s (known: %s)" id
+                  (String.concat ", " (List.map (fun m -> m.id) modes)))
+          ids
   in
-  List.iter
-    (fun id ->
-      if not (List.mem_assoc id all) then
-        usage "unknown experiment id %s (known: %s)" id (String.concat ", " (List.map fst all)))
-    selected;
-  let results = List.map (fun id -> (id, (List.assoc id all) ())) selected in
+  let jobs = !jobs in
   let results =
-    if !do_micro && !only = [] then results @ [ ("micro", micro ()) ] else results
+    Par.with_pool ~jobs @@ fun pool ->
+    let ctx = { pool; jobs; trace_out = !trace_out } in
+    List.map
+      (fun m ->
+        Fmt.pr "@.===== %s =====@." m.title;
+        (m.id, m.run ctx))
+      selected
   in
-  match !json_out with
-  | None -> ()
-  | Some path ->
+  Option.iter
+    (fun path ->
       let doc =
         Json.Obj
           [
-            ("bench_version", Json.Int 2);
+            ("bench_version", Json.Int 3);
             ("meta", meta ~jobs);
-            ("quick", Json.Bool quick);
             ("experiments", Json.Obj results);
           ]
       in
-      let oc = open_out path in
-      output_string oc (Json.to_string doc);
-      output_char oc '\n';
-      close_out oc;
-      Fmt.epr "wrote %s@." path
+      Out_channel.with_open_text path (fun oc ->
+          output_string oc (Json.to_string doc);
+          output_char oc '\n');
+      Fmt.epr "wrote %s@." path)
+    !json_out

@@ -11,7 +11,7 @@ open Hextile_schemes
 let () =
   let kernel = if Array.length Sys.argv > 1 then Sys.argv.(1) else "heat2d" in
   let prog = Hextile_stencils.Suite.find kernel in
-  let env = Experiments.sizes ~quick:true prog in
+  let env = Experiments.sizes prog in
   Fmt.pr "%s at %a on %a@." kernel
     Fmt.(list ~sep:(any ", ") (pair ~sep:(any "=") string int))
     env Device.pp Device.gtx470;

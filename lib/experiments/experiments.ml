@@ -43,38 +43,34 @@ let sim_summary ~wall_s ~jobs ~engine (r : Common.result) =
     (engine_name engine) jobs r.Common.blocks_analytic r.Common.classes
     r.Common.epilogue_ms r.Common.blit_rows r.Common.replay_lines
 
-let sizes ~quick (p : Stencil.t) =
-  let n2, t2 = if quick then (128, 24) else (256, 48) in
-  let n3, t3 = if quick then (64, 12) else (96, 24) in
+let sizes (p : Stencil.t) =
   match Stencil.spatial_dims p with
-  | 1 -> [ ("N", if quick then 4096 else 16384); ("T", if quick then 64 else 128) ]
-  | 2 -> [ ("N", n2); ("T", t2) ]
-  | _ -> [ ("N", n3); ("T", t3) ]
+  | 1 -> [ ("N", 4096); ("T", 64) ]
+  | 2 -> [ ("N", 128); ("T", 24) ]
+  | _ -> [ ("N", 64); ("T", 12) ]
 
-(* Paper full-size working sets for the machine-balance scaling. *)
-let paper_env (p : Stencil.t) = Suite.table3_params p
-
-(* The full-size Table 1/2 instances themselves. At these parameters
+(* The paper's full-size Table 1/2 instances: the working sets the
+   machine-balance scaling divides by. At these parameters
    [scaled_device] is the identity (every ratio is 1), so
    [run_scheme ~analytic:true ~verify:false] simulates the paper's
    actual working sets on the unscaled device — tractable only through
    the analytic mode's class decomposition. *)
-let paper_sizes = paper_env
+let paper_sizes (p : Stencil.t) = Suite.table3_params p
 
 let env_fn l x = List.assoc x l
 
 let scaled_device (dev : Device.t) (p : Stencil.t) env =
   let ws e = Analysis.footprint_floats p (env_fn e) * 4 in
-  let ratio = float_of_int (ws env) /. float_of_int (ws (paper_env p)) in
+  let ratio = float_of_int (ws env) /. float_of_int (ws (paper_sizes p)) in
   let step_points e =
     Interp.stencil_updates p (env_fn e) / max 1 (Affp.eval p.steps (env_fn e))
   in
   let launch_ratio =
-    float_of_int (step_points env) /. float_of_int (step_points (paper_env p))
+    float_of_int (step_points env) /. float_of_int (step_points (paper_sizes p))
   in
   let steps e = max 1 (Affp.eval p.steps (env_fn e)) in
   let steps_ratio =
-    float_of_int (steps (paper_env p)) /. float_of_int (steps env)
+    float_of_int (steps (paper_sizes p)) /. float_of_int (steps env)
   in
   (* L2: shrink with the working set, but keep it large enough for
      tile-level reuse (>= ws/6 ≈ a few shared-memory boxes) and small
@@ -90,7 +86,7 @@ let scaled_device (dev : Device.t) (p : Stencil.t) env =
      and bandwidths together preserves blocks-per-SM and every roofline
      crossover; absolute GStencils/s shrink by the same factor. *)
   let n_ratio =
-    float_of_int (env_fn env "N") /. float_of_int (env_fn (paper_env p) "N")
+    float_of_int (env_fn env "N") /. float_of_int (env_fn (paper_sizes p) "N")
   in
   let sms = max 1 (int_of_float (Float.round (float_of_int dev.sms *. n_ratio))) in
   let f = float_of_int sms /. float_of_int dev.sms in
@@ -171,7 +167,7 @@ type perf_row = { kernel : string; cells : (scheme * float) list }
 
 let table12_schemes = [ Ppcg; Par4all; Overtile; Hybrid ]
 
-let table12 ?pool ?(quick = true) dev =
+let table12 ?pool dev =
   Timeline.slice "schemes.table12" @@ fun () ->
   match pool with
   | Some p when Par.jobs p > 1 && not (Par.in_region ()) ->
@@ -193,7 +189,7 @@ let table12 ?pool ?(quick = true) dev =
       let cells =
         Par.map p
           (fun ((prog : Stencil.t), s) ->
-            let env = sizes ~quick prog in
+            let env = sizes prog in
             (s, Common.gstencils_per_s (run_scheme s prog env dev)))
           pairs
       in
@@ -209,7 +205,7 @@ let table12 ?pool ?(quick = true) dev =
   | _ ->
       List.map
         (fun prog ->
-          let env = sizes ~quick prog in
+          let env = sizes prog in
           let cells =
             List.map
               (fun s ->
@@ -314,10 +310,10 @@ let ladder_labels =
     ('f', "(d) + value reuse (dynamic)");
   ]
 
-let ladder ?pool ?(quick = true) dev =
+let ladder ?pool dev =
   Timeline.slice "schemes.ladder" @@ fun () ->
   let prog = Suite.heat3d in
-  let env = sizes ~quick prog in
+  let env = sizes prog in
   let step_of (step, label) =
     let config =
       {
@@ -477,9 +473,9 @@ let tile_size_sweep_text () =
   | None -> Buffer.add_string b "selected: none feasible\n");
   Buffer.contents b
 
-let patus_note ?pool ?(quick = true) dev =
+let patus_note ?pool dev =
   let cell prog =
-    let env = sizes ~quick prog in
+    let env = sizes prog in
     Common.gstencils_per_s (run_scheme ?pool Patus prog env dev)
   in
   Fmt.str
@@ -487,9 +483,9 @@ let patus_note ?pool ?(quick = true) dev =
     \ \ laplacian3d %.2f GStencils/s, heat3d %.2f GStencils/s@."
     (cell Suite.laplacian3d) (cell Suite.heat3d)
 
-let h_sweep ?pool ?(quick = true) dev (prog : Stencil.t) =
+let h_sweep ?pool dev (prog : Stencil.t) =
   Timeline.slice "schemes.h_sweep" @@ fun () ->
-  let env = sizes ~quick prog in
+  let env = sizes prog in
   let k = List.length prog.stmts in
   let base = Hybrid_exec.default_config prog in
   let eval h =
@@ -535,9 +531,9 @@ let diamond_vs_hex_text () =
     \   scheme avoids; hexagonal counts are identical by construction)\n";
   Buffer.contents b
 
-let split1d_text ?(quick = true) dev =
+let split1d_text dev =
   let prog = Suite.heat1d in
-  let env = sizes ~quick prog in
+  let env = sizes prog in
   let d = scaled_device dev prog env in
   let b = Buffer.create 256 in
   Buffer.add_string b

@@ -32,9 +32,9 @@ val sim_summary :
     [jobs], [blocks_analytic] and [classes] are always present, in that
     order. Consumers must tolerate new keys being appended. *)
 
-val sizes : quick:bool -> Stencil.t -> (string * int) list
-(** Scaled instantiation of a benchmark (quick: N=128/T=24 in 2D,
-    N=48/T=12 in 3D; full: doubled). *)
+val sizes : Stencil.t -> (string * int) list
+(** Scaled instantiation of a benchmark: N=4096/T=64 in 1D, N=128/T=24
+    in 2D, N=64/T=12 in 3D. *)
 
 val scaled_device : Device.t -> Stencil.t -> (string * int) list -> Device.t
 (** Shrink L2 and launch overhead to preserve the paper's ratios. *)
@@ -72,8 +72,7 @@ type perf_row = {
   cells : (scheme * float) list;  (** GStencils/second *)
 }
 
-val table12 :
-  ?pool:Hextile_par.Par.pool -> ?quick:bool -> Device.t -> perf_row list
+val table12 : ?pool:Hextile_par.Par.pool -> Device.t -> perf_row list
 (** Tables 1 and 2: all Table 3 benchmarks × schemes on one device. With
     a multi-domain [pool] the 7 × 4 (kernel, scheme) runs fan out across
     domains and are regrouped in order — same rows, same cells. *)
@@ -87,8 +86,7 @@ val table3_text : unit -> string
 
 type ladder_step = { step : char; label : string; result : Common.result }
 
-val ladder :
-  ?pool:Hextile_par.Par.pool -> ?quick:bool -> Device.t -> ladder_step list
+val ladder : ?pool:Hextile_par.Par.pool -> Device.t -> ladder_step list
 (** The Table 4/5 optimization ladder (a)–(f) on heat 3D; [pool] runs the
     six rungs concurrently. *)
 
@@ -113,16 +111,12 @@ val tile_size_sweep_text : unit -> string
 (** The Section 3.7 model on heat 3D: candidate sizes ranked by
     load-to-compute ratio. *)
 
-val patus_note : ?pool:Hextile_par.Par.pool -> ?quick:bool -> Device.t -> string
+val patus_note : ?pool:Hextile_par.Par.pool -> Device.t -> string
 (** The paper reports Patus only in prose (laplacian/heat 3D); this
     regenerates those two data points. *)
 
 val h_sweep :
-  ?pool:Hextile_par.Par.pool ->
-  ?quick:bool ->
-  Device.t ->
-  Stencil.t ->
-  (int * float) list
+  ?pool:Hextile_par.Par.pool -> Device.t -> Stencil.t -> (int * float) list
 (** Ablation: GStencils/s of the hybrid scheme as the time-tile height
     [h] grows (h = 0 disables time tiling within tiles). *)
 
@@ -130,7 +124,7 @@ val diamond_vs_hex_text : unit -> string
 (** The Section 5 qualitative comparison: diamond tiles with odd sizes
     have varying integer-point counts, hexagonal tiles never do. *)
 
-val split1d_text : ?quick:bool -> Device.t -> string
+val split1d_text : Device.t -> string
 (** The 1D degenerate case: hexagonal (hybrid) vs split tiling vs space
     tiling on heat 1D, all verified. *)
 

@@ -209,11 +209,3 @@ let program src =
   | Lexer.Eof -> ()
   | got -> fail lx "trailing input after the time loop: %a" Lexer.pp_token got);
   { decls; loop }
-
-let iexpr_of_string s =
-  let lx = Lexer.of_string s in
-  let e = iexpr lx in
-  (match Lexer.peek lx with
-  | Lexer.Eof -> ()
-  | got -> fail lx "trailing input: %a" Lexer.pp_token got);
-  e

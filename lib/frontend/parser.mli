@@ -10,6 +10,3 @@ exception Error of Lexer.pos * string
 val program : string -> Ast.program
 (** Parse a full source string. Raises [Error] (or [Lexer.Error]) with a
     position on malformed input. *)
-
-val iexpr_of_string : string -> Ast.iexpr
-(** Parse a single index expression — used by tests. *)

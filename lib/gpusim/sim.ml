@@ -749,10 +749,3 @@ let kernel_time t = List.fold_left (fun acc l -> acc +. l.time_s) 0.0 t.launches
 
 let transfer_time t ~bytes =
   2.0 *. float_of_int bytes /. (t.dev.pcie_bw_gbs *. 1e9)
-
-let pp_launches ppf t =
-  List.iter
-    (fun l ->
-      Fmt.pf ppf "%s: %d blocks x %d threads, %.2e s (%s-bound)@," l.lname
-        l.blocks l.threads l.time_s l.bottleneck)
-    (List.rev t.launches)

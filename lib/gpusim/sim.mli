@@ -263,5 +263,3 @@ val kernel_time : t -> float
 
 val transfer_time : t -> bytes:int -> float
 (** Host↔device copy estimate over PCIe for [bytes] in each direction. *)
-
-val pp_launches : t Fmt.t

@@ -143,7 +143,6 @@ type plan = {
   pinstrs : pinstr array;
   pregs : int;  (** materialized plan registers (scratch is pregs*strip) *)
   psrcs : int array;  (** distinct source registers the plan reads *)
-  pops : int;  (** fused passes per strip window, for diagnostics *)
 }
 
 (* Strip width of plan execution: wide enough to amortize pass setup,
@@ -409,7 +408,6 @@ let plan (t : t) =
     pinstrs = instrs;
     pregs = !nreg;
     psrcs = Array.of_list !psrcs;
-    pops = Array.length instrs;
   }
 
 let plan_scratch_words p = max 1 (p.pregs * strip)
@@ -629,8 +627,6 @@ let exec_plan p (regs : scratch) ~(datas : float array array)
     done;
     i := i0 + nl
   done
-
-let plan_passes p = p.pops
 
 let pp_plan ppf p =
   let op ppf = function

@@ -90,10 +90,6 @@ val strip : int
 
 val plan : t -> plan
 
-val plan_passes : plan -> int
-(** Fused passes per strip window (diagnostic; compare [length t + nsrcs
-    + 1] scratch passes for {!exec}). *)
-
 val pp_plan : plan Fmt.t
 (** One [dst <- kind(operands)] entry per fused pass, [;]-separated:
     destinations are plan registers [rN] or [out]; operands are sources

@@ -58,13 +58,6 @@ let to_json () =
         Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) (counters ())) );
     ]
 
-let pp_text ppf () =
-  match counters () with
-  | [] -> ()
-  | cs ->
-      Fmt.pf ppf "counters:@.";
-      List.iter (fun (k, v) -> Fmt.pf ppf "  %-34s %d@." k v) cs
-
 let write_json path =
   Out_channel.with_open_text path (fun oc ->
       Out_channel.output_string oc (Json.to_string (to_json ()));

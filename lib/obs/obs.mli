@@ -66,9 +66,6 @@ val absorb : fork -> unit
 val to_json : unit -> Json.t
 (** [{"trace_version": 2, "counters": {...}}]. *)
 
-val pp_text : Format.formatter -> unit -> unit
-(** Human-readable counter listing. *)
-
 val write_json : string -> unit
 (** [write_json path] writes {!to_json} (pretty-printed, trailing
     newline) to [path]. *)

@@ -32,8 +32,3 @@ let minimize p ~obj ?(const = 0) () =
   | None -> Empty
   | Some (None, _) -> Unbounded
   | Some (Some lo, _) -> Opt lo
-
-let pp_result ppf = function
-  | Empty -> Fmt.string ppf "empty"
-  | Unbounded -> Fmt.string ppf "unbounded"
-  | Opt r -> Rat.pp ppf r

@@ -16,5 +16,3 @@ val maximize : Polyhedron.t -> obj:int array -> ?const:int -> unit -> result
     {!Constr.normalize}). [obj] must have length [Polyhedron.dim p]. *)
 
 val minimize : Polyhedron.t -> obj:int array -> ?const:int -> unit -> result
-
-val pp_result : result Fmt.t

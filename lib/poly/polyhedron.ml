@@ -6,17 +6,12 @@ type t = { space : Space.t; cs : Constr.t list }
 exception Unbounded of string
 
 let make space cs = { space; cs = List.map Constr.normalize cs }
-let universe space = { space; cs = [] }
 let space t = t.space
 let constraints t = t.cs
 let dim t = Space.dim t.space
 
 let add_constraints t cs =
   { t with cs = List.rev_append (List.map Constr.normalize cs) t.cs }
-
-let intersect a b =
-  assert (dim a = dim b);
-  { a with cs = List.rev_append a.cs b.cs }
 
 let contains t x = List.for_all (fun c -> Constr.holds c x) t.cs
 
@@ -75,13 +70,9 @@ let eliminate_cs cs j =
    list plus the eliminated variable. Obs counters are replayed on hits
    — [poly.fm_eliminations] counts requests and [poly.fm_eq_pivots] is
    bumped from the cached pivot flag — so counter totals are
-   bit-identical whether or not the cache is on, on every domain, at
-   every --jobs value. Hit/miss stats are process-wide atomics. *)
+   bit-identical on hits and misses, on every domain, at every --jobs
+   value. Hit/miss stats are process-wide atomics. *)
 module Oncemap = Hextile_par.Oncemap
-
-let fm_cache_on = Atomic.make true
-let set_fm_cache b = Atomic.set fm_cache_on b
-let fm_cache_enabled () = Atomic.get fm_cache_on
 
 let fm_cache : (Constr.t list * int, Constr.t list * bool) Oncemap.t =
   Oncemap.create ~bits:12 ~name:"poly.fm_projection" ()
@@ -95,13 +86,10 @@ let eliminate_keep t j =
     if eq_pivot then Obs.incr "poly.fm_eq_pivots";
     { t with cs }
   in
-  if not (Atomic.get fm_cache_on) then finish (eliminate_cs t.cs j)
-  else begin
-    let key = (List.sort compare t.cs, j) in
-    match Oncemap.find fm_cache key with
-    | Some r -> finish r
-    | None -> finish (Oncemap.publish fm_cache key (eliminate_cs t.cs j))
-  end
+  let key = (List.sort compare t.cs, j) in
+  match Oncemap.find fm_cache key with
+  | Some r -> finish r
+  | None -> finish (Oncemap.publish fm_cache key (eliminate_cs t.cs j))
 
 let project_prefix t k =
   let rec go t j = if j < k then t else go (eliminate_keep t j) (j - 1) in

@@ -14,14 +14,11 @@ exception Unbounded of string
     direction being enumerated. *)
 
 val make : Space.t -> Constr.t list -> t
-val universe : Space.t -> t
 val space : t -> Space.t
 val constraints : t -> Constr.t list
 val dim : t -> int
 
 val add_constraints : t -> Constr.t list -> t
-val intersect : t -> t -> t
-(** Both arguments must have the same dimension. *)
 
 val contains : t -> int array -> bool
 
@@ -36,17 +33,10 @@ val eliminate_keep : t -> int -> t
     (tile-size search, bound queries) are computed once across every
     domain. A hit for a permuted-but-equal system returns the first
     computation's result — semantically the same projection, though the
-    constraint order may differ from what an uncached run would produce.
-    Obs counters ([poly.fm_eliminations], [poly.fm_eq_pivots]) are
-    replayed on hits, so counter totals are identical with the cache on
-    or off, on every domain, at every jobs value. *)
-
-val set_fm_cache : bool -> unit
-(** Globally enable/disable the projection cache (on by default). With
-    the cache off every call recomputes; results are structurally
-    identical to a cache-cold computation. *)
-
-val fm_cache_enabled : unit -> bool
+    constraint order may differ from a cold computation's. Obs counters
+    ([poly.fm_eliminations], [poly.fm_eq_pivots]) are replayed on hits,
+    so counter totals are identical on hits and misses, on every domain,
+    at every jobs value. *)
 
 val fm_cache_stats : unit -> int * int
 (** Process-wide [(hits, misses)] of the shared cache. *)

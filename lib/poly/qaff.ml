@@ -95,8 +95,6 @@ let to_affine_in ~dim e =
   in
   match go 1 e with () -> Some (coeffs, !const) | exception Nonaffine -> None
 
-let to_affine _ = None
-
 let rec pp_gen name ppf e =
   let pp = pp_gen name in
   match e with
@@ -109,4 +107,3 @@ let rec pp_gen name ppf e =
   | Fmod (a, d) -> Fmt.pf ppf "(%a mod %d)" pp a d
 
 let pp space = pp_gen (Space.name space)
-let pp_anon ppf = pp_gen (fun i -> "x" ^ string_of_int i) ppf

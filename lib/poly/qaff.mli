@@ -29,10 +29,6 @@ val eval : t -> int array -> int
 val simplify : t -> t
 (** Constant folding and elimination of zero/identity operations. *)
 
-val to_affine : t -> (int array * int) option
-(** [to_affine e] for an ambient dimension inferred from use is not
-    possible; see [to_affine_in]. *)
-
 val to_affine_in : dim:int -> t -> (int array * int) option
 (** When [e] contains no [Fdiv]/[Fmod], its coefficient vector (of length
     [dim]) and constant. [None] otherwise. *)
@@ -41,5 +37,3 @@ val max_var : t -> int
 (** Largest variable index occurring, or [-1]. *)
 
 val pp : Space.t -> t Fmt.t
-val pp_anon : t Fmt.t
-(** Print with [x0, x1, ...] variable names. *)

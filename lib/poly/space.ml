@@ -5,14 +5,6 @@ let dim = Array.length
 let name t i = t.(i)
 let names t = Array.to_list t
 
-let index_of t n =
-  let rec go i =
-    if i >= Array.length t then raise Not_found
-    else if String.equal t.(i) n then i
-    else go (i + 1)
-  in
-  go 0
-
 let append t extra = Array.append t (Array.of_list extra)
 let equal a b = a = b
 let pp ppf t = Fmt.pf ppf "[%a]" Fmt.(list ~sep:(any ", ") string) (names t)

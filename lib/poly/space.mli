@@ -2,20 +2,16 @@
 
     A space gives names to the coordinates of the integer vectors a
     polyhedron or quasi-affine map ranges over; it exists purely for
-    pretty-printing and for locating a dimension by name. *)
+    pretty-printing. *)
 
 type t
 
 val make : string list -> t
-(** Dimension names, outermost first. Names need not be distinct, but
-    [index_of] then finds the first occurrence. *)
+(** Dimension names, outermost first. Names need not be distinct. *)
 
 val dim : t -> int
 val name : t -> int -> string
 val names : t -> string list
-
-val index_of : t -> string -> int
-(** Raises [Not_found] if the name is absent. *)
 
 val append : t -> string list -> t
 (** Extend with extra trailing dimensions. *)

@@ -18,14 +18,6 @@ type request = {
   timeout_ms : int option;
 }
 
-let op_name = function
-  | Run -> "run"
-  | Tilesize -> "tilesize"
-  | Compile -> "compile"
-  | Stats -> "stats"
-  | Ping -> "ping"
-  | Shutdown -> "shutdown"
-
 let op_of_name = function
   | "run" -> Some Run
   | "tilesize" -> Some Tilesize

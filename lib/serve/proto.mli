@@ -57,5 +57,3 @@ val ok_line : id:Json.t -> (string * Json.t) list -> string
 
 val error_line : id:Json.t -> string -> string
 (** Serialized single-line error response. *)
-
-val op_name : op -> string

@@ -120,23 +120,26 @@ let point_of_coords t c =
 let check_legality t env =
   Timeline.slice "tiling.check_legality" @@ fun () ->
   let steps = Affp.eval t.prog.steps env in
-  let stmts = Array.of_list t.prog.stmts in
-  let bounds i =
-    let s = stmts.(i) in
-    ( Array.map (fun e -> Affp.eval e env) s.Stencil.lo,
-      Array.map (fun e -> Affp.eval e env) s.Stencil.hi )
+  (* each statement's domain box, evaluated once per call *)
+  let bounds =
+    Array.of_list
+      (List.map
+         (fun (s : Stencil.stmt) ->
+           ( Array.map (fun e -> Affp.eval e env) s.lo,
+             Array.map (fun e -> Affp.eval e env) s.hi ))
+         t.prog.stmts)
   in
   let in_domain i tstep s =
     tstep >= 0 && tstep < steps
     &&
-    let lo, hi = bounds i in
+    let lo, hi = bounds.(i) in
     let ok = ref true in
     Array.iteri (fun d v -> if v < lo.(d) || v > hi.(d) then ok := false) s;
     !ok
   in
   let violation = ref None in
   let check_dep (dep : Dep.t) =
-    let lo, hi = bounds dep.src in
+    let lo, hi = bounds.(dep.src) in
     let point = Array.make t.dims 0 in
     let rec go d =
       if !violation <> None then ()

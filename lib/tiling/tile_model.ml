@@ -310,115 +310,7 @@ let estimate hs ~w =
     groups;
   { iterations; fp; loads_lb = !loads_lb; loads_ub = !loads_ub }
 
-(* ---- per-class clipped closed forms ------------------------------------ *)
-
-type clip = { cleft : int; cright : int }
-
-let class_row_len (r : row) = function
-  | None -> 0
-  | Some c -> max 0 (r.bhi - r.blo + 1 - c.cleft - c.cright)
-
-let check_clips (hs : hslice) clips =
-  if Array.length clips <> Array.length hs.rows then
-    invalid_arg "Tile_model: clips length must match hslice rows"
-
-let class_columns (hs : hslice) ~clips =
-  check_clips hs clips;
-  let s = ref 0 in
-  Array.iteri (fun i r -> s := !s + class_row_len r clips.(i)) hs.rows;
-  !s
-
-let class_columns_dense (hs : hslice) ~clips =
-  check_clips hs clips;
-  let s = ref 0 in
-  Array.iteri
-    (fun i r ->
-      match clips.(i) with
-      | None -> ()
-      | Some c ->
-          let lo = r.blo + c.cleft and hi = r.bhi - c.cright in
-          for b = r.blo to r.bhi do
-            if b >= lo && b <= hi then incr s
-          done)
-    hs.rows;
-  !s
-
-let class_syncs (hs : hslice) ~clips ~live =
-  check_clips hs clips;
-  let s = ref 0 in
-  Array.iteri
-    (fun i r -> if class_row_len r clips.(i) > 0 && live r then incr s)
-    hs.rows;
-  !s
-
-let class_syncs_dense (hs : hslice) ~clips ~live =
-  check_clips hs clips;
-  let s = ref 0 in
-  Array.iteri
-    (fun i r ->
-      match clips.(i) with
-      | None -> ()
-      | Some c ->
-          let lo = r.blo + c.cleft and hi = r.bhi - c.cright in
-          let any = ref false in
-          for b = r.blo to r.bhi do
-            if b >= lo && b <= hi then any := true
-          done;
-          if !any && live r then incr s)
-    hs.rows;
-  !s
-
-let class_stores (hs : hslice) ~clips ~inner =
-  check_clips hs clips;
-  let s = ref 0 in
-  Array.iteri
-    (fun i r -> s := !s + (class_row_len r clips.(i) * inner r))
-    hs.rows;
-  !s
-
-let class_stores_dense (hs : hslice) ~clips ~inner =
-  check_clips hs clips;
-  let s = ref 0 in
-  Array.iteri
-    (fun i r ->
-      match clips.(i) with
-      | None -> ()
-      | Some c ->
-          let lo = r.blo + c.cleft and hi = r.bhi - c.cright in
-          for b = r.blo to r.bhi do
-            if b >= lo && b <= hi then s := !s + inner r
-          done)
-    hs.rows;
-  !s
-
-let ceil_div a b = (a + b - 1) / b
-
-let store_row_transactions ~n ~banks ~lanes =
-  if n <= 0 then 0
-  else begin
-    let full = n / lanes and rem = n mod lanes in
-    (full * ceil_div lanes banks) + if rem > 0 then ceil_div rem banks else 0
-  end
-
-let store_row_transactions_dense ~base ~n ~banks ~lanes =
-  if n <= 0 then 0
-  else begin
-    let tx = ref 0 in
-    let chunk = ref 0 in
-    while !chunk < n do
-      let c = min lanes (n - !chunk) in
-      (* per-bank distinct-word sets, as Sim.bank_transactions builds them *)
-      let per_bank = Array.make banks [] in
-      for j = 0 to c - 1 do
-        let w = base + !chunk + j in
-        let b = ((w mod banks) + banks) mod banks in
-        if not (List.mem w per_bank.(b)) then per_bank.(b) <- w :: per_bank.(b)
-      done;
-      tx := !tx + Array.fold_left (fun m l -> max m (List.length l)) 0 per_bank;
-      chunk := !chunk + lanes
-    done;
-    !tx
-  end
+(* ---- classical tile windows over a clipped row ------------------------ *)
 
 let tiles_nonempty (c : Classical.t) ~u ~lo ~hi =
   if lo > hi then 0

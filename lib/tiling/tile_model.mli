@@ -118,53 +118,14 @@ val estimate : hslice -> w:int array -> estimate
     additionally subtracts the hull of already-flushed writes; upper
     bound caps the per-access union sum by the read hull volume). *)
 
-(** {1 Per-class clipped closed forms}
+(** {1 Classical tile windows}
 
     A hybrid launch's blocks fall into tile classes distinguished only
     by how the hexagon's per-row [s0] interval is clipped against the
-    statement domain ([Hybrid_exec.class_key]). The forms below extend
-    the generic-tile model to such clipped classes in closed form —
-    arithmetic over the hexagon rows, never enumerating a statement
-    instance — and each has a [_dense] reference that does enumerate,
-    for the property tests and the analytic engine's self-checks. *)
-
-type clip = { cleft : int; cright : int }
-(** Cells clipped off the left/right of one hexagon row's [b] interval
-    (both [>= 0]); [None] in a clips array marks a row with no work at
-    all (e.g. its [u] falls outside the time domain). *)
-
-val class_row_len : row -> clip option -> int
-(** [max 0 (bhi - blo + 1 - cleft - cright)]. *)
-
-val class_columns : hslice -> clips:clip option array -> int
-(** Distinct [(a, s0)] cells with work: Σ clipped row lengths. *)
-
-val class_columns_dense : hslice -> clips:clip option array -> int
-
-val class_syncs : hslice -> clips:clip option array -> live:(row -> bool) -> int
-(** Barrier steps of one classical tile of the class: rows with a
-    positive clipped length whose inner windows are non-empty ([live]). *)
-
-val class_syncs_dense :
-  hslice -> clips:clip option array -> live:(row -> bool) -> int
-
-val class_stores : hslice -> clips:clip option array -> inner:(row -> int) -> int
-(** Written cells (= store instances) of the class: Σ clipped row length
-    × [inner row], with [inner] the row's inner-dimension instance count
-    (a launch constant, e.g. from {!coverage} products). *)
-
-val class_stores_dense :
-  hslice -> clips:clip option array -> inner:(row -> int) -> int
-
-val store_row_transactions : n:int -> banks:int -> lanes:int -> int
-(** Shared-memory transactions of storing [n] consecutive words in
-    [lanes]-wide warp chunks over [banks] banks:
-    [⌊n/lanes⌋·⌈lanes/banks⌉ + ⌈(n mod lanes)/banks⌉] — the bank-conflict
-    count is base-independent for consecutive words. *)
-
-val store_row_transactions_dense : base:int -> n:int -> banks:int -> lanes:int -> int
-(** Reference: simulates per-bank distinct-word sets per chunk exactly
-    like [Sim.bank_transactions], from an arbitrary word [base]. *)
+    statement domain ([Hybrid_exec.class_key]). [Hybrid_exec.check_class]
+    counts a clipped row's classical tiles and their covered cells with
+    the closed forms below; each has a [_dense] reference that
+    enumerates the tiles, for the property tests. *)
 
 val tiles_nonempty : Classical.t -> u:int -> lo:int -> hi:int -> int
 (** Number of classical tiles whose (skewed) window at normalized time

@@ -83,7 +83,7 @@ let test_bound_value () =
 let test_table3_scaled () =
   List.iter
     (fun (prog : Hextile_ir.Stencil.t) ->
-      let env = E.sizes ~quick:true prog in
+      let env = E.sizes prog in
       ignore
         (check_pair ~label:prog.name ~expect_scaled:(Some true) prog env dev))
     Suite.table3
@@ -105,7 +105,7 @@ let test_fallback_exact () =
    size, close the loop: the analytic grids must equal the reference. *)
 let test_analytic_vs_reference () =
   let prog = Suite.laplacian2d in
-  let env = E.sizes ~quick:true prog in
+  let env = E.sizes prog in
   let e x = List.assoc x env in
   let r = Hybrid_exec.run ~analytic:true prog e dev in
   Alcotest.(check bool) "scaled" true (r.blocks_analytic > 0);
@@ -157,7 +157,7 @@ let test_fuzzed_programs () =
 let test_analytic_jobs_deterministic () =
   List.iter
     (fun (prog : Hextile_ir.Stencil.t) ->
-      let env = E.sizes ~quick:true prog in
+      let env = E.sizes prog in
       let e x = List.assoc x env in
       let seq = Hybrid_exec.run ~analytic:true prog e dev in
       List.iter

@@ -5,16 +5,16 @@ open Hextile_stencils
 let tiny2 = [ ("N", 48); ("T", 8) ]
 
 let test_sizes () =
-  let s2 = E.sizes ~quick:true Suite.heat2d in
-  Alcotest.(check bool) "2D quick N" true (List.assoc "N" s2 >= 64);
-  let s3 = E.sizes ~quick:true Suite.heat3d in
+  let s2 = E.sizes Suite.heat2d in
+  Alcotest.(check bool) "2D scaled N" true (List.assoc "N" s2 >= 64);
+  let s3 = E.sizes Suite.heat3d in
   Alcotest.(check bool) "3D smaller than 2D" true
     (List.assoc "N" s3 < List.assoc "N" s2);
-  let f3 = E.sizes ~quick:false Suite.heat3d in
-  Alcotest.(check bool) "full > quick" true (List.assoc "N" f3 > List.assoc "N" s3)
+  let p3 = E.paper_sizes Suite.heat3d in
+  Alcotest.(check bool) "paper > scaled" true (List.assoc "N" p3 > List.assoc "N" s3)
 
 let test_scaled_device () =
-  let env = E.sizes ~quick:true Suite.heat2d in
+  let env = E.sizes Suite.heat2d in
   let d = E.scaled_device Device.gtx470 Suite.heat2d env in
   Alcotest.(check bool) "L2 shrinks" true (d.l2_bytes < Device.gtx470.l2_bytes);
   Alcotest.(check bool) "L2 floor" true (d.l2_bytes >= 4096);

@@ -1,5 +1,6 @@
 open Hextile_poly
 open Hextile_util
+module Obs = Hextile_obs.Obs
 
 (* A small 2D triangle: 0 <= x, 0 <= y, x + y <= 4. *)
 let triangle =
@@ -283,22 +284,34 @@ let test_count_vs_enumerate () =
     fixtures
 
 let test_fm_cache () =
-  Alcotest.(check bool) "cache on by default" true (Polyhedron.fm_cache_enabled ());
+  (* x + y = 3, 0 <= x <= 3: its elimination takes the equality pivot *)
+  let segment =
+    Polyhedron.make (Space.make [ "x"; "y" ])
+      [ Constr.eq [| 1; 1 |] (-3); Constr.ge [| 1; 0 |] 0; Constr.ge [| -1; 0 |] 3 ]
+  in
+  (* counter deltas of one elimination of each system *)
+  let eliminate_both () =
+    let before k = Obs.counter k in
+    let e0 = before "poly.fm_eliminations" and q0 = before "poly.fm_eq_pivots" in
+    let p = Polyhedron.eliminate_keep triangle 1 in
+    let s = Polyhedron.eliminate_keep segment 1 in
+    ( (p, s),
+      (Obs.counter "poly.fm_eliminations" - e0, Obs.counter "poly.fm_eq_pivots" - q0) )
+  in
+  let was_enabled = Obs.enabled () in
+  Obs.enable ();
   Polyhedron.fm_cache_clear ();
-  let p1 = Polyhedron.eliminate_keep triangle 1 in
+  let cold, cold_counts = eliminate_both () in
   let h0, m0 = Polyhedron.fm_cache_stats () in
-  Alcotest.(check (pair int int)) "first elimination misses" (0, 1) (h0, m0);
-  let p2 = Polyhedron.eliminate_keep triangle 1 in
+  Alcotest.(check (pair int int)) "cold run misses" (0, 2) (h0, m0);
+  let warm, warm_counts = eliminate_both () in
   let h1, m1 = Polyhedron.fm_cache_stats () in
-  Alcotest.(check (pair int int)) "second elimination hits" (1, 1) (h1, m1);
-  Alcotest.(check bool) "hit is structurally equal" true (p1 = p2);
-  (* the cache-disabled path recomputes the identical polyhedron *)
-  Polyhedron.set_fm_cache false;
-  let p3 = Polyhedron.eliminate_keep triangle 1 in
-  let h2, m2 = Polyhedron.fm_cache_stats () in
-  Polyhedron.set_fm_cache true;
-  Alcotest.(check bool) "disabled path bypasses stats" true (h2 = h1 && m2 = m1);
-  Alcotest.(check bool) "disabled path identical" true (p3 = p1);
+  if not was_enabled then Obs.disable ();
+  Alcotest.(check (pair int int)) "warm run hits" (2, 2) (h1, m1);
+  Alcotest.(check bool) "hit is structurally equal" true (cold = warm);
+  (* counters are replayed on hits: totals match the cold run's *)
+  Alcotest.(check (pair int int)) "cold counters" (2, 1) cold_counts;
+  Alcotest.(check (pair int int)) "warm counters = cold" cold_counts warm_counts;
   (* projections through the cache still agree with point enumeration *)
   Polyhedron.fm_cache_clear ();
   let proj () =

@@ -570,84 +570,7 @@ let test_formula_3d_matches_enumeration () =
        (fun (p : Hextile_ir.Stencil.t) -> Hextile_ir.Stencil.spatial_dims p = 3)
        Suite.table3)
 
-(* ---- per-class clipped closed forms (analytic mode) -------------------- *)
-
-(* A tiny deterministic LCG so the clip patterns below are reproducible
-   without threading QCheck state through hslice construction. *)
-let lcg seed =
-  let s = ref seed in
-  fun bound ->
-    s := ((!s * 1103515245) + 12345) land 0x3FFFFFFF;
-    !s mod bound
-
-(* The closed forms must agree with dense enumeration on boundary-heavy
-   clip patterns: rows clipped past empty, rows with no work at all
-   ([None]), asymmetric left/right clipping — the shapes the analytic
-   engine meets on domain edges where extents are not divisible by
-   (h, w). *)
-let test_class_forms_match_dense () =
-  List.iter
-    (fun (prog, hws) ->
-      let cx = Tile_model.ctx prog in
-      List.iter
-        (fun (h, w0) ->
-          let hs = Tile_model.hslice cx ~h ~w0 in
-          let nrows = Array.length hs.Tile_model.rows in
-          for trial = 0 to 19 do
-            let rand = lcg ((997 * trial) + (31 * h) + w0) in
-            let clips =
-              Array.map
-                (fun (r : Tile_model.row) ->
-                  if rand 5 = 0 then None
-                  else begin
-                    let len = r.Tile_model.bhi - r.Tile_model.blo + 1 in
-                    (* up to len+2: clipping past empty must clamp to 0 *)
-                    Some
-                      {
-                        Tile_model.cleft = rand (len + 2);
-                        cright = rand (len + 2);
-                      }
-                  end)
-                hs.Tile_model.rows
-            in
-            let live (r : Tile_model.row) = r.Tile_model.a mod 3 <> 1 in
-            let inner (r : Tile_model.row) = 1 + (r.Tile_model.a mod 4) in
-            let lbl =
-              Fmt.str "%s h=%d w0=%d trial=%d (%d rows)"
-                prog.Hextile_ir.Stencil.name h w0 trial nrows
-            in
-            Alcotest.(check int)
-              (lbl ^ ": columns")
-              (Tile_model.class_columns_dense hs ~clips)
-              (Tile_model.class_columns hs ~clips);
-            Alcotest.(check int)
-              (lbl ^ ": syncs")
-              (Tile_model.class_syncs_dense hs ~clips ~live)
-              (Tile_model.class_syncs hs ~clips ~live);
-            Alcotest.(check int)
-              (lbl ^ ": stores")
-              (Tile_model.class_stores_dense hs ~clips ~inner)
-              (Tile_model.class_stores hs ~clips ~inner)
-          done)
-        hws)
-    [
-      (Suite.heat2d, [ (1, 2); (3, 4); (2, 1) ]);
-      (Suite.fdtd2d, [ (2, 3); (5, 2) ]);
-      (Suite.heat3d, [ (2, 7); (1, 1) ]);
-    ]
-
-(* Bank-conflict count of storing n consecutive words is independent of
-   the base word — the property that lets a class representative's
-   shared-store transaction counts stand for every translated member. *)
-let prop_store_tx_base_independent =
-  QCheck.Test.make ~name:"store_row_transactions = dense, any base" ~count:300
-    QCheck.(
-      quad (int_range 0 200) (int_range (-64) 192) (int_range 1 3) bool)
-    (fun (n, base, banks_sel, wide) ->
-      let banks = [| 8; 16; 32 |].(banks_sel - 1) in
-      let lanes = if wide then 32 else 16 in
-      Tile_model.store_row_transactions ~n ~banks ~lanes
-      = Tile_model.store_row_transactions_dense ~base ~n ~banks ~lanes)
+(* ---- classical tile windows (analytic mode's class check) ------------- *)
 
 (* Window counts and coverage against dense tile enumeration, on shapes
    chosen to leave remainders: extents not divisible by the width,
@@ -736,9 +659,6 @@ let suite =
     Alcotest.test_case "3D iteration formula = enumeration" `Quick
       test_formula_3d_matches_enumeration;
     Alcotest.test_case "dependence analysis memoized" `Quick test_dep_memo_shared;
-    Alcotest.test_case "class closed forms = dense (clipped)" `Quick
-      test_class_forms_match_dense;
-    QCheck_alcotest.to_alcotest prop_store_tx_base_independent;
     Alcotest.test_case "tiles/coverage closed forms = dense" `Quick
       test_tiles_coverage_match_dense;
   ]
