@@ -1,47 +1,5 @@
 open Hextile_ir
 
-(* ---- semantic envelope ------------------------------------------------ *)
-
-(* One statement's instances at one time step must be independent: every
-   executor runs them in parallel (warps of a launch), while the
-   interpreter sweeps them in row-major order. The two agree exactly when
-   a statement never reads another instance's cell from the slot it is
-   writing — i.e. any read of the write slot of its own array is the
-   written cell itself (the fdtd-style in-place pattern). Cross-statement
-   and cross-slot reads are ordered by statement/step sequencing, which
-   all executors preserve, so those are unrestricted. *)
-let well_formed (p : Stencil.t) =
-  let fail fmt = Fmt.kstr (fun m -> Error m) fmt in
-  let rec stmts = function
-    | [] -> Ok ()
-    | (s : Stencil.stmt) :: rest ->
-        let w = s.write in
-        let m =
-          match (Stencil.array_decl p w.array).fold with Some m -> m | None -> 1
-        in
-        let bad =
-          List.find_opt
-            (fun (r : Stencil.access) ->
-              String.equal r.array w.array
-              && (r.time_off - w.time_off) mod m = 0
-              && r.offsets <> w.offsets)
-            (Stencil.reads s)
-        in
-        (match bad with
-        | Some r ->
-            fail
-              "statement %s: read of %s at the write slot with offsets (%a) \
-               differing from the written cell (%a) — instances of one step \
-               would not be independent"
-              s.sname r.array
-              Fmt.(array ~sep:(any ",") int)
-              r.offsets
-              Fmt.(array ~sep:(any ",") int)
-              w.offsets
-        | None -> stmts rest)
-  in
-  match Stencil.validate p with Error m -> Error m | Ok () -> stmts p.stmts
-
 (* ---- generation ------------------------------------------------------- *)
 
 let gen_offset rng =

@@ -7,34 +7,26 @@
     read-only coefficient arrays, and parameter valuations small enough
     to include degenerate (empty or single-cell) domains.
 
-    Beyond {!Hextile_ir.Stencil.validate}, generated programs satisfy the
-    semantic envelope in which the reference interpreter and every scheme
-    executor agree ({!well_formed}): a statement's reads of its own
-    array's {e write slot} are exactly the written cell, so instances of
-    one statement at one time step are independent (Jacobi-style), which
-    is what every executor's parallel model assumes. Reads of other
-    slots, other arrays, and cross-statement reads are unrestricted.
-    Domains keep a symmetric per-dimension margin covering the largest
-    absolute offset, so the in-bounds convention ([Analysis.bounds_check])
-    holds for every parameter valuation — and stays intact under
-    {!flip_offset}. *)
+    Generated programs pass {!Hextile_ir.Stencil.validate}, whose input
+    envelope is where the reference interpreter and every scheme executor
+    agree: a statement's only read of its own write slot is the written
+    cell (the in-place self-read), and reads of other slots, other
+    arrays and other statements' arrays are unrestricted. Domains keep a
+    symmetric per-dimension margin covering the largest absolute offset,
+    so the in-bounds convention ([Analysis.bounds_check]) holds for every
+    parameter valuation — and stays intact under {!flip_offset}. *)
 
 open Hextile_ir
 
 val generate : Rng.t -> Stencil.t * (string * int) list
 (** A random program and a matching (N, T) valuation. The result
-    validates, is {!well_formed}, passes [Analysis.bounds_check] under
-    the valuation, and round-trips through [Pretty.to_source] and the
-    frontend. *)
-
-val well_formed : Stencil.t -> (unit, string) result
-(** The semantic envelope described above; implied for generated
-    programs, checked explicitly on shrink candidates. *)
+    validates, passes [Analysis.bounds_check] under the valuation, and
+    round-trips through [Pretty.to_source] and the frontend. *)
 
 val flip_offset : Stencil.t -> Stencil.t option
 (** Negate the first nonzero spatial offset of the first read that has
     one — the classic schedule/codegen bug shape. [None] if every read
-    offset is zero. The result stays well-formed and in bounds (margins
+    offset is zero. The result still validates and stays in bounds (margins
     are symmetric), so executors run it without crashing and the
     corruption is purely semantic. *)
 
@@ -43,7 +35,7 @@ val translate_writes : Stencil.t -> Stencil.t
     statement [i] shifts by +1, -1 or +2 in turn along one dimension,
     innermost first. Each domain shrinks by the shift on that side, so
     the written cells stay inside the array, and any read of the write
-    slot moves with the write, so the result stays {!well_formed} and in
+    slot moves with the write, so the result still validates and stays in
     bounds under the program's valuations. {!generate}'s programs all
     write at offset 0; the fuzz campaign runs this variant of each one
     too. *)

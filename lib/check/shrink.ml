@@ -4,7 +4,7 @@ let valid (p : Stencil.t) env =
   let envf name =
     match List.assoc_opt name env with Some v -> v | None -> 0
   in
-  match Gen.well_formed p with
+  match Stencil.validate p with
   | Error _ -> false
   | Ok () -> (
       match Analysis.bounds_check p envf with

@@ -12,9 +12,9 @@
 open Hextile_ir
 
 val valid : Stencil.t -> (string * int) list -> bool
-(** [Stencil.validate] + {!Gen.well_formed} + [Analysis.bounds_check]
-    under the valuation — the envelope in which the oracle's verdict is
-    meaningful. *)
+(** [Stencil.validate] (the input envelope included) and
+    [Analysis.bounds_check] under the valuation: the programs on which
+    the oracle's verdict is meaningful. *)
 
 val candidates :
   Stencil.t -> (string * int) list -> (Stencil.t * (string * int) list) list

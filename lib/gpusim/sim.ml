@@ -128,18 +128,13 @@ let record_end t =
       if r.rvalid then Some r.rstream else None
   | _ -> None
 
-type fallback = Per_lane | Overlay | Hazard
-
-(* Each invalidated recording counts once, under its first reason. *)
-let record_invalidate t why =
+(* A per-lane warp event drops the recording; each dropped recording
+   counts once. *)
+let record_invalidate t =
   match Domain.DLS.get record_key with
   | Some r when r.rowner == t && r.rvalid ->
       r.rvalid <- false;
-      Obs.incr
-        (match why with
-        | Per_lane -> "sim.recordings_invalidated.per_lane"
-        | Overlay -> "sim.recordings_invalidated.overlay"
-        | Hazard -> "sim.recordings_invalidated.hazard")
+      Obs.incr "sim.recordings_invalidated.per_lane"
   | _ -> ()
 
 (* Callers test [recording_active] first, so no event is allocated when
@@ -210,7 +205,7 @@ let store_line t sh (c : Counters.t) ~serial line =
 let global_load_warp t addrs =
   let n = active addrs in
   if n > 0 then begin
-    record_invalidate t Per_lane;
+    record_invalidate t;
     let sh = shadow t in
     let c = match sh with Some s -> s.sc | None -> t.total in
     c.gld_inst <- c.gld_inst + n;
@@ -222,7 +217,7 @@ let global_load_warp t addrs =
 let global_store_warp ?(serial = false) t addrs =
   let n = active addrs in
   if n > 0 then begin
-    record_invalidate t Per_lane;
+    record_invalidate t;
     let sh = shadow t in
     let c = match sh with Some s -> s.sc | None -> t.total in
     c.gst_inst <- c.gst_inst + n;
@@ -340,7 +335,7 @@ let live_counters = counters_of
 let shared_load_warp ?(replay = 1) ?tids t addrs =
   let n = active addrs in
   if n > 0 then begin
-    record_invalidate t Per_lane;
+    record_invalidate t;
     if Sanitize.enabled () then Sanitize.access ~write:false ?tids addrs;
     let c = counters_of t in
     c.shared_load_requests <- c.shared_load_requests + 1;
@@ -351,7 +346,7 @@ let shared_load_warp ?(replay = 1) ?tids t addrs =
 let shared_store_warp ?(replay = 1) ?tids t addrs =
   let n = active addrs in
   if n > 0 then begin
-    record_invalidate t Per_lane;
+    record_invalidate t;
     if Sanitize.enabled () then Sanitize.access ~write:true ?tids addrs;
     let c = counters_of t in
     c.shared_store_requests <- c.shared_store_requests + 1;

@@ -185,20 +185,13 @@ val shared_store_lanes : ?replay:int -> t -> int array -> unit
     address by one word offset. The stream holds the batched global
     events above and the {!record_compute} rows; the batched shared
     events, {!flops_warp} and {!sync} are not recorded, because their
-    counts do not change under translation. A per-lane warp event, an
-    overlay row or a hazard statement invalidates the recording, and the class's other
+    counts do not change under translation. A per-lane warp event (the
+    reference engine, the sanitizer, a copy-out warp that is not
+    strictly ascending) invalidates the recording, and the class's other
     blocks then run live — same counters, nothing memoized. Each
-    invalidated recording is counted once, under its first
-    {!fallback} reason, in the Obs counter
-    [sim.recordings_invalidated.<reason>]. Recording state is
+    invalidated recording is counted once, in the Obs counter
+    [sim.recordings_invalidated.per_lane]. Recording state is
     domain-local, mirroring the parallel-execution shadows. *)
-
-type fallback =
-  | Per_lane  (** [per_lane]: a per-lane warp event (reference engine, sanitizer) *)
-  | Overlay  (** [overlay]: a row computed into block-private overlays *)
-  | Hazard
-      (** [hazard]: a statement whose reads alias its write slot at
-          another cell, executed lane by lane without a tape *)
 
 val record_begin : t -> unit
 (** Start recording the current domain's events. *)
@@ -207,8 +200,6 @@ val record_end : t -> Tileclass.stream option
 (** Stop recording; [None] if the recording was invalidated. *)
 
 val recording_active : t -> bool
-val record_invalidate : t -> fallback -> unit
-(** Invalidate the current domain's recording, if one is active. *)
 
 val record_compute :
   t -> stmt:int -> tstep:int -> wflat:int -> srcs:int array -> n:int -> unit

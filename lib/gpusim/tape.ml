@@ -1,17 +1,11 @@
-(* Flat register-machine tapes: the warp-batched statement evaluator.
+(* Flat register-machine tapes: the batched statement evaluator.
 
-   A tape is the closure-free form of one statement's right-hand side.
-   Registers are structure-of-arrays 32-lane float buffers packed into a
-   single scratch array (register r occupies words [r*lanes, r*lanes+n)).
-   Registers 0..nsrcs-1 are the statement's distinct reads, blitted from
-   the grids once per row chunk; the remaining registers hold
-   intermediate results. One [exec] retires a whole warp's worth of
-   statement instances with four tight array loops per operation and no
-   allocation, where the closure interpreter paid a tree walk and a
-   closure call per node per lane.
-
-   Evaluation order per lane is exactly the closure interpreter's
-   post-order walk, so results are bit-identical IEEE doubles. *)
+   A tape is the closure-free form of one statement's right-hand side in
+   SSA register form: registers 0..nsrcs-1 are the statement's distinct
+   reads, the rest hold intermediate results, and instruction order per
+   lane is exactly the closure interpreter's post-order walk. Tapes are
+   executed only as fused run plans (below), which keep that per-lane
+   operation order, so results are bit-identical IEEE doubles. *)
 
 type instr =
   | Const of { dst : int; v : float }
@@ -48,66 +42,11 @@ let make ~nsrcs ~nregs ~result ~instrs =
 
 let length t = Array.length t.instrs
 
-type scratch = float array
-
-let scratch t : scratch = Array.make (max 1 (t.nregs * lanes)) 0.0
-
-let scratch_fits t (s : scratch) = Array.length s >= t.nregs * lanes
-
-(* [make] bounds every register below [nregs] and the caller passes a
-   scratch of at least nregs*lanes words with n <= lanes, so the unsafe
-   accesses below stay inside the scratch. *)
-let exec t (regs : scratch) ~(datas : float array array) ~(bases : int array)
-    ~dx ~n ~(out : float array) ~out_base =
-  if n < 0 || n > lanes then invalid_arg "Tape.exec: n out of [0, 32]";
-  if not (scratch_fits t regs) then invalid_arg "Tape.exec: scratch too small";
-  for s = 0 to t.nsrcs - 1 do
-    (* Array.blit bounds-checks, backstopping the callers' row validation *)
-    Array.blit datas.(s) (bases.(s) + dx) regs (s * lanes) n
-  done;
-  let instrs = t.instrs in
-  for i = 0 to Array.length instrs - 1 do
-    match Array.unsafe_get instrs i with
-    | Const { dst; v } -> Array.fill regs (dst * lanes) n v
-    | Neg { dst; a } ->
-        let d = dst * lanes and a = a * lanes in
-        for j = 0 to n - 1 do
-          Array.unsafe_set regs (d + j) (-.Array.unsafe_get regs (a + j))
-        done
-    | Add { dst; a; b } ->
-        let d = dst * lanes and a = a * lanes and b = b * lanes in
-        for j = 0 to n - 1 do
-          Array.unsafe_set regs (d + j)
-            (Array.unsafe_get regs (a + j) +. Array.unsafe_get regs (b + j))
-        done
-    | Sub { dst; a; b } ->
-        let d = dst * lanes and a = a * lanes and b = b * lanes in
-        for j = 0 to n - 1 do
-          Array.unsafe_set regs (d + j)
-            (Array.unsafe_get regs (a + j) -. Array.unsafe_get regs (b + j))
-        done
-    | Mul { dst; a; b } ->
-        let d = dst * lanes and a = a * lanes and b = b * lanes in
-        for j = 0 to n - 1 do
-          Array.unsafe_set regs (d + j)
-            (Array.unsafe_get regs (a + j) *. Array.unsafe_get regs (b + j))
-        done
-    | Div { dst; a; b } ->
-        let d = dst * lanes and a = a * lanes and b = b * lanes in
-        for j = 0 to n - 1 do
-          Array.unsafe_set regs (d + j)
-            (Array.unsafe_get regs (a + j) /. Array.unsafe_get regs (b + j))
-        done
-  done;
-  Array.blit regs (t.result * lanes) out out_base n
-
 (* ---- fused run plans -------------------------------------------------
 
-   The analytic epilogue replays a class's compute rows once per member
-   block — billions of statement instances on the full-size paper
-   grids — so the per-lane cost of [exec] (one scratch pass per source
-   blit, per instruction, and per result blit) dominates the whole
-   simulation. A plan is the same tape peephole-compiled into fused
+   Every statement row — live, replayed or derived by the analytic
+   epilogue (billions of statement instances on the full-size paper
+   grids) — runs through a plan: the tape peephole-compiled into fused
    superinstructions that read sources in place from the grids, keep
    single-use intermediates out of scratch entirely, and store the
    result straight into the output grid.
@@ -117,7 +56,15 @@ let exec t (regs : scratch) ~(datas : float array array) ~(bases : int array)
    same operands in the same per-lane order — fusion only eliminates
    materializations of single-use intermediates (a memory round-trip,
    not an arithmetic op), and multiplications keep their original
-   operand order, so plan execution is IEEE-identical to [exec]. *)
+   operand order, so plan execution is IEEE-identical to evaluating the
+   tape instruction by instruction (the test suite keeps that
+   evaluator as the reference).
+
+   Aliasing: only the final pass writes the output, and lane j reads
+   every source at lane j before storing it, so [out] may be a source
+   array at the same base (the in-place self-read, [A[x] = f(A[x], ..)]).
+   A source at another base of [out] would race; [Stencil.validate]
+   rejects the statements that need one. *)
 
 type pop = Psrc of int | Preg of int
 type pdst = Dreg of int | Dout
@@ -419,6 +366,15 @@ let plan_scratch_words p = max 1 (p.pregs * strip)
 external ( .!() ) : float array -> int -> float = "%array_unsafe_get"
 external ( .!()<- ) : float array -> int -> float -> unit = "%array_unsafe_set"
 
+(* Operand and destination resolution, applied once per pass of a
+   strip. Top-level and fully applied, so the per-call setup of
+   [exec_plan] allocates nothing (local closures over the row's arrays
+   would be allocated on every call and strip). *)
+let arr_of datas regs = function Psrc s -> datas.(s) | Preg _ -> regs
+let off_of bases at = function Psrc s -> bases.(s) + at | Preg r -> r * strip
+let darr_of regs out = function Dreg _ -> regs | Dout -> out
+let doff_of at = function Dreg r -> r * strip | Dout -> at
+
 (* Every strip kernel is a main loop of 4 written-out element statements
    followed by a scalar tail. Without flambda, a one-element loop reloads
    its spilled operand bases and polls once per element; unrolled x4,
@@ -431,43 +387,39 @@ external ( .!()<- ) : float array -> int -> float -> unit = "%array_unsafe_set"
    element starts, and keeps the scalar operation order, so results (and
    the in-place accumulator passes, whose destination is their first
    operand) are bit-identical to the one-element loops. *)
-let exec_plan p (regs : scratch) ~(datas : float array array)
+let exec_plan p (regs : float array) ~(datas : float array array)
     ~(bases : int array) ~dx ~n ~(out : float array) ~out_base =
   if n < 0 then invalid_arg "Tape.exec_plan: negative n";
   (* one bounds pass over the whole run backstops the callers' row
      validation; the strip loops below then run unchecked *)
-  Array.iter
-    (fun s ->
-      let b = bases.(s) + dx in
-      if b < 0 || b + n > Array.length datas.(s) then
-        invalid_arg "Tape.exec_plan: source row out of bounds")
-    p.psrcs;
+  let psrcs = p.psrcs in
+  for k = 0 to Array.length psrcs - 1 do
+    let s = psrcs.(k) in
+    let b = bases.(s) + dx in
+    if b < 0 || b + n > Array.length datas.(s) then
+      invalid_arg "Tape.exec_plan: source row out of bounds"
+  done;
   if out_base < 0 || out_base + n > Array.length out then
     invalid_arg "Tape.exec_plan: output row out of bounds";
   if Array.length regs < p.pregs * strip then
     invalid_arg "Tape.exec_plan: scratch too small";
-  let arr_of = function Psrc s -> datas.(s) | Preg _ -> regs in
-  let darr_of = function Dreg _ -> regs | Dout -> out in
   let i = ref 0 in
   while !i < n do
     let i0 = !i in
     let nl = min strip (n - i0) in
     (* first lane of the scalar tail *)
     let nq = nl land lnot 3 in
-    let off_of = function
-      | Psrc s -> bases.(s) + dx + i0
-      | Preg r -> r * strip
-    in
-    let doff_of = function Dreg r -> r * strip | Dout -> out_base + i0 in
+    let at = dx + i0 and dat = out_base + i0 in
     let pi = p.pinstrs in
     for k = 0 to Array.length pi - 1 do
       match Array.unsafe_get pi k with
-      | P_const { dst; v } -> Array.fill (darr_of dst) (doff_of dst) nl v
+      | P_const { dst; v } -> Array.fill (darr_of regs out dst) (doff_of dat dst) nl v
       | P_copy { dst; a } ->
-          Array.blit (arr_of a) (off_of a) (darr_of dst) (doff_of dst) nl
+          Array.blit (arr_of datas regs a) (off_of bases at a) (darr_of regs out dst)
+            (doff_of dat dst) nl
       | P_neg { dst; a } ->
-          let av = arr_of a and ao = off_of a in
-          let ev = darr_of dst and eo = doff_of dst in
+          let av = arr_of datas regs a and ao = off_of bases at a in
+          let ev = darr_of regs out dst and eo = doff_of dat dst in
           for q = 0 to (nl lsr 2) - 1 do
             let j = q lsl 2 in
             let ao = ao + j and eo = eo + j in
@@ -480,9 +432,9 @@ let exec_plan p (regs : scratch) ~(datas : float array array)
             ev.!(eo + j) <- -.av.!(ao + j)
           done
       | P_bin { op; dst; a; b } -> (
-          let av = arr_of a and ao = off_of a in
-          let bv = arr_of b and bo = off_of b in
-          let ev = darr_of dst and eo = doff_of dst in
+          let av = arr_of datas regs a and ao = off_of bases at a in
+          let bv = arr_of datas regs b and bo = off_of bases at b in
+          let ev = darr_of regs out dst and eo = doff_of dat dst in
           match op with
           | Badd ->
               for q = 0 to (nl lsr 2) - 1 do
@@ -533,10 +485,10 @@ let exec_plan p (regs : scratch) ~(datas : float array array)
                 ev.!(eo + j) <- av.!(ao + j) /. bv.!(bo + j)
               done)
       | P_sum3 { dst; a; b; c } ->
-          let av = arr_of a and ao = off_of a in
-          let bv = arr_of b and bo = off_of b in
-          let cv = arr_of c and co = off_of c in
-          let ev = darr_of dst and eo = doff_of dst in
+          let av = arr_of datas regs a and ao = off_of bases at a in
+          let bv = arr_of datas regs b and bo = off_of bases at b in
+          let cv = arr_of datas regs c and co = off_of bases at c in
+          let ev = darr_of regs out dst and eo = doff_of dat dst in
           for q = 0 to (nl lsr 2) - 1 do
             let j = q lsl 2 in
             let ao = ao + j and bo = bo + j and co = co + j and eo = eo + j in
@@ -549,11 +501,11 @@ let exec_plan p (regs : scratch) ~(datas : float array array)
             ev.!(eo + j) <- av.!(ao + j) +. bv.!(bo + j) +. cv.!(co + j)
           done
       | P_sum4 { dst; a; b; c; d } ->
-          let av = arr_of a and ao = off_of a in
-          let bv = arr_of b and bo = off_of b in
-          let cv = arr_of c and co = off_of c in
-          let dv = arr_of d and d_o = off_of d in
-          let ev = darr_of dst and eo = doff_of dst in
+          let av = arr_of datas regs a and ao = off_of bases at a in
+          let bv = arr_of datas regs b and bo = off_of bases at b in
+          let cv = arr_of datas regs c and co = off_of bases at c in
+          let dv = arr_of datas regs d and d_o = off_of bases at d in
+          let ev = darr_of regs out dst and eo = doff_of dat dst in
           for q = 0 to (nl lsr 2) - 1 do
             let j = q lsl 2 in
             let ao = ao + j and bo = bo + j and co = co + j and d_o = d_o + j and eo = eo + j in
@@ -566,8 +518,8 @@ let exec_plan p (regs : scratch) ~(datas : float array array)
             ev.!(eo + j) <- av.!(ao + j) +. bv.!(bo + j) +. cv.!(co + j) +. dv.!(d_o + j)
           done
       | P_mulc { dst; k; a; kleft } ->
-          let av = arr_of a and ao = off_of a in
-          let ev = darr_of dst and eo = doff_of dst in
+          let av = arr_of datas regs a and ao = off_of bases at a in
+          let ev = darr_of regs out dst and eo = doff_of dat dst in
           if kleft then begin
             for q = 0 to (nl lsr 2) - 1 do
               let j = q lsl 2 in
@@ -595,9 +547,9 @@ let exec_plan p (regs : scratch) ~(datas : float array array)
             done
           end
       | P_axpby { dst; ka; a; kb; b } ->
-          let av = arr_of a and ao = off_of a in
-          let bv = arr_of b and bo = off_of b in
-          let ev = darr_of dst and eo = doff_of dst in
+          let av = arr_of datas regs a and ao = off_of bases at a in
+          let bv = arr_of datas regs b and bo = off_of bases at b in
+          let ev = darr_of regs out dst and eo = doff_of dat dst in
           for q = 0 to (nl lsr 2) - 1 do
             let j = q lsl 2 in
             let ao = ao + j and bo = bo + j and eo = eo + j in
@@ -610,9 +562,9 @@ let exec_plan p (regs : scratch) ~(datas : float array array)
             ev.!(eo + j) <- (ka *. av.!(ao + j)) +. (kb *. bv.!(bo + j))
           done
       | P_submulc { dst; a; k; b } ->
-          let av = arr_of a and ao = off_of a in
-          let bv = arr_of b and bo = off_of b in
-          let ev = darr_of dst and eo = doff_of dst in
+          let av = arr_of datas regs a and ao = off_of bases at a in
+          let bv = arr_of datas regs b and bo = off_of bases at b in
+          let ev = darr_of regs out dst and eo = doff_of dat dst in
           for q = 0 to (nl lsr 2) - 1 do
             let j = q lsl 2 in
             let ao = ao + j and bo = bo + j and eo = eo + j in

@@ -1,17 +1,14 @@
-(** Flat register-machine tapes for warp-batched statement evaluation.
+(** Flat register-machine tapes for batched statement evaluation.
 
     The closure-tree evaluator of [Schemes.Common.compile_stmt] pays a
     closure call per expression node per lane. A tape is the same
     expression flattened once into an array of register-to-register
-    instructions evaluated over structure-of-arrays 32-lane buffers: one
-    {!exec} call blits the statement's distinct reads into source
-    registers, runs each instruction as a tight loop over the active
-    lanes, and blits the result register back into the output grid.
-    Per-lane evaluation order matches the closure interpreter's
-    post-order walk exactly, so results are bit-identical.
+    instructions whose per-lane order matches the closure interpreter's
+    post-order walk exactly; it runs as a fused {!plan} over whole rows,
+    so results are bit-identical.
 
-    Tapes are built by [Schemes.Common] (which knows the statement and
-    grid shapes) via {!make}; this module only defines the ISA and the
+    Tapes are built by [Schemes.Common] (which knows the statement) via
+    {!make}; this module only defines the ISA, the planner and the plan
     evaluator. *)
 
 type instr =
@@ -30,57 +27,31 @@ type t = private {
 }
 
 val lanes : int
-(** Warp width (32): the lane capacity of every register. *)
+(** Warp width (32): [sim.tape_instrs] counts a row's instructions once
+    per warp chunk of this many lanes. *)
 
 val make : nsrcs:int -> nregs:int -> result:int -> instrs:instr array -> t
-(** Validates that every register index is in [0, nregs), so {!exec} can
-    run without per-access bounds checks. *)
+(** Validates that every register index is in [0, nregs). *)
 
 val length : t -> int
 (** Instruction count (for the [sim.tape_instrs] counter). *)
 
-type scratch = float array
-(** Register file: [nregs * lanes] floats, register-major. Reused across
-    rows; one per domain (never shared — see [Schemes.Common]). *)
-
-val scratch : t -> scratch
-val scratch_fits : t -> scratch -> bool
-
-val exec :
-  t ->
-  scratch ->
-  datas:float array array ->
-  bases:int array ->
-  dx:int ->
-  n:int ->
-  out:float array ->
-  out_base:int ->
-  unit
-(** Evaluate [n <= lanes] consecutive lanes: source register [s] is
-    loaded from [datas.(s).(bases.(s) + dx + j)] for lane [j], and the
-    result register is stored to [out.(out_base + j)]. The caller
-    guarantees (by validating the row's endpoints) that every
-    [bases.(s) + dx .. bases.(s) + dx + n - 1] and
-    [out_base .. out_base + n - 1] range is in bounds; [Array.blit]'s own
-    checks backstop that invariant. *)
-
 (** {2 Fused run plans}
 
-    The analytic epilogue replays compute rows once per derived block —
-    billions of lanes on the paper's full-size instances — so the
-    per-lane constant of {!exec} (a scratch pass per source blit, per
-    instruction and per result blit) is the simulation's dominant cost.
-    A {!plan} is the tape peephole-compiled into fused superinstructions
-    (left-assoc sum windows, constant-factor multiplies, [a - k*b],
-    [k1*a + k2*b]) that read sources directly from the grids, keep
-    single-use intermediates in scratch-free fusion, and write the
-    result straight to the output grid.
+    Every statement row runs through a plan: live rows, replayed class
+    members, and the analytic epilogue's derived blocks (billions of
+    lanes on the paper's full-size instances). A {!plan} is the tape
+    peephole-compiled into fused superinstructions (left-assoc sum
+    windows, constant-factor multiplies, [a - k*b], [k1*a + k2*b]) that
+    read sources directly from the grids, keep single-use intermediates
+    in scratch-free fusion, and write the result straight to the output
+    grid.
 
     Plans are bit-exact: each superinstruction performs exactly the
     float operations of the instruction subsequence it replaces, on the
     same operands in the same per-lane order — fusion removes memory
-    materializations, never arithmetic — so [exec_plan] and a {!exec}
-    loop over the same lanes produce identical IEEE doubles. *)
+    materializations, never arithmetic — so [exec_plan] produces the
+    IEEE doubles of evaluating the tape instruction by instruction. *)
 
 type plan
 
@@ -102,7 +73,7 @@ val plan_scratch_words : plan -> int
 
 val exec_plan :
   plan ->
-  scratch ->
+  float array ->
   datas:float array array ->
   bases:int array ->
   dx:int ->
@@ -110,9 +81,12 @@ val exec_plan :
   out:float array ->
   out_base:int ->
   unit
-(** Evaluate [n] consecutive lanes (any [n >= 0]): lane [j] reads source
-    [s] at [datas.(s).(bases.(s) + dx + j)] and stores the result to
-    [out.(out_base + j)] — the same addressing contract as {!exec}, but
-    over a whole run instead of one warp. Row endpoints of every source
-    the plan reads and of the output are bounds-checked once up front;
-    the fused loops then run unchecked. *)
+(** Evaluate [n] consecutive lanes (any [n >= 0]) with the given scratch
+    (at least {!plan_scratch_words} floats; one per domain, never
+    shared): lane [j] reads source [s] at
+    [datas.(s).(bases.(s) + dx + j)] and stores the result to
+    [out.(out_base + j)]. [out] may be a source array at that source's
+    own base (an in-place self-read); any other overlap of [out] with a
+    source is unsupported. Row endpoints of every source the plan reads
+    and of the output are bounds-checked once up front; the fused loops
+    then run unchecked, and the call allocates nothing. *)

@@ -27,7 +27,8 @@ type ev =
   | Gstore_lanes of { addrs : int array; serial : bool }
   | Compute of { stmt : int; tstep : int; wflat : int; srcs : int array; n : int }
       (** one statement row: write and per-source flat word indices of
-          the row's first lane, and its lane count *)
+          the row's first lane, and its lane count. Every statement has a
+          tape, so a recording holds every row its block computed. *)
 
 type stream
 

@@ -119,9 +119,38 @@ let validate t =
       (Ok ()) writers
   in
   let names = List.map (fun s -> s.sname) t.stmts in
-  if List.length (List.sort_uniq String.compare names) <> List.length names then
-    fail "duplicate statement names in %s" t.name
-  else Ok ()
+  let* () =
+    if List.length (List.sort_uniq String.compare names) <> List.length names then
+      fail "duplicate statement names in %s" t.name
+    else Ok ()
+  in
+  (* The input envelope: a statement reads its own write slot only at the
+     written cell, so its instances at one time step are independent. *)
+  List.fold_left
+    (fun acc s ->
+      let* () = acc in
+      let w = s.write in
+      let m = Option.value (array_decl t w.array).fold ~default:1 in
+      match
+        List.find_opt
+          (fun (r : access) ->
+            String.equal r.array w.array
+            && (r.time_off - w.time_off) mod m = 0
+            && r.offsets <> w.offsets)
+          (reads s)
+      with
+      | None -> Ok ()
+      | Some r ->
+          fail
+            "statement %s reads its write slot of %s at offsets (%a), not at the \
+             written cell (%a): instances of one time step would not be \
+             independent (in-place sweeps are outside the input envelope)"
+            s.sname w.array
+            Fmt.(array ~sep:(any ",") int)
+            r.offsets
+            Fmt.(array ~sep:(any ",") int)
+            w.offsets)
+    (Ok ()) t.stmts
 
 let pp_access ppf a =
   let off ppf o = if o >= 0 then Fmt.pf ppf "+%d" o else Fmt.int ppf o in

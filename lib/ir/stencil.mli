@@ -70,7 +70,15 @@ val validate : t -> (unit, string) result
 (** Structural checks: at least one statement, consistent dimensionality,
     accesses refer to declared arrays with matching arity, non-folded
     arrays accessed with [time_off = 0], each array written by at most one
-    statement, statement names distinct. *)
+    statement, statement names distinct — and the input envelope: a
+    statement reads its own array's {e write slot} (the storage slot it
+    writes, i.e. any cell of a non-folded array) only at the written cell.
+    Every executor runs the instances of one statement at one time step
+    in parallel, so a read of another instance's cell in that slot (an
+    in-place Gauss-Seidel sweep) would race; the frontend, dependence
+    analysis, tiling and every scheme reject such programs through this
+    check. Reads of other slots, of other arrays, and of other
+    statements' arrays are unrestricted. *)
 
 val pp : t Fmt.t
 val pp_access : access Fmt.t

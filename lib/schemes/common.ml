@@ -22,12 +22,8 @@ type compiled = {
   creads : src array;
       (** distinct reads in first-occurrence order (= tape register
           order) *)
-  tape : Tape.t option;
-      (** [None] when row batching would reorder an aliased read/write
-          (the per-lane interleaved reference order must be kept) *)
-  tplan : Tape.plan option;
-      (** the tape's fused run plan (compiled alongside it), for the
-          analytic epilogue's bulk row replay *)
+  tape : Tape.t;
+  tplan : Tape.plan;  (** the tape's fused run plan: every row runs it *)
   tdatas : float array array;  (** [creads] data arrays (read-only share) *)
 }
 
@@ -76,77 +72,61 @@ let access_flat (g : Grid.t) (a : Stencil.access) =
     !off
 
 (* Flatten the right-hand side into a {!Tape.t}, with the statement's
-   distinct reads as source registers. The tape evaluates every lane's
-   reads before any lane's write, while the closure path interleaves
-   read/write per lane — so statements where a read can alias the
-   written storage slot at a *different* cell keep the closure path
-   ([None]); reading the written cell itself is order-insensitive. *)
-let compile_tape (s : Stencil.stmt) (wg : Grid.t) =
-  let reads = Stencil.distinct_reads s in
-  let hazard (a : Stencil.access) =
-    String.equal a.array s.write.array
-    && (match wg.decl.fold with
-       | None -> true
-       | Some m -> Intutil.fmod (a.time_off - s.write.time_off) m = 0)
-    && a.offsets <> s.write.offsets
+   distinct reads as source registers. A plan evaluates a run's reads
+   before its writes where the closure path interleaves them per lane;
+   the orders agree because a validated statement reads its write slot
+   only at the written cell. *)
+let compile_tape (s : Stencil.stmt) =
+  let srcs = Array.of_list (Stencil.distinct_reads s) in
+  let nsrcs = Array.length srcs in
+  let src_reg a =
+    let r = ref (-1) in
+    Array.iteri (fun i a' -> if a' = a then r := i) srcs;
+    !r
   in
-  if List.exists hazard reads then None
-  else begin
-    let srcs = Array.of_list reads in
-    let nsrcs = Array.length srcs in
-    let src_reg a =
-      let r = ref (-1) in
-      Array.iteri (fun i a' -> if a' = a then r := i) srcs;
-      !r
-    in
-    let instrs = ref [] in
-    let next = ref nsrcs in
-    let fresh () =
-      let r = !next in
-      incr next;
-      r
-    in
-    let emit i = instrs := i :: !instrs in
-    let rec comp (e : Stencil.fexpr) =
-      match e with
-      | Read a -> src_reg a
-      | Fconst v ->
-          let dst = fresh () in
-          emit (Tape.Const { dst; v });
-          dst
-      | Neg e ->
-          let a = comp e in
-          let dst = fresh () in
-          emit (Tape.Neg { dst; a });
-          dst
-      | Bin (op, l, r) ->
-          let a = comp l in
-          let b = comp r in
-          let dst = fresh () in
-          emit
-            (match op with
-            | Add -> Tape.Add { dst; a; b }
-            | Sub -> Tape.Sub { dst; a; b }
-            | Mul -> Tape.Mul { dst; a; b }
-            | Div -> Tape.Div { dst; a; b });
-          dst
-    in
-    let result = comp s.rhs in
-    Some
-      (Tape.make ~nsrcs ~nregs:(max !next 1) ~result
-         ~instrs:(Array.of_list (List.rev !instrs)))
-  end
+  let instrs = ref [] in
+  let next = ref nsrcs in
+  let fresh () =
+    let r = !next in
+    incr next;
+    r
+  in
+  let emit i = instrs := i :: !instrs in
+  let rec comp (e : Stencil.fexpr) =
+    match e with
+    | Read a -> src_reg a
+    | Fconst v ->
+        let dst = fresh () in
+        emit (Tape.Const { dst; v });
+        dst
+    | Neg e ->
+        let a = comp e in
+        let dst = fresh () in
+        emit (Tape.Neg { dst; a });
+        dst
+    | Bin (op, l, r) ->
+        let a = comp l in
+        let b = comp r in
+        let dst = fresh () in
+        emit
+          (match op with
+          | Add -> Tape.Add { dst; a; b }
+          | Sub -> Tape.Sub { dst; a; b }
+          | Mul -> Tape.Mul { dst; a; b }
+          | Div -> Tape.Div { dst; a; b });
+        dst
+  in
+  let result = comp s.rhs in
+  Tape.make ~nsrcs ~nregs:(max !next 1) ~result
+    ~instrs:(Array.of_list (List.rev !instrs))
 
-(* Cross-request tape cache. A statement's register tape is a pure
-   function of the statement and its write array's fold depth (the only
-   part of the grid shape [compile_tape] consults), so compiled tapes are
-   shared process-wide in a publish-once table — a long-lived server
-   compiles each distinct statement once across every request instead of
-   once per [make_ctx]. [Tape.t] is immutable (scratch buffers are
-   per-domain, not part of the tape), so sharing is sound. *)
-let tape_cache :
-    (Stencil.stmt * int option, (Tape.t * Tape.plan) option) Hextile_par.Oncemap.t
-    =
+(* Cross-request tape cache. A statement's register tape and plan are a
+   pure function of the statement, so they are shared process-wide in a
+   publish-once table — a long-lived server compiles each distinct
+   statement once across every request instead of once per [make_ctx].
+   Tapes and plans are immutable (scratch buffers are per-domain), so
+   sharing is sound. *)
+let tape_cache : (Stencil.stmt, Tape.t * Tape.plan) Hextile_par.Oncemap.t =
   Hextile_par.Oncemap.create ~bits:8 ~name:"schemes.tape" ()
 
 (* Compile a right-hand side into a closure of (tstep, point), reading
@@ -180,11 +160,10 @@ let compile_stmt grids addr cidx (s : Stencil.stmt) =
   let creads =
     Array.of_list (List.map (resolve_src grids addr) (Stencil.distinct_reads s))
   in
-  let tp =
-    Hextile_par.Oncemap.find_or_compute tape_cache
-      (s, cwrite.sgrid.decl.fold)
-      (fun () ->
-        Option.map (fun t -> (t, Tape.plan t)) (compile_tape s cwrite.sgrid))
+  let tape, tplan =
+    Hextile_par.Oncemap.find_or_compute tape_cache s (fun () ->
+        let t = compile_tape s in
+        (t, Tape.plan t))
   in
   {
     cidx;
@@ -192,8 +171,8 @@ let compile_stmt grids addr cidx (s : Stencil.stmt) =
     ceval = compile_eval read_grid s.rhs;
     cwrite;
     creads;
-    tape = Option.map fst tp;
-    tplan = Option.map snd tp;
+    tape;
+    tplan;
     tdatas = Array.map (fun r -> r.sgrid.data) creads;
   }
 
@@ -522,7 +501,7 @@ let chunks_of xs f =
 (* Per-domain tape register file, grown on demand. Compiled statements
    (and their tapes) are shared read-only across domains, so the mutable
    scratch lives in domain-local storage instead. *)
-let scratch_key : Tape.scratch Domain.DLS.key = Domain.DLS.new_key (fun () -> [||])
+let scratch_key : float array Domain.DLS.key = Domain.DLS.new_key (fun () -> [||])
 
 let get_scratch words =
   let b = Domain.DLS.get scratch_key in
@@ -533,6 +512,10 @@ let get_scratch words =
     nb
   end
 
+(* [sim.tape_instrs] of one row of [n] lanes: the tape's instructions
+   once per warp chunk. *)
+let tape_instrs c n = Tape.length c.tape * ((n + Tape.lanes - 1) / Tape.lanes)
+
 (* Pre-resolved compute rows for replayed and derived class members: the
    per-row tape/grid/base lookups are paid once per tile class, and
    adjacent recorded rows that continue each other in memory are
@@ -542,10 +525,10 @@ let get_scratch words =
    atomic per block.
 
    Coalescing is restricted to rows of one (statement, tstep): rows of
-   one statement at one time step write distinct cells and (the tape
-   hazard check guarantees) never read another instance's write slot, so
-   any execution order within the pair is exact. The recorded stream
-   interleaves x-windows of different classical tiles, so contiguous
+   one statement at one time step write distinct cells and (by
+   [Stencil.validate]'s envelope) never read another instance's write
+   slot, so any execution order within the pair is exact. The recorded
+   stream interleaves x-windows of different classical tiles, so contiguous
    stores are far apart in stream order; [compile_rows] therefore sorts
    the rows by (tstep, statement, write address) before merging. The
    sort is a safe schedule: groups run in ascending u = k·tstep + si
@@ -627,47 +610,43 @@ let compile_rows ctx rows =
   Array.iter
     (fun (stmt_idx, tstep, wflat, srcs, n) ->
       let c = ctx.compiled.(stmt_idx) in
-      match (c.tape, c.tplan) with
-      | Some tape, Some plan ->
-          points := !points + n;
-          instrs :=
-            !instrs + (Tape.length tape * ((n + Tape.lanes - 1) / Tape.lanes));
-          regs := max !regs (Tape.plan_scratch_words plan);
-          let continues =
-            match !pending with
-            | Some p ->
-                p.pstmt = stmt_idx && p.ptstep = tstep
-                && wflat = p.pwflat + p.pn
-                && Array.length srcs = Array.length p.psrcs
-                && (let ok = ref true in
-                    Array.iteri
-                      (fun i s -> if s <> p.psrcs.(i) + p.pn then ok := false)
-                      srcs;
-                    !ok)
-            | None -> false
-          in
-          if continues then begin
-            let p = Option.get !pending in
-            p.pn <- p.pn + n;
-            p.pmerged <- p.pmerged + 1
-          end
-          else begin
-            close ();
-            pending :=
-              Some
-                {
-                  pstmt = stmt_idx;
-                  ptstep = tstep;
-                  pwflat = wflat;
-                  psrcs = srcs;
-                  pn = n;
-                  pmerged = 1;
-                  pplan = plan;
-                  pdatas = c.tdatas;
-                  pout = c.cwrite.sgrid.data;
-                }
-          end
-      | _ -> invalid_arg "Common.compile_rows: statement has no tape")
+      points := !points + n;
+      instrs := !instrs + tape_instrs c n;
+      regs := max !regs (Tape.plan_scratch_words c.tplan);
+      let continues =
+        match !pending with
+        | Some p ->
+            p.pstmt = stmt_idx && p.ptstep = tstep
+            && wflat = p.pwflat + p.pn
+            && Array.length srcs = Array.length p.psrcs
+            && (let ok = ref true in
+                Array.iteri
+                  (fun i s -> if s <> p.psrcs.(i) + p.pn then ok := false)
+                  srcs;
+                !ok)
+        | None -> false
+      in
+      if continues then begin
+        let p = Option.get !pending in
+        p.pn <- p.pn + n;
+        p.pmerged <- p.pmerged + 1
+      end
+      else begin
+        close ();
+        pending :=
+          Some
+            {
+              pstmt = stmt_idx;
+              ptstep = tstep;
+              pwflat = wflat;
+              psrcs = srcs;
+              pn = n;
+              pmerged = 1;
+              pplan = c.tplan;
+              pdatas = c.tdatas;
+              pout = c.cwrite.sgrid.data;
+            }
+      end)
     rows;
   close ();
   {
@@ -699,7 +678,7 @@ let rows_stats { crows; cblit; _ } =
 
 (* Per-domain per-source integer bases of the row being executed: the
    loads' global byte (or shared word) addresses during accounting, then
-   the tape sources' flat word bases ([Tape.exec] reads the first
+   the tape sources' flat word bases ([Tape.exec_plan] reads the first
    [nsrcs] entries). *)
 let ibases_key : int array Domain.DLS.key = Domain.DLS.new_key (fun () -> [||])
 
@@ -762,19 +741,12 @@ let lane_exec ctx c ~overlay ~tstep =
       let wa = c.cwrite.sacc in
       fun point -> we.data.(Overlay.index we wa point) <- eval tstep point
 
-let run_lanes ctx c ~overlay ~tstep point xs =
-  let exec = lane_exec ctx c ~overlay ~tstep in
-  let xdim = ctx.dims - 1 in
-  Array.iter
-    (fun x ->
-      point.(xdim) <- x;
-      exec point)
-    xs
-
 (* Functional execution of a contiguous row through the statement's
-   tape, with sources and destination in the grids or in the block's
-   overlay. [ib] is scratch for the source bases. *)
-let exec_tape_lanes ctx c tape ~overlay ~tstep ~point ~x0 ~xlast ib =
+   plan, with sources and destination in the grids or in the block's
+   overlay. [ib] is scratch for the source bases. Only the hybrid
+   scheme records, and it never computes into overlays, so a recorded
+   row's bases are always grid bases. *)
+let exec_tape_lanes ctx c ~overlay ~tstep ~point ~x0 ~xlast ib =
   let n = xlast - x0 + 1 in
   let xdim = ctx.dims - 1 in
   let nsrc = Array.length c.creads in
@@ -797,19 +769,13 @@ let exec_tape_lanes ctx c tape ~overlay ~tstep ~point ~x0 ~xlast ib =
         let we = Overlay.resolve ov c.cwrite ~tstep in
         (datas, we.data, overlay_row_base we c.cwrite.sacc point ~xdim ~x0 ~xlast)
   in
-  let regs = get_scratch (tape.Tape.nregs * Tape.lanes) in
-  let i = ref 0 in
-  while !i < n do
-    let nl = Int.min Tape.lanes (n - !i) in
-    Tape.exec tape regs ~datas ~bases:ib ~dx:!i ~n:nl ~out ~out_base:(wflat + !i);
-    i := !i + nl
-  done;
-  Obs.incr ~by:(Tape.length tape * ((n + Tape.lanes - 1) / Tape.lanes)) "sim.tape_instrs";
-  if Option.is_some overlay then
-    (* overlay bases are block-private: nothing a stream could replay *)
-    Sim.record_invalidate ctx.sim Sim.Overlay
-  else if Sim.recording_active ctx.sim then
+  let regs = get_scratch (Tape.plan_scratch_words c.tplan) in
+  Tape.exec_plan c.tplan regs ~datas ~bases:ib ~dx:0 ~n ~out ~out_base:wflat;
+  Obs.incr ~by:(tape_instrs c n) "sim.tape_instrs";
+  if Sim.recording_active ctx.sim then begin
+    assert (Option.is_none overlay);
     Sim.record_compute ctx.sim ~stmt:c.cidx ~tstep ~wflat ~srcs:(Array.sub ib 0 nsrc) ~n
+  end
 
 let exec_stmt_row ctx ~stmt_idx ~tstep ~point ~xs ?overlay ?layout ?(count = true)
     ?loads_subset ~global_reads ~shared_replay ~interleave_store ~use_shared () =
@@ -864,15 +830,7 @@ let exec_stmt_row ctx ~stmt_idx ~tstep ~point ~xs ?overlay ?layout ?(count = tru
         i := !i + nl
       done;
       (* Functional execution. *)
-      (match c.tape with
-      | Some tape ->
-          exec_tape_lanes ctx c tape ~overlay ~tstep ~point ~x0 ~xlast:xs.(n - 1) ib
-      | None ->
-          (* aliasing hazard: the per-lane interleaved read/write order is
-             semantically significant, and a recorded stream could not
-             replay it *)
-          Sim.record_invalidate ctx.sim Sim.Hazard;
-          run_lanes ctx c ~overlay ~tstep point xs);
+      exec_tape_lanes ctx c ~overlay ~tstep ~point ~x0 ~xlast:xs.(n - 1) ib;
       if count then ignore (Atomic.fetch_and_add ctx.updates n)
     end
     else begin

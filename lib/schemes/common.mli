@@ -7,9 +7,10 @@ open Hextile_gpusim
 type engine = Ref | Tape
 (** Execution engine for statement rows. [Tape] (the default) runs
     warp-batched accounting through [Sim]'s allocation-free batched
-    events and evaluates statements with flat {!Hextile_gpusim.Tape}
-    register tapes over 32-lane buffers; [Ref] is the original per-lane
-    closure interpreter, kept as the differential-testing reference.
+    events and evaluates each row with one fused-plan call over the
+    statement's {!Hextile_gpusim.Tape} register tape; [Ref] is the
+    original per-lane closure interpreter, kept as the
+    differential-testing reference.
     Both produce bit-identical grids and counters; when the
     {!Hextile_gpusim.Sanitize} sanitizer is enabled, the per-lane
     reference path runs regardless (it needs per-lane thread
@@ -28,8 +29,8 @@ type src = private {
 type compiled
 (** Per-statement facts fixed for the whole run, resolved in {!make_ctx}:
     flop count, distinct reads and write as {!src}s, the compiled
-    evaluator (closure "JIT" over the grids) and the statement's register
-    tape when row batching is sound. *)
+    evaluator (closure "JIT" over the grids), and the statement's register
+    tape with its fused run plan. *)
 
 type ctx = {
   sim : Sim.t;
@@ -50,8 +51,11 @@ type ctx = {
 }
 
 val make_ctx : ?engine:engine -> Stencil.t -> (string -> int) -> Device.t -> ctx
-(** [engine] defaults to {!Tape}. Registers every array with the
-    simulator's {!Addrmap} at offset 0 and compiles every statement.
+(** [engine] defaults to {!Tape}. Raises [Invalid_argument] on a
+    program [Stencil.validate] rejects (an in-place statement outside
+    the input envelope among them) or with a reachable out-of-bounds
+    access. Registers every array with the simulator's {!Addrmap} at
+    offset 0 and compiles every statement.
     Address handles see a later {!Addrmap.register} of an alignment
     offset; a base value read from them does not, so read bases after
     any re-registration. *)
@@ -263,9 +267,7 @@ val compile_rows : ctx -> (int * int * int * int array * int) list -> crows
     data-dependent and are never coalesced; rows are re-sorted into the
     dependency-safe ascending (tstep, statement, write) order
     internally, so any input order yields the same runs). Takes
-    ownership of the [src_flats] arrays. Raises [Invalid_argument] if a
-    statement has no tape (recorded streams only contain [Compute]
-    events for tape-executed rows). *)
+    ownership of the [src_flats] arrays. *)
 
 val exec_rows : ctx -> crows -> off:int -> unit
 (** Run every row with [off] added to all flat word bases (write and
@@ -274,7 +276,7 @@ val exec_rows : ctx -> crows -> off:int -> unit
     runs toward [sim.blit_rows] / [sim.analytic_blit_rows]. The caller
     guarantees the translated rows are in bounds — true for class
     members, whose exact execution touches the same cells. Counter
-    effects are bit-identical to per-row 32-lane [Tape.exec] replay. *)
+    effects are bit-identical to running each recorded row live. *)
 
 val points : crows -> int
 (** Statement instances per replay: the lanes of every compiled row. *)

@@ -316,27 +316,4 @@ let tiles_nonempty (c : Classical.t) ~u ~lo ~hi =
   if lo > hi then 0
   else Classical.tile c ~u ~si:hi - Classical.tile c ~u ~si:lo + 1
 
-let tiles_nonempty_dense (c : Classical.t) ~u_max ~u ~lo ~hi =
-  if lo > hi then 0
-  else begin
-    let tlo, thi = Classical.tile_range c ~u_max ~lo ~hi in
-    let n = ref 0 in
-    for v = tlo to thi do
-      let wlo = Classical.si_of c ~u ~tile:v ~intra:0 in
-      let whi = Classical.si_of c ~u ~tile:v ~intra:(c.w - 1) in
-      if max wlo lo <= min whi hi then incr n
-    done;
-    !n
-  end
-
 let coverage ~lo ~hi = max 0 (hi - lo + 1)
-
-let coverage_dense (c : Classical.t) ~u_max ~u ~lo ~hi =
-  let tlo, thi = Classical.tile_range c ~u_max ~lo ~hi in
-  let s = ref 0 in
-  for v = tlo to thi do
-    let wlo = Classical.si_of c ~u ~tile:v ~intra:0 in
-    let whi = Classical.si_of c ~u ~tile:v ~intra:(c.w - 1) in
-    s := !s + max 0 (min whi hi - max wlo lo + 1)
-  done;
-  !s

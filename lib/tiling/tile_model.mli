@@ -124,20 +124,17 @@ val estimate : hslice -> w:int array -> estimate
     by how the hexagon's per-row [s0] interval is clipped against the
     statement domain ([Hybrid_exec.class_key]). [Hybrid_exec.check_class]
     counts a clipped row's classical tiles and their covered cells with
-    the closed forms below; each has a [_dense] reference that
-    enumerates the tiles, for the property tests. *)
+    the closed forms below; the test suite checks each against a
+    reference that enumerates the tiles. *)
 
 val tiles_nonempty : Classical.t -> u:int -> lo:int -> hi:int -> int
 (** Number of classical tiles whose (skewed) window at normalized time
     [u] meets [si ∈ [lo, hi]]: [tile(hi) - tile(lo) + 1] by
     monotonicity of [Classical.tile]. *)
 
-val tiles_nonempty_dense : Classical.t -> u_max:int -> u:int -> lo:int -> hi:int -> int
-
 val coverage : lo:int -> hi:int -> int
 (** Total clipped window length summed over the tiles of
     [Classical.tile_range]: the windows of consecutive tiles partition
     the skewed axis, so the sum telescopes to [max 0 (hi - lo + 1)]
-    independent of [u] — the claim {!coverage_dense} verifies. *)
+    independent of [u]. *)
 
-val coverage_dense : Classical.t -> u_max:int -> u:int -> lo:int -> hi:int -> int

@@ -184,9 +184,8 @@ let test_analytic_jobs_deterministic () =
     Suite.table3
 
 (* A class whose recording is dropped (a per-lane copy-out warp under
-   strategy b, a hazard statement in strip2d) derives nothing: its
-   members run live in the launch, in canonical block order like every
-   other live block. With no block derived, the analytic run must equal
+   strategy b) derives nothing: its members run live in the launch, in
+   canonical block order like every other live block. With no block derived, the analytic run must equal
    the exact run bit for bit — grids and every counter, DRAM included —
    at every jobs value. *)
 let test_dropped_recordings_exact () =
@@ -221,7 +220,6 @@ let test_dropped_recordings_exact () =
         Suite.heat2d,
         Some strategy_b,
         [ ("N", 384); ("T", 16) ] );
-      ("strip2d", Test_tape.strip2d, None, [ ("N", 64); ("T", 16) ]);
     ]
 
 (* The two-step line-run pipeline [Analytic.line_runs] replaced, kept

@@ -54,9 +54,6 @@ let test_gen_valid () =
     (match Stencil.validate prog with
     | Ok () -> ()
     | Error m -> Alcotest.failf "iteration %d: validate: %s" i m);
-    (match Check.Gen.well_formed prog with
-    | Ok () -> ()
-    | Error m -> Alcotest.failf "iteration %d: well_formed: %s" i m);
     match Analysis.bounds_check prog (envf env) with
     | Ok () -> ()
     | Error m -> Alcotest.failf "iteration %d: bounds: %s" i m
@@ -80,9 +77,9 @@ let test_flip_offset () =
         Alcotest.(check bool)
           "mutant differs" false
           (Check.Pretty.equal_program prog prog');
-        (match Check.Gen.well_formed prog' with
+        (match Stencil.validate prog' with
         | Ok () -> ()
-        | Error m -> Alcotest.failf "iteration %d: mutant ill-formed: %s" i m);
+        | Error m -> Alcotest.failf "iteration %d: mutant invalid: %s" i m);
         (match Analysis.bounds_check prog' (envf env) with
         | Ok () -> ()
         | Error m ->
@@ -92,7 +89,7 @@ let test_flip_offset () =
     (!flipped > 15)
 
 (* The write-translating variant: every statement writes a shifted cell,
-   the program stays well-formed and in bounds, its source round-trips,
+   the program still validates and stays in bounds, its source round-trips,
    and every scheme agrees with the interpreter on it. *)
 let test_translate_writes () =
   let rng = Check.Rng.create 77 in
@@ -104,9 +101,9 @@ let test_translate_writes () =
         if Array.for_all (fun o -> o = 0) s.write.offsets then
           Alcotest.failf "iteration %d: %s still writes at offset 0" i s.sname)
       prog'.stmts;
-    (match Check.Gen.well_formed prog' with
+    (match Stencil.validate prog' with
     | Ok () -> ()
-    | Error m -> Alcotest.failf "iteration %d: ill-formed: %s" i m);
+    | Error m -> Alcotest.failf "iteration %d: invalid: %s" i m);
     (match Analysis.bounds_check prog' (envf env) with
     | Ok () -> ()
     | Error m -> Alcotest.failf "iteration %d: out of bounds: %s" i m);

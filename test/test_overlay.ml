@@ -56,35 +56,6 @@ let fingerprint (r : Common.result) =
 
 let env_of l p = List.assoc p l
 
-(* In-place Gauss-Seidel sweeps: each statement reads neighbours of its
-   own write cell in the written storage, so no tape is compiled and
-   every row runs the per-lane path against the overlay. *)
-let gauss_seidel ~dims =
-  let open Stencil in
-  let n = Affp.param "N" in
-  let rd offsets = Read { array = "A"; time_off = 0; offsets } in
-  let off d k = Array.init dims (fun i -> if i = d then k else 0) in
-  let neigh =
-    List.concat_map (fun d -> [ rd (off d (-1)); rd (off d 1) ]) (List.init dims Fun.id)
-  in
-  let sum = List.fold_left (fun a r -> Bin (Add, a, r)) (rd (Array.make dims 0)) neigh in
-  {
-    name = Fmt.str "gauss_seidel%dd" dims;
-    params = [ "N"; "T" ];
-    steps = Affp.param "T";
-    arrays = [ { aname = "A"; extents = Array.make dims n; fold = None } ];
-    stmts =
-      [
-        {
-          sname = "S0";
-          lo = Array.make dims (Affp.const 1);
-          hi = Array.make dims (Affp.add n (Affp.const (-2)));
-          write = { array = "A"; time_off = 0; offsets = Array.make dims 0 };
-          rhs = Bin (Mul, Fconst (1.0 /. float_of_int (1 + (2 * dims))), sum);
-        };
-      ];
-  }
-
 type case = {
   label : string;
   run : ?pool:Par.pool -> engine:Common.engine -> unit -> Common.result;
@@ -167,11 +138,9 @@ let cases =
       overtile_direct
         ~config:{ Overtile.hh = 2; tile = Some [| 4; 4; 16 |] }
         Suite.heat3d 13 3;
-      overtile_direct (gauss_seidel ~dims:2) 21 5;
       split Suite.heat1d 200 12;
       split ~config:{ Split_tiling.hh = 3; width = 24 } Suite.heat1d 137 9;
       split ~config:{ Split_tiling.hh = 3; width = 24 } Suite.contrived 101 13;
-      split ~config:{ Split_tiling.hh = 2; width = 16 } (gauss_seidel ~dims:1) 77 6;
     ]
   @ List.concat_map
       (fun scheme ->
@@ -194,7 +163,6 @@ let cases =
   @ [
       scheme_scaled Experiments.Hybrid Suite.wave2d 20 9;
       scheme_scaled Experiments.Hybrid Suite.contrived 30 10;
-      scheme_scaled Experiments.Hybrid (gauss_seidel ~dims:2) 21 5;
     ]
 
 (* Recorded from the hashtable-backed executors (overlay schemes) and
@@ -223,11 +191,9 @@ let pins =
     "7de46c06916ffaf7/695a03adcc33fe7b/3ef5d5284321e106/2916/6"; (* overtile wave2d 20x9 *)
     "45052ab04f76387f/63802b7e08b9723c/3ef666a6427fabd1/8748/9"; (* overtile fdtd2d 20x9 (config) *)
     "5aab40ba92dcacf1/106903efe3b14e15/3ef4e922ab582aa9/3993/18"; (* overtile heat3d 13x3 (config) *)
-    "2ac16f177a673f8d/9a60d76b869f6b02/3eeb8cfab6073406/1805/4"; (* overtile gauss_seidel2d 21x5 *)
     "71a96a8d3e1cbfc4/951102653ad0d7a7/3f039e707ea9e748/2376/21"; (* split heat1d 200x12 *)
     "989dd159cb248442/3e51350f067f268f/3f0367a5f66eb070/1215/39"; (* split heat1d 137x9 *)
     "446c407cf50f22e9/d1ebc092a4990d58/3f1014cea2fff03c/1261/45"; (* split contrived 101x13 *)
-    "8a1eb6752177132c/74b83ff00d8e8b89/3f0325e558bb6b0c/450/33"; (* split gauss_seidel1d 77x6 *)
     "cf2522737e7bb6bd/a0c5173dfe56f6e0/3f110ad06f2497ed/25392/72"; (* PPCG laplacian2d 48x12 *)
     "703f9c80e8660968/47466b62d56b881f/3efa963f728e748c/8575/42"; (* PPCG laplacian2d 37x7 *)
     "fbbdc694a75763ec/a8e048f26a44c1cc/3f110ad06f2497ed/25392/72"; (* PPCG heat2d 48x12 *)
@@ -283,7 +249,6 @@ let pins =
     "e2e8462ac4847dba/3f54f8046c04813c/3ef8ed22b8e3693f/10976/6"; (* hybrid analytic gradient3d 16x4 *)
     "7de46c06916ffaf7/c9504c24b988f586/3ecffe231e97e863/2916/8"; (* hybrid wave2d 20x9 *)
     "7eb81c87856ae079/aeb87cef2ffd6aa0/3ed047d462b0be86/260/6"; (* hybrid contrived 30x10 *)
-    "c0cd0b280518de7a/94612345cf8dbf8f/3ebd634a2f1dd421/1805/6"; (* hybrid gauss_seidel2d 21x5 *)
   ]
 
 let test_pinned () =

@@ -282,6 +282,73 @@ let test_daemon_shutdown () =
   Alcotest.(check int) "shutdown stops after its wave" 2 (List.length out);
   Alcotest.(check bool) "shutdown acknowledged" true (is_ok (List.nth out 1))
 
+(* ---- the input envelope ------------------------------------------------ *)
+
+(* An in-place Gauss-Seidel sweep reads its neighbours in the storage it
+   writes, so one step's instances are not independent: outside the
+   input envelope, rejected loudly at every entry point. *)
+let gauss_seidel_src =
+  {|float A[N][N];
+for (t = 0; t < T; t++)
+  for (i = 1; i < N - 1; i++)
+    for (j = 1; j < N - 1; j++)
+      A[i][j] = 0.2f * (A[i][j] + A[i-1][j] + A[i+1][j] + A[i][j-1] + A[i][j+1]);
+|}
+
+let test_in_place_rejected () =
+  let envelope m =
+    Test_frontend.contains ~sub:"statement S0" m
+    && Test_frontend.contains ~sub:"write slot" m
+  in
+  (match Hextile_frontend.Front.parse_string ~name:"gs" gauss_seidel_src with
+  | Ok _ -> Alcotest.fail "frontend accepted an in-place sweep"
+  | Error m ->
+      Alcotest.(check bool) ("frontend names the statement: " ^ m) true (envelope m));
+  List.iter
+    (fun dims ->
+      let prog = Test_ir.gauss_seidel ~dims in
+      List.iter
+        (fun scheme ->
+          match
+            Experiments.run_scheme scheme prog
+              [ ("N", 21); ("T", 5) ]
+              Hextile_gpusim.Device.gtx470
+          with
+          | _ ->
+              Alcotest.failf "%s ran %s" (Experiments.scheme_name scheme) prog.name
+          | exception Invalid_argument m ->
+              Alcotest.(check bool)
+                (Fmt.str "%s on %s: %s" (Experiments.scheme_name scheme) prog.name m)
+                true (envelope m))
+        Experiments.[ Ppcg; Par4all; Overtile; Patus; Hybrid ])
+    [ 1; 2 ];
+  let line id op =
+    Printf.sprintf "{\"id\":%d,\"op\":%S,\"source\":%s,\"N\":21,\"T\":5}" id op
+      (Json.to_string ~minify:true (Json.Str gauss_seidel_src))
+  in
+  let out =
+    drive ~cache:(Cache.create ()) ~jobs:1
+      [
+        line 1 "run";
+        line 2 "compile";
+        line 3 "tilesize";
+        "{\"id\":4,\"op\":\"run\",\"builtin\":\"heat1d\",\"N\":64,\"T\":8}";
+        "{\"id\":5,\"op\":\"ping\"}";
+      ]
+  in
+  Alcotest.(check int) "one response per request" 5 (List.length out);
+  List.iteri
+    (fun i l ->
+      if i < 3 then begin
+        Alcotest.(check bool) ("error reply: " ^ l) false (is_ok l);
+        Alcotest.(check bool) ("names the envelope: " ^ l) true
+          (match Option.bind (field "error" l) Json.to_str with
+          | Some m -> envelope m
+          | None -> false)
+      end
+      else Alcotest.(check bool) ("still serving: " ^ l) true (is_ok l))
+    out
+
 (* ---- fuzzed traffic: bit-identity across jobs and temperature ---------- *)
 
 (* A deterministic mixed traffic trace over seeded random programs:
@@ -455,6 +522,8 @@ let suite =
     Alcotest.test_case "daemon: shed and deadline" `Quick
       test_daemon_shed_and_deadline;
     Alcotest.test_case "daemon: shutdown" `Quick test_daemon_shutdown;
+    Alcotest.test_case "in-place statements rejected: frontend, schemes, serve" `Quick
+      test_in_place_rejected;
     Alcotest.test_case "fuzz traffic: bit-identical at jobs 1/2/4, cold/warm"
       `Slow test_fuzz_traffic_determinism;
     Alcotest.test_case "fuzz traffic: agrees with one-shot pipeline" `Slow

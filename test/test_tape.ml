@@ -156,30 +156,6 @@ let test_sanitizer_disables_memoization () =
         Alcotest.failf "sanitized run: array %s differs" aname)
     r.grids
 
-(* Which path each program takes: a tile-class recording that meets
-   something it cannot represent is dropped (its class's members then run
-   live) and counted once under its reason. Pinned per program: the
-   Table 3 shapes record cleanly, a statement whose read aliases its
-   write storage at another cell drops every recording as a hazard, a
-   write-back copy-out with a descending warp drops it as per-lane, and
-   the reference engine and the overlapped schemes never record. A run
-   whose regime falls back is counted once under its reason too: an
-   analytic run whose shared s0 stride is not a whole number of cache
-   lines memoizes instead, and a run whose arrays do not share one s0
-   stride runs exact. *)
-let strip2d =
-  match
-    Hextile_frontend.Front.parse_string ~name:"strip2d"
-      {|float A[N][N];
-for (t = 0; t < T; t++)
-  for (i = 0; i < N; i++)
-    for (j = 0; j < 16; j++)
-      A[i][j] = 0.5f * (A[i][j] + A[i][j+16]);
-|}
-  with
-  | Ok p -> p
-  | Error m -> Alcotest.failf "parse strip2d: %s" m
-
 (* Arrays with different s0 strides (N and N+4 floats per row). *)
 let unequal_extents =
   match
@@ -211,17 +187,20 @@ let fallbacks run =
         with
         | 0 -> None
         | n -> Some (why, n))
-      [
-        "per_lane";
-        "overlay";
-        "hazard";
-        "unaligned_stride";
-        "unequal_stride";
-      ]
+      [ "per_lane"; "unaligned_stride"; "unequal_stride" ]
   in
   Obs.reset ();
   (counts, (r : Common.result).blocks_memoized)
 
+(* Which path each program takes: a tile-class recording that meets a
+   per-lane warp event is dropped (its class's members then run live)
+   and counted once. Pinned per program: the Table 3 shapes record
+   cleanly, a write-back copy-out with a descending warp drops its
+   recording, and the reference engine and the overlapped schemes never
+   record. A run whose regime falls back is counted once under its
+   reason too: an analytic run whose shared s0 stride is not a whole
+   number of cache lines memoizes instead, and a run whose arrays do not
+   share one s0 stride runs exact. *)
 let test_fallback_paths () =
   let env p = List.assoc p [ ("N", 64); ("T", 16) ] in
   let strategy_b prog =
@@ -242,10 +221,6 @@ let test_fallback_paths () =
     [
       ("hybrid heat2d, tape", (fun () -> hybrid ~engine:Common.Tape Suite.heat2d env), [], true);
       ("hybrid fdtd2d, tape", (fun () -> hybrid ~engine:Common.Tape Suite.fdtd2d env), [], true);
-      ( "hybrid strip2d, tape",
-        (fun () -> hybrid ~engine:Common.Tape strip2d env),
-        [ "hazard" ],
-        false );
       ( "hybrid heat2d, strategy b (copy-out), tape",
         (fun () -> strategy_b Suite.heat2d),
         [ "per_lane" ],
@@ -319,16 +294,61 @@ let test_row_allocation_budget () =
         [ true; false ])
     Suite.all
 
-(* ---- fused run plans: [Tape.exec_plan] against [Tape.exec] ----------
+(* ---- fused run plans: [Tape.exec_plan] against [exec] ----------------
+
+   [exec] is the tape evaluated instruction by instruction over 32-lane
+   structure-of-arrays registers: every source is blitted into scratch
+   before any instruction runs, and the result register is blitted to
+   the output last. It is the reference the fused plans must match bit
+   for bit.
 
    Random SSA tapes built from instruction patterns the planner fuses
    (left-assoc sums of up to 11 terms, constant factors on either side,
    [ka*x + kb*y], [x - k*y]) next to plain Neg/Sub/Mul/Div. Operands are
    drawn from the sources and earlier pattern results, so values are
    sometimes read twice and must be materialized. The plan runs over
-   [n] lanes at a nonzero [dx]; the reference is [Tape.exec] over the
-   same lanes in 32-lane chunks. Lane counts cross the kernels' unroll
+   [n] lanes at a nonzero [dx]; the reference is [exec] over the same
+   lanes in 32-lane chunks. Lane counts cross the kernels' unroll
    tail (0..9) and the 256-lane strip boundary (255..259, 515). *)
+
+let scratch (t : Tape.t) = Array.make (max 1 (t.nregs * Tape.lanes)) 0.0
+
+let exec (t : Tape.t) regs ~(datas : float array array) ~(bases : int array) ~dx ~n
+    ~(out : float array) ~out_base =
+  let lanes = Tape.lanes in
+  if n < 0 || n > lanes then invalid_arg "exec: n out of [0, 32]";
+  if Array.length regs < t.nregs * lanes then invalid_arg "exec: scratch too small";
+  for s = 0 to t.nsrcs - 1 do
+    Array.blit datas.(s) (bases.(s) + dx) regs (s * lanes) n
+  done;
+  let bin dst a b f =
+    for j = 0 to n - 1 do
+      regs.((dst * lanes) + j) <- f regs.((a * lanes) + j) regs.((b * lanes) + j)
+    done
+  in
+  Array.iter
+    (function
+      | Tape.Const { dst; v } -> Array.fill regs (dst * lanes) n v
+      | Neg { dst; a } ->
+          for j = 0 to n - 1 do
+            regs.((dst * lanes) + j) <- -.regs.((a * lanes) + j)
+          done
+      | Add { dst; a; b } -> bin dst a b ( +. )
+      | Sub { dst; a; b } -> bin dst a b ( -. )
+      | Mul { dst; a; b } -> bin dst a b ( *. )
+      | Div { dst; a; b } -> bin dst a b ( /. ))
+    t.instrs;
+  Array.blit regs (t.result * lanes) out out_base n
+
+(* [exec] over [n] lanes in 32-lane chunks *)
+let exec_chunked tape ~datas ~bases ~dx ~n ~out ~out_base =
+  let regs = scratch tape in
+  let c = ref 0 in
+  while !c < n do
+    let m = min Tape.lanes (n - !c) in
+    exec tape regs ~datas ~bases ~dx:(dx + !c) ~n:m ~out ~out_base:(out_base + !c);
+    c := !c + m
+  done
 
 let plan_consts = [| 0.125; 0.5; -1.5; 3.0; 0.111 |]
 
@@ -460,15 +480,45 @@ let prop_exec_plan_equals_exec =
         (Array.make (Tape.plan_scratch_words plan) 0.0)
         ~datas ~bases ~dx ~n ~out:got ~out_base;
       let want = Array.make out_len Float.nan in
-      let regs = Tape.scratch tape in
-      let c = ref 0 in
-      while !c < n do
-        let m = min Tape.lanes (n - !c) in
-        Tape.exec tape regs ~datas ~bases ~dx:(dx + !c) ~n:m ~out:want
-          ~out_base:(out_base + !c);
-        c := !c + m
-      done;
+      exec_chunked tape ~datas ~bases ~dx ~n ~out:want ~out_base;
       bits_equal got want)
+
+(* The in-place self-read ([A[x] = f(A[x], ..)], fdtd2d's live rows):
+   [out] is physically one of the source arrays, at that source's own
+   base. Each lane's result lands only after every pass has read that
+   lane, so the plan must still equal [exec], which reads a whole chunk
+   into scratch before writing any of it. The other sources stay
+   separate arrays. *)
+let prop_exec_plan_in_place =
+  QCheck.Test.make ~name:"exec_plan with out = a source at its base = exec" ~count:400
+    arb_plan_case (fun { tape; n; dx; seed } ->
+      let rng = Random.State.make [| seed |] in
+      let margin = 9 in
+      let fresh_datas () =
+        let rng = Random.State.copy rng in
+        Array.init tape.Tape.nsrcs (fun _ ->
+            Array.init (n + dx + (2 * margin)) (fun _ ->
+                Random.State.float rng 8.0 -. 4.0))
+      in
+      let bases = Array.init tape.Tape.nsrcs (fun _ -> Random.State.int rng margin) in
+      let s = Random.State.int rng tape.Tape.nsrcs in
+      let run f =
+        let datas = fresh_datas () in
+        f ~datas ~out:datas.(s);
+        datas
+      in
+      let got =
+        run (fun ~datas ~out ->
+            let plan = Tape.plan tape in
+            Tape.exec_plan plan
+              (Array.make (Tape.plan_scratch_words plan) 0.0)
+              ~datas ~bases ~dx ~n ~out ~out_base:(bases.(s) + dx))
+      in
+      let want =
+        run (fun ~datas ~out ->
+            exec_chunked tape ~datas ~bases ~dx ~n ~out ~out_base:(bases.(s) + dx))
+      in
+      Array.for_all2 bits_equal got want)
 
 let test_plan_shapes_covered () =
   List.iter
@@ -494,6 +544,7 @@ let suite =
     Alcotest.test_case "unequal strides run exact" `Quick test_unequal_stride_exact;
     Alcotest.test_case "warm tape row allocation budget" `Quick test_row_allocation_budget;
     QCheck_alcotest.to_alcotest prop_exec_plan_equals_exec;
+    QCheck_alcotest.to_alcotest prop_exec_plan_in_place;
     Alcotest.test_case "exec_plan property covers every pass kind" `Quick
       test_plan_shapes_covered;
   ]

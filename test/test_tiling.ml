@@ -572,6 +572,31 @@ let test_formula_3d_matches_enumeration () =
 
 (* ---- classical tile windows (analytic mode's class check) ------------- *)
 
+(* The dense references: enumerate the tiles of [Classical.tile_range]
+   and clip each one's window at normalized time [u] to [lo, hi]. *)
+let tiles_nonempty_dense (c : Classical.t) ~u_max ~u ~lo ~hi =
+  if lo > hi then 0
+  else begin
+    let tlo, thi = Classical.tile_range c ~u_max ~lo ~hi in
+    let n = ref 0 in
+    for v = tlo to thi do
+      let wlo = Classical.si_of c ~u ~tile:v ~intra:0 in
+      let whi = Classical.si_of c ~u ~tile:v ~intra:(c.w - 1) in
+      if max wlo lo <= min whi hi then incr n
+    done;
+    !n
+  end
+
+let coverage_dense (c : Classical.t) ~u_max ~u ~lo ~hi =
+  let tlo, thi = Classical.tile_range c ~u_max ~lo ~hi in
+  let s = ref 0 in
+  for v = tlo to thi do
+    let wlo = Classical.si_of c ~u ~tile:v ~intra:0 in
+    let whi = Classical.si_of c ~u ~tile:v ~intra:(c.w - 1) in
+    s := !s + max 0 (min whi hi - max wlo lo + 1)
+  done;
+  !s
+
 (* Window counts and coverage against dense tile enumeration, on shapes
    chosen to leave remainders: extents not divisible by the width,
    degenerate one-tile grids and 3D-style short extents. *)
@@ -588,11 +613,11 @@ let test_tiles_coverage_match_dense () =
               in
               Alcotest.(check int)
                 (lbl ^ ": tiles_nonempty")
-                (Tile_model.tiles_nonempty_dense c ~u_max ~u ~lo ~hi)
+                (tiles_nonempty_dense c ~u_max ~u ~lo ~hi)
                 (Tile_model.tiles_nonempty c ~u ~lo ~hi);
               Alcotest.(check int)
                 (lbl ^ ": coverage")
-                (Tile_model.coverage_dense c ~u_max ~u ~lo ~hi)
+                (coverage_dense c ~u_max ~u ~lo ~hi)
                 (Tile_model.coverage ~lo ~hi)
             done
           done)
