@@ -107,6 +107,12 @@ let report_json (rep : Tile_size.report) =
       ("pruned_infeasible", Json.Int rep.pruned_infeasible);
       ("pruned_dominated", Json.Int rep.pruned_dominated);
       ("exact_evals", Json.Int rep.exact_evals);
+      ( "skipped",
+        Json.Obj
+          [
+            ("h_residue", Json.Int rep.skipped.h_residue);
+            ("w0_convexity", Json.Int rep.skipped.w0_convexity);
+          ] );
     ]
 
 let tilesize_payload prog (choice, report) =

@@ -15,12 +15,15 @@ type stats = {
 
 type choice = { h : int; w : int array; stats : stats }
 
+type skipped = { h_residue : int; w0_convexity : int }
+
 type report = {
   candidates : int;
   feasible : int;
   pruned_infeasible : int;
   pruned_dominated : int;
   exact_evals : int;
+  skipped : skipped;
 }
 
 (* Memory cell identity: (array, storage slot, spatial indices). *)
@@ -138,15 +141,47 @@ let tile_stats_ref (t : Hybrid.t) =
     ratio = float_of_int !loads /. float_of_int !iterations;
   }
 
-(* Dense exact accounting. The analytic footprint gives, per array, the
-   exact bounding box and live-slot set of everything the tile touches;
-   lay those regions out contiguously (slot-major, then row-major over
-   the box) and track written/loaded as two bitsets over flat offsets.
-   Cells are visited in exactly [iter_tile_instances] order, so loads,
-   stores, iterations and the footprint agree bit for bit with
-   [tile_stats_ref] — without a single hashtable lookup or per-access
-   allocation. *)
-let tile_stats_dense (cx : M.ctx) (hs : M.hslice) (fp : M.footprint) ~w =
+(* Word-parallel exact accounting: row-level bit-run set algebra. The
+   analytic footprint gives, per array, the exact bounding box and
+   live-slot set of everything the tile touches; lay those regions out
+   contiguously (slot-major, then row-major over the box) and keep
+   written/loaded as two bitsets over flat offsets, 32 bits per [int].
+   Two facts make whole runs exact. Writes are deferred to the end of a
+   hexagon row, so a row's new loads are its reads minus [written] (and
+   minus [loaded], which the union absorbs): the order of instances
+   inside a row does not matter. And the innermost box dimension has
+   stride 1, so one access over one line of the row (all coordinates but
+   the innermost fixed) is a run of contiguous bits. Per line,
+   [loaded |= run land lnot written]; at the row's end,
+   [written |= write runs]; loads and stores are the two popcounts.
+   Loads, stores, iterations and the footprint agree bit for bit with
+   [tile_stats_ref]. *)
+let word_mask = 0xffff_ffff
+
+(* [dst |= bits [f, f + n) land lnot mask], word by word *)
+let or_run dst mask f n =
+  let l = f + n - 1 in
+  let wf = f lsr 5 and wl = l lsr 5 in
+  let head = (word_mask lsl (f land 31)) land word_mask in
+  let tail = word_mask lsr (31 - (l land 31)) in
+  if wf = wl then dst.(wf) <- dst.(wf) lor (head land tail land lnot mask.(wf))
+  else begin
+    dst.(wf) <- dst.(wf) lor (head land lnot mask.(wf));
+    for i = wf + 1 to wl - 1 do
+      dst.(i) <- dst.(i) lor (word_mask land lnot mask.(i))
+    done;
+    dst.(wl) <- dst.(wl) lor (tail land lnot mask.(wl))
+  end
+
+let popcount32 x =
+  let x = x - ((x lsr 1) land 0x5555_5555) in
+  let x = (x land 0x3333_3333) + ((x lsr 2) land 0x3333_3333) in
+  let x = (x + (x lsr 4)) land 0x0f0f_0f0f in
+  ((x * 0x0101_0101) lsr 24) land 0xff
+
+let popcount bits = Array.fold_left (fun n x -> n + popcount32 x) 0 bits
+
+let tile_stats_runs (cx : M.ctx) (hs : M.hslice) (fp : M.footprint) ~w =
   let narr = cx.M.narrays in
   let base = Array.make narr 0 in
   let strides = Array.make narr [||] in
@@ -172,110 +207,67 @@ let tile_stats_dense (cx : M.ctx) (hs : M.hslice) (fp : M.footprint) ~w =
         base.(i) <- !total;
         total := !total + (spatial * Array.length slots)
   done;
-  let nbytes = (!total + 7) / 8 in
-  let written = Bytes.make nbytes '\000' and loaded = Bytes.make nbytes '\000' in
-  let get bs i = Char.code (Bytes.get bs (i lsr 3)) land (1 lsl (i land 7)) <> 0 in
-  let set bs i =
-    Bytes.set bs (i lsr 3)
-      (Char.chr (Char.code (Bytes.get bs (i lsr 3)) lor (1 lsl (i land 7))))
-  in
-  (* deferred writes of the current row, as a growable flat-offset buffer *)
-  let pend = ref (Array.make 256 0) and pn = ref 0 in
-  let push x =
-    if !pn = Array.length !pend then begin
-      let a = Array.make (2 * !pn) 0 in
-      Array.blit !pend 0 a 0 !pn;
-      pend := a
-    end;
-    !pend.(!pn) <- x;
-    incr pn
-  in
-  let iterations = ref 0 and loads = ref 0 and stores = ref 0 in
-  let flush () =
-    for i = 0 to !pn - 1 do
-      let x = !pend.(i) in
-      if not (get written x) then begin
-        set written x;
-        incr stores
-      end
-    done;
-    pn := 0
-  in
+  let nwords = (!total + 31) / 32 in
+  let written = Array.make nwords 0 and loaded = Array.make nwords 0 in
   let dims = cx.M.dims in
-  let rel = Array.make dims 0 in
-  (* Flat offset of an access at the row's lowest instance: region base,
-     plus the dense slot page, plus the spatial offset of the box corner
-     the row sweep starts from.  Adding rel·stride per instance then
-     lands on the exact cell. *)
-  let rowbase (row : M.row) (ai : M.ainfo) =
-    let arr = ai.M.arr in
-    let b = match fp.M.boxes.(arr) with Some b -> b | None -> assert false in
-    let st = strides.(arr) in
-    let sdense = slotmap.(arr).(M.slot_of row ai) in
-    let c = ref (base.(arr) + (sdense * spatial_sz.(arr))) in
-    c := !c + ((hs.M.s00 + row.M.blo + ai.M.acc.offsets.(0) - b.M.lo.(0)) * st.(0));
-    for d = 1 to dims - 1 do
-      c :=
-        !c
-        + (((7 * w.(d)) - row.M.fl.(d - 1) + ai.M.acc.offsets.(d) - b.M.lo.(d))
-          * st.(d))
-    done;
-    (!c, st)
-  in
+  let inner = dims - 1 in
+  let iterations = ref 0 in
   Array.iter
     (fun (row : M.row) ->
-      flush ();
-      let si = cx.M.stmts.(row.M.sidx) in
-      let rbases = Array.map (rowbase row) si.M.reads in
-      let wbase = rowbase row si.M.write in
-      let nreads = Array.length rbases in
-      let leaf () =
-        incr iterations;
-        for r = 0 to nreads - 1 do
-          let c, st = rbases.(r) in
-          let f = ref c in
-          for d = 0 to dims - 1 do
-            f := !f + (rel.(d) * st.(d))
-          done;
-          let f = !f in
-          if not (get written f || get loaded f) then begin
-            incr loads;
-            set loaded f
-          end
+      let extent d = if d = 0 then row.M.bhi - row.M.blo + 1 else w.(d) in
+      let n = extent inner in
+      (* Every line of access [ai] over this row, as the flat offset of
+         its first cell: region base, plus the dense slot page, plus the
+         spatial offset of the box corner the row sweep starts from, plus
+         the line's coordinates times the box strides. *)
+      let runs (ai : M.ainfo) ~f =
+        let arr = ai.M.arr in
+        let b = match fp.M.boxes.(arr) with Some b -> b | None -> assert false in
+        let st = strides.(arr) in
+        let sdense = slotmap.(arr).(M.slot_of row ai) in
+        let c = ref (base.(arr) + (sdense * spatial_sz.(arr))) in
+        c := !c + ((hs.M.s00 + row.M.blo + ai.M.acc.offsets.(0) - b.M.lo.(0)) * st.(0));
+        for d = 1 to inner do
+          c :=
+            !c
+            + (((7 * w.(d)) - row.M.fl.(d - 1) + ai.M.acc.offsets.(d) - b.M.lo.(d))
+              * st.(d))
         done;
-        let c, st = wbase in
-        let f = ref c in
-        for d = 0 to dims - 1 do
-          f := !f + (rel.(d) * st.(d))
-        done;
-        push !f
+        let rec go d off =
+          if d = inner then f off
+          else
+            for i = 0 to extent d - 1 do
+              go (d + 1) (off + (i * st.(d)))
+            done
+        in
+        go 0 !c
       in
-      let rec go d =
-        if d = dims then leaf ()
-        else begin
-          let n = if d = 0 then row.M.bhi - row.M.blo + 1 else w.(d) in
-          for i = 0 to n - 1 do
-            rel.(d) <- i;
-            go (d + 1)
-          done
-        end
-      in
-      go 0)
+      let lines = ref 1 in
+      for d = 0 to inner - 1 do
+        lines := !lines * extent d
+      done;
+      iterations := !iterations + (!lines * n);
+      if n > 0 then begin
+        let si = cx.M.stmts.(row.M.sidx) in
+        Array.iter (fun ai -> runs ai ~f:(fun off -> or_run loaded written off n)) si.M.reads;
+        (* [written |= run land lnot written] is [written |= run] *)
+        runs si.M.write ~f:(fun off -> or_run written written off n)
+      end)
     hs.M.rows;
-  flush ();
+  let loads = popcount loaded in
   {
     iterations = !iterations;
-    loads = !loads;
-    stores = !stores;
+    loads;
+    stores = popcount written;
     footprint_box = fp.M.floats;
-    ratio = float_of_int !loads /. float_of_int !iterations;
+    ratio = float_of_int loads /. float_of_int !iterations;
   }
 
 let tile_stats (t : Hybrid.t) =
   let cx = M.ctx ~deps:t.deps t.prog in
   let hs = M.hslice_of_hex cx t.hex in
   let fp = M.footprint hs ~w:t.w in
-  tile_stats_dense cx hs fp ~w:t.w
+  tile_stats_runs cx hs fp ~w:t.w
 
 let iterations_formula_3d ~h ~w0 ~w1 ~w2 =
   2 * (1 + (2 * h) + (h * h) + (w0 * (h + 1))) * w1 * w2
@@ -427,6 +419,28 @@ let wave_size = 32
    identical. *)
 let prune_margin = 1e-6
 
+(* The grid entries no candidate is generated from: an [h] breaking
+   [(h + 1) mod k = 0], and a [w0] below the convexity minimum of an
+   otherwise valid [h] (one per such [(h, w0)] pair). *)
+let count_skipped ~k ~cone ~h_candidates ~w0_candidates =
+  List.fold_left
+    (fun s h ->
+      if (h + 1) mod k <> 0 then begin
+        Obs.incr "tiling.tilesize_skipped.h_residue";
+        { s with h_residue = s.h_residue + 1 }
+      end
+      else
+        List.fold_left
+          (fun s w0 ->
+            if w0 < Hexagon.min_w0 ~h cone then begin
+              Obs.incr "tiling.tilesize_skipped.w0_convexity";
+              { s with w0_convexity = s.w0_convexity + 1 }
+            end
+            else s)
+          s w0_candidates)
+    { h_residue = 0; w0_convexity = 0 }
+    h_candidates
+
 let select_with_report ?pool prog ~h_candidates ~w0_candidates ~wi_candidates
     ~shared_mem_floats ?require_multiple () =
   Timeline.slice "tiling.tile_size_select" (fun () ->
@@ -434,6 +448,7 @@ let select_with_report ?pool prog ~h_candidates ~w0_candidates ~wi_candidates
       let deps = Dep.analyze prog in
       let cone = Cone.of_deps deps ~dim:0 in
       let cx = M.ctx ~deps prog in
+      let skipped = count_skipped ~k ~cone ~h_candidates ~w0_candidates in
       let slices : (int * int, M.hslice) Hashtbl.t = Hashtbl.create 16 in
       let slice h w0 =
         match Hashtbl.find_opt slices (h, w0) with
@@ -455,7 +470,7 @@ let select_with_report ?pool prog ~h_candidates ~w0_candidates ~wi_candidates
       let ubound = ref infinity in
       let best = ref None in
       let eval (h, w, hsl, fp) =
-        (h, w, tile_stats_dense cx hsl fp ~w)
+        (h, w, tile_stats_runs cx hsl fp ~w)
       in
       let screen (h, w, slice_infeasible) =
         incr candidates;
@@ -526,6 +541,7 @@ let select_with_report ?pool prog ~h_candidates ~w0_candidates ~wi_candidates
           pruned_infeasible = !pruned_infeasible;
           pruned_dominated = !pruned_dominated;
           exact_evals = !exact_evals;
+          skipped;
         } ))
 
 let select ?pool prog ~h_candidates ~w0_candidates ~wi_candidates
@@ -542,8 +558,11 @@ let pp_choice ppf c =
   Fmt.pf ppf "h=%d w=[%a] %a" c.h Fmt.(array ~sep:(any ", ") int) c.w pp_stats c.stats
 
 let pp_report ppf r =
-  Fmt.pf ppf "candidates=%d feasible=%d pruned(infeasible=%d dominated=%d) exact_evals=%d"
+  Fmt.pf ppf
+    "candidates=%d feasible=%d pruned(infeasible=%d dominated=%d) exact_evals=%d \
+     skipped(h_residue=%d w0_convexity=%d)"
     r.candidates r.feasible r.pruned_infeasible r.pruned_dominated r.exact_evals
+    r.skipped.h_residue r.skipped.w0_convexity
 
 (* The CLI's candidate grid, factored here so `hextile tilesize` and the
    serve daemon search the identical space: a request answered by the

@@ -6,9 +6,16 @@
     infeasible and ratio-dominated candidates without enumerating a
     single statement instance — whole [(h, w0)] slices at once when the
     per-dimension minimum inner widths already bust the budget. Only
-    the survivors reach the exact slow layer, which counts loads and
-    stores with dense bitsets over the analytic footprint boxes (no
-    hashing, no per-access allocation).
+    the survivors reach the exact layer, which counts loads and stores
+    as row-level bit-run set algebra over the analytic footprint boxes:
+    writes are deferred to the end of a hexagon row and the innermost
+    box dimension has stride 1, so each (access, line) of a row is one
+    run of contiguous bits, [loaded |= run land lnot written] per line,
+    [written |= write runs] per row, and the counts are two popcounts.
+    Over the default-spec searches of 150 generated programs and the 11
+    builtins (3163 exact evaluations) this took the exact layer from
+    0.36-0.56 s to 0.013-0.015 s of CPU (one core of a 2-core Xeon
+    host), against the previous per-instance, per-access bitset walk.
 
     Determinism contract: the selected {!choice} is bit-identical to
     the frozen exhaustive search ({!select_exhaustive}) on every
@@ -31,17 +38,29 @@ type stats = {
 
 type choice = { h : int; w : int array; stats : stats }
 
+type skipped = {
+  h_residue : int;  (** [h] candidates breaking [(h + 1) mod k = 0] *)
+  w0_convexity : int;
+      (** [(h, w0)] pairs, [h] otherwise valid, with [w0] below
+          [Hexagon.min_w0] *)
+}
+(** Grid entries the search generates no candidate from. *)
+
 type report = {
   candidates : int;  (** candidates generated (post grid filters) *)
   feasible : int;  (** candidates whose exact footprint fits the budget *)
   pruned_infeasible : int;  (** rejected analytically on footprint *)
   pruned_dominated : int;  (** rejected analytically on ratio bounds *)
   exact_evals : int;  (** candidates that reached the exact layer *)
+  skipped : skipped;
+      (** grid entries dropped before screening; also counted as the Obs
+          counters [tiling.tilesize_skipped.h_residue] and
+          [tiling.tilesize_skipped.w0_convexity] *)
 }
 
 val tile_stats : Hybrid.t -> stats
 (** Statistics of one generic interior tile of the given tiling
-    (dense-bitset accounting). *)
+    (the exact layer's bit-run accounting). *)
 
 val tile_stats_ref : Hybrid.t -> stats
 (** Reference implementation (hashtables keyed by cell identities);
@@ -64,8 +83,9 @@ val select :
 (** Staged search over the candidate lists; [wi_candidates] has one
     list per inner spatial dimension. [require_multiple] constrains the
     innermost width (warp-size alignment, Section 4.2.3). [h] candidates
-    violating the [h+1 ≡ 0 (mod k)] rule or [w0] below the convexity
-    minimum are skipped silently. Returns the feasible choice with the
+    violating the [h+1 ≡ 0 (mod k)] rule and [w0] below the convexity
+    minimum generate no candidate; {!select_with_report} counts them in
+    [report.skipped]. Returns the feasible choice with the
     smallest load-to-compute ratio (ties: more iterations first). *)
 
 val select_with_report :

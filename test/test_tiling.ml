@@ -543,6 +543,111 @@ let prop_dense_stats_match_ref_random =
       let t = Hybrid.make prog ~h ~w:[| w0; w1 |] in
       Tile_size.tile_stats t = Tile_size.tile_stats_ref t)
 
+(* Word-parallel accounting vs the hashtable reference on seeded
+   generated programs: the draw must cover 1D, 2D and 3D, more than one
+   statement and folded arrays, at both valid [h] of each program. *)
+let test_stats_match_ref_generated () =
+  let rng = Hextile_check.Rng.create 0xb17_5e75 in
+  let dims_seen = Array.make 4 false and multi = ref false and folded = ref false in
+  for i = 0 to 39 do
+    let prog, _ = Hextile_check.Gen.generate (Hextile_check.Rng.derive rng i) in
+    let dims = Hextile_ir.Stencil.spatial_dims prog in
+    let k = List.length prog.stmts in
+    dims_seen.(dims) <- true;
+    if k > 1 then multi := true;
+    if List.exists (fun (a : Hextile_ir.Stencil.array_decl) -> a.fold <> None) prog.arrays
+    then folded := true;
+    let c = Cone.of_deps (Dep.analyze prog) ~dim:0 in
+    List.iter
+      (fun h ->
+        let w0 = max 1 (Hexagon.min_w0 ~h c) in
+        List.iter
+          (fun inner ->
+            let w = Array.of_list (w0 :: List.init (dims - 1) (fun d ->
+                if d = dims - 2 then inner else 2)) in
+            let t = Hybrid.make prog ~h ~w in
+            let lbl =
+              Fmt.str "gen #%d %dD k=%d h=%d w=[%a]" i dims k h
+                Fmt.(array ~sep:(any ",") int) w
+            in
+            Alcotest.(check bool) lbl true (Tile_size.tile_stats t = Tile_size.tile_stats_ref t))
+          (if dims = 1 then [ 0 ] else [ 3; 33 ]))
+      [ k - 1; (2 * k) - 1 ]
+  done;
+  Alcotest.(check (list bool)) "1D, 2D and 3D drawn" [ true; true; true ]
+    [ dims_seen.(1); dims_seen.(2); dims_seen.(3) ];
+  Alcotest.(check bool) "a multi-statement program drawn" true !multi;
+  Alcotest.(check bool) "a folded array drawn" true !folded
+
+(* Innermost runs that start and end inside a 32-bit word, fill one
+   exactly, straddle two, and span three or more: the innermost width in
+   2D/3D, the hexagon row (w0 plus its flanks) in 1D. *)
+let test_stats_match_ref_word_edges () =
+  let widths = [ 1; 31; 32; 33; 64; 65; 100 ] in
+  let check prog ~h w =
+    let t = Hybrid.make prog ~h ~w in
+    Alcotest.(check bool)
+      (Fmt.str "%s h=%d w=[%a]" prog.Hextile_ir.Stencil.name h
+         Fmt.(array ~sep:(any ",") int) w)
+      true
+      (Tile_size.tile_stats t = Tile_size.tile_stats_ref t)
+  in
+  List.iter
+    (fun n ->
+      List.iter (fun prog -> check prog ~h:1 [| 2; n |]) [ Suite.jacobi2d; Suite.wave2d ];
+      check Suite.fdtd2d ~h:2 [| 2; n |];
+      check Suite.heat3d ~h:1 [| 2; 2; n |];
+      List.iter
+        (fun (prog : Hextile_ir.Stencil.t) ->
+          let c = Cone.of_deps (Dep.analyze prog) ~dim:0 in
+          List.iter (fun h -> check prog ~h [| max n (Hexagon.min_w0 ~h c) |]) [ 0; 3 ])
+        [ Suite.heat1d; Suite.contrived ])
+    widths
+
+(* A two-statement program: [h] must satisfy [(h + 1) mod 2 = 0], and the
+   radius-2 read of [a] widens the dependence cone so small [w0] fall
+   below the convexity minimum. Both kinds of skipped grid entry are
+   counted in the report and as Obs counters. *)
+let test_skipped_counted () =
+  let src =
+    {|float a[N];
+float b[N];
+for (t = 0; t < T; t++) {
+  for (i = 2; i < N - 2; i++)
+    b[i] = 0.5f * (a[i-2] + a[i+2]);
+  for (i = 2; i < N - 2; i++)
+    a[i] = 0.5f * (b[i-1] + b[i+1]);
+}
+|}
+  in
+  let prog =
+    match Hextile_frontend.Front.parse_string ~name:"two" src with
+    | Ok p -> p
+    | Error m -> Alcotest.failf "parse: %s" m
+  in
+  Alcotest.(check int) "two statements" 2 (List.length prog.stmts);
+  let c = Cone.of_deps (Dep.analyze prog) ~dim:0 in
+  Alcotest.(check (list int)) "min_w0 at h = 1, 3, 5" [ 1; 1; 1 ]
+    (List.map (fun h -> Hexagon.min_w0 ~h c) [ 1; 3; 5 ]);
+  let module Obs = Hextile_obs.Obs in
+  let was = Obs.enabled () in
+  Obs.reset ();
+  Obs.enable ();
+  let _, report =
+    Fun.protect
+      ~finally:(fun () -> if not was then Obs.disable ())
+      (fun () ->
+        Tile_size.select_with_report prog ~h_candidates:[ 0; 1; 2; 3; 4; 5 ]
+          ~w0_candidates:[ 0; 1; 2; 4 ] ~wi_candidates:[] ~shared_mem_floats:4096 ())
+  in
+  Alcotest.(check int) "h_residue" 3 report.skipped.h_residue;
+  Alcotest.(check int) "w0_convexity" 3 report.skipped.w0_convexity;
+  Alcotest.(check int) "candidates" 9 report.candidates;
+  Alcotest.(check int) "Obs h_residue" 3 (Obs.counter "tiling.tilesize_skipped.h_residue");
+  Alcotest.(check int) "Obs w0_convexity" 3
+    (Obs.counter "tiling.tilesize_skipped.w0_convexity");
+  Obs.reset ()
+
 (* the paper's closed form agrees with exact enumeration on every 3D
    benchmark across a grid of sizes (they all have δ0 = δ1 = 1) *)
 let test_formula_3d_matches_enumeration () =
@@ -681,6 +786,11 @@ let suite =
     Alcotest.test_case "dense stats = reference (all benchmarks)" `Quick
       test_dense_stats_match_ref;
     QCheck_alcotest.to_alcotest prop_dense_stats_match_ref_random;
+    Alcotest.test_case "stats = reference (generated programs)" `Quick
+      test_stats_match_ref_generated;
+    Alcotest.test_case "stats = reference (word-edge widths)" `Quick
+      test_stats_match_ref_word_edges;
+    Alcotest.test_case "skipped grid entries counted" `Quick test_skipped_counted;
     Alcotest.test_case "3D iteration formula = enumeration" `Quick
       test_formula_3d_matches_enumeration;
     Alcotest.test_case "dependence analysis memoized" `Quick test_dep_memo_shared;
