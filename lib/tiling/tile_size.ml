@@ -242,11 +242,12 @@ let tile_stats_runs (cx : M.ctx) (hs : M.hslice) (fp : M.footprint) ~w =
         in
         go 0 !c
       in
-      let lines = ref 1 in
-      for d = 0 to inner - 1 do
-        lines := !lines * extent d
+      let instances = ref 1 in
+      for d = 0 to inner do
+        instances := !instances * extent d
       done;
-      iterations := !iterations + (!lines * n);
+      iterations := !iterations + !instances;
+      (* [or_run] needs [n >= 1]; a zero inner width touches nothing *)
       if n > 0 then begin
         let si = cx.M.stmts.(row.M.sidx) in
         Array.iter (fun ai -> runs ai ~f:(fun off -> or_run loaded written off n)) si.M.reads;
