@@ -329,6 +329,11 @@ let simcmp { jobs; _ } =
    acceptance bound. *)
 let analytic_budget_s = 120.0
 
+(* Budget for the exact legality check of each full-size instance: the
+   check costs one schedule period per dependence, so it stays far below
+   a second however large N and T grow. *)
+let legality_budget_s = 1.0
+
 (* Ceilings for the two analytic epilogue stages that dominate the
    full-size runs: the best this host does on the same work, so each
    stage can be reported as a fraction of it. Each timing is the median
@@ -533,6 +538,17 @@ let analytic { jobs; _ } =
     List.map
       (fun (prog : Stencil.t) ->
         let env = Experiments.paper_sizes prog in
+        let _, _, tiling = Experiments.hybrid_tiling prog in
+        let legality, legality_s =
+          timed (fun () -> Hextile_tiling.Hybrid.check_legality tiling (fun p -> List.assoc p env))
+        in
+        (match legality with
+        | Ok () -> ()
+        | Error m -> failwith (Fmt.str "analytic: full-size %s illegal: %s" prog.name m));
+        if legality_s > legality_budget_s then
+          failwith
+            (Fmt.str "analytic: full-size %s legality check took %.2f s, over the %.0f s budget"
+               prog.name legality_s legality_budget_s);
         let r, wall =
           timed (fun () ->
               Par.with_pool ~jobs:fs_jobs @@ fun pool ->
@@ -548,6 +564,8 @@ let analytic { jobs; _ } =
               ("jobs", Json.Int fs_jobs);
               ("wall_s", Json.Float wall);
               ("budget_s", Json.Float analytic_budget_s);
+              ("legality_s", Json.Float legality_s);
+              ("legality_budget_s", Json.Float legality_budget_s);
               ("blocks", Json.Int r.blocks);
               ("blocks_analytic", Json.Int r.blocks_analytic);
               ("classes", Json.Int r.classes);
@@ -629,8 +647,9 @@ let tilesearch { jobs; _ } =
         let h_candidates, w0_candidates, wi_candidates = tilesearch_grids prog in
         let oracle, t_ex =
           timed (fun () ->
-              Tile_size.select_exhaustive prog ~h_candidates ~w0_candidates ~wi_candidates
-                ~shared_mem_floats:tilesearch_budget ~require_multiple:32 ())
+              Par.with_pool ~jobs @@ fun pool ->
+              Tile_size.select_exhaustive ~pool prog ~h_candidates ~w0_candidates
+                ~wi_candidates ~shared_mem_floats:tilesearch_budget ~require_multiple:32 ())
         in
         let search ?pool () =
           Tile_size.select_with_report ?pool prog ~h_candidates ~w0_candidates
@@ -663,7 +682,7 @@ let tilesearch { jobs; _ } =
               ("pruned_infeasible", Json.Int report.pruned_infeasible);
               ("pruned_dominated", Json.Int report.pruned_dominated);
               ("exact_evals", Json.Int report.exact_evals);
-              ("t_exhaustive_s", Json.Float t_ex);
+              ("t_exhaustive_par_s", Json.Float t_ex);
               ("t_staged_s", Json.Float t_st);
               ("t_staged_par_s", Json.Float t_par);
               ("choice", choice);
@@ -681,7 +700,7 @@ let tilesearch { jobs; _ } =
         ("jobs", Json.Int jobs);
         ("total_candidates", Json.Int cands);
         ("total_exact_evals", Json.Int evals);
-        ("t_exhaustive_s", Json.Float (sum (fun (t, _, _) -> t)));
+        ("t_exhaustive_par_s", Json.Float (sum (fun (t, _, _) -> t)));
         ("t_staged_s", Json.Float (sum (fun (_, t, _) -> t)));
         ("t_staged_par_s", Json.Float (sum (fun (_, _, t) -> t)));
         ("identical", Json.Bool true);
@@ -918,10 +937,10 @@ let git_rev () =
   | Some rev when String.length rev = 40 -> Some rev
   | _ -> None
 
-(* The timestamp is injected (HEXTILE_BENCH_TIMESTAMP, e.g. set by CI to
-   the commit date) rather than read from the clock, so regenerating a
-   committed BENCH_*.json from the same tree yields a byte-identical
-   meta block. *)
+(* The timestamp is injected (HEXTILE_BENCH_TIMESTAMP: CI sets it to the
+   commit date, `make bench` defaults it to its start time) rather than
+   read from the clock, so regenerating a committed BENCH_*.json with the
+   same value yields a byte-identical meta block. *)
 let meta ~jobs =
   let opt = function Some s -> Json.Str s | None -> Json.Null in
   Json.Obj

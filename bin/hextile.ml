@@ -256,11 +256,26 @@ let run_cmd =
                instances --analytic exists for; the analytic mode's own
                grids are differentially validated by the test suite *)
             let verify = not analytic in
+            (* the hybrid schedule is checked before anything is simulated:
+               an illegal one would otherwise surface only as a grid
+               mismatch, or not at all under --analytic *)
+            let legality =
+              if scheme <> Experiments.Hybrid then Ok ()
+              else
+                let _, _, tiling = tiling_of prog None None in
+                Hybrid.check_legality tiling (env_of ~n ~t)
+            in
             match
-              Experiments.run_scheme ~pool ~engine ~analytic ~verify scheme
-                prog env dev
+              Result.map
+                (fun () ->
+                  Experiments.run_scheme ~pool ~engine ~analytic ~verify scheme prog env
+                    dev)
+                legality
             with
-            | r ->
+            | Error m ->
+                Fmt.epr "hextile: legality check FAILED: %s@." m;
+                1
+            | Ok r ->
                 (* like tilesize: the simulation summary goes to stderr
                    unconditionally so stdout stays parseable; the format
                    is the key=value contract of Experiments.sim_summary *)
@@ -270,6 +285,7 @@ let run_cmd =
                      ~jobs ~engine r);
                 Fmt.pr "%s on %s, N=%d T=%d: %s@." r.scheme prog.name n t
                   (if verify then "verified OK" else "completed (analytic)");
+                if scheme = Experiments.Hybrid then Fmt.pr "legality           OK@.";
                 Fmt.pr "updates            %d@." r.updates;
                 (* FNV over every grid's bits: one line that makes
                    cross-jobs bit-identity checkable by diffing stdout

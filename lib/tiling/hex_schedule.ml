@@ -13,8 +13,11 @@ let u_shift t ~phase = if phase = 0 then t.hex.h + 1 else 0
    [⌊δ1h⌋ + w0 + 1]; the box-offset geometry of Section 3.3.2 (opposite-
    phase neighbours at [-(w0+1+⌊δ0h⌋)] and [+(w0+1+⌊δ1h⌋)]) requires
    [⌊δ0h⌋ + w0 + 1], which coincides for the symmetric stencils the paper
-   evaluates. We use the geometry-consistent value; the partition
-   property test exercises asymmetric cones. *)
+   evaluates. We use the geometry-consistent value. Checked: with the
+   paper's shift, every asymmetric-cone generated program in the test
+   suite has points claimed by both phases or by neither, which the
+   legality check rejects (test_tiling, "paper's eq. (3) shift
+   rejected"). *)
 let s_shift t ~phase = if phase = 0 then t.hex.fl0 + t.hex.w0 + 1 else 0
 
 let time_tile t ~phase ~u = Intutil.fdiv (u + u_shift t ~phase) t.hex.height

@@ -13,6 +13,14 @@ type t = {
 
 val make : Hexagon.t -> t
 
+val u_shift : t -> phase:int -> int
+(** Time offset of a phase's box grid: [h + 1] for phase 0, [0] for
+    phase 1. *)
+
+val s_shift : t -> phase:int -> int
+(** Space offset of a phase's box grid: [⌊δ0·h⌋ + w0 + 1] for phase 0,
+    [0] for phase 1 (see the note on equation (3) in the implementation). *)
+
 val time_tile : t -> phase:int -> u:int -> int
 (** [T] per equations (2) (phase 0) and (4) (phase 1). *)
 

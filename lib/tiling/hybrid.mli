@@ -76,11 +76,72 @@ val precedes : t -> coords -> coords -> bool
     [t']. Same [(T, phase)] but different [S0] is never legal (those tiles
     run concurrently). *)
 
+type violation = {
+  dep : Dep.t;
+  u : int;  (** schedule time of the source instance *)
+  s : int array;  (** its spatial point *)
+}
+(** A dependence instance that [precedes] rejects: the source is
+    [(u, s)], the destination [(u + Δu, s + Δs)]; both lie in their
+    statements' domains. *)
+
+val first_violation : t -> (string -> int) -> violation option
+(** Whether some dependence instance of the concrete program (statement
+    instances × analyzed distance vectors, both endpoints in the domain)
+    is not honored by [precedes]; [None] if the tiling is legal. Exact,
+    and its cost is bounded by one schedule period per dependence, by
+    two facts.
+
+    {b Separability.} For a dependence [(Δu, Δs)] the valid sources —
+    the [(tstep, s)] whose source and destination both lie in their
+    domains — form a box: the time range and each [s_d] range are
+    constrained independently. [precedes] splits in two parts. The hex
+    part reads only [(u, s0)] of both endpoints: an earlier
+    [(T, phase)] precedes, a later one or the same one with another [S0]
+    violates, and otherwise both points are in one hexagon at local
+    times [a] and [a + Δu] (equal [T] and phase put [u + shift] of both
+    in one [height] block). The rest compares [S1..Sn] lexicographically,
+    then [t']. [Classical.tile] of dim [i] is [⌊(s_i + ⌊δ1i·a⌋)/w_i⌋]: it
+    reads [(a, s_i)] only. Since the box is a product, the outcome
+    vectors reachable at local time [a] are exactly the product of the
+    per-dim outcome sets [M_i(a) ⊆ {lt, eq, gt}] of [tile(a, s_i)]
+    against [tile(a + Δu, s_i + Δs_i)] over the valid [s_i]. A
+    same-hexagon instance at [a] can violate iff some [j] has
+    [gt ∈ M_j(a)] and [eq ∈ M_i(a)] for every [i < j], or every [M_i(a)]
+    holds [eq] and [a ≥ a + Δu]. Shifting [s_i] by [w_i] moves both
+    tiles by one, so one [w_i] of valid [s_i] gives the whole [M_i(a)].
+    The check computes the [M_i] once per dependence, with one witness
+    [s_i] per outcome, and scans only the [(tstep, s0)] plane.
+
+    {b Periodicity.} The shifts [(u, s0) += (0, width)] and
+    [(u, s0) += (height, −drift)] keep every point's phase and local
+    [(a, b)], move [S0] (respectively [T]) of both endpoints by one, and
+    leave [Δu], [Δs0] alone. The first adds [width] to
+    [b_raw = s0 + shift + T·drift]; the second adds one to [T] and
+    [drift − drift = 0] to [b_raw]. So the verdict at [(tstep, s0)]
+    equals that at any lattice translate ([height] is a multiple of [k],
+    so [u += height] is [tstep += height/k]). When the valid [s0] range
+    spans at least [width], its first [width] values represent every
+    class of the first shift; when, in addition, the valid [tstep] range
+    spans at least [height/k], its first [height/k] steps × those
+    [width] values are a fundamental domain of the whole lattice inside
+    the valid box. The time range alone is never clamped to [height/k]:
+    the lattice is skewed, and that shift moves [s0] by [−drift],
+    possibly out of the box. Its pure time period is
+    [g = width / gcd(drift, width)] such steps: [g·drift] is a multiple
+    of [width], so [(g·height, 0)] is in the lattice, and a [tstep]
+    range of at least [g·height/k] is clamped to that whatever the [s0]
+    range.
+
+    The named instance is the first violation found, scanning
+    dependences in order, then [s0], then [tstep], with [s1..sn] taken
+    from the witnesses. Raises [Invalid_argument] if a point lies in
+    both or neither phase (the partition theorem's self-check, as in
+    {!Hex_schedule.phase_of}). *)
+
 val check_legality : t -> (string -> int) -> (unit, string) result
-(** Exhaustively verify [precedes] for every dependence instance of the
-    concrete program (all statement instances × analyzed distance
-    vectors whose endpoints are in the domain). Meant for tests and small
-    problem sizes. *)
+(** {!first_violation} as a verdict: [Error "dep … violated at u=… s=(…)"]
+    names the dependence and the source instance. *)
 
 val point_of_coords : t -> coords -> (int * int array) option
 (** Reconstruct [(u, s)] from coordinates; [None] if the local coordinates

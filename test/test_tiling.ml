@@ -371,6 +371,250 @@ let prop_hybrid_legality_random_sizes =
       let env p = List.assoc p [ ("N", 14); ("T", 6) ] in
       Hybrid.check_legality t env = Ok ())
 
+(* ---- legality: the period check against full enumeration ----------- *)
+
+module Rng = Hextile_check.Rng
+
+let env_of l p = List.assoc p l
+
+(* The oracle: [precedes] on every instance of every dependence, each
+   endpoint located through [coords]. Reports the last violating tstep
+   at the first violating spatial point. *)
+let legality_ref (t : Hybrid.t) env =
+  let open Hextile_ir in
+  let steps = Affp.eval t.prog.steps env in
+  let bounds =
+    Array.of_list
+      (List.map
+         (fun (s : Stencil.stmt) ->
+           ( Array.map (fun e -> Affp.eval e env) s.lo,
+             Array.map (fun e -> Affp.eval e env) s.hi ))
+         t.prog.stmts)
+  in
+  let in_domain i tstep s =
+    tstep >= 0 && tstep < steps
+    &&
+    let lo, hi = bounds.(i) in
+    let ok = ref true in
+    Array.iteri (fun d v -> if v < lo.(d) || v > hi.(d) then ok := false) s;
+    !ok
+  in
+  let violation = ref None in
+  let check_dep (dep : Dep.t) =
+    let lo, hi = bounds.(dep.src) in
+    let point = Array.make t.dims 0 in
+    let rec go d =
+      if !violation <> None then ()
+      else if d = t.dims then begin
+        for tstep = 0 to steps - 1 do
+          let u_src = Hybrid.instance_u t ~stmt:dep.src ~tstep in
+          let u_dst = u_src + dep.dist.(0) in
+          if Intutil.fmod u_dst t.k = dep.dst then begin
+            let s_dst = Array.mapi (fun d v -> v + dep.dist.(d + 1)) point in
+            if in_domain dep.dst (Hybrid.tstep_of_u t u_dst) s_dst then begin
+              let c_src = Hybrid.coords t ~u:u_src ~s:point in
+              let c_dst = Hybrid.coords t ~u:u_dst ~s:s_dst in
+              if not (Hybrid.precedes t c_src c_dst) then
+                violation :=
+                  Some
+                    (Fmt.str "dep %a violated at u=%d s=(%a)" Dep.pp dep u_src
+                       Fmt.(array ~sep:(any ", ") int)
+                       point)
+            end
+          end
+        done
+      end
+      else
+        for x = lo.(d) to hi.(d) do
+          point.(d) <- x;
+          go (d + 1)
+        done
+    in
+    go 0
+  in
+  List.iter check_dep t.deps;
+  match !violation with None -> Ok () | Some m -> Error m
+
+type verdict = Legal | Illegal | Raised
+
+let verdict f =
+  match f () with
+  | Ok () -> Legal
+  | Error _ -> Illegal
+  | exception Invalid_argument _ -> Raised
+
+let pp_verdict ppf v =
+  Fmt.string ppf (match v with Legal -> "legal" | Illegal -> "illegal" | Raised -> "raised")
+
+(* Schedule mutants the check must catch: a cone that is too narrow
+   (zero, or δ0 halved) and a classical dimension left unskewed. *)
+type mutant = Intact | Zero_cone | Half_delta0 | Zero_skew of int
+
+let mutant_name = function
+  | Intact -> "intact"
+  | Zero_cone -> "zero cone"
+  | Half_delta0 -> "half δ0"
+  | Zero_skew i -> Fmt.str "zero skew on s%d" (i + 1)
+
+let with_cone (t : Hybrid.t) c =
+  match Hexagon.make ~h:t.h ~w0:t.w.(0) c with
+  | exception Invalid_argument _ -> None
+  | hex -> Some { t with cone = c; hex; hs = Hex_schedule.make hex }
+
+let mutate (t : Hybrid.t) = function
+  | Intact -> Some t
+  | Zero_cone -> with_cone t (cone Rat.zero Rat.zero)
+  | Half_delta0 -> with_cone t { t.cone with delta0 = Rat.mul t.cone.delta0 (Rat.make 1 2) }
+  | Zero_skew i ->
+      if i >= t.dims - 1 then None
+      else
+        let classical = Array.copy t.classical in
+        classical.(i) <- { (classical.(i)) with delta1 = Rat.zero };
+        Some { t with classical }
+
+(* Whether some dependence's valid-source s0 range spans a full hexagon
+   width, i.e. whether the period check clamps s0 on this instance. *)
+let spans_width (t : Hybrid.t) env =
+  let open Hextile_ir in
+  let stmts = Array.of_list t.prog.stmts in
+  let b i f = Affp.eval (f stmts.(i)).(0) env in
+  List.exists
+    (fun (dep : Dep.t) ->
+      let lo = max (b dep.src (fun s -> s.Stencil.lo)) (b dep.dst (fun s -> s.lo) - dep.dist.(1))
+      and hi = min (b dep.src (fun s -> s.Stencil.hi)) (b dep.dst (fun s -> s.hi) - dep.dist.(1)) in
+      hi - lo + 1 >= t.hex.width)
+    t.deps
+
+(* A generated program, a random valid (h, w), N and T on both sides of
+   [width] and [height/k], and a mutant. [None] when the draw admits no
+   tiling (no valid h for k, or a mutant cone below the convexity
+   minimum). *)
+let legality_draw seed =
+  let rng = Rng.create seed in
+  (* 1-, 2- and 3-D programs equally often: the classical-dim conditions
+     need 3-D ones *)
+  let dims = Rng.in_range rng 1 3 in
+  let rec program i =
+    let prog, _ = Hextile_check.Gen.generate (Rng.derive rng i) in
+    if Hextile_ir.Stencil.spatial_dims prog = dims || i = 50 then prog else program (i + 1)
+  in
+  let prog = program 0 in
+  let k = List.length prog.stmts and dims = Hextile_ir.Stencil.spatial_dims prog in
+  (* the oracle's cost grows as width^dims: keep h small in 3-D *)
+  let hmax = [| 7; 5; 3 |].(dims - 1) in
+  match List.filter (fun h -> (h + 1) mod k = 0 && h <= hmax) [ 0; 1; 2; 3; 5; 7 ] with
+  | [] -> None
+  | hs -> (
+      let h = Rng.pick rng hs in
+      let c = Cone.of_deps (Dep.analyze prog) ~dim:0 in
+      let w0 = Hexagon.min_w0 ~h c + Rng.int rng (if dims = 3 then 2 else 4) in
+      let w = Array.init dims (fun d -> if d = 0 then w0 else Rng.pick rng [ 1; 1; 2; 3; 5 ]) in
+      match Hybrid.make prog ~h ~w with
+      | exception Invalid_argument _ -> None
+      | t -> (
+          let m =
+            Rng.pick rng
+              [ Intact; Intact; Zero_cone; Half_delta0; Zero_skew (Rng.int rng (max 1 (dims - 1))) ]
+          in
+          match mutate t m with
+          | None -> None
+          | Some t ->
+              let period = t.hex.height / k in
+              let n = max 1 (t.hex.width + Rng.in_range rng (-3) (if dims = 3 then 6 else 9)) in
+              let steps = max 1 (Rng.in_range rng (period - 2) ((2 * period) + 3)) in
+              Some (t, m, [ ("N", n); ("T", steps) ])))
+
+(* One draw: the period check's verdict equals the oracle's, and a named
+   violation is a real one: both endpoints in their domains, [precedes]
+   false on their coordinates. Tallies what the draw exercised. *)
+let legality_agrees ~tally seed =
+  match legality_draw seed with
+  | None -> true
+  | Some (t, m, params) ->
+      let env = env_of params in
+      let fast = verdict (fun () -> Hybrid.check_legality t env) in
+      let slow = verdict (fun () -> legality_ref t env) in
+      if fast <> slow then
+        QCheck.Test.fail_reportf "%s (%s), h=%d w=(%a) N=%d T=%d: check %a, oracle %a"
+          t.prog.name (mutant_name m) t.h
+          Fmt.(array ~sep:comma int)
+          t.w (env "N") (env "T") pp_verdict fast pp_verdict slow;
+      tally (spans_width t env) fast;
+      (match Hybrid.first_violation t env with
+      | exception Invalid_argument _ -> ()
+      | None -> ()
+      | Some { dep; u; s } ->
+          let open Hextile_ir in
+          let steps = env "T" in
+          let stmts = Array.of_list t.prog.stmts in
+          let inside i u s =
+            let st = stmts.(i) in
+            Hybrid.stmt_of_u t u = i
+            && Hybrid.tstep_of_u t u >= 0
+            && Hybrid.tstep_of_u t u < steps
+            && Array.for_all Fun.id
+                 (Array.mapi
+                    (fun d x -> Affp.eval st.lo.(d) env <= x && x <= Affp.eval st.hi.(d) env)
+                    s)
+          in
+          let u' = u + dep.dist.(0) and s' = Array.mapi (fun d x -> x + dep.dist.(d + 1)) s in
+          if not (inside dep.src u s && inside dep.dst u' s') then
+            QCheck.Test.fail_reportf "named instance u=%d s=(%a) outside the domains" u
+              Fmt.(array ~sep:comma int)
+              s;
+          if Hybrid.precedes t (Hybrid.coords t ~u ~s) (Hybrid.coords t ~u:u' ~s:s') then
+            QCheck.Test.fail_reportf "named instance u=%d s=(%a) is honored" u
+              Fmt.(array ~sep:comma int)
+              s);
+      true
+
+let test_legality_matches_oracle () =
+  let clamped = ref 0 and unclamped = ref 0 and illegal = ref 0 in
+  let tally spans v =
+    incr (if spans then clamped else unclamped);
+    if v = Illegal then incr illegal
+  in
+  QCheck.Test.check_exn
+    ~rand:(Random.State.make [| 0x1e9a1 |])
+    (QCheck.Test.make ~name:"period check = full enumeration" ~count:500
+       QCheck.(int_bound 0x3fffffff)
+       (legality_agrees ~tally));
+  if !clamped = 0 || !unclamped = 0 || !illegal = 0 then
+    Alcotest.failf "draw too narrow: %d clamped, %d unclamped, %d illegal" !clamped
+      !unclamped !illegal
+
+(* The paper's equation (3) writes the phase-0 space shift as
+   [⌊δ1h⌋ + w0 + 1]; Hex_schedule uses [⌊δ0h⌋ + w0 + 1]. On every
+   asymmetric-cone generated program ([⌊δ0h⌋ ≠ ⌊δ1h⌋]) the paper's
+   shift breaks the phase partition — some point falls in both phases or
+   in neither — so the legality check rejects the schedule. *)
+let test_eq3_shift_rejected () =
+  let rng = Rng.create 0xe93 in
+  let asymmetric = ref 0 in
+  for i = 0 to 150 do
+    let prog, _ = Hextile_check.Gen.generate (Rng.derive rng i) in
+    let k = List.length prog.stmts and dims = Hextile_ir.Stencil.spatial_dims prog in
+    let h = (2 * k) - 1 in
+    let c = Cone.of_deps (Dep.analyze prog) ~dim:0 in
+    let w = Array.init dims (fun d -> if d = 0 then Hexagon.min_w0 ~h c + 1 else 2) in
+    match Hybrid.make prog ~h ~w with
+    | exception Invalid_argument _ -> ()
+    | t when t.hex.fl0 = t.hex.fl1 || t.deps = [] -> ()
+    | t -> (
+        incr asymmetric;
+        let paper = { t with hs = { t.hs with hex = { t.hex with fl0 = t.hex.fl1 } } } in
+        let env = env_of [ ("N", t.hex.width + 8); ("T", (2 * t.hex.height / k) + 1) ] in
+        Alcotest.(check bool) "intact schedule legal" true (Hybrid.check_legality t env = Ok ());
+        match Hybrid.check_legality paper env with
+        | exception Invalid_argument m ->
+            Alcotest.(check bool) "partition broken" true
+              (String.starts_with ~prefix:"Hybrid.check_legality:" m)
+        | _ ->
+            Alcotest.failf "#%d (δ0h=%d, δ1h=%d): eq. (3) shift not rejected" i t.hex.fl0
+              t.hex.fl1)
+  done;
+  Alcotest.(check bool) "asymmetric cones drawn" true (!asymmetric >= 20)
+
 let prop_tile_poly_matches_points =
   QCheck.Test.make ~name:"tile polyhedron = tile points" ~count:30
     (QCheck.pair arb_hex (QCheck.pair (QCheck.int_range (-2) 2) (QCheck.int_range (-2) 2)))
@@ -774,6 +1018,10 @@ let suite =
       test_select_ratio_recomputed;
     Alcotest.test_case "renders" `Quick test_render;
     QCheck_alcotest.to_alcotest prop_hybrid_legality_random_sizes;
+    Alcotest.test_case "legality period check = full enumeration" `Quick
+      test_legality_matches_oracle;
+    Alcotest.test_case "paper's eq. (3) shift rejected (asymmetric cones)" `Quick
+      test_eq3_shift_rejected;
     Alcotest.test_case "diamond count variability (Sec 5)" `Quick test_diamond_counts;
     Alcotest.test_case "diamond tile points" `Quick test_diamond_tile_points;
     Alcotest.test_case "diamond wavefront legality" `Quick test_diamond_wavefront;
