@@ -718,11 +718,17 @@ module Serve = Hextile_serve
 
 (* Sustained request throughput and latency through the serve daemon,
    cold cache vs warm, over Table 3 traffic (the 1D and 2D builtins)
-   plus seeded fuzz programs with duplicates. Three gates: (1) every
-   response stream is bit-wise identical at jobs 1, 2 and 4, cold and
-   warm; (2) every run response carries exactly the grids hash and
-   result record of the one-shot pipeline (what `hextile run` prints);
-   (3) the warm cache delivers at least 3x the cold throughput. *)
+   plus seeded fuzz programs with duplicates. A fresh [Cache] is the
+   whole cold state (nothing else outlives a call), so the measurement
+   runs [serve_rounds] rounds, each a cold pass on a fresh cache and
+   then a warm pass on it, and reports medians and quartiles over the
+   rounds. Three gates: (1) every response stream is bit-wise identical
+   in every round and at jobs 1, 2 and 4, cold and warm; (2) every run
+   response carries exactly the grids hash and result record of the
+   one-shot pipeline (what `hextile run` prints); (3) the warm cache's
+   median throughput is at least 3x the cold median. *)
+let serve_rounds = 5
+
 let serve_bench { jobs; _ } =
   let module Gen = Hextile_check.Gen in
   let module Rng = Hextile_check.Rng in
@@ -803,15 +809,24 @@ let serve_bench { jobs; _ } =
     let n = List.length sorted in
     List.nth sorted (max 0 ((((p * n) + 99) / 100) - 1))
   in
-  (* One pass's row. The tail is the one the sample count supports: the
-     highest percentile with at least ten samples beyond it (p75 for 40
-     samples; a "p99" of 40 samples would be their maximum). Below 40
-     samples that percentile is no tail, and only the median is
-     reported. *)
-  let leg name lat =
-    let sorted = List.sort compare lat in
-    let n = List.length lat in
-    let total = List.fold_left ( +. ) 0.0 lat in
+  (* One leg's row over the rounds' passes: median and quartiles (nearest
+     rank) of the pass totals and throughputs, and latency percentiles
+     over every request of every pass. The tail is the one the sample
+     count supports: the highest percentile with at least ten samples
+     beyond it (p95 for 200 samples; a "p99" of them would be nearly
+     their maximum). Below 40 samples that percentile is no tail, and
+     only the median is reported. *)
+  let leg name passes =
+    let nreq = List.length (List.hd passes) in
+    let totals = List.sort compare (List.map (List.fold_left ( +. ) 0.0) passes) in
+    let rps = List.sort compare (List.map (fun t -> float_of_int nreq /. t) totals) in
+    let quartiles key sorted =
+      List.map
+        (fun (suffix, p) -> (key ^ suffix, Json.Float (percentile sorted p)))
+        [ ("", 50); ("_q1", 25); ("_q3", 75) ]
+    in
+    let sorted = List.sort compare (List.concat passes) in
+    let n = List.length sorted in
     let tail =
       if n < 40 then []
       else
@@ -819,22 +834,29 @@ let serve_bench { jobs; _ } =
         [ ("tail_pct", Json.Int p); ("tail_ms", Json.Float (1000.0 *. percentile sorted p)) ]
     in
     ( row name
-        ([
-           ("total_s", Json.Float total);
-           ("req_per_s", Json.Float (float_of_int n /. total));
-           ("n", Json.Int n);
-           ("p50_ms", Json.Float (1000.0 *. percentile sorted 50));
-         ]
+        (quartiles "total_s" totals
+        @ quartiles "req_per_s" rps
+        @ [
+            ("passes", Json.Int (List.length passes));
+            ("n", Json.Int n);
+            ("p50_ms", Json.Float (1000.0 *. percentile sorted 50));
+          ]
         @ tail),
-      float_of_int n /. total )
+      percentile rps 50 )
   in
-  (* the measured run: one pool at the requested jobs *)
+  (* the measured run: one pool at the requested jobs, [serve_rounds]
+     fresh caches *)
   Par.with_pool ~jobs @@ fun pool ->
-  let cache = Serve.Cache.create () in
-  let cold_lat, cold_resp = pass ~cache ~pool in
-  let warm_lat, warm_resp = pass ~cache ~pool in
-  let cold, cold_rps = leg "cold" cold_lat in
-  let warm, warm_rps = leg "warm" warm_lat in
+  let rounds =
+    List.init serve_rounds (fun _ ->
+        let cache = Serve.Cache.create () in
+        let cold = pass ~cache ~pool in
+        let warm = pass ~cache ~pool in
+        (cache, cold, warm))
+  in
+  let cache, (_, cold_resp), (_, warm_resp) = List.hd rounds in
+  let cold, cold_rps = leg "cold" (List.map (fun (_, (lat, _), _) -> lat) rounds) in
+  let warm, warm_rps = leg "warm" (List.map (fun (_, _, (lat, _)) -> lat) rounds) in
   let speedup = warm_rps /. cold_rps in
   let s = Serve.Cache.stats cache in
   let hit_rate h m = Json.Float (float_of_int h /. float_of_int (max 1 (h + m))) in
@@ -848,9 +870,13 @@ let serve_bench { jobs; _ } =
         ("collisions", Json.Int s.collisions);
       ]
   in
-  (* gate 1: bit-identical response streams cold/warm and across jobs *)
-  if cold_resp <> warm_resp then
-    failwith "serve: warm responses diverge bit-wise from cold responses";
+  (* gate 1: bit-identical response streams cold/warm, across rounds and
+     across jobs *)
+  List.iter
+    (fun (_, (_, cold_r), (_, warm_r)) ->
+      if cold_r <> cold_resp || warm_r <> cold_resp then
+        failwith "serve: responses diverge bit-wise between passes")
+    rounds;
   List.iter
     (fun j ->
       let cold_j, warm_j = stream_at j in
@@ -905,7 +931,8 @@ let serve_bench { jobs; _ } =
   in
   (* gate 3: the cache must actually pay *)
   if speedup < 3.0 then
-    failwith (Fmt.str "serve: warm throughput %.2fx cold, below the 3x floor" speedup);
+    failwith
+      (Fmt.str "serve: median warm throughput %.2fx cold, below the 3x floor" speedup);
   Json.Obj (total @ [ cold; warm; hit_rates; ("cache", Serve.Cache.stats_json cache) ])
 
 (* ---- provenance for committed BENCH_*.json ---------------------------- *)

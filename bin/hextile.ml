@@ -9,7 +9,6 @@ module Obs = Hextile_obs.Obs
 module Timeline = Hextile_obs.Timeline
 module Json = Hextile_obs.Json
 module Par = Hextile_par.Par
-module Oncemap = Hextile_par.Oncemap
 open Hextile_ir
 open Hextile_deps
 open Hextile_tiling
@@ -97,7 +96,6 @@ let with_trace trace k =
       Obs.enable ();
       Fun.protect
         ~finally:(fun () ->
-          Oncemap.publish_obs ();
           Obs.write_json path;
           Obs.disable ())
         k

@@ -29,7 +29,7 @@ let minimal_du ~k ~m ~dc ~di =
   (* smallest base + j*step >= 1 *)
   base + (step * Intutil.cdiv (1 - base) step)
 
-let analyze_uncached (p : Stencil.t) =
+let analyze (p : Stencil.t) =
   (match Stencil.validate p with
   | Ok () -> ()
   | Error m -> invalid_arg ("Dep.analyze: " ^ m));
@@ -69,19 +69,7 @@ let analyze_uncached (p : Stencil.t) =
      distance). *)
   List.sort_uniq compare !deps
 
-(* The analysis is a pure function of the program and is re-requested
-   for every tile-size candidate and scheme run; memoize it in a
-   process-shared publish-once table keyed structurally by the program,
-   so concurrent tile-size searches and scheme runs on different domains
-   analyze each program once between them instead of once per domain.
-   Only successful analyses are published, so validation errors keep
-   raising. *)
-module Oncemap = Hextile_par.Oncemap
-
-let memo : (Stencil.t, t list) Oncemap.t =
-  Oncemap.create ~bits:8 ~name:"dep.analyze" ()
-
-let analyze (p : Stencil.t) = Oncemap.find_or_compute memo p (fun () -> analyze_uncached p)
+let analyze_uncached = analyze
 
 let distance_vectors deps = List.sort_uniq compare (List.map (fun d -> d.dist) deps)
 

@@ -25,14 +25,11 @@ type t = {
 }
 
 val analyze : Stencil.t -> t list
-(** All minimal dependence distances of the program. Memoized per domain
-    (structural key on the program), so repeated queries — one per
-    tile-size candidate, one per scheme run — cost a table lookup; the
-    second call on a domain returns the same (physically shared,
-    immutable) list. *)
+(** All minimal dependence distances of the program. *)
 
 val analyze_uncached : Stencil.t -> t list
-(** The underlying analysis, bypassing the memo table. *)
+(** The same function as {!analyze}; kept under this name for the
+    end-to-end benchmark, which times the analysis through it. *)
 
 val distance_vectors : t list -> int array list
 (** Distinct distance vectors, sorted. *)

@@ -7,7 +7,6 @@ open Hextile_deps
 open Hextile_util
 module Obs = Hextile_obs.Obs
 module Timeline = Hextile_obs.Timeline
-module Oncemap = Hextile_par.Oncemap
 module Json = Hextile_obs.Json
 module Par = Hextile_par.Par
 
@@ -27,21 +26,26 @@ let engine_name = function Common.Ref -> "ref" | Common.Tape -> "tape"
    prefix "sim:" followed by space-separated key=value tokens; keys
    are lowercase [a-z0-9_]+, values contain neither spaces nor '=';
    the keys wall_ms, blocks, blocks_memoized, engine, jobs,
-   blocks_analytic, classes, epilogue_ms, blit_rows and replay_lines
-   are always present, in that order (consumers must tolerate new keys
-   being appended). blit_rows and replay_lines are deterministic at
-   every jobs value; blit_rows counts bulk-blit row reconstruction
-   wherever it runs (memoized-block replay and the analytic epilogue)
-   while replay_lines is analytic-only; epilogue_ms is wall time (main
-   domain only) and is never part of compared artifacts. *)
+   blocks_analytic, classes, epilogue_ms, blit_rows, replay_lines,
+   fallback and recordings_dropped are always present, in that order
+   (consumers must tolerate new keys being appended). blit_rows and
+   replay_lines are deterministic at every jobs value; blit_rows counts
+   bulk-blit row reconstruction wherever it runs (memoized-block replay
+   and the analytic epilogue) while replay_lines is analytic-only;
+   epilogue_ms is wall time (main domain only) and is never part of
+   compared artifacts. fallback (none, unequal_stride or
+   unaligned_stride) and recordings_dropped name every degradation from
+   the requested regime, so none is silent; both are deterministic. *)
 let sim_summary ~wall_s ~jobs ~engine (r : Common.result) =
   Fmt.str
     "sim: wall_ms=%.3f blocks=%d blocks_memoized=%d engine=%s jobs=%d \
      blocks_analytic=%d classes=%d epilogue_ms=%.3f blit_rows=%d \
-     replay_lines=%d"
+     replay_lines=%d fallback=%s recordings_dropped=%d"
     (1000.0 *. wall_s) r.Common.blocks r.Common.blocks_memoized
     (engine_name engine) jobs r.Common.blocks_analytic r.Common.classes
     r.Common.epilogue_ms r.Common.blit_rows r.Common.replay_lines
+    (match r.Common.fallback with None -> "none" | Some f -> Sim.fallback_name f)
+    r.Common.recordings_dropped
 
 let sizes (p : Stencil.t) =
   match Stencil.spatial_dims p with
@@ -175,11 +179,9 @@ let table12 ?pool dev =
          scheme) pairs — 7 × 4 independent simulated runs — then
          regroup by kernel. [Par.map]'s static shards give each domain
          a contiguous run of pairs (stealing evens out the imbalance
-         between cheap and expensive kernels), and each run reuses the
-         process-shared dependence/FM caches instead of refilling a
-         per-domain copy. Inner launches stay sequential (nested
-         regions degrade), so results are the sequential ones, cell for
-         cell. *)
+         between cheap and expensive kernels). Inner launches stay
+         sequential (nested regions degrade), so results are the
+         sequential ones, cell for cell. *)
       let pairs =
         Array.of_list
           (List.concat_map
@@ -702,7 +704,6 @@ let profile ~jobs ~source ~load ?h ?w scheme env dev =
       with
       | exception Failure m -> Error m
       | result ->
-          Oncemap.publish_obs ();
           let stages = stages_json () and trace = Obs.to_json () in
           Ok
             (Json.Obj

@@ -29,8 +29,12 @@ val sim_summary :
     ["sim:"] followed by space-separated [key=value] tokens — keys are
     lowercase [[a-z0-9_]+], values contain neither spaces nor ['='],
     and the keys [wall_ms], [blocks], [blocks_memoized], [engine],
-    [jobs], [blocks_analytic] and [classes] are always present, in that
-    order. Consumers must tolerate new keys being appended. *)
+    [jobs], [blocks_analytic], [classes], [epilogue_ms], [blit_rows],
+    [replay_lines], [fallback] and [recordings_dropped] are always
+    present, in that order. [fallback] is [none], [unequal_stride] or
+    [unaligned_stride] ({!Common.result.fallback}); [recordings_dropped]
+    is {!Common.result.recordings_dropped}. Consumers must tolerate new
+    keys being appended. *)
 
 val sizes : Stencil.t -> (string * int) list
 (** Scaled instantiation of a benchmark: N=4096/T=64 in 1D, N=128/T=24

@@ -2,6 +2,12 @@ module Obs = Hextile_obs.Obs
 module Tl = Hextile_obs.Timeline
 module Par = Hextile_par.Par
 
+type fallback = Unequal_stride | Unaligned_stride
+
+let fallback_name = function
+  | Unequal_stride -> "unequal_stride"
+  | Unaligned_stride -> "unaligned_stride"
+
 type t = {
   dev : Device.t;
   total : Counters.t;
@@ -21,6 +27,8 @@ type t = {
   mutable analytic_derive_s : float;  (** …counter-derivation stage *)
   mutable analytic_dram_s : float;  (** …sequential L2 replay stage *)
   mutable analytic_grids_s : float;  (** …grid reconstruction stage *)
+  mutable fallback : fallback option;  (** the run's regime fallback *)
+  recordings_dropped : int Atomic.t;  (** recordings a per-lane event dropped *)
 }
 
 and launch = {
@@ -53,6 +61,8 @@ let create (dev : Device.t) =
     analytic_derive_s = 0.0;
     analytic_dram_s = 0.0;
     analytic_grids_s = 0.0;
+    fallback = None;
+    recordings_dropped = Atomic.make 0;
   }
 
 (* ---- parallel-execution shadows ---------------------------------------- *)
@@ -134,6 +144,7 @@ let record_invalidate t =
   match Domain.DLS.get record_key with
   | Some r when r.rowner == t && r.rvalid ->
       r.rvalid <- false;
+      Atomic.incr t.recordings_dropped;
       Obs.incr "sim.recordings_invalidated.per_lane"
   | _ -> ()
 

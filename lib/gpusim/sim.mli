@@ -21,6 +21,15 @@
     including L2/DRAM traffic and sanitizer findings, is bit-identical to
     the sequential run for any jobs value. *)
 
+type fallback =
+  | Unequal_stride  (** the arrays do not share one s0 stride *)
+  | Unaligned_stride  (** the shared stride is not a whole number of lines *)
+(** Why a run left the launch regime it asked for (see
+    [Hextile_schemes.Hybrid_exec.run]). *)
+
+val fallback_name : fallback -> string
+(** ["unequal_stride"] or ["unaligned_stride"]. *)
+
 type t = {
   dev : Device.t;
   total : Counters.t;
@@ -51,6 +60,12 @@ type t = {
   mutable analytic_derive_s : float;  (** …its counter-derivation stage *)
   mutable analytic_dram_s : float;  (** …its sequential L2 replay stage *)
   mutable analytic_grids_s : float;  (** …its grid reconstruction stage *)
+  mutable fallback : fallback option;
+      (** the regime fallback the hybrid executor took, if any; also
+          counted as the Obs counter [sim.regime_fallback.<name>] *)
+  recordings_dropped : int Atomic.t;
+      (** recordings a per-lane event invalidated; also counted as the
+          Obs counter [sim.recordings_invalidated.per_lane] *)
 }
 
 and launch = {
@@ -189,9 +204,9 @@ val shared_store_lanes : ?replay:int -> t -> int array -> unit
     reference engine, the sanitizer, a copy-out warp that is not
     strictly ascending) invalidates the recording, and the class's other
     blocks then run live — same counters, nothing memoized. Each
-    invalidated recording is counted once, in the Obs counter
-    [sim.recordings_invalidated.per_lane]. Recording state is
-    domain-local, mirroring the parallel-execution shadows. *)
+    invalidated recording is counted once, in [recordings_dropped] and
+    in the Obs counter [sim.recordings_invalidated.per_lane]. Recording
+    state is domain-local, mirroring the parallel-execution shadows. *)
 
 val record_begin : t -> unit
 (** Start recording the current domain's events. *)

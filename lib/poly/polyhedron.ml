@@ -19,16 +19,16 @@ let sign n = compare n 0
 
 (* Fourier-Motzkin elimination of variable [j], preferring an equality
    pivot: an equality [e] with a nonzero coefficient at [j] lets every
-   other constraint be rewritten without the pair-combination blowup.
-   Returns the new constraint list and whether an equality pivot was
-   used (for exact Obs counter replay on cache hits). *)
-let eliminate_cs cs j =
+   other constraint be rewritten without the pair-combination blowup. *)
+let eliminate_keep t j =
   let open Constr in
+  Obs.incr "poly.fm_eliminations";
   let has_j c = coeff c j <> 0 in
-  match List.find_opt (fun c -> c.kind = Eq && has_j c) cs with
-  | Some e ->
-      let ej = coeff e j in
-      let cs' =
+  let cs =
+    match List.find_opt (fun c -> c.kind = Eq && has_j c) t.cs with
+    | Some e ->
+        Obs.incr "poly.fm_eq_pivots";
+        let ej = coeff e j in
         List.filter_map
           (fun c ->
             if c == e then None
@@ -37,59 +37,30 @@ let eliminate_cs cs j =
               let cj = coeff c j in
               let c' = combine (abs ej) c (-sign ej * cj) e in
               if is_trivial c' then None else Some (normalize c'))
-          cs
-      in
-      (cs', true)
-  | None ->
-      let pos, neg, zero =
-        List.fold_left
-          (fun (p, n, z) c ->
-            let cj = coeff c j in
-            if cj > 0 then (c :: p, n, z)
-            else if cj < 0 then (p, c :: n, z)
-            else (p, n, c :: z))
-          ([], [], []) cs
-      in
-      let combos =
-        List.concat_map
-          (fun p ->
-            List.filter_map
-              (fun n ->
-                let c' = combine (-coeff n j) p (coeff p j) n in
-                if is_trivial c' then None else Some (normalize c'))
-              neg)
-          pos
-      in
-      (List.rev_append combos zero, false)
-
-(* Projection cache. The same small systems (hexagon shapes, tile
-   polyhedra) are eliminated over and over during tile-size search and
-   bound queries; results live in a process-shared publish-once table
-   (lock-free, one elimination per distinct system across every domain)
-   keyed by the canonicalized (sorted, already-normalized) constraint
-   list plus the eliminated variable. Obs counters are replayed on hits
-   — [poly.fm_eliminations] counts requests and [poly.fm_eq_pivots] is
-   bumped from the cached pivot flag — so counter totals are
-   bit-identical on hits and misses, on every domain, at every --jobs
-   value. Hit/miss stats are process-wide atomics. *)
-module Oncemap = Hextile_par.Oncemap
-
-let fm_cache : (Constr.t list * int, Constr.t list * bool) Oncemap.t =
-  Oncemap.create ~bits:12 ~name:"poly.fm_projection" ()
-
-let fm_cache_stats () = Oncemap.stats fm_cache
-let fm_cache_clear () = Oncemap.clear fm_cache
-
-let eliminate_keep t j =
-  Obs.incr "poly.fm_eliminations";
-  let finish (cs, eq_pivot) =
-    if eq_pivot then Obs.incr "poly.fm_eq_pivots";
-    { t with cs }
+          t.cs
+    | None ->
+        let pos, neg, zero =
+          List.fold_left
+            (fun (p, n, z) c ->
+              let cj = coeff c j in
+              if cj > 0 then (c :: p, n, z)
+              else if cj < 0 then (p, c :: n, z)
+              else (p, n, c :: z))
+            ([], [], []) t.cs
+        in
+        let combos =
+          List.concat_map
+            (fun p ->
+              List.filter_map
+                (fun n ->
+                  let c' = combine (-coeff n j) p (coeff p j) n in
+                  if is_trivial c' then None else Some (normalize c'))
+                neg)
+            pos
+        in
+        List.rev_append combos zero
   in
-  let key = (List.sort compare t.cs, j) in
-  match Oncemap.find fm_cache key with
-  | Some r -> finish r
-  | None -> finish (Oncemap.publish fm_cache key (eliminate_cs t.cs j))
+  { t with cs }
 
 let project_prefix t k =
   let rec go t j = if j < k then t else go (eliminate_keep t j) (j - 1) in

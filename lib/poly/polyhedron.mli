@@ -25,24 +25,9 @@ val contains : t -> int array -> bool
 val eliminate_keep : t -> int -> t
 (** Fourier–Motzkin elimination of one variable. The dimension count is
     unchanged; the eliminated variable simply no longer occurs in any
-    constraint. Uses an equality pivot when one is available.
-
-    Results are memoized in a process-shared lock-free publish-once
-    table, keyed by the canonicalized (sorted) constraint list and the
-    eliminated variable, so repeated projections of the same system
-    (tile-size search, bound queries) are computed once across every
-    domain. A hit for a permuted-but-equal system returns the first
-    computation's result — semantically the same projection, though the
-    constraint order may differ from a cold computation's. Obs counters
-    ([poly.fm_eliminations], [poly.fm_eq_pivots]) are replayed on hits,
-    so counter totals are identical on hits and misses, on every domain,
-    at every jobs value. *)
-
-val fm_cache_stats : unit -> int * int
-(** Process-wide [(hits, misses)] of the shared cache. *)
-
-val fm_cache_clear : unit -> unit
-(** Drop the shared cache's entries and reset its stats. *)
+    constraint. Uses an equality pivot when one is available. Counts
+    [poly.fm_eliminations] and, for an equality pivot, [poly.fm_eq_pivots]
+    in Obs. *)
 
 val project_prefix : t -> int -> t
 (** [project_prefix p k] eliminates every variable with index [>= k]. *)

@@ -120,15 +120,6 @@ let compile_tape (s : Stencil.stmt) =
   Tape.make ~nsrcs ~nregs:(max !next 1) ~result
     ~instrs:(Array.of_list (List.rev !instrs))
 
-(* Cross-request tape cache. A statement's register tape and plan are a
-   pure function of the statement, so they are shared process-wide in a
-   publish-once table — a long-lived server compiles each distinct
-   statement once across every request instead of once per [make_ctx].
-   Tapes and plans are immutable (scratch buffers are per-domain), so
-   sharing is sound. *)
-let tape_cache : (Stencil.stmt, Tape.t * Tape.plan) Hextile_par.Oncemap.t =
-  Hextile_par.Oncemap.create ~bits:8 ~name:"schemes.tape" ()
-
 (* Compile a right-hand side into a closure of (tstep, point), reading
    each access through the closure [read] builds for it. *)
 let rec compile_eval read (e : Stencil.fexpr) : int -> int array -> float =
@@ -160,11 +151,7 @@ let compile_stmt grids addr cidx (s : Stencil.stmt) =
   let creads =
     Array.of_list (List.map (resolve_src grids addr) (Stencil.distinct_reads s))
   in
-  let tape, tplan =
-    Hextile_par.Oncemap.find_or_compute tape_cache s (fun () ->
-        let t = compile_tape s in
-        (t, Tape.plan t))
-  in
+  let tape = compile_tape s in
   {
     cidx;
     cflops = Stencil.flops s;
@@ -172,7 +159,7 @@ let compile_stmt grids addr cidx (s : Stencil.stmt) =
     cwrite;
     creads;
     tape;
-    tplan;
+    tplan = Tape.plan tape;
     tdatas = Array.map (fun r -> r.sgrid.data) creads;
   }
 
@@ -239,6 +226,8 @@ type result = {
   derive_ms : float;
   dram_ms : float;
   grids_ms : float;
+  fallback : Sim.fallback option;
+  recordings_dropped : int;
 }
 
 let finish ctx ~scheme =
@@ -263,6 +252,8 @@ let finish ctx ~scheme =
     derive_ms = 1000.0 *. ctx.sim.analytic_derive_s;
     dram_ms = 1000.0 *. ctx.sim.analytic_dram_s;
     grids_ms = 1000.0 *. ctx.sim.analytic_grids_s;
+    fallback = ctx.sim.fallback;
+    recordings_dropped = Atomic.get ctx.sim.recordings_dropped;
   }
 
 let total_time r = r.kernel_time +. r.transfer_time

@@ -106,6 +106,12 @@ type result = {
           (parallel); same caveats as [epilogue_ms] *)
   dram_ms : float;  (** …sequential batched DRAM line replay *)
   grids_ms : float;  (** …parallel grid blits *)
+  fallback : Sim.fallback option;
+      (** the launch regime fallback the run took ([None] when it ran the
+          regime it asked for); deterministic *)
+  recordings_dropped : int;
+      (** class recordings a per-lane event invalidated (their classes
+          ran live); deterministic at every jobs value *)
 }
 
 val finish : ctx -> scheme:string -> result

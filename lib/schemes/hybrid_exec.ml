@@ -177,19 +177,21 @@ let run ?pool ?engine ?(analytic = false) ?(name = "hybrid") ?config prog env de
      bit and population scaling is exact (see Gpusim.Analytic). The
      reference engine and the sanitizer need per-lane events, which no
      recording can hold. Each fallback from the requested regime is
-     counted under [sim.regime_fallback.<reason>]. *)
+     recorded on the simulator and counted under
+     [sim.regime_fallback.<reason>]. *)
   let stride0 = List.hd stride0s in
+  let fall_back reason regime =
+    ctx.sim.fallback <- Some reason;
+    Obs.incr ("sim.regime_fallback." ^ Sim.fallback_name reason);
+    regime
+  in
   let regime =
     if ctx.engine <> Common.Tape || Sanitize.enabled () then Exact
-    else if not (List.for_all (( = ) stride0) stride0s) then begin
-      Obs.incr "sim.regime_fallback.unequal_stride";
-      Exact
-    end
+    else if not (List.for_all (( = ) stride0) stride0s) then
+      fall_back Sim.Unequal_stride Exact
     else if not analytic then Memo
-    else if 4 * stride0 mod dev.Device.line_bytes <> 0 then begin
-      Obs.incr "sim.regime_fallback.unaligned_stride";
-      Memo
-    end
+    else if 4 * stride0 mod dev.Device.line_bytes <> 0 then
+      fall_back Sim.Unaligned_stride Memo
     else Analytic
   in
   (* Cross-launch class cache: classes recur across launches. Two blocks

@@ -86,7 +86,8 @@ val run :
     replay the representative's recorded stream ([blocks_memoized]).
     Either mode needs the [Tape] engine without the sanitizer, and
     otherwise runs every block live. A run that cannot take the mode it
-    asked for falls back and counts the reason in an Obs counter:
+    asked for falls back, records the reason as [Common.result.fallback]
+    and counts it in an Obs counter:
     [sim.regime_fallback.unequal_stride] when the arrays do not share
     one s0 stride (every block then runs live), and
     [sim.regime_fallback.unaligned_stride] when an analytic run's shared

@@ -28,9 +28,9 @@ type t = {
   comp_misses : int Atomic.t;
 }
 
-let create ?(hash_bits = 64) ?(bits = 10) () =
+let create ?(hash_bits = 64) () =
   {
-    entries = Oncemap.create ~bits ();
+    entries = Oncemap.create ~bits:10 ();
     hash_bits = max 1 (min 64 hash_bits);
     entry_hits = Atomic.make 0;
     entry_misses = Atomic.make 0;
@@ -81,9 +81,12 @@ let lookup t (p : Stencil.t) =
         in
         (* publish may hand back another domain's entry for this key —
            possibly for a different program — so re-verify the winner;
-           winning with our own fresh entry stays counted as the miss *)
-        let won = Oncemap.publish t.entries key fresh in
-        if won == fresh then Some won else verified won
+           winning with our own fresh entry stays counted as the miss.
+           A full probe window admits nothing: the caller computes
+           uncached. *)
+        match Oncemap.publish t.entries key fresh with
+        | None -> None
+        | Some won -> if won == fresh then Some won else verified won
   in
   (entry, renaming)
 
@@ -94,7 +97,8 @@ let cached map hits misses key compute =
       v
   | None ->
       Atomic.incr misses;
-      Oncemap.publish map key (compute ())
+      let v = compute () in
+      Option.value (Oncemap.publish map key v) ~default:v
 
 let tilesize t entry ~prog ~renaming ~env compute =
   match entry with

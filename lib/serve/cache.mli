@@ -18,9 +18,9 @@
     Correctness never depends on the cache: a structural-hash collision
     (hash hit, canonical forms differ under full-key verification) is
     counted and the request computed uncached; a full entry table
-    likewise degrades to uncached computation. The global per-process
-    caches (dependence analysis, FM projections, compiled tapes) sit
-    below this layer and need no management here.
+    likewise degrades to uncached computation. It is the only cache that
+    outlives a call: below it, dependence analysis, FM projections and
+    tape compilation compute directly.
 
     Thread safety: all tables are lock-free publish-once maps and all
     counters are atomics, so lookups may run concurrently from pool
@@ -33,11 +33,11 @@ type entry
 
 type t
 
-val create : ?hash_bits:int -> ?bits:int -> unit -> t
-(** [hash_bits] (default 64, clamped to [1,64]) truncates the structural
-    hash used to address the entry table — tests set it low to force
-    collisions deterministically. [bits] sizes the entry table
-    ([2^bits] slots, default 10). *)
+val create : ?hash_bits:int -> unit -> t
+(** A context with an empty entry table of [2^10] slots. [hash_bits]
+    (default 64, clamped to [1,64]) truncates the structural hash used
+    to address the entry table — tests set it low to force collisions
+    deterministically. *)
 
 val lookup : t -> Stencil.t -> (entry option * (string * string) list)
 (** The entry for this program (created on first sight), plus the

@@ -6,7 +6,6 @@ module Hybrid = Hextile_tiling.Hybrid
 module Device = Hextile_gpusim.Device
 module Common = Hextile_schemes.Common
 module Hybrid_exec = Hextile_schemes.Hybrid_exec
-module Oncemap = Hextile_par.Oncemap
 
 let grids_hash (prog : Stencil.t) grids =
   let h = ref Shash.fnv_init in
@@ -186,12 +185,6 @@ let execute ~cache (r : Proto.request) =
         [
           ("op", Json.Str "stats");
           ("cache", Cache.stats_json cache);
-          ( "oncemap",
-            Json.Obj
-              (List.map
-                 (fun (n, h, m) ->
-                   (n, Json.Obj [ ("hits", Json.Int h); ("misses", Json.Int m) ]))
-                 (Oncemap.stats_all ())) );
         ]
   | Proto.Run | Proto.Tilesize | Proto.Compile -> (
       let* prog = load_program r in

@@ -399,10 +399,7 @@ let rec seq_take n seq =
    counters, the running upper bound and the final fold are identical at
    every [--jobs] value. Within a wave, [Par.map] hands each domain a
    contiguous static shard of survivors (with stealing once a shard runs
-   dry), and every evaluation hits the process-shared dependence and FM
-   projection caches — candidates differing only in tile size share the
-   program analysis across domains instead of recomputing it per
-   domain. The wave size is part of the determinism contract: the upper
+   dry). The wave size is part of the determinism contract: the upper
    bound tightens between waves, so changing it changes which
    candidates are exactly evaluated (and the [exact_evals] report). *)
 let wave_size = 32

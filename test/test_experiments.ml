@@ -59,9 +59,10 @@ let test_figures_nonempty () =
       ("tilesize", E.tile_size_sweep_text);
     ]
 
-(* The stderr summary contract gained blocks_analytic and classes: both
-   always present (in order, after the original five keys), echoing the
-   result's fields — 0 outside analytic mode, the class tallies in it. *)
+(* The stderr summary contract: every key present in order, echoing the
+   result's fields — blocks_analytic and classes 0 outside analytic
+   mode, the class tallies in it; fallback names the regime fallback a
+   run took, none when it took none. *)
 let test_sim_summary_analytic_keys () =
   let parse line =
     match String.split_on_char ' ' line with
@@ -88,9 +89,13 @@ let test_sim_summary_analytic_keys () =
     [
       "wall_ms"; "blocks"; "blocks_memoized"; "engine"; "jobs";
       "blocks_analytic"; "classes"; "epilogue_ms"; "blit_rows";
-      "replay_lines";
+      "replay_lines"; "fallback"; "recordings_dropped";
     ]
     (List.map fst kvs);
+  Alcotest.(check (option string)) "exact run: fallback=none" (Some "none")
+    (List.assoc_opt "fallback" kvs);
+  Alcotest.(check (option string)) "exact run: recordings_dropped=0" (Some "0")
+    (List.assoc_opt "recordings_dropped" kvs);
   Alcotest.(check (option string)) "exact run: blocks_analytic=0" (Some "0")
     (List.assoc_opt "blocks_analytic" kvs);
   Alcotest.(check (option string)) "exact run: classes=0" (Some "0")
@@ -129,7 +134,18 @@ let test_sim_summary_analytic_keys () =
     (List.assoc_opt "replay_lines" kvs);
   Alcotest.(check bool)
     "analytic run replayed lines" true
-    (analytic.Hextile_schemes.Common.replay_lines > 0)
+    (analytic.Hextile_schemes.Common.replay_lines > 0);
+  Alcotest.(check (option string)) "analytic run: fallback=none" (Some "none")
+    (List.assoc_opt "fallback" kvs);
+  (* an analytic run whose shared stride is not line-aligned names the
+     fallback it took *)
+  let unaligned =
+    E.run_scheme ~analytic:true ~verify:false E.Hybrid Suite.heat2d
+      [ ("N", 48); ("T", 8) ] Device.gtx470
+  in
+  Alcotest.(check (option string)) "unaligned run: fallback named"
+    (Some "unaligned_stride")
+    (List.assoc_opt "fallback" (summary unaligned))
 
 (* Analytic mode only makes sense over the tape engine: the ref
    interpreter records no streams, so there is nothing to scale. The
@@ -204,23 +220,8 @@ let test_profile_document () =
     [ "frontend"; "deps"; "tiling"; "codegen"; "sim" ];
   Alcotest.(check (option string)) "legality" (Some "ok")
     (Option.bind (Json.member "legality" (get "tiling")) Json.to_str);
-  (* stage times are wall-clock, and the process-wide caches' oncemap.*
-     counters depend on what ran before in this process *)
-  let comparable kvs =
-    List.filter_map
-      (function
-        | "stages", _ -> None
-        | "trace", t ->
-            let cs = obj (Option.get (Json.member "counters" t)) in
-            Some
-              ( "trace",
-                Json.Obj
-                  (List.filter
-                     (fun (k, _) -> not (String.starts_with ~prefix:"oncemap." k))
-                     cs) )
-        | kv -> Some kv)
-      kvs
-  in
+  (* stage times are wall-clock *)
+  let comparable kvs = List.filter (fun (k, _) -> k <> "stages") kvs in
   Alcotest.(check string) "same document at jobs 1 and 2"
     (Json.to_string (Json.Obj (comparable (profile 1))))
     (Json.to_string (Json.Obj (comparable doc)))

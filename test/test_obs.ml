@@ -104,67 +104,6 @@ let test_trace_json_roundtrip () =
             (List.map fst kvs)
       | _ -> Alcotest.fail "trace is not an object")
 
-(* Named Oncemap caches publish their hit/miss stats into Obs as
-   counters, as deltas since the previous publication, and the counters
-   survive the JSON round trip like any other counter. *)
-let test_oncemap_stats_roundtrip () =
-  let module Oncemap = Hextile_par.Oncemap in
-  let m : (int, int) Oncemap.t =
-    Oncemap.create ~bits:4 ~name:"test.obs_roundtrip" ()
-  in
-  Alcotest.(check (option int)) "cold find misses" None (Oncemap.find m 1);
-  let _ = Oncemap.publish m 1 10 in
-  Alcotest.(check (option int)) "warm find hits" (Some 10) (Oncemap.find m 1);
-  Alcotest.(check (pair int int)) "table stats" (1, 1) (Oncemap.stats m);
-  Alcotest.(check bool) "registered in stats_all" true
-    (List.exists
-       (fun (n, h, ms) -> n = "test.obs_roundtrip" && h = 1 && ms = 1)
-       (Oncemap.stats_all ()));
-  Oncemap.publish_obs ();
-  let counter doc name = Option.bind (Json.member name doc) Json.to_int in
-  let counters () =
-    match Json.parse (Json.to_string (Obs.to_json ())) with
-    | Error e -> Alcotest.failf "trace did not parse: %s" e
-    | Ok doc -> Option.get (Json.member "counters" doc)
-  in
-  let c = counters () in
-  Alcotest.(check (option int)) "hits counter" (Some 1)
-    (counter c "oncemap.test.obs_roundtrip.hits");
-  Alcotest.(check (option int)) "misses counter" (Some 1)
-    (counter c "oncemap.test.obs_roundtrip.misses");
-  (* Publication is delta-based: a second publish with no activity adds
-     nothing; two more hits add exactly two. *)
-  Oncemap.publish_obs ();
-  Alcotest.(check (option int)) "no double count" (Some 1)
-    (counter (counters ()) "oncemap.test.obs_roundtrip.hits");
-  ignore (Oncemap.find m 1);
-  ignore (Oncemap.find m 1);
-  Oncemap.publish_obs ();
-  Alcotest.(check (option int)) "delta added" (Some 3)
-    (counter (counters ()) "oncemap.test.obs_roundtrip.hits")
-
-(* A table of two slots probed one at a time cannot hold four keys: the
-   publishes that find their slot taken hand the value back unpublished,
-   and each is counted as [oncemap.<name>.uncached]. *)
-let test_oncemap_uncached () =
-  let module Oncemap = Hextile_par.Oncemap in
-  let m : (int, int) Oncemap.t =
-    Oncemap.create ~bits:1 ~probe:1 ~name:"test.obs_uncached" ()
-  in
-  let keys = [ 1; 2; 3; 4 ] in
-  List.iter
-    (fun k ->
-      Alcotest.(check int) "publish returns the value" (10 * k)
-        (Oncemap.publish m k (10 * k)))
-    keys;
-  let dropped =
-    List.length (List.filter (fun k -> Oncemap.find m k = None) keys)
-  in
-  Alcotest.(check bool) "window overflowed" true (dropped > 0);
-  Oncemap.publish_obs ();
-  Alcotest.(check int) "uncached counter" dropped
-    (Obs.counter "oncemap.test.obs_uncached.uncached")
-
 let test_absorb_after_reset () =
   (* A fork detached before a reset must still absorb cleanly into the
      fresh registry: its counters are plain deltas, so the merged totals
@@ -274,10 +213,6 @@ let suite =
       (with_obs test_trace_json_roundtrip);
     Alcotest.test_case "tape-engine counters in profile JSON" `Quick
       (with_obs test_tape_engine_counters);
-    Alcotest.test_case "oncemap stats as Obs counters" `Quick
-      (with_obs test_oncemap_stats_roundtrip);
-    Alcotest.test_case "oncemap full window counted as uncached" `Quick
-      (with_obs test_oncemap_uncached);
     Alcotest.test_case "absorb after reset" `Quick (with_obs test_absorb_after_reset);
     Alcotest.test_case "absorb order determinism" `Quick
       (with_obs test_absorb_order_determinism);

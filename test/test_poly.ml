@@ -283,46 +283,6 @@ let test_count_vs_enumerate () =
         (Polyhedron.count p))
     fixtures
 
-let test_fm_cache () =
-  (* x + y = 3, 0 <= x <= 3: its elimination takes the equality pivot *)
-  let segment =
-    Polyhedron.make (Space.make [ "x"; "y" ])
-      [ Constr.eq [| 1; 1 |] (-3); Constr.ge [| 1; 0 |] 0; Constr.ge [| -1; 0 |] 3 ]
-  in
-  (* counter deltas of one elimination of each system *)
-  let eliminate_both () =
-    let before k = Obs.counter k in
-    let e0 = before "poly.fm_eliminations" and q0 = before "poly.fm_eq_pivots" in
-    let p = Polyhedron.eliminate_keep triangle 1 in
-    let s = Polyhedron.eliminate_keep segment 1 in
-    ( (p, s),
-      (Obs.counter "poly.fm_eliminations" - e0, Obs.counter "poly.fm_eq_pivots" - q0) )
-  in
-  let was_enabled = Obs.enabled () in
-  Obs.enable ();
-  Polyhedron.fm_cache_clear ();
-  let cold, cold_counts = eliminate_both () in
-  let h0, m0 = Polyhedron.fm_cache_stats () in
-  Alcotest.(check (pair int int)) "cold run misses" (0, 2) (h0, m0);
-  let warm, warm_counts = eliminate_both () in
-  let h1, m1 = Polyhedron.fm_cache_stats () in
-  if not was_enabled then Obs.disable ();
-  Alcotest.(check (pair int int)) "warm run hits" (2, 2) (h1, m1);
-  Alcotest.(check bool) "hit is structurally equal" true (cold = warm);
-  (* counters are replayed on hits: totals match the cold run's *)
-  Alcotest.(check (pair int int)) "cold counters" (2, 1) cold_counts;
-  Alcotest.(check (pair int int)) "warm counters = cold" cold_counts warm_counts;
-  (* projections through the cache still agree with point enumeration *)
-  Polyhedron.fm_cache_clear ();
-  let proj () =
-    let q = Polyhedron.eliminate_keep triangle 1 in
-    List.filter (fun x -> Polyhedron.contains q [| x; 0 |]) (Intutil.range (-2) 6)
-  in
-  let a = proj () in
-  let b = proj () in
-  Alcotest.(check (list int)) "cached projection onto x" [ 0; 1; 2; 3; 4 ] a;
-  Alcotest.(check (list int)) "hit equals miss" a b
-
 let suite =
   [
     Alcotest.test_case "contains" `Quick test_contains;
@@ -333,7 +293,6 @@ let suite =
     Alcotest.test_case "unbounded detection" `Quick test_unbounded;
     Alcotest.test_case "FM elimination" `Quick test_eliminate;
     Alcotest.test_case "count vs enumerate" `Quick test_count_vs_enumerate;
-    Alcotest.test_case "FM projection cache" `Quick test_fm_cache;
     Alcotest.test_case "equality pivot" `Quick test_equality_pivot;
     Alcotest.test_case "var_bounds" `Quick test_var_bounds;
     Alcotest.test_case "LP optimize" `Quick test_lp;

@@ -151,6 +151,48 @@ let test_cache_alpha_sharing () =
   Alcotest.(check int) "translated program searches afresh" 2
     s2.Cache.tilesize_misses
 
+(* More distinct programs than the entry table's 2^10 slots, through one
+   cache: once probe windows fill, lookups admit nothing and return
+   [None]; every admitted program still hits on a repeat, and a program
+   that was not admitted is answered exactly as a fresh cache answers
+   it. *)
+let test_cache_full_table () =
+  let cache = Cache.create () in
+  let sources =
+    List.init 1200 (fun k ->
+        Fmt.str
+          {|float A[2][N];
+for (t = 0; t < T; t++)
+  for (i = 1; i < N - 1; i++)
+    A[(t+1)%%2][i] = %d.0f * (A[t%%2][i-1] + A[t%%2][i+1]);
+|}
+          (k + 2))
+  in
+  let lookup src = fst (Cache.lookup cache (parse_ok "p" src)) in
+  let first = List.map (fun src -> (src, lookup src)) sources in
+  let admitted = List.filter_map (fun (s, e) -> Option.map (fun e -> (s, e)) e) first
+  and refused = List.filter_map (fun (s, e) -> if e = None then Some s else None) first in
+  Alcotest.(check bool) "some lookups return None" true (refused <> []);
+  Alcotest.(check bool) "most programs admitted" true (List.length admitted >= 900);
+  let hits0 = (Cache.stats cache).Cache.entry_hits in
+  List.iter
+    (fun (src, e) ->
+      match lookup src with
+      | Some e' when e' == e -> ()
+      | _ -> Alcotest.fail "an admitted program missed on repeat")
+    admitted;
+  Alcotest.(check int) "every repeat counted as a hit" (List.length admitted)
+    ((Cache.stats cache).Cache.entry_hits - hits0);
+  let run c src =
+    match Engine.execute ~cache:c (request ~source:src ~n:16 ~t:2 ()) with
+    | Ok payload -> payload_str payload
+    | Error m -> Alcotest.failf "execute: %s" m
+  in
+  let src = List.hd refused in
+  Alcotest.(check bool) "still refused" true (lookup src = None);
+  Alcotest.(check string) "refused program answered as on a fresh cache"
+    (run (Cache.create ()) src) (run cache src)
+
 (* ---- daemon over injected stdio ---------------------------------------- *)
 
 let drive ?now ?config ~cache ~jobs lines =
@@ -516,6 +558,8 @@ let suite =
       test_cache_collisions;
     Alcotest.test_case "cache: alpha-equivalent tilesize sharing" `Quick
       test_cache_alpha_sharing;
+    Alcotest.test_case "cache: full entry table degrades to uncached" `Quick
+      test_cache_full_table;
     Alcotest.test_case "daemon: protocol errors" `Quick test_daemon_protocol;
     Alcotest.test_case "daemon: wave dedupe and cache replay" `Quick
       test_daemon_dedupe_and_waves;

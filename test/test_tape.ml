@@ -173,11 +173,12 @@ for (t = 0; t < T; t++)
   | Error m -> Alcotest.failf "parse unequal_extents: %s" m
 
 (* the nonzero fallback counters (reason, count) and the memoized block
-   count of one run *)
+   count of one run; the result's own fallback fields must say the same *)
 let fallbacks run =
   Obs.reset ();
   Obs.enable ();
-  let r = Fun.protect ~finally:Obs.disable run in
+  let (r : Common.result) = Fun.protect ~finally:Obs.disable run in
+  let reasons = [ "per_lane"; "unaligned_stride"; "unequal_stride" ] in
   let counts =
     List.filter_map
       (fun why ->
@@ -187,10 +188,20 @@ let fallbacks run =
         with
         | 0 -> None
         | n -> Some (why, n))
-      [ "per_lane"; "unaligned_stride"; "unequal_stride" ]
+      reasons
   in
   Obs.reset ();
-  (counts, (r : Common.result).blocks_memoized)
+  let on_result =
+    List.filter_map
+      (fun why ->
+        let fell = Option.map Sim.fallback_name r.fallback = Some why in
+        match if why = "per_lane" then r.recordings_dropped else Bool.to_int fell with
+        | 0 -> None
+        | n -> Some (why, n))
+      reasons
+  in
+  Alcotest.(check (list (pair string int))) "result fields = Obs counters" counts on_result;
+  (counts, r.blocks_memoized)
 
 (* Which path each program takes: a tile-class recording that meets a
    per-lane warp event is dropped (its class's members then run live)

@@ -980,14 +980,6 @@ let test_tiles_coverage_match_dense () =
         ])
     [ (0, 1, 3); (1, 1, 2); (1, 2, 4); (2, 1, 5); (3, 2, 1) ]
 
-let test_dep_memo_shared () =
-  let a = Dep.analyze Suite.heat2d in
-  let b = Dep.analyze Suite.heat2d in
-  Alcotest.(check bool) "memoized analyze returns the shared list" true (a == b);
-  let u = Dep.analyze_uncached Suite.heat2d in
-  Alcotest.(check bool) "uncached result is fresh but equal" true
-    (u = a && not (u == a))
-
 let suite =
   [
     Alcotest.test_case "min_w0 (condition (1))" `Quick test_min_w0_paper_example;
@@ -1041,7 +1033,6 @@ let suite =
     Alcotest.test_case "skipped grid entries counted" `Quick test_skipped_counted;
     Alcotest.test_case "3D iteration formula = enumeration" `Quick
       test_formula_3d_matches_enumeration;
-    Alcotest.test_case "dependence analysis memoized" `Quick test_dep_memo_shared;
     Alcotest.test_case "tiles/coverage closed forms = dense" `Quick
       test_tiles_coverage_match_dense;
   ]

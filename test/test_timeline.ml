@@ -363,6 +363,10 @@ let test_sim_summary_format () =
         (List.assoc_opt "jobs" kvs);
       Alcotest.(check (option string)) "engine name" (Some "tape")
         (List.assoc_opt "engine" kvs);
+      Alcotest.(check (option string)) "no regime fallback" (Some "none")
+        (List.assoc_opt "fallback" kvs);
+      Alcotest.(check (option string)) "no dropped recording" (Some "0")
+        (List.assoc_opt "recordings_dropped" kvs);
       Alcotest.(check (option string))
         "blocks from the result"
         (Some (string_of_int r.Hextile_schemes.Common.blocks))
