@@ -1,7 +1,7 @@
 (* Stress tests for the shared-cache parallel runtime: the sharded
    [Par.map] scheduler (exactly-once claims, stealing under imbalance,
    nested degradation, exception capture under load), the [Oncemap]
-   publish-once table the shared memo caches are built on, and the
+   publish-once table the serve cache is built on, and the
    allocation budget of the simulator's L2-trace encode hot loop. *)
 
 open Hextile_gpusim
