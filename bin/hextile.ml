@@ -257,12 +257,7 @@ let run_cmd =
             (* the hybrid schedule is checked before anything is simulated:
                an illegal one would otherwise surface only as a grid
                mismatch, or not at all under --analytic *)
-            let legality =
-              if scheme <> Experiments.Hybrid then Ok ()
-              else
-                let _, _, tiling = tiling_of prog None None in
-                Hybrid.check_legality tiling (env_of ~n ~t)
-            in
+            let legality = Experiments.check_legality scheme prog env in
             match
               Result.map
                 (fun () ->

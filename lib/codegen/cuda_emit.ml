@@ -51,7 +51,7 @@ let guards (t : Hybrid.t) =
         let lhs = String.concat " + " parts in
         let lhs = if c.const = 0 then lhs else Printf.sprintf "%s + %d" lhs c.const in
         Some (Printf.sprintf "%s >= 0" lhs))
-    (Polyhedron.constraints t.hex.poly)
+    (Polyhedron.constraints (Hexagon.poly t.hex))
 
 let param_args (prog : Stencil.t) =
   String.concat ", " (List.map (fun p -> "int " ^ p) prog.params)

@@ -628,6 +628,22 @@ let hybrid_tiling ?h ?w prog =
   let h = Option.value ~default:config.h h and w = Option.value ~default:config.w w in
   (h, w, Hybrid.make prog ~h ~w)
 
+let check_legality ?tiling scheme prog env =
+  match scheme with
+  | Hybrid -> (
+      let tiling =
+        match tiling with
+        | Some t -> t
+        | None ->
+            let _, _, t = hybrid_tiling prog in
+            t
+      in
+      (* a broken phase partition is as illegal as a violated dependence *)
+      match Hybrid.check_legality tiling (env_fn env) with
+      | r -> r
+      | exception Invalid_argument m -> Error m)
+  | Ppcg | Par4all | Overtile | Patus -> Ok ()
+
 let launch_json (dev : Device.t) (l : Sim.launch) =
   Json.Obj
     ([

@@ -153,6 +153,20 @@ val hybrid_tiling :
 (** The hybrid tiling of a program, with [h] and [w] defaulting to
     {!Hybrid_exec.default_config}'s; returns the [h] and [w] used. *)
 
+val check_legality :
+  ?tiling:Hextile_tiling.Hybrid.t ->
+  scheme ->
+  Stencil.t ->
+  (string * int) list ->
+  (unit, string) result
+(** The check [hextile run] and serve's [run] op make before simulating.
+    For [Hybrid] it is {!Hextile_tiling.Hybrid.check_legality} of
+    [tiling] (default: {!hybrid_tiling} of the program, the schedule
+    {!Hybrid_exec.run} executes) at [env]; [Error] names the violated
+    dependence and its source instance, or the point a broken phase
+    partition claims twice or never. The other schemes carry no
+    schedule to check and return [Ok ()]. *)
+
 val profile :
   jobs:int ->
   source:string ->

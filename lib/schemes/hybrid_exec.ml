@@ -127,6 +127,9 @@ let run ?pool ?engine ?(analytic = false) ?(name = "hybrid") ?config prog env de
   let dims = t.dims in
   let h = config.h in
   let height = (2 * h) + 2 in
+  (* the hexagon's row table: row [a] is [row_lo.(a) .. row_hi.(a)] in
+     local b, empty when [row_lo.(a) > row_hi.(a)] *)
+  let row_lo = t.hex.row_lo and row_hi = t.hex.row_hi in
   let ubound = Hybrid.domain_u_bound t ctx.env in
   (* global domain bounds across statements *)
   let glo = Array.init dims (fun d -> Array.fold_left (fun m l -> min m l.(d)) max_int ctx.lo) in
@@ -251,53 +254,51 @@ let run ?pool ?engine ?(analytic = false) ?(name = "hybrid") ?config prog env de
   let iter_tile ~u0 ~s00 ~(cls : int array) ~on_step ~on_row =
     for a = 0 to height - 1 do
       let u = u0 + a in
-      if u >= 0 && u < ubound then begin
-        match Hexagon.row_range t.hex ~a with
-        | None -> ()
-        | Some (rb_lo, rb_hi) ->
-            let si = Hybrid.stmt_of_u t u in
-            let tstep = Hybrid.tstep_of_u t u in
-            let slo = ctx.lo.(si) and shi = ctx.hi.(si) in
-            let s0lo = max (s00 + rb_lo) slo.(0) and s0hi = min (s00 + rb_hi) shi.(0) in
-            if s0lo <= s0hi then begin
-              (* classical windows, clipped to the statement domain *)
-              let wins =
-                Array.init (dims - 1) (fun i ->
-                    let c = t.classical.(i) in
-                    let lo = Classical.si_of c ~u:a ~tile:cls.(i) ~intra:0 in
-                    let hi = Classical.si_of c ~u:a ~tile:cls.(i) ~intra:(t.w.(i + 1) - 1) in
-                    (max lo slo.(i + 1), min hi shi.(i + 1)))
-              in
-              if Array.for_all (fun (l, h2) -> l <= h2) wins then begin
-                on_step ();
-                if dims = 1 then begin
-                  let point = [| s0lo |] in
-                  let xs = Array.init (s0hi - s0lo + 1) (fun i -> s0lo + i) in
-                  on_row ~si ~tstep ~point ~xs
-                end
-                else begin
-                  (* prefix dims: s0 and windows 1..dims-2; x = last dim *)
-                  let xlo, xhi = wins.(dims - 2) in
-                  let xs = Array.init (xhi - xlo + 1) (fun i -> xlo + i) in
-                  let point = Array.make dims 0 in
-                  let rec go d =
-                    if d = dims - 1 then on_row ~si ~tstep ~point ~xs
-                    else if d = 0 then
-                      for s0 = s0lo to s0hi do
-                        point.(0) <- s0;
-                        go 1
-                      done
-                    else
-                      let l, h2 = wins.(d - 1) in
-                      for v = l to h2 do
-                        point.(d) <- v;
-                        go (d + 1)
-                      done
-                  in
-                  go 0
-                end
-              end
+      let rb_lo = row_lo.(a) and rb_hi = row_hi.(a) in
+      if u >= 0 && u < ubound && rb_lo <= rb_hi then begin
+        let si = Hybrid.stmt_of_u t u in
+        let tstep = Hybrid.tstep_of_u t u in
+        let slo = ctx.lo.(si) and shi = ctx.hi.(si) in
+        let s0lo = max (s00 + rb_lo) slo.(0) and s0hi = min (s00 + rb_hi) shi.(0) in
+        if s0lo <= s0hi then begin
+          (* classical windows, clipped to the statement domain *)
+          let wins =
+            Array.init (dims - 1) (fun i ->
+                let c = t.classical.(i) in
+                let lo = Classical.si_of c ~u:a ~tile:cls.(i) ~intra:0 in
+                let hi = Classical.si_of c ~u:a ~tile:cls.(i) ~intra:(t.w.(i + 1) - 1) in
+                (max lo slo.(i + 1), min hi shi.(i + 1)))
+          in
+          if Array.for_all (fun (l, h2) -> l <= h2) wins then begin
+            on_step ();
+            if dims = 1 then begin
+              let point = [| s0lo |] in
+              let xs = Array.init (s0hi - s0lo + 1) (fun i -> s0lo + i) in
+              on_row ~si ~tstep ~point ~xs
             end
+            else begin
+              (* prefix dims: s0 and windows 1..dims-2; x = last dim *)
+              let xlo, xhi = wins.(dims - 2) in
+              let xs = Array.init (xhi - xlo + 1) (fun i -> xlo + i) in
+              let point = Array.make dims 0 in
+              let rec go d =
+                if d = dims - 1 then on_row ~si ~tstep ~point ~xs
+                else if d = 0 then
+                  for s0 = s0lo to s0hi do
+                    point.(0) <- s0;
+                    go 1
+                  done
+                else
+                  let l, h2 = wins.(d - 1) in
+                  for v = l to h2 do
+                    point.(d) <- v;
+                    go (d + 1)
+                  done
+              in
+              go 0
+            end
+          end
+        end
       end
     done
   in
@@ -459,14 +460,12 @@ let run ?pool ?engine ?(analytic = false) ?(name = "hybrid") ?config prog env de
     key.(0) <- u0;
     for a = 0 to height - 1 do
       let u = u0 + a in
-      if u >= 0 && u < ubound then
-        match Hexagon.row_range t.hex ~a with
-        | None -> ()
-        | Some (rb_lo, rb_hi) ->
-            let si = Hybrid.stmt_of_u t u in
-            let slo = ctx.lo.(si) and shi = ctx.hi.(si) in
-            key.(1 + (2 * a)) <- max 0 (slo.(0) - (s00 + rb_lo));
-            key.(2 + (2 * a)) <- max 0 (s00 + rb_hi - shi.(0))
+      if u >= 0 && u < ubound && row_lo.(a) <= row_hi.(a) then begin
+        let si = Hybrid.stmt_of_u t u in
+        let slo = ctx.lo.(si) and shi = ctx.hi.(si) in
+        key.(1 + (2 * a)) <- max 0 (slo.(0) - (s00 + row_lo.(a)));
+        key.(2 + (2 * a)) <- max 0 (s00 + row_hi.(a) - shi.(0))
+      end
     done;
     key
   in
@@ -497,25 +496,22 @@ let run ?pool ?engine ?(analytic = false) ?(name = "hybrid") ?config prog env de
         let u = cu0 + a in
         let si = Hybrid.stmt_of_u t u in
         let slo = ctx.lo.(si) and shi = ctx.hi.(si) in
-        match Hexagon.row_range t.hex ~a with
-        | None -> ()
-        | Some (rb_lo, rb_hi) ->
-            let len =
-              rb_hi - rb_lo + 1 - key.(1 + (2 * a)) - key.(2 + (2 * a))
-            in
-            if len > 0 then begin
-              let inner = ref 1 and steps = ref 1 in
-              for i = 0 to dims - 2 do
-                inner :=
-                  !inner * Tile_model.coverage ~lo:slo.(i + 1) ~hi:shi.(i + 1);
-                steps :=
-                  !steps
-                  * Tile_model.tiles_nonempty t.classical.(i) ~u:a
-                      ~lo:slo.(i + 1) ~hi:shi.(i + 1)
-              done;
-              exp_points := !exp_points + (len * !inner);
-              exp_steps := !exp_steps + !steps
-            end
+        let len =
+          row_hi.(a) - row_lo.(a) + 1 - key.(1 + (2 * a)) - key.(2 + (2 * a))
+        in
+        if len > 0 then begin
+          let inner = ref 1 and steps = ref 1 in
+          for i = 0 to dims - 2 do
+            inner :=
+              !inner * Tile_model.coverage ~lo:slo.(i + 1) ~hi:shi.(i + 1);
+            steps :=
+              !steps
+              * Tile_model.tiles_nonempty t.classical.(i) ~u:a
+                  ~lo:slo.(i + 1) ~hi:shi.(i + 1)
+          done;
+          exp_points := !exp_points + (len * !inner);
+          exp_steps := !exp_steps + !steps
+        end
       end
     done;
     let exp_syncs = (if strat.use_shared then !tuples else 0) + !exp_steps in

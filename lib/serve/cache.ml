@@ -19,6 +19,7 @@ type t = {
   hash_bits : int;
   entry_hits : int Atomic.t;
   entry_misses : int Atomic.t;
+  entry_refused : int Atomic.t;
   collisions : int Atomic.t;
   ts_hits : int Atomic.t;
   ts_misses : int Atomic.t;
@@ -34,6 +35,7 @@ let create ?(hash_bits = 64) () =
     hash_bits = max 1 (min 64 hash_bits);
     entry_hits = Atomic.make 0;
     entry_misses = Atomic.make 0;
+    entry_refused = Atomic.make 0;
     collisions = Atomic.make 0;
     ts_hits = Atomic.make 0;
     ts_misses = Atomic.make 0;
@@ -83,9 +85,11 @@ let lookup t (p : Stencil.t) =
            possibly for a different program — so re-verify the winner;
            winning with our own fresh entry stays counted as the miss.
            A full probe window admits nothing: the caller computes
-           uncached. *)
+           uncached, counted as refused as well as missed. *)
         match Oncemap.publish t.entries key fresh with
-        | None -> None
+        | None ->
+            Atomic.incr t.entry_refused;
+            None
         | Some won -> if won == fresh then Some won else verified won
   in
   (entry, renaming)
@@ -120,6 +124,7 @@ let compile t entry ~key compute =
 type stats = {
   entry_hits : int;
   entry_misses : int;
+  entry_refused : int;
   collisions : int;
   tilesize_hits : int;
   tilesize_misses : int;
@@ -133,6 +138,7 @@ let stats (c : t) : stats =
   {
     entry_hits = Atomic.get c.entry_hits;
     entry_misses = Atomic.get c.entry_misses;
+    entry_refused = Atomic.get c.entry_refused;
     collisions = Atomic.get c.collisions;
     tilesize_hits = Atomic.get c.ts_hits;
     tilesize_misses = Atomic.get c.ts_misses;
@@ -148,6 +154,7 @@ let stats_json t =
     [
       ("entry_hits", Json.Int s.entry_hits);
       ("entry_misses", Json.Int s.entry_misses);
+      ("entry_refused", Json.Int s.entry_refused);
       ("collisions", Json.Int s.collisions);
       ("tilesize_hits", Json.Int s.tilesize_hits);
       ("tilesize_misses", Json.Int s.tilesize_misses);

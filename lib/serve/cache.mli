@@ -18,7 +18,8 @@
     Correctness never depends on the cache: a structural-hash collision
     (hash hit, canonical forms differ under full-key verification) is
     counted and the request computed uncached; a full entry table
-    likewise degrades to uncached computation. It is the only cache that
+    likewise degrades to uncached computation, counted as
+    [entry_refused]. It is the only cache that
     outlives a call: below it, dependence analysis, FM projections and
     tape compilation compute directly.
 
@@ -75,6 +76,10 @@ val compile :
 type stats = {
   entry_hits : int;
   entry_misses : int;
+  entry_refused : int;
+      (** misses the full entry table could not admit: each such
+          program's requests run uncached (also counted in
+          [entry_misses]) *)
   collisions : int;  (** truncated-hash hits whose canonical forms differ *)
   tilesize_hits : int;
   tilesize_misses : int;

@@ -67,6 +67,14 @@ let ( let* ) = Result.bind
 
 let run_payload (r : Proto.request) prog env dev scheme engine =
   let verify = not r.analytic in
+  (* the hybrid schedule is checked before anything is simulated, as
+     [hextile run] does: an illegal one fails the request naming the
+     dependence *)
+  let* () =
+    Result.map_error
+      (fun m -> "legality check FAILED: " ^ m)
+      (Experiments.check_legality scheme prog env)
+  in
   match
     Experiments.run_scheme ~engine ~analytic:r.analytic ~verify scheme prog env
       dev

@@ -68,7 +68,7 @@ let tile_poly t ~phase ~tt ~s_tile =
       (fun (c : Constr.t) ->
         let ca = Constr.coeff c 0 and cb = Constr.coeff c 1 in
         { c with const = c.const - (ca * u0) - (cb * s00) })
-      (Polyhedron.constraints t.hex.poly)
+      (Polyhedron.constraints (Hexagon.poly t.hex))
   in
   Polyhedron.make (Space.make [ "u"; "s0" ]) cs
 

@@ -11,7 +11,8 @@ type t = {
   fl1 : int;
   width : int;
   height : int;
-  poly : Polyhedron.t;
+  row_lo : int array;
+  row_hi : int array;
 }
 
 let frac_part r = Rat.frac r
@@ -56,37 +57,45 @@ let make ~h ~w0 (cone : Cone.t) =
   let fl1 = Rat.floor (Rat.mul_int cone.delta1 h) in
   let width = (2 * w0) + 2 + fl0 + fl1 in
   let height = (2 * h) + 2 in
-  let space = Space.make [ "a"; "b" ] in
-  let poly = Polyhedron.make space (shape_constraints ~h ~w0 ~fl0 ~fl1 cone) in
-  (* Verify the shape is bounded and non-empty with exact rational LP
-     (the convexity condition (1) should guarantee it; a degenerate
-     result here means an inconsistent cone). *)
-  (match (Lp.minimize poly ~obj:[| 0; 1 |] (), Lp.maximize poly ~obj:[| 0; 1 |] ()) with
-  | Lp.Opt _, Lp.Opt _ -> ()
-  | _ ->
-      invalid_arg
-        (Fmt.str "Hexagon.make: degenerate tile shape (h=%d, w0=%d)" h w0));
+  (* each row's [b] interval: the constraints solved for [b], (6) and
+     (10) bounding it below, (8) and (12) above *)
+  let p0 = Rat.num cone.delta0 and q0 = Rat.den cone.delta0 in
+  let p1 = Rat.num cone.delta1 and q1 = Rat.den cone.delta1 in
+  let row_lo =
+    Array.init height (fun a ->
+        max
+          (Intutil.cdiv ((p0 * a) - (((2 * h) + 1) * p0) + (q0 * fl0)) q0)
+          (Intutil.cdiv ((h * p1) - q1 + 1 - (p1 * a)) q1))
+  and row_hi =
+    Array.init height (fun a ->
+        min
+          (Intutil.fdiv ((((2 * h) + 1) * p1) + (q1 * (fl0 + w0)) - (p1 * a)) q1)
+          (Intutil.fdiv ((p0 * a) - (h * p0) + (q0 * (fl0 + w0 + fl1)) + q0 - 1) q0))
+  in
+  (* bounded by construction; empty only for an inconsistent cone *)
+  if not (Array.exists2 ( <= ) row_lo row_hi) then
+    invalid_arg
+      (Fmt.str "Hexagon.make: degenerate tile shape (h=%d, w0=%d)" h w0);
   Obs.incr "tiling.hexagons_built";
-  { h; w0; cone; fl0; fl1; width; height; poly }
+  { h; w0; cone; fl0; fl1; width; height; row_lo; row_hi }
 
-let contains t ~a ~b = Polyhedron.contains t.poly [| a; b |]
+let poly t =
+  Polyhedron.make (Space.make [ "a"; "b" ])
+    (shape_constraints ~h:t.h ~w0:t.w0 ~fl0:t.fl0 ~fl1:t.fl1 t.cone)
+
+let contains t ~a ~b =
+  a >= 0 && a < t.height && t.row_lo.(a) <= b && b <= t.row_hi.(a)
 
 let points t =
-  List.map (fun p -> (p.(0), p.(1))) (Polyhedron.enumerate t.poly)
+  List.map (fun p -> (p.(0), p.(1))) (Polyhedron.enumerate (poly t))
 
-let count t = Polyhedron.count t.poly
+let count t = Polyhedron.count (poly t)
 
 let expected_count t = (t.h + 1) * t.width
 
 let row_range t ~a =
-  let lo = ref None and hi = ref None in
-  for b = -1 to t.width + t.fl0 + t.fl1 + 1 do
-    if contains t ~a ~b then begin
-      if !lo = None then lo := Some b;
-      hi := Some b
-    end
-  done;
-  match (!lo, !hi) with Some l, Some h -> Some (l, h) | _ -> None
+  if a < 0 || a >= t.height || t.row_lo.(a) > t.row_hi.(a) then None
+  else Some (t.row_lo.(a), t.row_hi.(a))
 
 let render t =
   let buf = Buffer.create 256 in

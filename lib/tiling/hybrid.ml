@@ -137,16 +137,9 @@ let first_violation t env =
   let hs = t.hs in
   let height = hs.hex.height and width = hs.hex.width and drift = hs.drift in
   let period = height / t.k in
-  (* each hexagon row's [lo, hi] in local b, the membership test of the
-     scan below (rows are intervals: the hexagon is convex) *)
-  let row_lo = Array.make height 0 and row_hi = Array.make height (-1) in
-  for a = 0 to height - 1 do
-    Option.iter
-      (fun (lo, hi) ->
-        row_lo.(a) <- lo;
-        row_hi.(a) <- hi)
-      (Hexagon.row_range hs.hex ~a)
-  done;
+  (* the membership test of the scan below is the hexagon's row table:
+     row [a] is [row_lo.(a) .. row_hi.(a)] in local b *)
+  let row_lo = hs.hex.row_lo and row_hi = hs.hex.row_hi in
   let ush0 = Hex_schedule.u_shift hs ~phase:0 and ssh0 = Hex_schedule.s_shift hs ~phase:0 in
   let ush1 = Hex_schedule.u_shift hs ~phase:1 and ssh1 = Hex_schedule.s_shift hs ~phase:1 in
   (* [(T, phase, S0, a)] of a point into [r] if it lies in [phase]'s

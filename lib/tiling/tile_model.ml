@@ -22,35 +22,13 @@ let volume b =
   in
   go 0 1
 
-let inter a b =
-  {
-    lo = Array.mapi (fun i x -> max x b.lo.(i)) a.lo;
-    hi = Array.mapi (fun i x -> min x b.hi.(i)) a.hi;
-  }
-
-let hull a b =
-  {
-    lo = Array.mapi (fun i x -> min x b.lo.(i)) a.lo;
-    hi = Array.mapi (fun i x -> max x b.hi.(i)) a.hi;
-  }
-
-(* |r \ p| and |r \ (p ∪ w)| by inclusion–exclusion over boxes. *)
-let diff1 r p = match p with None -> volume r | Some p -> volume r - volume (inter r p)
-
-let diff2 r p w =
-  match (p, w) with
-  | None, None -> volume r
-  | Some p, None -> volume r - volume (inter r p)
-  | None, Some w -> volume r - volume (inter r w)
-  | Some p, Some w ->
-      volume r - volume (inter r p) - volume (inter r w)
-      + volume (inter (inter r p) w)
-
 type ainfo = {
   acc : Stencil.access;
   arr : int;  (** index into [array_names] *)
   fold : int;  (** storage slots of the array; 1 when not folded *)
   id : int;  (** unique access-occurrence id *)
+  aslot : int;  (** dense index of (this access, slot 0) *)
+  gslot : int;  (** dense index of (its array, slot 0) *)
 }
 
 type sinfo = { reads : ainfo array; write : ainfo }
@@ -65,6 +43,9 @@ type ctx = {
   stmts : sinfo array;
   narrays : int;
   array_names : string array;
+  naslots : int;  (** number of (access, slot) pairs *)
+  gbase : int array;
+      (** array [i]'s (array, slot) pairs are [gbase.(i) .. gbase.(i+1) - 1] *)
 }
 
 let ctx ?deps (prog : Stencil.t) =
@@ -88,17 +69,19 @@ let ctx ?deps (prog : Stencil.t) =
     in
     go 0
   in
-  let next_id = ref 0 in
+  let fold_of name =
+    match (Stencil.array_decl prog name).fold with Some m -> m | None -> 1
+  in
+  (* (array, slot) pairs, array-major; (access, slot) pairs, id-major *)
+  let gbase = Array.make (Array.length array_names + 1) 0 in
+  Array.iteri (fun i n -> gbase.(i + 1) <- gbase.(i) + fold_of n) array_names;
+  let next_id = ref 0 and next_aslot = ref 0 in
   let mk (acc : Stencil.access) =
-    let decl = Stencil.array_decl prog acc.array in
-    let id = !next_id in
+    let arr = arr_index acc.array and fold = fold_of acc.array in
+    let id = !next_id and aslot = !next_aslot in
     incr next_id;
-    {
-      acc;
-      arr = arr_index acc.array;
-      fold = (match decl.fold with Some m -> m | None -> 1);
-      id;
-    }
+    next_aslot := aslot + fold;
+    { acc; arr; fold; id; aslot; gslot = gbase.(arr) }
   in
   let stmts =
     Array.of_list
@@ -120,6 +103,8 @@ let ctx ?deps (prog : Stencil.t) =
     stmts;
     narrays = Array.length array_names;
     array_names;
+    naslots = !next_aslot;
+    gbase;
   }
 
 type row = {
@@ -145,21 +130,21 @@ let hslice_of_hex (cx : ctx) (hex : Hexagon.t) =
   let hs = Hex_schedule.make hex in
   let u0, s00 = Hex_schedule.tile_origin hs ~phase:1 ~tt:7 ~s_tile:7 in
   let rows = ref [] in
-  for a = 0 to (2 * hex.h) + 1 do
-    match Hexagon.row_range hex ~a with
-    | None -> ()
-    | Some (blo, bhi) ->
-        let u = u0 + a in
-        rows :=
-          {
-            a;
-            blo;
-            bhi;
-            sidx = Intutil.fmod u cx.k;
-            tstep = Intutil.fdiv u cx.k;
-            fl = Array.map (fun d -> Rat.floor (Rat.mul_int d a)) cx.delta1;
-          }
-          :: !rows
+  for a = 0 to hex.height - 1 do
+    let blo = hex.row_lo.(a) and bhi = hex.row_hi.(a) in
+    if blo <= bhi then begin
+      let u = u0 + a in
+      rows :=
+        {
+          a;
+          blo;
+          bhi;
+          sidx = Intutil.fmod u cx.k;
+          tstep = Intutil.fdiv u cx.k;
+          fl = Array.map (fun d -> Rat.floor (Rat.mul_int d a)) cx.delta1;
+        }
+        :: !rows
+    end
   done;
   { cx; h = hex.h; w0 = hex.w0; hex; u0; s00; rows = Array.of_list (List.rev !rows) }
 
@@ -167,21 +152,68 @@ let hslice cx ~h ~w0 = hslice_of_hex cx (Hexagon.make ~h ~w0 cx.cone)
 
 let slot_of row (ai : ainfo) = Intutil.fmod (row.tstep + ai.acc.time_off) ai.fold
 
-(* The (absolute) spatial box an access touches over one hexagon row:
-   dimension 0 sweeps the row's [b] range, inner dimension [d] sweeps
-   the classical intra-tile window [7·w_d - ⌊δ1_d·a⌋ .. +w_d-1], both
-   shifted by the access offset. *)
-let access_box hs ~w row (ai : ainfo) =
-  let dims = hs.cx.dims in
-  let lo = Array.make dims 0 and hi = Array.make dims 0 in
-  lo.(0) <- hs.s00 + row.blo + ai.acc.offsets.(0);
-  hi.(0) <- hs.s00 + row.bhi + ai.acc.offsets.(0);
-  for d = 1 to dims - 1 do
-    let base = (7 * w.(d)) - row.fl.(d - 1) + ai.acc.offsets.(d) in
-    lo.(d) <- base;
-    hi.(d) <- base + w.(d) - 1
-  done;
-  { lo; hi }
+(* Boxes live in flat [int] arrays, box [i] of a table at
+   [i·dims .. i·dims + dims - 1] of its [lo] and [hi] arrays. A box never
+   written is empty as [lo = max_int], [hi = min_int]: it meets nothing,
+   and hulling a box into it yields that box. *)
+
+(* The (absolute) spatial box access [ai] touches over one hexagon row
+   of the generic tile, written at offset [o]: dimension 0 sweeps the
+   row's [b] range, inner dimension [d] sweeps the classical intra-tile
+   window [7·w_d - ⌊δ1_d·a⌋ .. +w_d-1], both shifted by the access
+   offset. *)
+let access_box hs ~w row ai lo hi o =
+  let off = ai.acc.offsets in
+  lo.(o) <- hs.s00 + row.blo + off.(0);
+  hi.(o) <- hs.s00 + row.bhi + off.(0);
+  for d = 1 to hs.cx.dims - 1 do
+    let base = (7 * w.(d)) - row.fl.(d - 1) + off.(d) in
+    lo.(o + d) <- base;
+    hi.(o + d) <- base + w.(d) - 1
+  done
+
+(* box at [o] of [dlo]/[dhi] := its hull with the box at 0 of [lo]/[hi] *)
+let hull_into ~dims dlo dhi o lo hi =
+  for d = 0 to dims - 1 do
+    if lo.(d) < dlo.(o + d) then dlo.(o + d) <- lo.(d);
+    if hi.(d) > dhi.(o + d) then dhi.(o + d) <- hi.(d)
+  done
+
+let blit_box ~dims lo hi dlo dhi o =
+  Array.blit lo 0 dlo o dims;
+  Array.blit hi 0 dhi o dims
+
+(* |r|, |r ∩ p| and |r ∩ p ∩ q|, each box at the given offset of its
+   table; [r] of the last two at 0 *)
+let vol1 ~dims rlo rhi ro =
+  let rec go d acc =
+    if d = dims then acc
+    else
+      let l = rlo.(ro + d) and h = rhi.(ro + d) in
+      if h < l then 0 else go (d + 1) (acc * (h - l + 1))
+  in
+  go 0 1
+
+let vol2 ~dims rlo rhi plo phi po =
+  let rec go d acc =
+    if d = dims then acc
+    else
+      let l = max rlo.(d) plo.(po + d) and h = min rhi.(d) phi.(po + d) in
+      if h < l then 0 else go (d + 1) (acc * (h - l + 1))
+  in
+  go 0 1
+
+let vol3 ~dims rlo rhi plo phi po qlo qhi qo =
+  let rec go d acc =
+    if d = dims then acc
+    else
+      let l = max (max rlo.(d) plo.(po + d)) qlo.(qo + d)
+      and h = min (min rhi.(d) phi.(po + d)) qhi.(qo + d) in
+      if h < l then 0 else go (d + 1) (acc * (h - l + 1))
+  in
+  go 0 1
+
+let empty_boxes ~dims n = (Array.make (n * dims) max_int, Array.make (n * dims) min_int)
 
 type footprint = {
   floats : int;
@@ -191,15 +223,14 @@ type footprint = {
 
 let footprint hs ~w =
   let cx = hs.cx in
-  let boxes = Array.make cx.narrays None in
-  let slotsets = Array.make cx.narrays [] in
+  let dims = cx.dims in
+  let blo, bhi = empty_boxes ~dims cx.narrays in
+  let live = Array.make cx.gbase.(cx.narrays) false in
+  let rlo = Array.make dims 0 and rhi = Array.make dims 0 in
   let touch row ai =
-    let b = access_box hs ~w row ai in
-    (boxes.(ai.arr) <-
-       (match boxes.(ai.arr) with None -> Some b | Some cur -> Some (hull cur b)));
-    let s = slot_of row ai in
-    if not (List.mem s slotsets.(ai.arr)) then
-      slotsets.(ai.arr) <- s :: slotsets.(ai.arr)
+    access_box hs ~w row ai rlo rhi 0;
+    hull_into ~dims blo bhi (ai.arr * dims) rlo rhi;
+    live.(ai.gslot + slot_of row ai) <- true
   in
   Array.iter
     (fun row ->
@@ -207,19 +238,26 @@ let footprint hs ~w =
       Array.iter (touch row) si.reads;
       touch row si.write)
     hs.rows;
+  let boxes =
+    Array.init cx.narrays (fun i ->
+        let o = i * dims in
+        if blo.(o) = max_int then None
+        else Some { lo = Array.sub blo o dims; hi = Array.sub bhi o dims })
+  in
+  let slots =
+    Array.init cx.narrays (fun i ->
+        let g = cx.gbase.(i) in
+        Array.of_list
+          (List.filter (fun s -> live.(g + s)) (List.init (cx.gbase.(i + 1) - g) Fun.id)))
+  in
   let floats = ref 0 in
   Array.iteri
     (fun i ob ->
       match ob with
       | None -> ()
-      | Some b ->
-          floats := !floats + (volume b * max 1 (List.length slotsets.(i))))
+      | Some b -> floats := !floats + (volume b * max 1 (Array.length slots.(i))))
     boxes;
-  {
-    floats = !floats;
-    boxes;
-    slots = Array.map (fun l -> Array.of_list (List.sort compare l)) slotsets;
-  }
+  { floats = !floats; boxes; slots }
 
 type estimate = {
   iterations : int;
@@ -240,74 +278,74 @@ type estimate = {
    max over its read accesses (distinct accesses may read the same
    cells). The upper bound per (array, slot) is the smaller of the hull
    of all its read boxes and the sum of the per-access exact union
-   sizes. *)
+   sizes. All tables are dense: [prev], [lb] and [ub] by (access,
+   slot), the read and write hulls by (array, slot). *)
 let estimate hs ~w =
   let cx = hs.cx in
+  let dims = cx.dims in
   let fp = footprint hs ~w in
   let rowsum = Array.fold_left (fun acc r -> acc + (r.bhi - r.blo + 1)) 0 hs.rows in
   let inner = ref 1 in
-  for d = 1 to cx.dims - 1 do
+  for d = 1 to dims - 1 do
     inner := !inner * w.(d)
   done;
   let iterations = rowsum * !inner in
-  let prev : (int * int, box) Hashtbl.t = Hashtbl.create 32 in
-  let lb : (int * int, int) Hashtbl.t = Hashtbl.create 32 in
-  let ub : (int * int, int) Hashtbl.t = Hashtbl.create 32 in
-  let whull : (int * int, box) Hashtbl.t = Hashtbl.create 8 in
-  let rhull : (int * int, box) Hashtbl.t = Hashtbl.create 8 in
-  let groups : (int * int, int list) Hashtbl.t = Hashtbl.create 8 in
-  let bump tbl key v =
-    Hashtbl.replace tbl key (v + Option.value ~default:0 (Hashtbl.find_opt tbl key))
-  in
-  let pending = ref [] in
+  let ngslots = cx.gbase.(cx.narrays) in
+  let plo, phi = empty_boxes ~dims cx.naslots in
+  let lb = Array.make cx.naslots 0 and ub = Array.make cx.naslots 0 in
+  let wlo, whi = empty_boxes ~dims ngslots in
+  let rhlo, rhhi = empty_boxes ~dims ngslots in
+  let rlo = Array.make dims 0 and rhi = Array.make dims 0 in
+  (* the previous row's write, flushed into [wlo]/[whi] at the row
+     boundary; [pending_g < 0] when there is none *)
+  let pending_g = ref (-1) in
+  let pend_lo = Array.make dims 0 and pend_hi = Array.make dims 0 in
   Array.iter
     (fun row ->
-      (* writes of earlier rows flush at the row boundary *)
-      List.iter
-        (fun (gkey, b) ->
-          Hashtbl.replace whull gkey
-            (match Hashtbl.find_opt whull gkey with
-            | None -> b
-            | Some cur -> hull cur b))
-        !pending;
-      pending := [];
+      if !pending_g >= 0 then hull_into ~dims wlo whi (!pending_g * dims) pend_lo pend_hi;
       let si = cx.stmts.(row.sidx) in
       Array.iter
         (fun ai ->
-          let r = access_box hs ~w row ai in
+          access_box hs ~w row ai rlo rhi 0;
           let s = slot_of row ai in
-          let akey = (ai.id, s) and gkey = (ai.arr, s) in
-          let p = Hashtbl.find_opt prev akey in
-          bump lb akey (diff2 r p (Hashtbl.find_opt whull gkey));
-          bump ub akey (diff1 r p);
-          Hashtbl.replace prev akey r;
-          Hashtbl.replace rhull gkey
-            (match Hashtbl.find_opt rhull gkey with
-            | None -> r
-            | Some cur -> hull cur r);
-          let ids = Option.value ~default:[] (Hashtbl.find_opt groups gkey) in
-          if not (List.mem ai.id ids) then Hashtbl.replace groups gkey (ai.id :: ids))
+          let a = ai.aslot + s and g = ai.gslot + s in
+          let ao = a * dims and go = g * dims in
+          (* |r \ (p ∪ w)| and |r \ p| by inclusion–exclusion, [p] the
+             access's previous same-slot row box, [w] the write hull *)
+          let r = vol1 ~dims rlo rhi 0 in
+          let rp = vol2 ~dims rlo rhi plo phi ao in
+          lb.(a) <-
+            lb.(a) + r - rp - vol2 ~dims rlo rhi wlo whi go
+            + vol3 ~dims rlo rhi plo phi ao wlo whi go;
+          ub.(a) <- ub.(a) + r - rp;
+          blit_box ~dims rlo rhi plo phi ao;
+          hull_into ~dims rhlo rhhi go rlo rhi)
         si.reads;
-      let wb = access_box hs ~w row si.write in
-      pending := ((si.write.arr, slot_of row si.write), wb) :: !pending)
+      access_box hs ~w row si.write pend_lo pend_hi 0;
+      pending_g := si.write.gslot + slot_of row si.write)
     hs.rows;
+  (* per (array, slot): max of its read accesses' lower bounds, sum of
+     their upper bounds; an access that never read a slot adds 0 to both *)
+  let gmax = Array.make ngslots 0 and gsum = Array.make ngslots 0 in
+  Array.iter
+    (fun si ->
+      Array.iter
+        (fun ai ->
+          for s = 0 to ai.fold - 1 do
+            let a = ai.aslot + s and g = ai.gslot + s in
+            gmax.(g) <- max gmax.(g) lb.(a);
+            gsum.(g) <- gsum.(g) + ub.(a)
+          done)
+        si.reads)
+    cx.stmts;
   let loads_lb = ref 0 and loads_ub = ref 0 in
-  Hashtbl.iter
-    (fun gkey ids ->
-      let (arr_lb, arr_ub) =
-        List.fold_left
-          (fun (mx, sum) id ->
-            let l = Option.value ~default:0 (Hashtbl.find_opt lb (id, snd gkey)) in
-            let u = Option.value ~default:0 (Hashtbl.find_opt ub (id, snd gkey)) in
-            (max mx l, sum + u))
-          (0, 0) ids
-      in
-      let hull_sz =
-        match Hashtbl.find_opt rhull gkey with None -> 0 | Some b -> volume b
-      in
-      loads_lb := !loads_lb + arr_lb;
-      loads_ub := !loads_ub + min hull_sz arr_ub)
-    groups;
+  for g = 0 to ngslots - 1 do
+    (* an (array, slot) no access read has an empty read hull *)
+    if rhlo.(g * dims) <> max_int then begin
+      loads_lb := !loads_lb + gmax.(g);
+      loads_ub := !loads_ub + min (vol1 ~dims rhlo rhhi (g * dims)) gsum.(g)
+    end
+  done;
   { iterations; fp; loads_lb = !loads_lb; loads_ub = !loads_ub }
 
 (* ---- classical tile windows over a clipped row ------------------------ *)

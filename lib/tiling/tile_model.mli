@@ -17,11 +17,11 @@ open Hextile_util
 
 type box = { lo : int array; hi : int array }
 (** An axis-aligned box of integer points, both bounds inclusive per
-    dimension. Empty when any [hi.(d) < lo.(d)]. *)
+    dimension. Empty when any [hi.(d) < lo.(d)]. The footprint reports
+    its per-array boxes this way; the screen itself keeps its boxes in
+    flat [int] tables. *)
 
 val volume : box -> int
-val inter : box -> box -> box
-val hull : box -> box -> box
 
 (** {1 Per-program context} *)
 
@@ -30,6 +30,11 @@ type ainfo = {
   arr : int;  (** index into [array_names] *)
   fold : int;  (** storage slots of the array; 1 when not folded *)
   id : int;  (** unique access-occurrence id *)
+  aslot : int;
+      (** dense index of (this access, slot 0): its slot [s] is
+          [aslot + s]; ids are numbered in order, each taking [fold]
+          indices *)
+  gslot : int;  (** dense index of (its array, slot 0), [gbase.(arr)] *)
 }
 
 type sinfo = { reads : ainfo array; write : ainfo }
@@ -44,6 +49,10 @@ type ctx = {
   stmts : sinfo array;
   narrays : int;
   array_names : string array;
+  naslots : int;  (** number of (access, slot) pairs *)
+  gbase : int array;
+      (** length [narrays + 1]: array [i]'s (array, slot) pairs are
+          [gbase.(i) .. gbase.(i+1) - 1] (array-major, [fold] each) *)
 }
 
 val ctx : ?deps:Dep.t list -> Stencil.t -> ctx
@@ -74,16 +83,13 @@ type hslice = {
 }
 
 val hslice : ctx -> h:int -> w0:int -> hslice
-(** Build the hexagon for [(h, w0)] and tabulate its rows. Everything
+(** Build the hexagon for [(h, w0)] and tabulate its non-empty rows
+    from the hexagon's row table. Everything
     here is independent of the inner widths, so one slice serves a whole
     [w1 × ... × wn] product of candidates. Raises like [Hexagon.make]. *)
 
 val hslice_of_hex : ctx -> Hexagon.t -> hslice
 (** Same, for an already-built hexagon. *)
-
-val access_box : hslice -> w:int array -> row -> ainfo -> box
-(** The absolute spatial box the access touches over one hexagon row of
-    the generic tile. Only [w.(1..)] are read. *)
 
 val slot_of : row -> ainfo -> int
 (** Storage slot of the access at this row ([fmod (tstep + time_off) fold]). *)
@@ -99,7 +105,9 @@ type footprint = {
 }
 
 val footprint : hslice -> w:int array -> footprint
-(** Exact shared-memory footprint of candidate [(h, w)]. Strictly
+(** Exact shared-memory footprint of candidate [(h, w)]: one pass over
+    the rows, hulling each access's row box into its array's box in
+    place. Strictly
     increasing in every inner width [w.(d)], [d >= 1] (each per-array
     extent grows by the access-offset spread plus [w.(d)]), which is
     what makes whole-slice infeasibility pruning sound. *)
@@ -116,7 +124,15 @@ val estimate : hslice -> w:int array -> estimate
     footprint, and load bounds obtained per (array, slot) by box
     inclusion–exclusion over consecutive row boxes (lower bound
     additionally subtracts the hull of already-flushed writes; upper
-    bound caps the per-access union sum by the read hull volume). *)
+    bound caps the per-access union sum by the read hull volume).
+
+    Its tables are dense [int] arrays indexed by (access, slot)
+    ([aslot + s]) and (array, slot) ([gslot + s]), allocated once per
+    call; row boxes, their intersections and hulls are computed in
+    place, so no box is allocated per row. The test suite checks that
+    it returns the same record as a reference that keys the same
+    quantities by tuple in hash tables, over generated programs and
+    every candidate of their default search spec. *)
 
 (** {1 Classical tile windows}
 

@@ -174,6 +174,9 @@ for (t = 0; t < T; t++)
   and refused = List.filter_map (fun (s, e) -> if e = None then Some s else None) first in
   Alcotest.(check bool) "some lookups return None" true (refused <> []);
   Alcotest.(check bool) "most programs admitted" true (List.length admitted >= 900);
+  let s = Cache.stats cache in
+  Alcotest.(check int) "every refusal counted" (List.length refused) s.Cache.entry_refused;
+  Alcotest.(check int) "refusals are still misses" 1200 s.Cache.entry_misses;
   let hits0 = (Cache.stats cache).Cache.entry_hits in
   List.iter
     (fun (src, e) ->

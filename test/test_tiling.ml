@@ -53,6 +53,37 @@ let test_make_validation () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
+(* The row table against the polyhedron it tabulates: fractional cones
+   (denominators up to 5), h up to 7 and w0 up to min_w0 + 4, on a
+   window [width] beyond the tile on every side. Codegen emits [poly]
+   while the simulator, the legality check and the tile model read the
+   table, so this is what makes them describe one tile. *)
+let prop_row_table_matches_poly =
+  let slope =
+    QCheck.map (fun (n, d) -> Rat.make n d) QCheck.(pair (int_range 0 7) (int_range 1 5))
+  in
+  QCheck.Test.make ~name:"row table = polyhedron" ~count:300
+    QCheck.(quad slope slope (int_range 0 7) (int_range 0 4))
+    (fun (d0, d1, h, extra) ->
+      let c = cone d0 d1 in
+      let hex = Hexagon.make ~h ~w0:(Hexagon.min_w0 ~h c + extra) c in
+      let m = hex.width and poly = Hexagon.poly hex in
+      let ok = ref true in
+      for a = -m to hex.height - 1 + m do
+        let lo = ref None and hi = ref None in
+        for b = -m to (2 * m) + hex.fl0 + hex.fl1 do
+          let inside = Hextile_poly.Polyhedron.contains poly [| a; b |] in
+          if inside <> Hexagon.contains hex ~a ~b then ok := false;
+          if inside then begin
+            if !lo = None then lo := Some b;
+            hi := Some b
+          end
+        done;
+        let scanned = match (!lo, !hi) with Some l, Some h -> Some (l, h) | _ -> None in
+        if scanned <> Hexagon.row_range hex ~a then ok := false
+      done;
+      !ok && Hexagon.count hex = Hexagon.expected_count hex)
+
 let prop_count_identical =
   QCheck.Test.make ~name:"all full tiles have (h+1)*width points" ~count:100 arb_hex
     (fun hex -> Hexagon.count hex = Hexagon.expected_count hex)
@@ -615,6 +646,49 @@ let test_eq3_shift_rejected () =
   done;
   Alcotest.(check bool) "asymmetric cones drawn" true (!asymmetric >= 20)
 
+let contains ~sub s =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+(* The legality check [hextile run] and serve's run op share, on
+   mutated schedules: a too-narrow cone names a violated dependence, the
+   paper's eq. (3) shift a point of the broken phase partition. The
+   intact schedule passes, and schemes without a hexagonal schedule are
+   not checked. *)
+let test_run_legality_mutants () =
+  let module E = Hextile_experiments.Experiments in
+  let prog = Suite.jacobi2d in
+  let _, _, t = E.hybrid_tiling prog in
+  let env = [ ("N", 64); ("T", 16) ] in
+  Alcotest.(check bool) "intact schedule legal" true (E.check_legality E.Hybrid prog env = Ok ());
+  let narrow = Option.get (mutate t Zero_cone) in
+  (match E.check_legality ~tiling:narrow E.Hybrid prog env with
+  | Ok () -> Alcotest.fail "zero-cone schedule accepted"
+  | Error m ->
+      Alcotest.(check bool) ("dependence named: " ^ m) true
+        (String.starts_with ~prefix:"dep " m && contains ~sub:" violated at u=" m));
+  Alcotest.(check bool) "other schemes unchecked" true
+    (E.check_legality ~tiling:narrow E.Ppcg prog env = Ok ());
+  (* the first asymmetric-cone generated program, under eq. (3) *)
+  let rng = Rng.create 0xe93 in
+  let rec asymmetric i =
+    let prog, _ = Hextile_check.Gen.generate (Rng.derive rng i) in
+    let _, _, t = E.hybrid_tiling prog in
+    if t.hex.fl0 <> t.hex.fl1 && t.deps <> [] then (prog, t) else asymmetric (i + 1)
+  in
+  let prog, t = asymmetric 0 in
+  let paper = { t with hs = { t.hs with hex = { t.hex with fl0 = t.hex.fl1 } } } in
+  let k = List.length prog.stmts in
+  let env = [ ("N", t.hex.width + 8); ("T", (2 * t.hex.height / k) + 1) ] in
+  Alcotest.(check bool) "intact asymmetric schedule legal" true
+    (E.check_legality ~tiling:t E.Hybrid prog env = Ok ());
+  match E.check_legality ~tiling:paper E.Hybrid prog env with
+  | Ok () -> Alcotest.fail "eq. (3) schedule accepted"
+  | Error m ->
+      Alcotest.(check bool) ("partition point named: " ^ m) true
+        (String.starts_with ~prefix:"Hybrid.check_legality:" m)
+
 let prop_tile_poly_matches_points =
   QCheck.Test.make ~name:"tile polyhedron = tile points" ~count:30
     (QCheck.pair arb_hex (QCheck.pair (QCheck.int_range (-2) 2) (QCheck.int_range (-2) 2)))
@@ -919,6 +993,184 @@ let test_formula_3d_matches_enumeration () =
        (fun (p : Hextile_ir.Stencil.t) -> Hextile_ir.Stencil.spatial_dims p = 3)
        Suite.table3)
 
+(* ---- tile model: the dense screen against the hash-table reference ---- *)
+
+(* The screen as first written: boxes allocated per row, tables keyed by
+   (access id, slot) and (array, slot) tuples in [Hashtbl]s. The oracle
+   [Tile_model.estimate] must equal record for record. *)
+module Estimate_ref = struct
+  module M = Tile_model
+
+  let inter (a : M.box) (b : M.box) : M.box =
+    {
+      lo = Array.mapi (fun i x -> max x b.lo.(i)) a.lo;
+      hi = Array.mapi (fun i x -> min x b.hi.(i)) a.hi;
+    }
+
+  let hull (a : M.box) (b : M.box) : M.box =
+    {
+      lo = Array.mapi (fun i x -> min x b.lo.(i)) a.lo;
+      hi = Array.mapi (fun i x -> max x b.hi.(i)) a.hi;
+    }
+
+  let diff1 r p = match p with None -> M.volume r | Some p -> M.volume r - M.volume (inter r p)
+
+  let diff2 r p w =
+    match (p, w) with
+    | None, None -> M.volume r
+    | Some p, None -> M.volume r - M.volume (inter r p)
+    | None, Some w -> M.volume r - M.volume (inter r w)
+    | Some p, Some w ->
+        M.volume r - M.volume (inter r p) - M.volume (inter r w)
+        + M.volume (inter (inter r p) w)
+
+  let access_box (hs : M.hslice) ~w (row : M.row) (ai : M.ainfo) : M.box =
+    let dims = hs.cx.dims in
+    let lo = Array.make dims 0 and hi = Array.make dims 0 in
+    lo.(0) <- hs.s00 + row.blo + ai.acc.offsets.(0);
+    hi.(0) <- hs.s00 + row.bhi + ai.acc.offsets.(0);
+    for d = 1 to dims - 1 do
+      let base = (7 * w.(d)) - row.fl.(d - 1) + ai.acc.offsets.(d) in
+      lo.(d) <- base;
+      hi.(d) <- base + w.(d) - 1
+    done;
+    { lo; hi }
+
+  let footprint (hs : M.hslice) ~w : M.footprint =
+    let cx = hs.cx in
+    let boxes = Array.make cx.narrays None in
+    let slotsets = Array.make cx.narrays [] in
+    let touch row (ai : M.ainfo) =
+      let b = access_box hs ~w row ai in
+      boxes.(ai.arr) <-
+        (match boxes.(ai.arr) with None -> Some b | Some cur -> Some (hull cur b));
+      let s = M.slot_of row ai in
+      if not (List.mem s slotsets.(ai.arr)) then slotsets.(ai.arr) <- s :: slotsets.(ai.arr)
+    in
+    Array.iter
+      (fun (row : M.row) ->
+        let si = cx.stmts.(row.sidx) in
+        Array.iter (touch row) si.reads;
+        touch row si.write)
+      hs.rows;
+    let floats = ref 0 in
+    Array.iteri
+      (fun i ob ->
+        match ob with
+        | None -> ()
+        | Some b -> floats := !floats + (M.volume b * max 1 (List.length slotsets.(i))))
+      boxes;
+    {
+      floats = !floats;
+      boxes;
+      slots = Array.map (fun l -> Array.of_list (List.sort compare l)) slotsets;
+    }
+
+  let estimate (hs : M.hslice) ~w : M.estimate =
+    let cx = hs.cx in
+    let fp = footprint hs ~w in
+    let rowsum =
+      Array.fold_left (fun acc (r : M.row) -> acc + (r.bhi - r.blo + 1)) 0 hs.rows
+    in
+    let inner = ref 1 in
+    for d = 1 to cx.dims - 1 do
+      inner := !inner * w.(d)
+    done;
+    let prev : (int * int, M.box) Hashtbl.t = Hashtbl.create 32 in
+    let lb : (int * int, int) Hashtbl.t = Hashtbl.create 32 in
+    let ub : (int * int, int) Hashtbl.t = Hashtbl.create 32 in
+    let whull : (int * int, M.box) Hashtbl.t = Hashtbl.create 8 in
+    let rhull : (int * int, M.box) Hashtbl.t = Hashtbl.create 8 in
+    let groups : (int * int, int list) Hashtbl.t = Hashtbl.create 8 in
+    let bump tbl key v =
+      Hashtbl.replace tbl key (v + Option.value ~default:0 (Hashtbl.find_opt tbl key))
+    in
+    let hull_in tbl key b =
+      Hashtbl.replace tbl key
+        (match Hashtbl.find_opt tbl key with None -> b | Some cur -> hull cur b)
+    in
+    let pending = ref [] in
+    Array.iter
+      (fun (row : M.row) ->
+        (* writes of earlier rows flush at the row boundary *)
+        List.iter (fun (gkey, b) -> hull_in whull gkey b) !pending;
+        pending := [];
+        let si = cx.stmts.(row.sidx) in
+        Array.iter
+          (fun (ai : M.ainfo) ->
+            let r = access_box hs ~w row ai in
+            let s = M.slot_of row ai in
+            let akey = (ai.id, s) and gkey = (ai.arr, s) in
+            let p = Hashtbl.find_opt prev akey in
+            bump lb akey (diff2 r p (Hashtbl.find_opt whull gkey));
+            bump ub akey (diff1 r p);
+            Hashtbl.replace prev akey r;
+            hull_in rhull gkey r;
+            let ids = Option.value ~default:[] (Hashtbl.find_opt groups gkey) in
+            if not (List.mem ai.id ids) then Hashtbl.replace groups gkey (ai.id :: ids))
+          si.reads;
+        pending :=
+          ((si.write.arr, M.slot_of row si.write), access_box hs ~w row si.write) :: !pending)
+      hs.rows;
+    let loads_lb = ref 0 and loads_ub = ref 0 in
+    Hashtbl.iter
+      (fun gkey ids ->
+        let arr_lb, arr_ub =
+          List.fold_left
+            (fun (mx, sum) id ->
+              let l = Option.value ~default:0 (Hashtbl.find_opt lb (id, snd gkey)) in
+              let u = Option.value ~default:0 (Hashtbl.find_opt ub (id, snd gkey)) in
+              (max mx l, sum + u))
+            (0, 0) ids
+        in
+        let hull_sz =
+          match Hashtbl.find_opt rhull gkey with None -> 0 | Some b -> M.volume b
+        in
+        loads_lb := !loads_lb + arr_lb;
+        loads_ub := !loads_ub + min hull_sz arr_ub)
+      groups;
+    { iterations = rowsum * !inner; fp; loads_lb = !loads_lb; loads_ub = !loads_ub }
+end
+
+let rec cartesian = function
+  | [] -> [ [] ]
+  | c :: rest -> List.concat_map (fun x -> List.map (fun t -> x :: t) (cartesian rest)) c
+
+(* Every candidate of the default search spec (alignment ignored: the
+   screen sees all of them) of generated programs and of the builtins:
+   the dense screen returns the oracle's record. *)
+let test_estimate_matches_ref () =
+  let rng = Rng.create 0xe57 in
+  let progs =
+    Suite.all @ List.init 60 (fun i -> fst (Hextile_check.Gen.generate (Rng.derive rng i)))
+  in
+  let compared = ref 0 in
+  List.iter
+    (fun (prog : Hextile_ir.Stencil.t) ->
+      let spec = Tile_size.default_spec prog in
+      let cx = Tile_model.ctx prog in
+      List.iter
+        (fun h ->
+          List.iter
+            (fun w0 ->
+              match Tile_model.hslice cx ~h ~w0 with
+              | exception Invalid_argument _ -> ()
+              | hs ->
+                  List.iter
+                    (fun wis ->
+                      let w = Array.of_list (w0 :: wis) in
+                      incr compared;
+                      if Tile_model.estimate hs ~w <> Estimate_ref.estimate hs ~w then
+                        Alcotest.failf "%s h=%d w=(%a): estimate differs from the reference"
+                          prog.name h
+                          Fmt.(array ~sep:comma int)
+                          w)
+                    (cartesian spec.wi_candidates))
+            spec.w0_candidates)
+        (List.filter (fun h -> (h + 1) mod cx.k = 0) spec.h_candidates))
+    progs;
+  Alcotest.(check bool) "candidates compared" true (!compared >= 1000)
+
 (* ---- classical tile windows (analytic mode's class check) ------------- *)
 
 (* The dense references: enumerate the tiles of [Classical.tile_range]
@@ -985,6 +1237,7 @@ let suite =
     Alcotest.test_case "min_w0 (condition (1))" `Quick test_min_w0_paper_example;
     Alcotest.test_case "Figure 4 shape" `Quick test_figure4_shape;
     Alcotest.test_case "hexagon validation" `Quick test_make_validation;
+    QCheck_alcotest.to_alcotest prop_row_table_matches_poly;
     QCheck_alcotest.to_alcotest prop_count_identical;
     QCheck_alcotest.to_alcotest prop_partition;
     QCheck_alcotest.to_alcotest prop_hex_legality;
@@ -1014,6 +1267,8 @@ let suite =
       test_legality_matches_oracle;
     Alcotest.test_case "paper's eq. (3) shift rejected (asymmetric cones)" `Quick
       test_eq3_shift_rejected;
+    Alcotest.test_case "run legality check rejects mutated schedules" `Quick
+      test_run_legality_mutants;
     Alcotest.test_case "diamond count variability (Sec 5)" `Quick test_diamond_counts;
     Alcotest.test_case "diamond tile points" `Quick test_diamond_tile_points;
     Alcotest.test_case "diamond wavefront legality" `Quick test_diamond_wavefront;
@@ -1035,4 +1290,6 @@ let suite =
       test_formula_3d_matches_enumeration;
     Alcotest.test_case "tiles/coverage closed forms = dense" `Quick
       test_tiles_coverage_match_dense;
+    Alcotest.test_case "tile model estimate = hash-table reference" `Quick
+      test_estimate_matches_ref;
   ]
