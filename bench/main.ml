@@ -30,6 +30,8 @@ module Par = Hextile_par.Par
 module Common = Hextile_schemes.Common
 module Grid = Hextile_ir.Grid
 module Stencil = Hextile_ir.Stencil
+module Results = Hextile_oracle.Results
+module Tile_size_ref = Hextile_oracle.Tile_size_ref
 open Hextile_gpusim
 open Hextile_stencils
 
@@ -59,31 +61,6 @@ let emit name fields =
 
 (* A named row of a mode's JSON. *)
 let row name fields = (name, Json.Obj (emit name fields))
-
-(* What differs between two runs of one program, if anything: a counter
-   (except those in [except]), the update or block count, or a grid. *)
-let difference ?(except = []) (a : Common.result) (b : Common.result) =
-  let counters (r : Common.result) =
-    List.filter (fun (k, _) -> not (List.mem k except)) (Counters.to_assoc r.counters)
-  in
-  match
-    List.find_opt (fun ((_, x), (_, y)) -> x <> y) (List.combine (counters a) (counters b))
-  with
-  | Some ((k, x), (_, y)) -> Some (Fmt.str "counter %s (%d vs %d)" k x y)
-  | None when a.updates <> b.updates -> Some "updates"
-  | None when a.blocks <> b.blocks -> Some "blocks"
-  | None ->
-      Hashtbl.fold
-        (fun name g acc ->
-          if acc = None && not (Grid.equal g (Grid.find b.grids name)) then
-            Some ("grid " ^ name)
-          else acc)
-        a.grids None
-
-let check_same what (prog : Stencil.t) ?except a b =
-  Option.iter
-    (fun d -> failwith (Fmt.str "%s: %s %s differs" what prog.name d))
-    (difference ?except a b)
 
 type ctx = { pool : Par.pool; jobs : int; trace_out : string option }
 
@@ -291,8 +268,8 @@ let simcmp { jobs; _ } =
         let r_par, t_par =
           timed (fun () -> Par.with_pool ~jobs @@ fun pool -> run ~pool Common.Tape ())
         in
-        check_same "simcmp: tape vs reference" prog r_ref r_tape;
-        check_same (Fmt.str "simcmp: tape at jobs=%d" jobs) prog r_ref r_par;
+        Results.check_same ("simcmp: tape vs reference: " ^ prog.name) r_ref r_tape;
+        Results.check_same (Fmt.str "simcmp: tape at jobs=%d: %s" jobs prog.name) r_ref r_par;
         ( row prog.name
             [
               ("t_ref_s", Json.Float t_ref);
@@ -489,7 +466,6 @@ let replay_ceiling (dev : Device.t) =
    blit path. *)
 let analytic { jobs; _ } =
   let dev = Device.gtx470 in
-  let dram = [ "dram_read_transactions"; "dram_write_transactions" ] in
   (* part 1: scaled instances, exact vs analytic *)
   let scaled =
     List.map
@@ -501,12 +477,13 @@ let analytic { jobs; _ } =
         in
         let r_ex, t_ex = timed (run false) in
         let r_an, t_an = timed (run true) in
-        check_same "analytic: analytic vs exact" prog ~except:dram r_ex r_an;
-        let rel k =
-          let get (r : Common.result) = List.assoc k (Counters.to_assoc r.counters) in
-          float_of_int (abs (get r_an - get r_ex)) /. float_of_int (max 1 (get r_ex))
+        Results.check_same ("analytic: analytic vs exact: " ^ prog.name)
+          ~except:Results.dram_keys r_ex r_an;
+        let err =
+          List.fold_left
+            (fun m k -> Float.max m (Results.rel_error k ~exact:r_ex ~approx:r_an))
+            0.0 Results.dram_keys
         in
-        let err = List.fold_left (fun m k -> Float.max m (rel k)) 0.0 dram in
         if err > Analytic.dram_error_bound then
           failwith
             (Fmt.str "analytic: %s DRAM error %.4f exceeds bound %.4f" prog.name err
@@ -628,13 +605,6 @@ let tilesearch_grids (prog : Stencil.t) =
 
 let tilesearch_budget = 12288 (* 48 KiB of floats *)
 
-let same_choice a b =
-  match (a, b) with
-  | None, None -> true
-  | Some (x : Tile_size.choice), Some (y : Tile_size.choice) ->
-      x.h = y.h && x.w = y.w && x.stats = y.stats
-  | _ -> false
-
 (* Wall-clock and counter comparison of the staged search against the
    frozen exhaustive oracle over the Table 3 suite, plus the jobs
    determinism check; fails on any choice divergence or if the analytic
@@ -648,7 +618,7 @@ let tilesearch { jobs; _ } =
         let oracle, t_ex =
           timed (fun () ->
               Par.with_pool ~jobs @@ fun pool ->
-              Tile_size.select_exhaustive ~pool prog ~h_candidates ~w0_candidates
+              Tile_size_ref.select_exhaustive ~pool prog ~h_candidates ~w0_candidates
                 ~wi_candidates ~shared_mem_floats:tilesearch_budget ~require_multiple:32 ())
         in
         let search ?pool () =
@@ -660,9 +630,12 @@ let tilesearch { jobs; _ } =
           timed (fun () -> Par.with_pool ~jobs @@ fun pool -> search ~pool ())
         in
         let fail what = failwith (Fmt.str "tilesearch: %s %s" prog.name what) in
-        if not (same_choice staged oracle) then fail "staged choice differs from exhaustive";
-        if not (same_choice staged_par oracle) then
-          fail (Fmt.str "staged choice differs at jobs=%d" jobs);
+        Option.iter
+          (fun d -> fail ("staged choice differs from exhaustive: " ^ d))
+          (Tile_size_ref.choice_difference staged oracle);
+        Option.iter
+          (fun d -> fail (Fmt.str "staged choice differs at jobs=%d: %s" jobs d))
+          (Tile_size_ref.choice_difference staged_par oracle);
         if report <> report_par then fail (Fmt.str "search counters differ at jobs=%d" jobs);
         let choice =
           match staged with

@@ -26,7 +26,12 @@
       that the block's own cache residency would absorb; the residual
       error against the exact simulator is bounded by
       {!dram_error_bound} (asserted, not just logged, by
-      [test/test_analytic.ml] and the analytic bench). *)
+      [test/test_analytic.ml] and the analytic bench). The measured
+      worst case on the bench's scaled suite is ~1.4%
+      ([BENCH_analytic.json] [max_dram_err]); other sizes err far more:
+      laplacian3d at N=48, T=12 reads 34564/24552 DRAM reads/writes
+      against 45785/31158 exact (−24.5%/−21.2%), and its kernel time
+      6.364e-4 s against 8.199e-4 s. *)
 
 val dram_error_bound : float
 (** Documented relative error bound on [dram_read_transactions] and

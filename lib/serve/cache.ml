@@ -54,7 +54,14 @@ let truncate t h =
    later program with the same truncated hash but a different canonical
    form is a collision and runs uncached. The full-key verification —
    comparing complete canonical forms, not hashes — makes a 64-bit
-   collision impossible to act on. *)
+   collision impossible to act on.
+
+   Every lookup counts exactly once, as a hit, a miss or a collision,
+   so the counts depend only on the request stream, never on which
+   domain wins a race: a miss is the call whose publish admitted the
+   value, or the call the full table turned away (also counted as
+   refused); a call that lost the race is answered by the winner's
+   value like any later one. *)
 let lookup t (p : Stencil.t) =
   let canon, renaming = Shash.canonicalize p in
   let key = truncate t (Shash.hash canon) in
@@ -71,8 +78,7 @@ let lookup t (p : Stencil.t) =
   let entry =
     match Oncemap.find t.entries key with
     | Some e -> verified e
-    | None ->
-        Atomic.incr t.entry_misses;
+    | None -> (
         let fresh =
           {
             canon;
@@ -82,27 +88,37 @@ let lookup t (p : Stencil.t) =
           }
         in
         (* publish may hand back another domain's entry for this key —
-           possibly for a different program — so re-verify the winner;
-           winning with our own fresh entry stays counted as the miss.
-           A full probe window admits nothing: the caller computes
-           uncached, counted as refused as well as missed. *)
+           possibly for a different program — so re-verify the winner *)
         match Oncemap.publish t.entries key fresh with
         | None ->
+            Atomic.incr t.entry_misses;
             Atomic.incr t.entry_refused;
             None
-        | Some won -> if won == fresh then Some won else verified won
+        | Some won when won == fresh ->
+            Atomic.incr t.entry_misses;
+            Some won
+        | Some won -> verified won)
   in
   (entry, renaming)
 
+(* Counted like [lookup]. A compute that raises publishes nothing and
+   stays a miss; a call that lost the publish race becomes a hit. Values
+   are boxed (tuples, JSON objects), so [!=] tells another domain's
+   value from this call's. *)
 let cached map hits misses key compute =
   match Oncemap.find map key with
   | Some v ->
       Atomic.incr hits;
       v
-  | None ->
+  | None -> (
       Atomic.incr misses;
       let v = compute () in
-      Option.value (Oncemap.publish map key v) ~default:v
+      match Oncemap.publish map key v with
+      | Some won when won != v ->
+          Atomic.decr misses;
+          Atomic.incr hits;
+          won
+      | _ -> v)
 
 let tilesize t entry ~prog ~renaming ~env compute =
   match entry with

@@ -73,6 +73,12 @@ val compile :
   Hextile_obs.Json.t
 (** [key] is (program, h override, w override, env). *)
 
+(** Every lookup counts exactly once at its level: entry lookups as
+    [entry_hits + entry_misses + collisions], each sub-cache's as its
+    hits plus misses. A miss is the call that published the value (or
+    computed uncached); a call that lost a publish race to another
+    domain is a hit. So the counts depend only on the request stream,
+    not on [--jobs] or scheduling. *)
 type stats = {
   entry_hits : int;
   entry_misses : int;

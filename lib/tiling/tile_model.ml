@@ -6,9 +6,9 @@ open Hextile_util
    iteration and footprint counts plus sound lower/upper bounds on the
    number of global loads, all from the hexagon row ranges, the
    classical widths and the static access offsets — no statement
-   instance is ever enumerated. The analysis mirrors
-   [Tile_size.iter_tile_instances] (generic tile tt=7, phase=1,
-   s_tile=7) cell for cell, which the property tests enforce. *)
+   instance is ever enumerated. The analysis mirrors the per-instance
+   walk of the reference accounting in test/oracle/ (generic tile tt=7,
+   phase=1, s_tile=7) cell for cell, which the property tests enforce. *)
 
 type box = { lo : int array; hi : int array }
 

@@ -26,121 +26,6 @@ type report = {
   skipped : skipped;
 }
 
-(* Memory cell identity: (array, storage slot, spatial indices). *)
-type cell = string * int * int list
-
-let cell_of_access (prog : Stencil.t) (a : Stencil.access) ~tstep ~point : cell =
-  let decl = Stencil.array_decl prog a.array in
-  let slot =
-    match decl.fold with
-    | Some m -> Hextile_util.Intutil.fmod (tstep + a.time_off) m
-    | None -> 0
-  in
-  (a.array, slot, Array.to_list (Array.mapi (fun i o -> point.(i) + o) a.offsets))
-
-(* Enumerate the statement instances of one generic tile in intra-tile
-   execution order (ascending t' = a; instances within a step are
-   parallel). *)
-let iter_tile_instances (t : Hybrid.t) ~f =
-  let tt = 7 and phase = 1 in
-  let u0, s00 = Hex_schedule.tile_origin t.hs ~phase ~tt ~s_tile:7 in
-  let stmts = Array.of_list t.prog.stmts in
-  for a = 0 to (2 * t.h) + 1 do
-    match Hexagon.row_range t.hex ~a with
-    | None -> ()
-    | Some (blo, bhi) ->
-        let u = u0 + a in
-        let stmt = stmts.(Hybrid.stmt_of_u t u) in
-        let tstep = Hybrid.tstep_of_u t u in
-        (* spatial values per dimension *)
-        let dim_values =
-          Array.init t.dims (fun d ->
-              if d = 0 then
-                Array.init (bhi - blo + 1) (fun i -> s00 + blo + i)
-              else
-                let c = t.classical.(d - 1) in
-                Array.init t.w.(d) (fun i -> Classical.si_of c ~u:a ~tile:7 ~intra:i))
-        in
-        let point = Array.make t.dims 0 in
-        let rec go d =
-          if d = t.dims then f ~a ~stmt ~tstep ~point
-          else
-            Array.iter
-              (fun v ->
-                point.(d) <- v;
-                go (d + 1))
-              dim_values.(d)
-        in
-        go 0
-  done
-
-(* Reference implementation: hashtables keyed by cons-cell identities.
-   Kept as the oracle the dense accounting below is differentially
-   tested (and benchmarked) against. *)
-let tile_stats_ref (t : Hybrid.t) =
-  let written : (cell, unit) Hashtbl.t = Hashtbl.create 256 in
-  let loaded : (cell, unit) Hashtbl.t = Hashtbl.create 256 in
-  let boxes : (string, (int * int) array) Hashtbl.t = Hashtbl.create 4 in
-  let slots : (string * int, unit) Hashtbl.t = Hashtbl.create 8 in
-  let iterations = ref 0 and loads = ref 0 in
-  let touch ((arr, slot, idx) : cell) =
-    Hashtbl.replace slots (arr, slot) ();
-    let idx = Array.of_list idx in
-    match Hashtbl.find_opt boxes arr with
-    | None -> Hashtbl.replace boxes arr (Array.map (fun x -> (x, x)) idx)
-    | Some box ->
-        Array.iteri
-          (fun i x ->
-            let lo, hi = box.(i) in
-            box.(i) <- (min lo x, max hi x))
-          idx
-  in
-  (* Writes of the current time step are deferred so that same-step reads
-     (which cannot depend on them) do not mask loads. *)
-  let pending = ref [] and current_a = ref min_int in
-  let flush () =
-    List.iter (fun c -> Hashtbl.replace written c ()) !pending;
-    pending := []
-  in
-  iter_tile_instances t ~f:(fun ~a ~stmt ~tstep ~point ->
-      if a <> !current_a then begin
-        flush ();
-        current_a := a
-      end;
-      incr iterations;
-      List.iter
-        (fun r ->
-          let c = cell_of_access t.prog r ~tstep ~point in
-          touch c;
-          if not (Hashtbl.mem written c || Hashtbl.mem loaded c) then begin
-            incr loads;
-            Hashtbl.replace loaded c ()
-          end)
-        (Stencil.distinct_reads stmt);
-      let wc = cell_of_access t.prog stmt.write ~tstep ~point in
-      touch wc;
-      pending := wc :: !pending);
-  flush ();
-  let footprint_box =
-    Hashtbl.fold
-      (fun arr box acc ->
-        let spatial =
-          Array.fold_left (fun p (lo, hi) -> p * (hi - lo + 1)) 1 box
-        in
-        let nslots =
-          Hashtbl.fold (fun (a, _) () n -> if String.equal a arr then n + 1 else n) slots 0
-        in
-        acc + (spatial * max 1 nslots))
-      boxes 0
-  in
-  {
-    iterations = !iterations;
-    loads = !loads;
-    stores = Hashtbl.length written;
-    footprint_box;
-    ratio = float_of_int !loads /. float_of_int !iterations;
-  }
-
 (* Word-parallel exact accounting: row-level bit-run set algebra. The
    analytic footprint gives, per array, the exact bounding box and
    live-slot set of everything the tile touches; lay those regions out
@@ -155,7 +40,7 @@ let tile_stats_ref (t : Hybrid.t) =
    [loaded |= run land lnot written]; at the row's end,
    [written |= write runs]; loads and stores are the two popcounts.
    Loads, stores, iterations and the footprint agree bit for bit with
-   [tile_stats_ref]. *)
+   the per-instance reference accounting in test/oracle/. *)
 let word_mask = 0xffff_ffff
 
 (* [dst |= bits [f, f + n) land lnot mask], word by word *)
@@ -273,81 +158,17 @@ let tile_stats (t : Hybrid.t) =
 let iterations_formula_3d ~h ~w0 ~w1 ~w2 =
   2 * (1 + (2 * h) + (h * h) + (w0 * (h + 1))) * w1 * w2
 
-let rec cartesian = function
-  | [] -> [ [] ]
-  | choices :: rest ->
-      let tails = cartesian rest in
-      List.concat_map (fun c -> List.map (fun t -> c :: t) tails) choices
-
-(* Same element order as [cartesian], but lazy: a pruned slice never
-   materializes its tail. *)
+(* The cartesian product of the inner-width lists, first list outermost;
+   lazy, so a pruned slice never materializes its tail. *)
 let rec cartesian_seq = function
   | [] -> Seq.return []
   | choices :: rest ->
       List.to_seq choices
       |> Seq.concat_map (fun c -> Seq.map (fun t -> c :: t) (cartesian_seq rest))
 
-(* The frozen pre-staging search: enumerate every candidate eagerly,
-   evaluate all of them with the reference accounting, fold.  This is
-   the oracle the staged engine's choice is differentially tested
-   against, and the baseline `bench tilesearch` times. *)
-let select_exhaustive ?pool prog ~h_candidates ~w0_candidates ~wi_candidates
-    ~shared_mem_floats ?require_multiple () =
-  Timeline.slice "tiling.tile_size_select_exhaustive" (fun () ->
-      let k = List.length prog.Stencil.stmts in
-      let deps = Dep.analyze prog in
-      let cone = Cone.of_deps deps ~dim:0 in
-      let candidates =
-        List.concat_map
-          (fun h ->
-            if (h + 1) mod k <> 0 then []
-            else
-              List.concat_map
-                (fun w0 ->
-                  if w0 < Hexagon.min_w0 ~h cone then []
-                  else
-                    List.filter_map
-                      (fun wis ->
-                        let w = Array.of_list (w0 :: wis) in
-                        let innermost = w.(Array.length w - 1) in
-                        let aligned =
-                          match require_multiple with
-                          | Some m -> innermost mod m = 0
-                          | None -> true
-                        in
-                        if aligned then Some (h, w) else None)
-                      (cartesian wi_candidates))
-                w0_candidates)
-          h_candidates
-        |> Array.of_list
-      in
-      let eval (h, w) =
-        let t = Hybrid.make prog ~h ~w in
-        (h, w, tile_stats_ref t)
-      in
-      let evaluated =
-        match pool with
-        | Some p -> Par.map p eval candidates
-        | None -> Array.map eval candidates
-      in
-      let best = ref None in
-      Array.iter
-        (fun (h, w, stats) ->
-          if stats.footprint_box <= shared_mem_floats then
-            match !best with
-            | None -> best := Some { h; w; stats }
-            | Some b ->
-                if
-                  stats.ratio < b.stats.ratio -. 1e-12
-                  || (Float.abs (stats.ratio -. b.stats.ratio) <= 1e-12
-                     && stats.iterations > b.stats.iterations)
-                then best := Some { h; w; stats })
-        evaluated;
-      !best)
-
-(* Candidate stream, in exactly the order the exhaustive search folds:
-   h outer, then w0, then the cartesian product of the inner widths.
-   The [bool] marks candidates whose whole (h, w0) slice is already
+(* Candidate stream, in exactly the order the exhaustive reference
+   search (test/oracle/) folds: h outer, then w0, then the cartesian
+   product of the inner widths. The [bool] marks candidates whose whole (h, w0) slice is already
    known infeasible: the footprint is strictly increasing in every
    inner width, so if the per-dimension minimum busts the budget the
    entire product does — those candidates are emitted (they must be

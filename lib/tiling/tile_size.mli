@@ -18,8 +18,12 @@
     host), against the previous per-instance, per-access bitset walk.
 
     Determinism contract: the selected {!choice} is bit-identical to
-    the frozen exhaustive search ({!select_exhaustive}) on every
-    program and candidate grid, at every [--jobs] value — pruning only
+    the frozen exhaustive search — every candidate costed exactly by a
+    per-instance hashtable walk, no pruning — on every program and
+    candidate grid, at every [--jobs] value. That search is a test
+    oracle: it lives in the private library under [test/oracle/]
+    ([Tile_size_ref]), linked by the tests and the bench's
+    [tilesearch] mode, and ships in no library. Pruning only
     removes candidates whose exact ratio provably exceeds every later
     value of the fold's running minimum, and all screening runs on the
     main domain in candidate order. *)
@@ -62,10 +66,6 @@ val tile_stats : Hybrid.t -> stats
 (** Statistics of one generic interior tile of the given tiling
     (the exact layer's bit-run accounting). *)
 
-val tile_stats_ref : Hybrid.t -> stats
-(** Reference implementation (hashtables keyed by cell identities);
-    slower, kept as the differential-testing oracle for {!tile_stats}. *)
-
 val iterations_formula_3d : h:int -> w0:int -> w1:int -> w2:int -> int
 (** The paper's closed form [2(1+2h+h²+w0(h+1))·w1·w2], valid for
     3D stencils with [δ0 = δ1 = 1]. *)
@@ -99,20 +99,6 @@ val select_with_report :
   unit ->
   choice option * report
 (** Like {!select}, additionally returning the search counters. *)
-
-val select_exhaustive :
-  ?pool:Hextile_par.Par.pool ->
-  Stencil.t ->
-  h_candidates:int list ->
-  w0_candidates:int list ->
-  wi_candidates:int list list ->
-  shared_mem_floats:int ->
-  ?require_multiple:int ->
-  unit ->
-  choice option
-(** The frozen pre-staging search: every candidate evaluated exactly
-    with {!tile_stats_ref}, no pruning. Oracle and benchmark baseline;
-    {!select} must return the same choice. *)
 
 val pp_stats : stats Fmt.t
 val pp_choice : choice Fmt.t

@@ -48,7 +48,7 @@ let iter_box lo hi f =
 let run (prog : Stencil.t) env =
   (match Analysis.bounds_check prog env with
   | Ok () -> ()
-  | Error m -> invalid_arg ("Ref_interp.run: " ^ m));
+  | Error m -> invalid_arg ("Interp_ref.run: " ^ m));
   let tbl = Grid.alloc prog env in
   let steps = Affp.eval prog.steps env in
   for t = 0 to steps - 1 do

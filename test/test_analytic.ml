@@ -18,18 +18,9 @@ module E = Hextile_experiments.Experiments
 module Check = Hextile_check
 
 module Par = Hextile_par.Par
+module Results = Hextile_oracle.Results
 
 let dev = Device.gtx470
-
-let dram_keys = [ "dram_read_transactions"; "dram_write_transactions" ]
-let is_dram k = List.mem k dram_keys
-
-let grids_sig (r : Common.result) =
-  Hashtbl.fold
-    (fun name (g : Grid.t) acc ->
-      (name, Array.map Int64.bits_of_float g.Grid.data) :: acc)
-    r.grids []
-  |> List.sort compare
 
 (* Exact-vs-analytic comparison of one hybrid run. [expect_scaled]
    asserts that the analytic mode actually scaled blocks (rather than
@@ -39,29 +30,16 @@ let check_pair ~label ?(expect_scaled = None) prog env devi =
   let e x = List.assoc x env in
   let exact = Hybrid_exec.run prog e devi in
   let analytic = Hybrid_exec.run ~analytic:true prog e devi in
-  if grids_sig exact <> grids_sig analytic then
-    Alcotest.failf "%s: grids differ between exact and analytic" label;
-  Alcotest.(check int) (label ^ ": updates") exact.updates analytic.updates;
-  Alcotest.(check int) (label ^ ": blocks") exact.blocks analytic.blocks;
-  let ce = Counters.to_assoc exact.counters
-  and ca = Counters.to_assoc analytic.counters in
-  List.iter2
-    (fun (k, ve) (k', va) ->
-      assert (k = k');
-      if not (is_dram k) then
-        Alcotest.(check int) (Fmt.str "%s: %s" label k) ve va
-      else begin
-        let err =
-          float_of_int (abs (va - ve)) /. float_of_int (max 1 ve)
-        in
-        if err > Analytic.dram_error_bound then
-          Alcotest.failf "%s: %s relative error %.4f exceeds bound %.4f"
-            label k err Analytic.dram_error_bound;
-        (* a degraded run took the exact code path: no error at all *)
-        if analytic.classes = 0 then
-          Alcotest.(check int) (Fmt.str "%s: %s (degraded)" label k) ve va
-      end)
-    ce ca;
+  (* a degraded run took the exact code path: no DRAM error at all *)
+  let except = if analytic.classes = 0 then [] else Results.dram_keys in
+  Results.check_same label ~except exact analytic;
+  List.iter
+    (fun k ->
+      let err = Results.rel_error k ~exact ~approx:analytic in
+      if err > Analytic.dram_error_bound then
+        Alcotest.failf "%s: %s relative error %.4f exceeds bound %.4f" label k err
+          Analytic.dram_error_bound)
+    Results.dram_keys;
   (match expect_scaled with
   | Some true ->
       Alcotest.(check bool)
@@ -164,16 +142,7 @@ let test_analytic_jobs_deterministic () =
         (fun jobs ->
           Par.with_pool ~jobs (fun pool ->
               let r = Hybrid_exec.run ~pool ~analytic:true prog e dev in
-              if grids_sig seq <> grids_sig r then
-                Alcotest.failf "%s/jobs%d: grids differ from jobs1" prog.name
-                  jobs;
-              Alcotest.(check (list (pair string int)))
-                (Fmt.str "%s/jobs%d: counters" prog.name jobs)
-                (Counters.to_assoc seq.counters)
-                (Counters.to_assoc r.counters);
-              Alcotest.(check int)
-                (Fmt.str "%s/jobs%d: updates" prog.name jobs)
-                seq.updates r.updates;
+              Results.check_same (Fmt.str "%s/jobs%d" prog.name jobs) seq r;
               Alcotest.(check int)
                 (Fmt.str "%s/jobs%d: classes" prog.name jobs)
                 seq.classes r.classes;
@@ -204,13 +173,7 @@ let test_dropped_recordings_exact () =
           Par.with_pool ~jobs (fun pool ->
               let r = Hybrid_exec.run ~pool ~analytic:true ?config prog e dev in
               let label = Fmt.str "%s/jobs%d" label jobs in
-              if grids_sig exact <> grids_sig r then
-                Alcotest.failf "%s: grids differ from the exact run" label;
-              Alcotest.(check (list (pair string int)))
-                (label ^ ": counters")
-                (Counters.to_assoc exact.counters)
-                (Counters.to_assoc r.counters);
-              Alcotest.(check int) (label ^ ": updates") exact.updates r.updates;
+              Results.check_same label exact r;
               Alcotest.(check int)
                 (label ^ ": no analytic blocks")
                 0 r.blocks_analytic))

@@ -184,7 +184,7 @@ let test_interp_fixpoint () =
         let n = Affp.eval (Affp.param "N") env in
         ignore n;
         let rec iter d point =
-          if d = Array.length lo then Ref_interp.exec_instance tbl s ~t ~point
+          if d = Array.length lo then Hextile_oracle.Interp_ref.exec_instance tbl s ~t ~point
           else
             for x = lo.(d) to hi.(d) do
               point.(d) <- x;
@@ -212,7 +212,7 @@ let test_interp_runs () =
     Suite.all
 
 (* The row-compiled interpreter against the per-instance tree walker
-   (test/ref_interp.ml): every grid equal bit for bit. *)
+   (test/oracle/interp_ref.ml): every grid equal bit for bit. *)
 let bits_equal a b =
   Hashtbl.length a = Hashtbl.length b
   && Hashtbl.fold
@@ -227,7 +227,7 @@ let bits_equal a b =
        a true
 
 let check_oracle what prog env =
-  if not (bits_equal (Interp.run prog env) (Ref_interp.run prog env)) then
+  if not (bits_equal (Interp.run prog env) (Hextile_oracle.Interp_ref.run prog env)) then
     Alcotest.failf "%s: compiled interpreter differs from the tree walker" what
 
 let test_interp_vs_oracle_suite () =

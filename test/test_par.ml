@@ -12,6 +12,7 @@ module Json = Hextile_obs.Json
 module Check = Hextile_check
 module Suite = Hextile_stencils.Suite
 module Tile_size = Hextile_tiling.Tile_size
+module Results = Hextile_oracle.Results
 
 let dev = Device.gtx470
 let jobs_values = [ 2; 4 ]
@@ -221,19 +222,15 @@ let test_sanitizer_parallel_parity () =
 
 (* ---- determinism: scheme executors over generated programs ------------ *)
 
-let grids_sig (r : Hextile_schemes.Common.result) =
-  Hashtbl.fold
-    (fun name (g : Grid.t) acc ->
-      (name, Array.map Int64.bits_of_float g.Grid.data) :: acc)
-    r.grids []
-  |> List.sort compare
-
-let result_sig (r : Hextile_schemes.Common.result) =
-  ( grids_sig r,
-    Counters.to_assoc r.counters,
-    r.updates,
-    r.kernel_time,
-    r.transfer_time )
+(* The one result comparator, plus what it leaves out that a jobs value
+   must not change either: the modelled times and the analytic tallies. *)
+let check_same_result label (a : Hextile_schemes.Common.result)
+    (b : Hextile_schemes.Common.result) =
+  Results.check_same label a b;
+  if
+    (a.kernel_time, a.transfer_time, a.blocks_analytic, a.classes)
+    <> (b.kernel_time, b.transfer_time, b.blocks_analytic, b.classes)
+  then Alcotest.failf "%s: times or analytic tallies differ" label
 
 let test_scheme_determinism () =
   let rng = Check.Rng.create 2024 in
@@ -244,15 +241,15 @@ let test_scheme_determinism () =
         let run jobs =
           Par.with_pool ~jobs (fun pool ->
               match Check.Oracle.run_scheme ~pool scheme prog env dev with
-              | Ok r -> result_sig r
+              | Ok r -> r
               | Error m ->
                   Alcotest.failf "program %d, %s at jobs=%d: %s" i scheme jobs m)
         in
         let base = run 1 in
         List.iter
           (fun jobs ->
-            if run jobs <> base then
-              Alcotest.failf "program %d: %s differs at jobs=%d" i scheme jobs)
+            check_same_result (Fmt.str "program %d: %s at jobs=%d" i scheme jobs) base
+              (run jobs))
           jobs_values)
       (Check.Oracle.scheme_names prog)
   done
@@ -266,24 +263,20 @@ let test_scheme_determinism () =
    must be bit-identical at every jobs value, like the exact engine. *)
 let test_analytic_determinism () =
   List.iter
-    (fun (prog, env) ->
+    (fun ((prog : Hextile_ir.Stencil.t), env) ->
       let e x = List.assoc x env in
       let run jobs =
         Par.with_pool ~jobs (fun pool ->
-            let r =
-              Hextile_schemes.Hybrid_exec.run ~pool ~analytic:true prog e dev
-            in
-            (result_sig r, r.blocks_analytic, r.classes))
+            Hextile_schemes.Hybrid_exec.run ~pool ~analytic:true prog e dev)
       in
-      let ((_, b, c) as base) = run 1 in
+      let base = run 1 in
       Alcotest.(check bool)
-        (prog.Hextile_ir.Stencil.name ^ ": scaling exercised")
-        true (b > 0 && c > 0);
+        (prog.name ^ ": scaling exercised")
+        true
+        (base.blocks_analytic > 0 && base.classes > 0);
       List.iter
         (fun jobs ->
-          if run jobs <> base then
-            Alcotest.failf "analytic %s differs at jobs=%d"
-              prog.Hextile_ir.Stencil.name jobs)
+          check_same_result (Fmt.str "analytic %s at jobs=%d" prog.name jobs) base (run jobs))
         jobs_values)
     [
       (Suite.laplacian2d, [ ("N", 128); ("T", 24) ]);

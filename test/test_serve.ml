@@ -454,6 +454,59 @@ let test_fuzz_traffic_determinism () =
     (strip_ids (List.hd (List.map Fun.id [ List.nth cold_outs 0 ])))
     (strip_ids cold)
 
+(* Cache counts depend only on the request stream. One wave sends each
+   op on four textual variants (leading blanks) of the same new
+   programs: distinct work keys, one entry and one cached value each, so
+   at jobs 4 domains race to compute and publish them. A second wave
+   repeats it warm; a third asks for stats. In every round, each on
+   fresh caches, the jobs-4 response stream (stats line included)
+   equals the jobs-1 stream, and every lookup is counted exactly once
+   at its level. *)
+let test_cache_stats_jobs_invariant () =
+  let programs = Hextile_stencils.Suite.[ heat1d; jacobi2d; heat2d ] in
+  let variants = 4 and ops = [ "tilesize"; "run"; "compile" ] in
+  let wave =
+    List.concat_map
+      (fun prog ->
+        List.concat_map
+          (fun k ->
+            let src = String.make k ' ' ^ Pretty.to_source prog in
+            List.map
+              (fun op ->
+                Printf.sprintf "{\"op\":%S,\"source\":%s,\"N\":16,\"T\":4}" op
+                  (Json.to_string ~minify:true (Json.Str src)))
+              ops)
+          (List.init variants Fun.id))
+      programs
+  in
+  let stream = wave @ [ "" ] @ wave @ [ ""; "{\"op\":\"stats\"}" ] in
+  let expected = drive ~cache:(Cache.create ()) ~jobs:1 stream in
+  List.iter (fun l -> Alcotest.(check bool) ("ok: " ^ l) true (is_ok l)) expected;
+  let stat name =
+    match
+      Option.bind (field "cache" (List.nth expected (List.length expected - 1))) (Json.member name)
+    with
+    | Some (Json.Int n) -> n
+    | _ -> Alcotest.failf "stats: no %s" name
+  in
+  let per_op = 2 * variants * List.length programs in
+  List.iter
+    (fun (level, parts, lookups) ->
+      Alcotest.(check int) (level ^ ": counted once per lookup") lookups
+        (List.fold_left (fun n k -> n + stat k) 0 parts))
+    [
+      ("entry", [ "entry_hits"; "entry_misses"; "collisions" ], per_op * List.length ops);
+      ("tilesize", [ "tilesize_hits"; "tilesize_misses" ], per_op);
+      ("run", [ "run_hits"; "run_misses" ], per_op);
+      ("compile", [ "compile_hits"; "compile_misses" ], per_op);
+    ];
+  for round = 1 to 4 do
+    Alcotest.(check (list string))
+      (Fmt.str "round %d: jobs 4 = jobs 1, stats included" round)
+      expected
+      (drive ~cache:(Cache.create ()) ~jobs:4 stream)
+  done
+
 (* Serve responses agree with the one-shot pipeline (what `hextile run`
    prints is derived from the same result record). *)
 let test_fuzz_agrees_with_oneshot () =
@@ -573,6 +626,8 @@ let suite =
       test_in_place_rejected;
     Alcotest.test_case "fuzz traffic: bit-identical at jobs 1/2/4, cold/warm"
       `Slow test_fuzz_traffic_determinism;
+    Alcotest.test_case "cache stats: same at jobs 1 and 4, one count per lookup" `Quick
+      test_cache_stats_jobs_invariant;
     Alcotest.test_case "fuzz traffic: agrees with one-shot pipeline" `Slow
       test_fuzz_agrees_with_oneshot;
     Alcotest.test_case "socket transport round trip" `Quick

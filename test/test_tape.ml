@@ -10,43 +10,20 @@ open Hextile_ir
 module Check = Hextile_check
 module Par = Hextile_par.Par
 module Obs = Hextile_obs.Obs
+module Results = Hextile_oracle.Results
+module Tape_ref = Hextile_oracle.Tape_ref
 
 let test_env prog = fun p -> List.assoc p (Suite.test_params prog)
 
-let compare_results name (ref_r : Common.result) (tape_r : Common.result) =
-  Alcotest.(check (list (pair string int)))
-    (name ^ ": counters")
-    (Counters.to_assoc ref_r.counters)
-    (Counters.to_assoc tape_r.counters);
-  Alcotest.(check int) (name ^ ": updates") ref_r.updates tape_r.updates;
-  Alcotest.(check int) (name ^ ": blocks") ref_r.blocks tape_r.blocks;
-  Hashtbl.iter
-    (fun aname g ->
-      if not (Grid.equal g (Grid.find tape_r.grids aname)) then
-        Alcotest.failf "%s: array %s differs between engines" name aname)
-    ref_r.grids
-
 let hybrid ?pool ~engine prog env = Hybrid_exec.run ?pool ~engine prog env Device.gtx470
 
-(* Stronger than [compare_results]: the two runs must agree on
+(* Stronger than [Results.check_same]: the two runs must agree on
    [blocks_memoized] too. Used across jobs values, where the shared
    read-once/replay-many class table must change only who records a
    class, never how many blocks replay one. *)
 let compare_identical name (a : Common.result) (b : Common.result) =
-  Alcotest.(check (list (pair string int)))
-    (name ^ ": counters")
-    (Counters.to_assoc a.counters)
-    (Counters.to_assoc b.counters);
-  Alcotest.(check int) (name ^ ": updates") a.updates b.updates;
-  Alcotest.(check int) (name ^ ": blocks") a.blocks b.blocks;
-  Alcotest.(check int)
-    (name ^ ": blocks_memoized")
-    a.blocks_memoized b.blocks_memoized;
-  Hashtbl.iter
-    (fun aname g ->
-      if not (Grid.equal g (Grid.find b.grids aname)) then
-        Alcotest.failf "%s: array %s differs across jobs values" name aname)
-    a.grids
+  Results.check_same name a b;
+  Alcotest.(check int) (name ^ ": blocks_memoized") a.blocks_memoized b.blocks_memoized
 
 (* Table 3 (plus the extra suite programs) on the hybrid scheme, at jobs
    1, 2 and 4: the memoized tape engine against the closure reference.
@@ -58,12 +35,12 @@ let test_hybrid_table3 () =
     (fun (name, prog, env) ->
       let ref_r = hybrid ~engine:Common.Ref prog env in
       let seq = hybrid ~engine:Common.Tape prog env in
-      compare_results (name ^ "/jobs1") ref_r seq;
+      Results.check_same (name ^ "/jobs1") ref_r seq;
       List.iter
         (fun jobs ->
           Par.with_pool ~jobs (fun pool ->
               let r = hybrid ~pool ~engine:Common.Tape prog env in
-              compare_results (Fmt.str "%s/jobs%d" name jobs) ref_r r))
+              Results.check_same (Fmt.str "%s/jobs%d" name jobs) ref_r r))
         [ 2; 4 ])
     (("heat2d N=64", Suite.heat2d, fun p -> List.assoc p [ ("N", 64); ("T", 16) ])
     :: List.map (fun (prog : Stencil.t) -> (prog.name, prog, test_env prog)) Suite.all)
@@ -73,7 +50,7 @@ let test_hybrid_table3 () =
 let test_other_schemes () =
   let check name run prog =
     let env = test_env prog in
-    compare_results name (run Common.Ref prog env) (run Common.Tape prog env)
+    Results.check_same name (run Common.Ref prog env) (run Common.Tape prog env)
   in
   check "ppcg" (fun engine p e -> Ppcg.run ~engine p e Device.gtx470) Suite.jacobi2d;
   check "par4all" (fun engine p e -> Par4all.run ~engine p e Device.gtx470) Suite.jacobi2d;
@@ -115,9 +92,9 @@ let test_fuzzed () =
     let e p = List.assoc p env in
     let ref_r = hybrid ~engine:Common.Ref prog e in
     let t1 = hybrid ~engine:Common.Tape prog e in
-    compare_results (Fmt.str "fuzz%d/jobs1" i) ref_r t1;
+    Results.check_same (Fmt.str "fuzz%d/jobs1" i) ref_r t1;
     Par.with_pool ~jobs:2 (fun pool ->
-        compare_results
+        Results.check_same
           (Fmt.str "fuzz%d/jobs2" i)
           ref_r
           (hybrid ~pool ~engine:Common.Tape prog e));
@@ -136,7 +113,7 @@ let test_memoization_fires () =
   let r = hybrid ~engine:Common.Tape prog env in
   if r.blocks_memoized = 0 then
     Alcotest.failf "no blocks memoized out of %d" r.blocks;
-  compare_results "jacobi2d-64" (hybrid ~engine:Common.Ref prog env) r
+  Results.check_same "jacobi2d-64" (hybrid ~engine:Common.Ref prog env) r
 
 (* With the sanitizer enabled the per-lane reference path must run (it
    needs per-lane thread identities): no memoized blocks, same grids. *)
@@ -305,61 +282,16 @@ let test_row_allocation_budget () =
         [ true; false ])
     Suite.all
 
-(* ---- fused run plans: [Tape.exec_plan] against [exec] ----------------
-
-   [exec] is the tape evaluated instruction by instruction over 32-lane
-   structure-of-arrays registers: every source is blitted into scratch
-   before any instruction runs, and the result register is blitted to
-   the output last. It is the reference the fused plans must match bit
-   for bit.
+(* ---- fused run plans: [Tape.exec_plan] against [Tape_ref.exec] -------
 
    Random SSA tapes built from instruction patterns the planner fuses
    (left-assoc sums of up to 11 terms, constant factors on either side,
    [ka*x + kb*y], [x - k*y]) next to plain Neg/Sub/Mul/Div. Operands are
    drawn from the sources and earlier pattern results, so values are
    sometimes read twice and must be materialized. The plan runs over
-   [n] lanes at a nonzero [dx]; the reference is [exec] over the same
-   lanes in 32-lane chunks. Lane counts cross the kernels' unroll
-   tail (0..9) and the 256-lane strip boundary (255..259, 515). *)
-
-let scratch (t : Tape.t) = Array.make (max 1 (t.nregs * Tape.lanes)) 0.0
-
-let exec (t : Tape.t) regs ~(datas : float array array) ~(bases : int array) ~dx ~n
-    ~(out : float array) ~out_base =
-  let lanes = Tape.lanes in
-  if n < 0 || n > lanes then invalid_arg "exec: n out of [0, 32]";
-  if Array.length regs < t.nregs * lanes then invalid_arg "exec: scratch too small";
-  for s = 0 to t.nsrcs - 1 do
-    Array.blit datas.(s) (bases.(s) + dx) regs (s * lanes) n
-  done;
-  let bin dst a b f =
-    for j = 0 to n - 1 do
-      regs.((dst * lanes) + j) <- f regs.((a * lanes) + j) regs.((b * lanes) + j)
-    done
-  in
-  Array.iter
-    (function
-      | Tape.Const { dst; v } -> Array.fill regs (dst * lanes) n v
-      | Neg { dst; a } ->
-          for j = 0 to n - 1 do
-            regs.((dst * lanes) + j) <- -.regs.((a * lanes) + j)
-          done
-      | Add { dst; a; b } -> bin dst a b ( +. )
-      | Sub { dst; a; b } -> bin dst a b ( -. )
-      | Mul { dst; a; b } -> bin dst a b ( *. )
-      | Div { dst; a; b } -> bin dst a b ( /. ))
-    t.instrs;
-  Array.blit regs (t.result * lanes) out out_base n
-
-(* [exec] over [n] lanes in 32-lane chunks *)
-let exec_chunked tape ~datas ~bases ~dx ~n ~out ~out_base =
-  let regs = scratch tape in
-  let c = ref 0 in
-  while !c < n do
-    let m = min Tape.lanes (n - !c) in
-    exec tape regs ~datas ~bases ~dx:(dx + !c) ~n:m ~out ~out_base:(out_base + !c);
-    c := !c + m
-  done
+   [n] lanes at a nonzero [dx]; the reference is [Tape_ref.exec] over
+   the same lanes in 32-lane chunks. Lane counts cross the kernels'
+   unroll tail (0..9) and the 256-lane strip boundary (255..259, 515). *)
 
 let plan_consts = [| 0.125; 0.5; -1.5; 3.0; 0.111 |]
 
@@ -491,13 +423,13 @@ let prop_exec_plan_equals_exec =
         (Array.make (Tape.plan_scratch_words plan) 0.0)
         ~datas ~bases ~dx ~n ~out:got ~out_base;
       let want = Array.make out_len Float.nan in
-      exec_chunked tape ~datas ~bases ~dx ~n ~out:want ~out_base;
+      Tape_ref.exec_chunked tape ~datas ~bases ~dx ~n ~out:want ~out_base;
       bits_equal got want)
 
 (* The in-place self-read ([A[x] = f(A[x], ..)], fdtd2d's live rows):
    [out] is physically one of the source arrays, at that source's own
    base. Each lane's result lands only after every pass has read that
-   lane, so the plan must still equal [exec], which reads a whole chunk
+   lane, so the plan must still equal [Tape_ref.exec], which reads a whole chunk
    into scratch before writing any of it. The other sources stay
    separate arrays. *)
 let prop_exec_plan_in_place =
@@ -527,7 +459,7 @@ let prop_exec_plan_in_place =
       in
       let want =
         run (fun ~datas ~out ->
-            exec_chunked tape ~datas ~bases ~dx ~n ~out ~out_base:(bases.(s) + dx))
+            Tape_ref.exec_chunked tape ~datas ~bases ~dx ~n ~out ~out_base:(bases.(s) + dx))
       in
       Array.for_all2 bits_equal got want)
 

@@ -2,6 +2,7 @@ open Hextile_tiling
 open Hextile_deps
 open Hextile_stencils
 open Hextile_util
+open Hextile_oracle
 
 let cone d0 d1 = { Cone.delta0 = d0; delta1 = d1 }
 let unit_cone = cone Rat.one Rat.one
@@ -408,64 +409,6 @@ module Rng = Hextile_check.Rng
 
 let env_of l p = List.assoc p l
 
-(* The oracle: [precedes] on every instance of every dependence, each
-   endpoint located through [coords]. Reports the last violating tstep
-   at the first violating spatial point. *)
-let legality_ref (t : Hybrid.t) env =
-  let open Hextile_ir in
-  let steps = Affp.eval t.prog.steps env in
-  let bounds =
-    Array.of_list
-      (List.map
-         (fun (s : Stencil.stmt) ->
-           ( Array.map (fun e -> Affp.eval e env) s.lo,
-             Array.map (fun e -> Affp.eval e env) s.hi ))
-         t.prog.stmts)
-  in
-  let in_domain i tstep s =
-    tstep >= 0 && tstep < steps
-    &&
-    let lo, hi = bounds.(i) in
-    let ok = ref true in
-    Array.iteri (fun d v -> if v < lo.(d) || v > hi.(d) then ok := false) s;
-    !ok
-  in
-  let violation = ref None in
-  let check_dep (dep : Dep.t) =
-    let lo, hi = bounds.(dep.src) in
-    let point = Array.make t.dims 0 in
-    let rec go d =
-      if !violation <> None then ()
-      else if d = t.dims then begin
-        for tstep = 0 to steps - 1 do
-          let u_src = Hybrid.instance_u t ~stmt:dep.src ~tstep in
-          let u_dst = u_src + dep.dist.(0) in
-          if Intutil.fmod u_dst t.k = dep.dst then begin
-            let s_dst = Array.mapi (fun d v -> v + dep.dist.(d + 1)) point in
-            if in_domain dep.dst (Hybrid.tstep_of_u t u_dst) s_dst then begin
-              let c_src = Hybrid.coords t ~u:u_src ~s:point in
-              let c_dst = Hybrid.coords t ~u:u_dst ~s:s_dst in
-              if not (Hybrid.precedes t c_src c_dst) then
-                violation :=
-                  Some
-                    (Fmt.str "dep %a violated at u=%d s=(%a)" Dep.pp dep u_src
-                       Fmt.(array ~sep:(any ", ") int)
-                       point)
-            end
-          end
-        done
-      end
-      else
-        for x = lo.(d) to hi.(d) do
-          point.(d) <- x;
-          go (d + 1)
-        done
-    in
-    go 0
-  in
-  List.iter check_dep t.deps;
-  match !violation with None -> Ok () | Some m -> Error m
-
 type verdict = Legal | Illegal | Raised
 
 let verdict f =
@@ -564,7 +507,7 @@ let legality_agrees ~tally seed =
   | Some (t, m, params) ->
       let env = env_of params in
       let fast = verdict (fun () -> Hybrid.check_legality t env) in
-      let slow = verdict (fun () -> legality_ref t env) in
+      let slow = verdict (fun () -> Hybrid_ref.legality t env) in
       if fast <> slow then
         QCheck.Test.fail_reportf "%s (%s), h=%d w=(%a) N=%d T=%d: check %a, oracle %a"
           t.prog.name (mutant_name m) t.h
@@ -754,33 +697,15 @@ let grids_for (prog : Hextile_ir.Stencil.t) =
   in
   ([ 1; 2; 3; 5 ], [ 2; 4; 6 ], wi)
 
-let check_same_choice name a b =
-  match (a, b) with
-  | None, None -> ()
-  | Some (ca : Tile_size.choice), Some (cb : Tile_size.choice) ->
-      Alcotest.(check int) (name ^ ": h") ca.h cb.h;
-      Alcotest.(check (array int)) (name ^ ": w") ca.w cb.w;
-      Alcotest.(check int) (name ^ ": iterations") ca.stats.iterations
-        cb.stats.iterations;
-      Alcotest.(check int) (name ^ ": loads") ca.stats.loads cb.stats.loads;
-      Alcotest.(check int) (name ^ ": stores") ca.stats.stores cb.stats.stores;
-      Alcotest.(check int) (name ^ ": footprint") ca.stats.footprint_box
-        cb.stats.footprint_box;
-      Alcotest.(check bool)
-        (name ^ ": ratio bit-identical")
-        true
-        (Int64.equal
-           (Int64.bits_of_float ca.stats.ratio)
-           (Int64.bits_of_float cb.stats.ratio))
-  | Some _, None -> Alcotest.failf "%s: staged found a choice, oracle none" name
-  | None, Some _ -> Alcotest.failf "%s: oracle found a choice, staged none" name
+let check_same_choice name staged oracle =
+  Option.iter (Alcotest.failf "%s: %s" name) (Tile_size_ref.choice_difference staged oracle)
 
 let test_staged_matches_exhaustive_table3 () =
   List.iter
     (fun (prog : Hextile_ir.Stencil.t) ->
       let hc, w0c, wi = grids_for prog in
       let oracle =
-        Tile_size.select_exhaustive prog ~h_candidates:hc ~w0_candidates:w0c
+        Tile_size_ref.select_exhaustive prog ~h_candidates:hc ~w0_candidates:w0c
           ~wi_candidates:wi ~shared_mem_floats:4096 ~require_multiple:8 ()
       in
       let staged, report =
@@ -816,7 +741,7 @@ let test_staged_matches_exhaustive_fuzzed () =
     let wi = List.init (dims - 1) (fun _ -> [ 1; 2; 4 ]) in
     let hc = [ 0; 1; 2; 3; 5 ] and w0c = [ 1; 2; 4 ] in
     let oracle =
-      Tile_size.select_exhaustive prog ~h_candidates:hc ~w0_candidates:w0c
+      Tile_size_ref.select_exhaustive prog ~h_candidates:hc ~w0_candidates:w0c
         ~wi_candidates:wi ~shared_mem_floats:2048 ()
     in
     let staged =
@@ -842,7 +767,7 @@ let test_dense_stats_match_ref () =
       let c = Cone.of_deps deps ~dim:0 in
       let w0 = max 2 (Hexagon.min_w0 ~h c) in
       let t = hybrid_of prog h [ w0 ] in
-      let d = Tile_size.tile_stats t and r = Tile_size.tile_stats_ref t in
+      let d = Tile_size.tile_stats t and r = Tile_size_ref.tile_stats t in
       Alcotest.(check int) (prog.name ^ ": iterations") r.iterations d.iterations;
       Alcotest.(check int) (prog.name ^ ": loads") r.loads d.loads;
       Alcotest.(check int) (prog.name ^ ": stores") r.stores d.stores;
@@ -859,7 +784,7 @@ let prop_dense_stats_match_ref_random =
       let c = Cone.of_deps deps ~dim:0 in
       let w0 = max 1 (Hexagon.min_w0 ~h c + w0extra) in
       let t = Hybrid.make prog ~h ~w:[| w0; w1 |] in
-      Tile_size.tile_stats t = Tile_size.tile_stats_ref t)
+      Tile_size.tile_stats t = Tile_size_ref.tile_stats t)
 
 (* Word-parallel accounting vs the hashtable reference on seeded
    generated programs: the draw must cover 1D, 2D and 3D, more than one
@@ -888,7 +813,7 @@ let test_stats_match_ref_generated () =
               Fmt.str "gen #%d %dD k=%d h=%d w=[%a]" i dims k h
                 Fmt.(array ~sep:(any ",") int) w
             in
-            Alcotest.(check bool) lbl true (Tile_size.tile_stats t = Tile_size.tile_stats_ref t))
+            Alcotest.(check bool) lbl true (Tile_size.tile_stats t = Tile_size_ref.tile_stats t))
           (if dims = 1 then [ 0 ] else [ 3; 33 ]))
       [ k - 1; (2 * k) - 1 ]
   done;
@@ -908,7 +833,7 @@ let test_stats_match_ref_word_edges () =
       (Fmt.str "%s h=%d w=[%a]" prog.Hextile_ir.Stencil.name h
          Fmt.(array ~sep:(any ",") int) w)
       true
-      (Tile_size.tile_stats t = Tile_size.tile_stats_ref t)
+      (Tile_size.tile_stats t = Tile_size_ref.tile_stats t)
   in
   List.iter
     (fun n ->
@@ -995,147 +920,6 @@ let test_formula_3d_matches_enumeration () =
 
 (* ---- tile model: the dense screen against the hash-table reference ---- *)
 
-(* The screen as first written: boxes allocated per row, tables keyed by
-   (access id, slot) and (array, slot) tuples in [Hashtbl]s. The oracle
-   [Tile_model.estimate] must equal record for record. *)
-module Estimate_ref = struct
-  module M = Tile_model
-
-  let inter (a : M.box) (b : M.box) : M.box =
-    {
-      lo = Array.mapi (fun i x -> max x b.lo.(i)) a.lo;
-      hi = Array.mapi (fun i x -> min x b.hi.(i)) a.hi;
-    }
-
-  let hull (a : M.box) (b : M.box) : M.box =
-    {
-      lo = Array.mapi (fun i x -> min x b.lo.(i)) a.lo;
-      hi = Array.mapi (fun i x -> max x b.hi.(i)) a.hi;
-    }
-
-  let diff1 r p = match p with None -> M.volume r | Some p -> M.volume r - M.volume (inter r p)
-
-  let diff2 r p w =
-    match (p, w) with
-    | None, None -> M.volume r
-    | Some p, None -> M.volume r - M.volume (inter r p)
-    | None, Some w -> M.volume r - M.volume (inter r w)
-    | Some p, Some w ->
-        M.volume r - M.volume (inter r p) - M.volume (inter r w)
-        + M.volume (inter (inter r p) w)
-
-  let access_box (hs : M.hslice) ~w (row : M.row) (ai : M.ainfo) : M.box =
-    let dims = hs.cx.dims in
-    let lo = Array.make dims 0 and hi = Array.make dims 0 in
-    lo.(0) <- hs.s00 + row.blo + ai.acc.offsets.(0);
-    hi.(0) <- hs.s00 + row.bhi + ai.acc.offsets.(0);
-    for d = 1 to dims - 1 do
-      let base = (7 * w.(d)) - row.fl.(d - 1) + ai.acc.offsets.(d) in
-      lo.(d) <- base;
-      hi.(d) <- base + w.(d) - 1
-    done;
-    { lo; hi }
-
-  let footprint (hs : M.hslice) ~w : M.footprint =
-    let cx = hs.cx in
-    let boxes = Array.make cx.narrays None in
-    let slotsets = Array.make cx.narrays [] in
-    let touch row (ai : M.ainfo) =
-      let b = access_box hs ~w row ai in
-      boxes.(ai.arr) <-
-        (match boxes.(ai.arr) with None -> Some b | Some cur -> Some (hull cur b));
-      let s = M.slot_of row ai in
-      if not (List.mem s slotsets.(ai.arr)) then slotsets.(ai.arr) <- s :: slotsets.(ai.arr)
-    in
-    Array.iter
-      (fun (row : M.row) ->
-        let si = cx.stmts.(row.sidx) in
-        Array.iter (touch row) si.reads;
-        touch row si.write)
-      hs.rows;
-    let floats = ref 0 in
-    Array.iteri
-      (fun i ob ->
-        match ob with
-        | None -> ()
-        | Some b -> floats := !floats + (M.volume b * max 1 (List.length slotsets.(i))))
-      boxes;
-    {
-      floats = !floats;
-      boxes;
-      slots = Array.map (fun l -> Array.of_list (List.sort compare l)) slotsets;
-    }
-
-  let estimate (hs : M.hslice) ~w : M.estimate =
-    let cx = hs.cx in
-    let fp = footprint hs ~w in
-    let rowsum =
-      Array.fold_left (fun acc (r : M.row) -> acc + (r.bhi - r.blo + 1)) 0 hs.rows
-    in
-    let inner = ref 1 in
-    for d = 1 to cx.dims - 1 do
-      inner := !inner * w.(d)
-    done;
-    let prev : (int * int, M.box) Hashtbl.t = Hashtbl.create 32 in
-    let lb : (int * int, int) Hashtbl.t = Hashtbl.create 32 in
-    let ub : (int * int, int) Hashtbl.t = Hashtbl.create 32 in
-    let whull : (int * int, M.box) Hashtbl.t = Hashtbl.create 8 in
-    let rhull : (int * int, M.box) Hashtbl.t = Hashtbl.create 8 in
-    let groups : (int * int, int list) Hashtbl.t = Hashtbl.create 8 in
-    let bump tbl key v =
-      Hashtbl.replace tbl key (v + Option.value ~default:0 (Hashtbl.find_opt tbl key))
-    in
-    let hull_in tbl key b =
-      Hashtbl.replace tbl key
-        (match Hashtbl.find_opt tbl key with None -> b | Some cur -> hull cur b)
-    in
-    let pending = ref [] in
-    Array.iter
-      (fun (row : M.row) ->
-        (* writes of earlier rows flush at the row boundary *)
-        List.iter (fun (gkey, b) -> hull_in whull gkey b) !pending;
-        pending := [];
-        let si = cx.stmts.(row.sidx) in
-        Array.iter
-          (fun (ai : M.ainfo) ->
-            let r = access_box hs ~w row ai in
-            let s = M.slot_of row ai in
-            let akey = (ai.id, s) and gkey = (ai.arr, s) in
-            let p = Hashtbl.find_opt prev akey in
-            bump lb akey (diff2 r p (Hashtbl.find_opt whull gkey));
-            bump ub akey (diff1 r p);
-            Hashtbl.replace prev akey r;
-            hull_in rhull gkey r;
-            let ids = Option.value ~default:[] (Hashtbl.find_opt groups gkey) in
-            if not (List.mem ai.id ids) then Hashtbl.replace groups gkey (ai.id :: ids))
-          si.reads;
-        pending :=
-          ((si.write.arr, M.slot_of row si.write), access_box hs ~w row si.write) :: !pending)
-      hs.rows;
-    let loads_lb = ref 0 and loads_ub = ref 0 in
-    Hashtbl.iter
-      (fun gkey ids ->
-        let arr_lb, arr_ub =
-          List.fold_left
-            (fun (mx, sum) id ->
-              let l = Option.value ~default:0 (Hashtbl.find_opt lb (id, snd gkey)) in
-              let u = Option.value ~default:0 (Hashtbl.find_opt ub (id, snd gkey)) in
-              (max mx l, sum + u))
-            (0, 0) ids
-        in
-        let hull_sz =
-          match Hashtbl.find_opt rhull gkey with None -> 0 | Some b -> M.volume b
-        in
-        loads_lb := !loads_lb + arr_lb;
-        loads_ub := !loads_ub + min hull_sz arr_ub)
-      groups;
-    { iterations = rowsum * !inner; fp; loads_lb = !loads_lb; loads_ub = !loads_ub }
-end
-
-let rec cartesian = function
-  | [] -> [ [] ]
-  | c :: rest -> List.concat_map (fun x -> List.map (fun t -> x :: t) (cartesian rest)) c
-
 (* Every candidate of the default search spec (alignment ignored: the
    screen sees all of them) of generated programs and of the builtins:
    the dense screen returns the oracle's record. *)
@@ -1160,43 +944,18 @@ let test_estimate_matches_ref () =
                     (fun wis ->
                       let w = Array.of_list (w0 :: wis) in
                       incr compared;
-                      if Tile_model.estimate hs ~w <> Estimate_ref.estimate hs ~w then
+                      if Tile_model.estimate hs ~w <> Tile_model_ref.estimate hs ~w then
                         Alcotest.failf "%s h=%d w=(%a): estimate differs from the reference"
                           prog.name h
                           Fmt.(array ~sep:comma int)
                           w)
-                    (cartesian spec.wi_candidates))
+                    (Tile_size_ref.cartesian spec.wi_candidates))
             spec.w0_candidates)
         (List.filter (fun h -> (h + 1) mod cx.k = 0) spec.h_candidates))
     progs;
   Alcotest.(check bool) "candidates compared" true (!compared >= 1000)
 
 (* ---- classical tile windows (analytic mode's class check) ------------- *)
-
-(* The dense references: enumerate the tiles of [Classical.tile_range]
-   and clip each one's window at normalized time [u] to [lo, hi]. *)
-let tiles_nonempty_dense (c : Classical.t) ~u_max ~u ~lo ~hi =
-  if lo > hi then 0
-  else begin
-    let tlo, thi = Classical.tile_range c ~u_max ~lo ~hi in
-    let n = ref 0 in
-    for v = tlo to thi do
-      let wlo = Classical.si_of c ~u ~tile:v ~intra:0 in
-      let whi = Classical.si_of c ~u ~tile:v ~intra:(c.w - 1) in
-      if max wlo lo <= min whi hi then incr n
-    done;
-    !n
-  end
-
-let coverage_dense (c : Classical.t) ~u_max ~u ~lo ~hi =
-  let tlo, thi = Classical.tile_range c ~u_max ~lo ~hi in
-  let s = ref 0 in
-  for v = tlo to thi do
-    let wlo = Classical.si_of c ~u ~tile:v ~intra:0 in
-    let whi = Classical.si_of c ~u ~tile:v ~intra:(c.w - 1) in
-    s := !s + max 0 (min whi hi - max wlo lo + 1)
-  done;
-  !s
 
 (* Window counts and coverage against dense tile enumeration, on shapes
    chosen to leave remainders: extents not divisible by the width,
@@ -1214,11 +973,11 @@ let test_tiles_coverage_match_dense () =
               in
               Alcotest.(check int)
                 (lbl ^ ": tiles_nonempty")
-                (tiles_nonempty_dense c ~u_max ~u ~lo ~hi)
+                (Tile_model_ref.tiles_nonempty c ~u_max ~u ~lo ~hi)
                 (Tile_model.tiles_nonempty c ~u ~lo ~hi);
               Alcotest.(check int)
                 (lbl ^ ": coverage")
-                (coverage_dense c ~u_max ~u ~lo ~hi)
+                (Tile_model_ref.coverage c ~u_max ~u ~lo ~hi)
                 (Tile_model.coverage ~lo ~hi)
             done
           done)

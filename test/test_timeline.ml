@@ -12,6 +12,7 @@ module Hist = Hextile_obs.Hist
 module Json = Hextile_obs.Json
 module Timeline = Hextile_obs.Timeline
 module Experiments = Hextile_experiments.Experiments
+module Results = Hextile_oracle.Results
 
 (* Every test starts from a clean recorder and leaves it off so
    timeline state never leaks into other suites. *)
@@ -243,28 +244,20 @@ let sim_counters pool =
       Sim.shared_load_warp s ~tids (some_addrs (List.init 32 Fun.id)));
   Counters.to_assoc s.total
 
-let grids_sig (r : Hextile_schemes.Common.result) =
-  Hashtbl.fold
-    (fun name (g : Grid.t) acc ->
-      (name, Array.map Int64.bits_of_float g.Grid.data) :: acc)
-    r.grids []
-  |> List.sort compare
-
-let hybrid_sig pool =
+let hybrid_run pool =
   let prog = Hextile_stencils.Suite.jacobi2d in
   let env p = List.assoc p [ ("N", 64); ("T", 8) ] in
-  let r = Hextile_schemes.Hybrid_exec.run ?pool prog env Device.gtx470 in
-  (grids_sig r, Counters.to_assoc r.counters, r.updates)
+  Hextile_schemes.Hybrid_exec.run ?pool prog env Device.gtx470
 
 let test_recording_perturbs_nothing () =
   Timeline.disable ();
-  let base_counters = sim_counters None and base_hybrid = hybrid_sig None in
+  let base_counters = sim_counters None and base_hybrid = hybrid_run None in
   List.iter
     (fun jobs ->
       Par.with_pool ~jobs (fun p ->
-          let off_c = sim_counters (Some p) and off_h = hybrid_sig (Some p) in
+          let off_c = sim_counters (Some p) and off_h = hybrid_run (Some p) in
           Timeline.enable ();
-          let on_c = sim_counters (Some p) and on_h = hybrid_sig (Some p) in
+          let on_c = sim_counters (Some p) and on_h = hybrid_run (Some p) in
           let su = Timeline.summary () in
           Timeline.disable ();
           Alcotest.(check bool)
@@ -277,10 +270,12 @@ let test_recording_perturbs_nothing () =
           Alcotest.(check (list (pair string int)))
             (Fmt.str "counters, recording on, jobs=%d" jobs)
             base_counters on_c;
-          if off_h <> base_hybrid then
-            Alcotest.failf "hybrid run differs at jobs=%d (recording off)" jobs;
-          if on_h <> base_hybrid then
-            Alcotest.failf "hybrid run differs at jobs=%d (recording on)" jobs))
+          Results.check_same
+            (Fmt.str "hybrid run at jobs=%d (recording off)" jobs)
+            base_hybrid off_h;
+          Results.check_same
+            (Fmt.str "hybrid run at jobs=%d (recording on)" jobs)
+            base_hybrid on_h))
     [ 2; 4 ]
 
 let test_obs_shape_stable_under_recording () =
