@@ -168,11 +168,11 @@ let rec cartesian_seq = function
 
 (* Candidate stream, in exactly the order the exhaustive reference
    search (test/oracle/) folds: h outer, then w0, then the cartesian
-   product of the inner widths. The [bool] marks candidates whose whole (h, w0) slice is already
-   known infeasible: the footprint is strictly increasing in every
-   inner width, so if the per-dimension minimum busts the budget the
-   entire product does — those candidates are emitted (they must be
-   counted) but never analyzed further. *)
+   product of the inner widths. The [bool] marks candidates whose
+   whole (h, w0) slice is already known infeasible: the footprint is
+   strictly increasing in every inner width, so if the per-dimension
+   minimum busts the budget the entire product does — those candidates
+   are emitted (they must be counted) but never analyzed further. *)
 let candidate_seq ~k ~cone ~slice ~budget ~h_candidates ~w0_candidates
     ~wi_candidates ~require_multiple =
   let wi_nonempty = List.for_all (fun l -> l <> []) wi_candidates in

@@ -15,9 +15,22 @@ let grid_bits_equal (a : Grid.t) (b : Grid.t) =
        (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
        a.data b.data
 
+(* What differs between two sets of arrays, if anything: the set of
+   names or an array's contents. *)
+let grids_difference a b =
+  if Hashtbl.length a <> Hashtbl.length b then Some "array set"
+  else
+    Hashtbl.fold
+      (fun name g acc ->
+        match (acc, Hashtbl.find_opt b name) with
+        | Some _, _ -> acc
+        | None, Some g' when grid_bits_equal g g' -> None
+        | None, _ -> Some ("grid " ^ name))
+      a None
+
 (* What differs between two runs of one program, if anything: a counter
-   (except those in [except]), the update or block count, the set of
-   arrays, or an array's contents. *)
+   (except those in [except]), the update or block count, or the
+   arrays. *)
 let difference ?(except = []) (a : Common.result) (b : Common.result) =
   let counters (r : Common.result) =
     List.filter (fun (k, _) -> not (List.mem k except)) (Counters.to_assoc r.counters)
@@ -28,15 +41,7 @@ let difference ?(except = []) (a : Common.result) (b : Common.result) =
   | Some ((k, x), (_, y)) -> Some (Fmt.str "counter %s (%d vs %d)" k x y)
   | None when a.updates <> b.updates -> Some "updates"
   | None when a.blocks <> b.blocks -> Some "blocks"
-  | None when Hashtbl.length a.grids <> Hashtbl.length b.grids -> Some "array set"
-  | None ->
-      Hashtbl.fold
-        (fun name g acc ->
-          match (acc, Hashtbl.find_opt b.grids name) with
-          | Some _, _ -> acc
-          | None, Some g' when grid_bits_equal g g' -> None
-          | None, _ -> Some ("grid " ^ name))
-        a.grids None
+  | None -> grids_difference a.grids b.grids
 
 let check_same what ?except a b =
   Option.iter (fun d -> failwith (Fmt.str "%s: %s differs" what d)) (difference ?except a b)

@@ -213,22 +213,11 @@ let test_interp_runs () =
 
 (* The row-compiled interpreter against the per-instance tree walker
    (test/oracle/interp_ref.ml): every grid equal bit for bit. *)
-let bits_equal a b =
-  Hashtbl.length a = Hashtbl.length b
-  && Hashtbl.fold
-       (fun name (g : Grid.t) acc ->
-         acc
-         &&
-         let r = Grid.find b name in
-         g.dims = r.dims
-         && Array.for_all2
-              (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
-              g.data r.data)
-       a true
-
 let check_oracle what prog env =
-  if not (bits_equal (Interp.run prog env) (Hextile_oracle.Interp_ref.run prog env)) then
-    Alcotest.failf "%s: compiled interpreter differs from the tree walker" what
+  Option.iter
+    (Alcotest.failf "%s: compiled interpreter differs from the tree walker (%s)" what)
+    (Hextile_oracle.Results.grids_difference (Interp.run prog env)
+       (Hextile_oracle.Interp_ref.run prog env))
 
 let test_interp_vs_oracle_suite () =
   let odd = function
