@@ -76,8 +76,8 @@ let jobs_arg =
         ~doc:
           "Worker domains for the parallel runtime (default: the \
            machine's recommended domain count). All outputs are \
-           bit-identical for every value; $(docv)=1 takes the exact \
-           sequential code path.")
+           bit-identical for every value; $(docv)=1 runs each launch's \
+           blocks as one chunk on the calling domain.")
 
 let trace_arg =
   Arg.(

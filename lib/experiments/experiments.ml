@@ -328,12 +328,11 @@ let ladder ?pool dev =
     verify_result r prog env;
     { step; label; result = r }
   in
+  (* one task per ladder rung; [Sim.launch] inside the region runs one
+     chunk, and results are the same at every jobs value *)
   match pool with
-  | Some p when Par.jobs p > 1 && not (Par.in_region ()) ->
-      (* one task per ladder rung; [Sim.launch] inside the region runs
-         sequentially, so each rung's result matches the jobs=1 run *)
-      Array.to_list (Par.map p step_of (Array.of_list ladder_labels))
-  | _ -> List.map step_of ladder_labels
+  | Some p -> Array.to_list (Par.map p step_of (Array.of_list ladder_labels))
+  | None -> List.map step_of ladder_labels
 
 let heat3d_flops = 27.0
 
@@ -503,9 +502,8 @@ let h_sweep ?pool dev (prog : Stencil.t) =
   in
   let hs = [ 0; 1; 2; 3; 5; 7 ] in
   match pool with
-  | Some p when Par.jobs p > 1 && not (Par.in_region ()) ->
-      List.filter_map Fun.id (Array.to_list (Par.map p eval (Array.of_list hs)))
-  | _ -> List.filter_map eval hs
+  | Some p -> List.filter_map Fun.id (Array.to_list (Par.map p eval (Array.of_list hs)))
+  | None -> List.filter_map eval hs
 
 let diamond_vs_hex_text () =
   let b = Buffer.create 512 in

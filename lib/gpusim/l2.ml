@@ -36,8 +36,7 @@ let rec find_way (set : int array) (tag : int) assoc i =
   else if Array.unsafe_get set i = tag then i
   else find_way set tag assoc (i + 1)
 
-let access_code t ~addr ~write =
-  let line = addr / t.line_bytes in
+let access_code t ~line ~write =
   let si = line mod t.sets in
   let set = t.tags.(si) and dirty = t.dirty.(si) in
   let tag = line / t.sets in

@@ -10,8 +10,8 @@ val create : bytes:int -> assoc:int -> line_bytes:int -> t
 val hit_bit : int
 val writeback_bit : int
 
-val access_code : t -> addr:int -> write:bool -> int
-(** Touch the line containing byte [addr]; the outcome as
+val access_code : t -> line:int -> write:bool -> int
+(** Touch line [line] (line = byte address / line size); the outcome as
     [hit_bit lor writeback_bit] bits, where [writeback_bit] reports that
     the victim line was dirty (one DRAM write transaction). The code is
     an int so a cache probe allocates nothing. *)

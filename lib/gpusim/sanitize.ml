@@ -144,14 +144,6 @@ let divergence_check s =
            d_expected = s.expected_syncs;
          })
 
-let block_end () =
-  let s = st () in
-  if s.on && s.in_block then begin
-    divergence_check s;
-    s.in_block <- false;
-    Hashtbl.reset s.words
-  end
-
 let launch_end () =
   let s = st () in
   if s.on then reset_launch_state s
@@ -220,7 +212,7 @@ let access ~write ?tids addrs =
             end)
       addrs
 
-(* ---- parallel block capture -------------------------------------------- *)
+(* ---- block capture ----------------------------------------------------- *)
 
 type block_report = {
   br_block : int;

@@ -28,11 +28,11 @@
 
     All sanitizer state is domain-local: each domain of a
     [Hextile_par.Par] pool sees its own independent sanitizer, so
-    parallel fuzz iterations may enable/disable it freely, and {!Sim}
-    runs parallel blocks under {!capture_block} on the workers and
-    merges the per-block reports deterministically (in the scrambled
-    block order, exactly like the sequential path) with
-    {!absorb_block_reports}. *)
+    parallel fuzz iterations may enable/disable it freely. {!Sim} runs
+    every block under {!capture_block}, on whichever domain executes it,
+    and merges the per-block reports in the scrambled block order with
+    {!absorb_block_reports}, so findings do not depend on the jobs
+    value. *)
 
 type race = {
   r_launch : string;
@@ -71,8 +71,6 @@ val pp_finding : finding Fmt.t
 (** {2 Simulator hooks} — called by {!Sim}; no-ops when disabled. *)
 
 val launch_begin : name:string -> unit
-val block_begin : int -> unit
-val block_end : unit -> unit
 val launch_end : unit -> unit
 val barrier : unit -> unit
 
@@ -83,8 +81,7 @@ val access :
     [None] addresses are ignored). Without [tids], every lane gets a
     fresh synthetic identity (negative, restarting per block). *)
 
-(** {2 Parallel block capture} — used by {!Sim} when a launch runs its
-    blocks across a domain pool. *)
+(** {2 Block capture} — {!Sim}'s per-block path, at every jobs value. *)
 
 type block_report
 (** The sanitizer outcome of one block: its barrier count plus the race
@@ -100,6 +97,6 @@ val capture_block : name:string -> block:int -> (unit -> unit) -> block_report
 val absorb_block_reports : block_report array -> unit
 (** Merge per-block reports into the calling domain's (enabled)
     sanitizer in array order: race findings are re-counted against the
-    recording cap and the divergence check runs per report, reproducing
-    the sequential path bit-for-bit when the array is in the launch's
-    scrambled block order. No-op when the sanitizer is disabled. *)
+    recording cap and the divergence check runs per report, against
+    the first report's barrier count. No-op when the sanitizer is
+    disabled. *)

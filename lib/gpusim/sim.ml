@@ -12,7 +12,6 @@ type t = {
   dev : Device.t;
   total : Counters.t;
   l2 : L2.t;
-  l1 : L2.t;  (** per-SM L1, reset at block boundaries *)
   addr : Addrmap.t;
   mutable launches : launch list;
   blocks_memoized : int Atomic.t;  (** blocks retired by {!replay_stream} *)
@@ -46,10 +45,6 @@ let create (dev : Device.t) =
     dev;
     total = Counters.create ();
     l2 = L2.create ~bytes:dev.l2_bytes ~assoc:dev.l2_assoc ~line_bytes:dev.line_bytes;
-    l1 =
-      L2.create
-        ~bytes:(max dev.line_bytes dev.l1_bytes)
-        ~assoc:4 ~line_bytes:dev.line_bytes;
     addr = Addrmap.create ();
     launches = [];
     blocks_memoized = Atomic.make 0;
@@ -65,17 +60,16 @@ let create (dev : Device.t) =
     recordings_dropped = Atomic.make 0;
   }
 
-(* ---- parallel-execution shadows ---------------------------------------- *)
+(* ---- block shadows ------------------------------------------------------ *)
 
 (* The L2 is shared across blocks, so its hit/miss sequence depends on the
    global access order — which a parallel run does not reproduce online.
-   Each domain therefore simulates its blocks against a private shadow
-   (own counter accumulator, own L1 replica — the L1 resets per block
-   anyway) and records the per-block L2 access sequence as an encoded
-   trace; after the join, the traces are replayed through the real shared
-   L2 sequentially in the launch's scrambled block order, reproducing the
-   sequential hit/miss/writeback sequence (and hence the DRAM counters)
-   bit-for-bit. *)
+   Every block therefore runs against its domain's private shadow (own
+   counter accumulator, own L1 replica — the L1 resets per block anyway)
+   and records its L2 access sequence as an encoded trace; the traces are
+   replayed through the real shared L2 in the launch's scrambled block
+   order, so the hit/miss/writeback sequence (and hence the DRAM
+   counters) is the same at every jobs value. *)
 
 type tbuf = { mutable buf : int array; mutable len : int }
 
@@ -92,20 +86,19 @@ let tbuf_push b v =
 
 type shadow = {
   owner : t;  (** the sim whose launch this shadow belongs to *)
-  sc : Counters.t;  (** per-domain accumulator, added into [total] at join *)
-  sl1 : L2.t;  (** private L1 replica (reset per block, like the real one) *)
-  mutable strace : tbuf;  (** current block's L2 trace: (line lsl 1) lor write *)
+  sc : Counters.t;  (** chunk accumulator, added into [total] after the blocks *)
+  sl1 : L2.t;  (** the domain's L1 replica, reset per block *)
+  strace : tbuf;  (** the domain's L2 trace: (line lsl 1) lor write *)
 }
 
 let shadow_key : shadow option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
-(* [Some s as o] returns the option cell already held in DLS — rebuilding
-   [Some s] here would charge two minor words to every counter bump on a
-   pool worker, breaking the encode path's allocation budget. *)
+(* The calling domain's shadow for [t]: warp events only happen inside a
+   block of one of [t]'s launches. *)
 let shadow t =
   match Domain.DLS.get shadow_key with
-  | Some s as o when s.owner == t -> o
-  | _ -> None
+  | Some s when s.owner == t -> s
+  | _ -> invalid_arg "Sim: warp event outside a block of a launch"
 
 (* ---- address-stream recording ----------------------------------------- *)
 
@@ -173,66 +166,42 @@ let lines_of dev addrs =
     addrs;
   !seen
 
-(* One coalesced load transaction: L1 probe, then the shared L2 (online)
-   or the per-domain trace (shadowed). *)
-let load_line t sh (c : Counters.t) line =
+(* One coalesced load transaction: L1 probe, then the block's L2 trace. *)
+let load_line t s line =
+  let c = s.sc in
   c.gld_transactions <- c.gld_transactions + 1;
-  let addr = line * t.dev.line_bytes in
-  match sh with
-  | None ->
-      let l1 =
-        t.dev.l1_bytes > 0
-        && L2.access_code t.l1 ~addr ~write:false land L2.hit_bit <> 0
-      in
-      if not l1 then begin
-        c.l2_read_transactions <- c.l2_read_transactions + 1;
-        let o = L2.access_code t.l2 ~addr ~write:false in
-        if o land L2.hit_bit = 0 then
-          c.dram_read_transactions <- c.dram_read_transactions + 1;
-        if o land L2.writeback_bit <> 0 then
-          c.dram_write_transactions <- c.dram_write_transactions + 1
-      end
-  | Some s ->
-      let l1 =
-        t.dev.l1_bytes > 0
-        && L2.access_code s.sl1 ~addr ~write:false land L2.hit_bit <> 0
-      in
-      if not l1 then begin
-        c.l2_read_transactions <- c.l2_read_transactions + 1;
-        tbuf_push s.strace (line lsl 1)
-      end
+  let l1 = t.dev.l1_bytes > 0 && L2.access_code s.sl1 ~line ~write:false land L2.hit_bit <> 0 in
+  if not l1 then begin
+    c.l2_read_transactions <- c.l2_read_transactions + 1;
+    tbuf_push s.strace (line lsl 1)
+  end
 
-let store_line t sh (c : Counters.t) ~serial line =
+let store_line s ~serial line =
+  let c = s.sc in
   c.gst_transactions <- c.gst_transactions + 1;
   if serial then c.serial_store_transactions <- c.serial_store_transactions + 1;
   c.l2_write_transactions <- c.l2_write_transactions + 1;
-  match sh with
-  | None ->
-      let o = L2.access_code t.l2 ~addr:(line * t.dev.line_bytes) ~write:true in
-      if o land L2.writeback_bit <> 0 then
-        c.dram_write_transactions <- c.dram_write_transactions + 1
-  | Some s -> tbuf_push s.strace ((line lsl 1) lor 1)
+  tbuf_push s.strace ((line lsl 1) lor 1)
 
 let global_load_warp t addrs =
   let n = active addrs in
   if n > 0 then begin
+    let s = shadow t in
     record_invalidate t;
-    let sh = shadow t in
-    let c = match sh with Some s -> s.sc | None -> t.total in
+    let c = s.sc in
     c.gld_inst <- c.gld_inst + n;
     c.gld_requests <- c.gld_requests + 1;
     c.gld_useful_bytes <- c.gld_useful_bytes + (4 * n);
-    List.iter (load_line t sh c) (lines_of t.dev addrs)
+    List.iter (load_line t s) (lines_of t.dev addrs)
   end
 
 let global_store_warp ?(serial = false) t addrs =
   let n = active addrs in
   if n > 0 then begin
+    let s = shadow t in
     record_invalidate t;
-    let sh = shadow t in
-    let c = match sh with Some s -> s.sc | None -> t.total in
-    c.gst_inst <- c.gst_inst + n;
-    List.iter (store_line t sh c ~serial) (lines_of t.dev addrs)
+    s.sc.gst_inst <- s.sc.gst_inst + n;
+    List.iter (store_line s ~serial) (lines_of t.dev addrs)
   end
 
 (* ---- warp-batched entry points ----------------------------------------- *)
@@ -251,28 +220,27 @@ let global_store_warp ?(serial = false) t addrs =
 
 let global_load_run t ~addr ~n =
   if n > 0 then begin
-    let sh = shadow t in
-    let c = match sh with Some s -> s.sc | None -> t.total in
+    let s = shadow t in
+    let c = s.sc in
     c.gld_inst <- c.gld_inst + n;
     c.gld_requests <- c.gld_requests + 1;
     c.gld_useful_bytes <- c.gld_useful_bytes + (4 * n);
     let lb = t.dev.line_bytes in
     let lo = addr / lb and hi = (addr + (4 * n) - 4) / lb in
     for line = hi downto lo do
-      load_line t sh c line
+      load_line t s line
     done;
     if recording_active t then record t (Gload_run { addr; n })
   end
 
 let global_store_run ?(serial = false) t ~addr ~n =
   if n > 0 then begin
-    let sh = shadow t in
-    let c = match sh with Some s -> s.sc | None -> t.total in
-    c.gst_inst <- c.gst_inst + n;
+    let s = shadow t in
+    s.sc.gst_inst <- s.sc.gst_inst + n;
     let lb = t.dev.line_bytes in
     let lo = addr / lb and hi = (addr + (4 * n) - 4) / lb in
     for line = hi downto lo do
-      store_line t sh c ~serial line
+      store_line s ~serial line
     done;
     if recording_active t then record t (Gstore_run { addr; n; serial })
   end
@@ -282,8 +250,8 @@ let global_store_run ?(serial = false) t ~addr ~n =
 let gload_lanes_off t addrs off =
   let n = Array.length addrs in
   if n > 0 then begin
-    let sh = shadow t in
-    let c = match sh with Some s -> s.sc | None -> t.total in
+    let s = shadow t in
+    let c = s.sc in
     c.gld_inst <- c.gld_inst + n;
     c.gld_requests <- c.gld_requests + 1;
     c.gld_useful_bytes <- c.gld_useful_bytes + (4 * n);
@@ -293,7 +261,7 @@ let gload_lanes_off t addrs off =
       let line = (addrs.(i) + off) / lb in
       if line <> !prev then begin
         prev := line;
-        load_line t sh c line
+        load_line t s line
       end
     done
   end
@@ -301,16 +269,15 @@ let gload_lanes_off t addrs off =
 let gstore_lanes_off ~serial t addrs off =
   let n = Array.length addrs in
   if n > 0 then begin
-    let sh = shadow t in
-    let c = match sh with Some s -> s.sc | None -> t.total in
-    c.gst_inst <- c.gst_inst + n;
+    let s = shadow t in
+    s.sc.gst_inst <- s.sc.gst_inst + n;
     let lb = t.dev.line_bytes in
     let prev = ref min_int in
     for i = n - 1 downto 0 do
       let line = (addrs.(i) + off) / lb in
       if line <> !prev then begin
         prev := line;
-        store_line t sh c ~serial line
+        store_line s ~serial line
       end
     done
   end
@@ -338,17 +305,16 @@ let bank_transactions dev addrs =
     addrs;
   Array.fold_left (fun m l -> max m (List.length l)) 0 per_bank
 
-let counters_of t =
-  match shadow t with Some s -> s.sc | None -> t.total
+let counters_of t = (shadow t).sc
 
 let live_counters = counters_of
 
 let shared_load_warp ?(replay = 1) ?tids t addrs =
   let n = active addrs in
   if n > 0 then begin
+    let c = counters_of t in
     record_invalidate t;
     if Sanitize.enabled () then Sanitize.access ~write:false ?tids addrs;
-    let c = counters_of t in
     c.shared_load_requests <- c.shared_load_requests + 1;
     c.shared_load_transactions <-
       c.shared_load_transactions + (replay * max 1 (bank_transactions t.dev addrs))
@@ -357,9 +323,9 @@ let shared_load_warp ?(replay = 1) ?tids t addrs =
 let shared_store_warp ?(replay = 1) ?tids t addrs =
   let n = active addrs in
   if n > 0 then begin
+    let c = counters_of t in
     record_invalidate t;
     if Sanitize.enabled () then Sanitize.access ~write:true ?tids addrs;
-    let c = counters_of t in
     c.shared_store_requests <- c.shared_store_requests + 1;
     c.shared_store_transactions <-
       c.shared_store_transactions + (replay * max 1 (bank_transactions t.dev addrs))
@@ -423,12 +389,12 @@ let flops_warp t ~active ~per_lane =
   end
 
 let sync t =
-  if Sanitize.enabled () then Sanitize.barrier ();
   let c = counters_of t in
+  if Sanitize.enabled () then Sanitize.barrier ();
   c.syncs <- c.syncs + 1
 
 (* Replay a recorded stream for another block of the same tile class:
-   memory events run through the same (shadow-aware) machinery as live
+   memory events run through the same shadowed machinery as live
    execution, with every global address moved by the member's [off]
    words; line ranges, coalescing and L1/L2 behaviour are recomputed
    from the translated addresses, so the accounting is exact at any
@@ -525,20 +491,19 @@ let scrambled n =
 let block_order ~blocks = scrambled blocks
 
 (* Replay one slice of an encoded L2 trace through the real shared L2,
-   charging the resulting DRAM traffic exactly as the online sequential
-   path does. *)
+   charging the resulting DRAM traffic to [t.total]. *)
 let replay_l2 t buf off len =
   let c = t.total in
   for i = off to off + len - 1 do
     let v = buf.(i) in
-    let addr = v lsr 1 * t.dev.line_bytes in
+    let line = v lsr 1 in
     if v land 1 = 1 then begin
-      let o = L2.access_code t.l2 ~addr ~write:true in
+      let o = L2.access_code t.l2 ~line ~write:true in
       if o land L2.writeback_bit <> 0 then
         c.dram_write_transactions <- c.dram_write_transactions + 1
     end
     else begin
-      let o = L2.access_code t.l2 ~addr ~write:false in
+      let o = L2.access_code t.l2 ~line ~write:false in
       if o land L2.hit_bit = 0 then
         c.dram_read_transactions <- c.dram_read_transactions + 1;
       if o land L2.writeback_bit <> 0 then
@@ -552,131 +517,159 @@ let replay_l2 t buf off len =
    launch rewinds it (len <- 0) without freeing the storage. After
    warm-up no steady-state per-block or per-event allocation remains on
    the encode path — blocks record their slice of the domain buffer as a
-   (buffer, offset, length) triple into arrays preallocated per launch. *)
-type dstate = { dt : tbuf; dl1 : L2.t option ref; mutable stamp : int }
+   (buffer, offset, length) triple into arrays preallocated per launch.
+   The L1 replica is kept with its geometry (bytes, line bytes) and
+   rebuilt when a launch's device has another one. *)
+type dstate = {
+  dt : tbuf;
+  mutable dl1 : (int * int * L2.t) option;
+  mutable stamp : int;
+}
 
 let launch_serials = Atomic.make 0
 
 let dstate_key : dstate Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      { dt = tbuf_create (); dl1 = ref None; stamp = -1 })
+  Domain.DLS.new_key (fun () -> { dt = tbuf_create (); dl1 = None; stamp = -1 })
 
 let domain_l1 t (d : dstate) =
-  match !(d.dl1) with
-  | Some l1 -> l1
-  | None ->
-      let l1 =
-        L2.create
-          ~bytes:(max t.dev.line_bytes t.dev.l1_bytes)
-          ~assoc:4 ~line_bytes:t.dev.line_bytes
-      in
-      d.dl1 := Some l1;
+  let bytes = max t.dev.line_bytes t.dev.l1_bytes and lb = t.dev.line_bytes in
+  match d.dl1 with
+  | Some (b, l, l1) when b = bytes && l = lb -> l1
+  | _ ->
+      let l1 = L2.create ~bytes ~assoc:4 ~line_bytes:lb in
+      d.dl1 <- Some (bytes, lb, l1);
       l1
 
 let empty_tbuf = { buf = [||]; len = 0 }
 
-let run_blocks_parallel t pool ~name ~order ?wave_of ~f () =
+(* Waves partition the canonical positions while preserving canonical
+   order inside each wave. *)
+let waves_of ~order wave_of =
+  let nblocks = Array.length order in
+  match wave_of with
+  | None -> [| Array.init nblocks Fun.id |]
+  | Some wf ->
+      let wid = Array.map wf order in
+      let nw = 1 + Array.fold_left max 0 wid in
+      let counts = Array.make nw 0 in
+      Array.iter (fun w -> counts.(w) <- counts.(w) + 1) wid;
+      let arrs = Array.map (fun c -> Array.make c 0) counts in
+      let fill = Array.make nw 0 in
+      for k = 0 to nblocks - 1 do
+        let w = wid.(k) in
+        arrs.(w).(fill.(w)) <- k;
+        fill.(w) <- fill.(w) + 1
+      done;
+      arrs
+
+(* Run the blocks of one launch, each under its domain's shadow, and
+   replay their L2 traces in canonical (scrambled) position order. With a
+   pool outside a parallel region, contiguous chunks of each wave run
+   across the pool's domains and the traces are replayed after the last
+   wave; otherwise one chunk runs inline, in canonical order, so each
+   block's slice is replayed as the block retires and the buffer rewound. *)
+let run_blocks t pool ~name ~order ?wave_of ~f () =
   let nblocks = Array.length order in
   let serial = 1 + Atomic.fetch_and_add launch_serials 1 in
   let sanitize = Sanitize.enabled () in
-  (* each canonical position k records which domain buffer holds its
-     trace and where — pointers and ints only, no per-block boxing *)
-  let traces_buf = Array.make nblocks empty_tbuf in
-  let tpos_off = Array.make nblocks 0 in
-  let tpos_len = Array.make nblocks 0 in
-  let reports = Array.make nblocks None in
-  (* Waves partition the canonical positions while preserving canonical
-     order inside each wave; the Par.run join between waves is the
-     publication barrier that lets wave-0 blocks produce shared state
-     (e.g. representative tile-class recordings) that wave-1 blocks
-     consume without any spinning or racing. *)
-  let waves =
-    match wave_of with
-    | None -> [| Array.init nblocks (fun k -> k) |]
-    | Some wf ->
-        let wid = Array.map wf order in
-        let nw = 1 + Array.fold_left max 0 wid in
-        let counts = Array.make nw 0 in
-        Array.iter (fun w -> counts.(w) <- counts.(w) + 1) wid;
-        let arrs = Array.map (fun c -> Array.make c 0) counts in
-        let fill = Array.make nw 0 in
-        for k = 0 to nblocks - 1 do
-          let w = wid.(k) in
-          arrs.(w).(fill.(w)) <- k;
-          fill.(w) <- fill.(w) + 1
-        done;
-        arrs
+  let reports = Array.make (if sanitize then nblocks else 0) None in
+  (* positions [ks.(lo) .. ks.(hi-1)] on the calling domain, counters into
+     [sc]; [retire k buf off len] gets each block's trace slice *)
+  let run_chunk sc ks lo hi retire =
+    let d = Domain.DLS.get dstate_key in
+    if d.stamp <> serial then begin
+      d.stamp <- serial;
+      d.dt.len <- 0
+    end;
+    let sh = { owner = t; sc; sl1 = domain_l1 t d; strace = d.dt } in
+    (* read once per chunk: while recording is off, no block pays for the
+       boxed timeline args *)
+    let tl = Tl.enabled () in
+    Domain.DLS.set shadow_key (Some sh);
+    Fun.protect
+      ~finally:(fun () -> Domain.DLS.set shadow_key None)
+      (fun () ->
+        for j = lo to hi - 1 do
+          let k = ks.(j) in
+          let b = order.(k) in
+          (* fresh per-block L1 (Fermi L1 is per SM and not coherent) *)
+          L2.reset sh.sl1;
+          let off = d.dt.len in
+          if tl then Tl.begin_ ~arg:(float_of_int b) "sim.block";
+          if sanitize then
+            reports.(k) <- Some (Sanitize.capture_block ~name ~block:b (fun () -> f b))
+          else f b;
+          let len = d.dt.len - off in
+          if tl then begin
+            (* arg = L2-trace events encoded for this block; the encode
+               cost is inline with compute, so the attribution multiplies
+               this by the calibrated per-event push cost *)
+            Tl.instant ~arg:(float_of_int len) "sim.encode";
+            Tl.end_ ()
+          end;
+          retire k d.dt off len
+        done)
   in
-  let all_chunk_counters = ref [] in
-  Array.iter
-    (fun wave ->
-      let wn = Array.length wave in
-      if wn > 0 then begin
-        let nchunks = min (Par.jobs pool) wn in
-        let chunk_counters = Array.init nchunks (fun _ -> Counters.create ()) in
-        all_chunk_counters := chunk_counters :: !all_chunk_counters;
-        Par.run pool
-          (Array.init nchunks (fun ci () ->
-               (* contiguous chunk of this wave's canonical positions:
-                  merging per-chunk state in chunk order reproduces the
-                  sequential order *)
-               let lo = ci * wn / nchunks and hi = (ci + 1) * wn / nchunks in
-               let d = Domain.DLS.get dstate_key in
-               if d.stamp <> serial then begin
-                 d.stamp <- serial;
-                 d.dt.len <- 0
-               end;
-               let sh =
-                 {
-                   owner = t;
-                   sc = chunk_counters.(ci);
-                   sl1 = domain_l1 t d;
-                   strace = d.dt;
-                 }
-               in
-               Domain.DLS.set shadow_key (Some sh);
-               Fun.protect
-                 ~finally:(fun () -> Domain.DLS.set shadow_key None)
-                 (fun () ->
-                   for j = lo to hi - 1 do
-                     let k = wave.(j) in
-                     let b = order.(k) in
-                     L2.reset sh.sl1;
-                     let off = d.dt.len in
-                     traces_buf.(k) <- d.dt;
-                     tpos_off.(k) <- off;
-                     Tl.begin_ ~arg:(float_of_int b) "sim.block";
-                     if sanitize then
-                       reports.(k) <-
-                         Some (Sanitize.capture_block ~name ~block:b (fun () -> f b))
-                     else f b;
-                     tpos_len.(k) <- d.dt.len - off;
-                     (* arg = L2-trace events encoded for this block; the
-                        encode cost is inline with compute, so the
-                        attribution multiplies this by the calibrated
-                        per-event push cost *)
-                     Tl.instant ~arg:(float_of_int tpos_len.(k)) "sim.encode";
-                     Tl.end_ ()
-                   done)))
-      end)
-    waves;
-  (* the determinism tax, made visible: sequential counter merge, then
-     sequential replay of the encoded traces through the shared L2 in
-     canonical (scrambled) position order — wave-independent *)
-  Tl.begin_ ~arg:(float_of_int nblocks) "sim.absorb";
-  List.iter
-    (fun ccs -> Array.iter (fun c -> Counters.add t.total c) ccs)
-    (List.rev !all_chunk_counters);
-  Tl.end_ ();
-  Tl.begin_ ~arg:(float_of_int nblocks) "sim.l2_replay";
-  for k = 0 to nblocks - 1 do
-    replay_l2 t traces_buf.(k).buf tpos_off.(k) tpos_len.(k)
-  done;
-  if Tl.enabled () then begin
-    let _valid, dirty = L2.stats t.l2 in
-    Tl.instant ~arg:(float_of_int dirty) "sim.l2_dirty_lines"
-  end;
-  Tl.end_ ();
+  (match pool with
+  | Some p when Par.jobs p > 1 && nblocks > 1 && not (Par.in_region ()) ->
+      (* each canonical position k records which domain buffer holds its
+         trace and where — pointers and ints only, no per-block boxing *)
+      let traces_buf = Array.make nblocks empty_tbuf in
+      let tpos_off = Array.make nblocks 0 in
+      let tpos_len = Array.make nblocks 0 in
+      let retire k buf off len =
+        traces_buf.(k) <- buf;
+        tpos_off.(k) <- off;
+        tpos_len.(k) <- len
+      in
+      (* the Par.run join between waves is the publication barrier that
+         lets wave-0 blocks produce shared state (e.g. representative
+         tile-class recordings) that wave-1 blocks consume without any
+         spinning or racing *)
+      let all_chunk_counters = ref [] in
+      Array.iter
+        (fun wave ->
+          let wn = Array.length wave in
+          if wn > 0 then begin
+            let nchunks = min (Par.jobs p) wn in
+            let chunk_counters = Array.init nchunks (fun _ -> Counters.create ()) in
+            all_chunk_counters := chunk_counters :: !all_chunk_counters;
+            Par.run p
+              (Array.init nchunks (fun ci () ->
+                   (* contiguous chunk of this wave's canonical positions:
+                      merging per-chunk state in chunk order reproduces
+                      the canonical order *)
+                   run_chunk chunk_counters.(ci) wave (ci * wn / nchunks)
+                     ((ci + 1) * wn / nchunks)
+                     retire))
+          end)
+        (waves_of ~order wave_of);
+      (* the determinism tax, made visible: sequential counter merge, then
+         sequential replay of the encoded traces through the shared L2 in
+         canonical position order — wave-independent *)
+      Tl.begin_ ~arg:(float_of_int nblocks) "sim.absorb";
+      List.iter
+        (fun ccs -> Array.iter (fun c -> Counters.add t.total c) ccs)
+        (List.rev !all_chunk_counters);
+      Tl.end_ ();
+      Tl.begin_ ~arg:(float_of_int nblocks) "sim.l2_replay";
+      for k = 0 to nblocks - 1 do
+        replay_l2 t traces_buf.(k).buf tpos_off.(k) tpos_len.(k)
+      done;
+      if Tl.enabled () then begin
+        let _valid, dirty = L2.stats t.l2 in
+        Tl.instant ~arg:(float_of_int dirty) "sim.l2_dirty_lines"
+      end;
+      Tl.end_ ()
+  | _ ->
+      (* one chunk: execution order is canonical order, and the scrambled
+         order already visits each class representative first, so
+         [wave_of] is not needed *)
+      let sc = Counters.create () in
+      run_chunk sc (Array.init nblocks Fun.id) 0 nblocks (fun _ buf off len ->
+          replay_l2 t buf.buf off len;
+          buf.len <- off);
+      Counters.add t.total sc);
   if sanitize then
     Tl.slice "sim.absorb" (fun () ->
         Sanitize.absorb_block_reports
@@ -696,29 +689,12 @@ let launch ?pool ?post ?wave_of t ~name ~blocks ~threads ~shared_bytes ~f =
     Fun.protect ~finally:Tl.end_ @@ fun () ->
     let before = Counters.copy t.total in
     if Sanitize.enabled () then Sanitize.launch_begin ~name;
-    let par =
-      match pool with
-      | Some p when Par.jobs p > 1 && blocks > 1 && not (Par.in_region ()) ->
-          Some p
-      | _ -> None
-    in
-    (match par with
-    | Some p -> run_blocks_parallel t p ~name ~order:(scrambled blocks) ?wave_of ~f ()
-    | None ->
-        Array.iter
-          (fun b ->
-            (* fresh per-block L1 (Fermi L1 is per SM and not coherent) *)
-            L2.reset t.l1;
-            if Sanitize.enabled () then Sanitize.block_begin b;
-            f b;
-            if Sanitize.enabled () then Sanitize.block_end ())
-          (scrambled blocks));
+    run_blocks t pool ~name ~order:(scrambled blocks) ?wave_of ~f ();
     if Sanitize.enabled () then Sanitize.launch_end ();
-    (* launch epilogue: runs on the main domain (no shadow, counters go
-       straight to [t.total], memory events reach the real shared L2)
-       after every block has retired but before the launch delta is
-       captured — so analytically derived counters feed the same
-       roofline time model as instanced ones *)
+    (* launch epilogue: runs on the main domain after every block has
+       retired but before the launch delta is captured, so analytically
+       derived counters (written straight to [t.total] and the shared L2)
+       feed the same roofline time model as instanced ones *)
     (match post with None -> () | Some g -> g ());
     t.total.kernels <- t.total.kernels + 1;
     let delta = Counters.diff t.total before in

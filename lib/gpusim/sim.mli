@@ -8,18 +8,19 @@
     DRAM, L2 and shared-memory throughput, plus launch and barrier
     overheads).
 
-    Blocks of one launch are executed sequentially but in a scrambled
-    order, so schedules that wrongly assume an ordering between
-    concurrent blocks tend to fail functional verification.
+    Blocks of one launch are executed in a scrambled order, so schedules
+    that wrongly assume an ordering between concurrent blocks tend to
+    fail functional verification.
 
-    With a [Hextile_par.Par] pool, {!launch} distributes contiguous
-    chunks of the scrambled order across domains. Each domain simulates
-    against a private shadow (its own counter accumulator and L1 replica)
-    and records its per-block L2 access traces; at the join the chunk
-    counters are added in chunk order and the traces are replayed through
-    the shared L2 in the scrambled block order — so every counter,
-    including L2/DRAM traffic and sanitizer findings, is bit-identical to
-    the sequential run for any jobs value. *)
+    Every block runs against its domain's private shadow (its own
+    counter accumulator and L1 replica) and records its L2 access trace;
+    the traces are replayed through the shared L2 in the scrambled block
+    order. Without a [Hextile_par.Par] pool the blocks run as one chunk
+    on the calling domain and each trace is replayed as its block
+    retires; with one, {!launch} distributes contiguous chunks of the
+    scrambled order across domains and replays after the join. Either
+    way every counter, including L2/DRAM traffic and sanitizer findings,
+    is bit-identical for any jobs value. *)
 
 type fallback =
   | Unequal_stride  (** the arrays do not share one s0 stride *)
@@ -34,7 +35,6 @@ type t = {
   dev : Device.t;
   total : Counters.t;
   l2 : L2.t;
-  l1 : L2.t;  (** per-SM L1 model, reset at block boundaries *)
   addr : Addrmap.t;
   mutable launches : launch list;
   blocks_memoized : int Atomic.t;
@@ -94,26 +94,28 @@ val launch :
   f:(int -> unit) ->
   unit
 (** Run a kernel: [f block_id] once per block (scrambled order). [post],
-    if given, runs on the main domain after every block has retired (and,
-    in a parallel run, after the chunk counters and L2 traces have been
-    absorbed) but before the launch's counter delta and roofline time are
-    captured: warp events and counter mutations made inside [post] reach
-    [t.total] and the shared L2 directly and are attributed to this
-    launch. The analytic tile-class mode uses it to add derived counters
-    so they feed the same launch-time model as instanced ones. Raises
-    [Invalid_argument] if [threads] or [shared_bytes] exceed the device
-    limits. When {!Sanitize.enabled}, the launch/block structure is
-    reported to the sanitizer, which checks shared-memory races between
-    barriers and barrier-count uniformity across blocks.
+    if given, runs on the calling domain after every block has retired
+    and its counters and L2 trace have been absorbed, but before the
+    launch's counter delta and roofline time are captured. It issues no
+    warp events (they raise [Invalid_argument] outside a block); it
+    writes [t.total] and the shared L2 directly, and those writes are
+    attributed to this launch. The analytic tile-class mode uses it to
+    add derived counters so they feed the same launch-time model as
+    instanced ones. Raises [Invalid_argument] if [threads] or
+    [shared_bytes] exceed the device limits. When {!Sanitize.enabled},
+    the launch/block structure is reported to the sanitizer, which
+    checks shared-memory races between barriers and barrier-count
+    uniformity across blocks.
 
-    [pool] runs the blocks across the pool's domains (blocks of one
-    launch are independent by the CUDA model; [f] must not mutate shared
-    simulator state beyond the warp-event calls and per-cell grid
-    writes). All counters and findings are bit-identical to the
-    sequential run; with a 1-job pool, from inside another parallel
-    region, or without [pool] the exact sequential path runs.
+    [pool] runs the blocks in [Par.jobs pool] chunks across the pool's
+    domains (blocks of one launch are independent by the CUDA model; [f]
+    must not mutate shared simulator state beyond the warp-event calls
+    and per-cell grid writes). With a 1-job pool, from inside another
+    parallel region, or without [pool], one chunk runs inline on the
+    calling domain. All counters and findings are bit-identical at every
+    jobs value.
 
-    [wave_of], parallel path only, assigns each block id to a wave
+    [wave_of], multi-chunk runs only, assigns each block id to a wave
     (small dense non-negative ints); waves execute in ascending order
     with a full pool join between them, while counter absorption and L2
     trace replay still happen once, in canonical scrambled-position
@@ -123,29 +125,30 @@ val launch :
     record (recorded stream, counter delta, compiled rows), and every
     other block runs in wave 1 by its class's strategy — replaying,
     skipping for the epilogue to derive, or executing live — without
-    spinning or racing on the shared records. The sequential path
-    ignores [wave_of]: the scrambled order already visits each class's
-    representative first (see {!block_order}).
+    spinning or racing on the shared records. A one-chunk run ignores
+    [wave_of]: it runs in canonical order, which already visits each
+    class's representative first (see {!block_order}).
 
     When {!Hextile_obs.Timeline} recording is enabled, every launch
-    emits a ["sim.launch"] slice, and the parallel path additionally
-    emits per-block ["sim.block"] slices with ["sim.encode"] instants
-    (arg = L2-trace events encoded), plus ["sim.absorb"] and
-    ["sim.l2_replay"] slices around the sequential join phases — the
-    wall-clock cost of the determinism contract. The encode path reuses
-    one persistent trace buffer and L1 replica per domain (rewound per
-    launch), so steady state adds no per-event or per-block allocation. *)
+    emits a ["sim.launch"] slice with one ["sim.block"] slice per block
+    and a ["sim.encode"] instant in each (arg = L2-trace events
+    encoded). A multi-chunk run adds ["sim.absorb"] and ["sim.l2_replay"]
+    slices around the sequential join phases — the wall-clock cost of
+    the determinism contract. The encode path reuses one persistent
+    trace buffer and L1 replica per domain (rewound per launch), so
+    steady state adds no per-event or per-block allocation. *)
 
 val block_order : blocks:int -> int array
 (** The deterministic scrambled order in which {!launch} visits block
     ids — position [k] holds the id of the [k]-th block executed (on
-    every jobs value; parallel chunks split this same order
-    contiguously). Exposed so schedulers can agree with the simulator on
-    which block of a tile class runs first (the class representative). *)
+    every jobs value; chunks split this same order contiguously).
+    Exposed so schedulers can agree with the simulator on which block of
+    a tile class runs first (the class representative). *)
 
-(** {2 Warp-level events} — call from inside [f]. Address arrays have one
-    entry per lane ([None] = inactive lane) and at most [warp_size]
-    entries. Global addresses are bytes (from {!Addrmap.addr}); shared
+(** {2 Warp-level events} — call from inside [f]; outside a block of a
+    launch of this simulator they raise [Invalid_argument]. Address
+    arrays have one entry per lane ([None] = inactive lane) and at most
+    [warp_size] entries. Global addresses are bytes (from {!Addrmap.addr}); shared
     addresses are word indices into the block's shared memory. *)
 
 val global_load_warp : t -> int option array -> unit
@@ -206,7 +209,7 @@ val shared_store_lanes : ?replay:int -> t -> int array -> unit
     blocks then run live — same counters, nothing memoized. Each
     invalidated recording is counted once, in [recordings_dropped] and
     in the Obs counter [sim.recordings_invalidated.per_lane]. Recording
-    state is domain-local, mirroring the parallel-execution shadows. *)
+    state is domain-local, mirroring the block shadows. *)
 
 val record_begin : t -> unit
 (** Start recording the current domain's events. *)
@@ -234,15 +237,13 @@ val replay_stream : t -> Tileclass.stream -> delta:Counters.t -> off:int -> unit
     [sim.addr_streams_replayed] (global memory events) Obs counters. *)
 
 val live_counters : t -> Counters.t
-(** The counter accumulator the calling domain is currently simulating
-    into: the parallel shadow's private counters inside a pooled
-    {!launch}, [t.total] otherwise. A block body can [Counters.copy] /
-    [Counters.diff] this around its own work to capture its exact
-    per-block delta (the shadow is only ever mutated by the owning
-    domain). Note the DRAM components of such a delta are
-    placement-dependent: sequential blocks charge the shared L2 inline
-    while pooled blocks defer it to trace replay — so per-block deltas
-    are jobs-invariant only outside [dram_read/write_transactions]. *)
+(** The counter accumulator of the calling domain's shadow inside a
+    block of a {!launch}; raises [Invalid_argument] outside one. A block
+    body can [Counters.copy] / [Counters.diff] this around its own work
+    to capture its exact per-block delta (the shadow is only ever
+    mutated by the owning domain). Such a delta is the same at every
+    jobs value and carries no DRAM traffic: that is charged to
+    [t.total] by the L2 trace replay. *)
 
 (** {2 Results} *)
 
@@ -259,8 +260,7 @@ val bottleneck_of : Device.t -> blocks:int -> Counters.t -> string
 
 val encode_cost_per_event_s : unit -> float
 (** Measured steady-state cost of one L2-trace [tbuf] push (amortised
-    growth included). Encoding happens inline with block compute on the
-    parallel path, so the timeline cannot slice it out per event; the
+    growth included). Encoding happens inline with block compute, so the timeline cannot slice it out per event; the
     bench parattr attribution multiplies the recorded event counts (the
     ["sim.encode"] instant args) by this calibration instead. *)
 

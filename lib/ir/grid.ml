@@ -56,15 +56,15 @@ let find tbl name =
 
 let checksum g = Array.fold_left ( +. ) 0.0 g.data
 
-let equal ?(eps = 0.0) a b =
+let equal a b =
   Array.length a.data = Array.length b.data
   && a.dims = b.dims
   &&
-  (* short-circuit on the first mismatch; the negated [> eps] keeps the
-     historical NaN behavior (an incomparable pair is not a mismatch) *)
+  (* bit for bit, short-circuiting on the first mismatch *)
   let n = Array.length a.data in
   let rec go i =
     i >= n
-    || ((not (Float.abs (a.data.(i) -. b.data.(i)) > eps)) && go (i + 1))
+    || Int64.equal (Int64.bits_of_float a.data.(i)) (Int64.bits_of_float b.data.(i))
+       && go (i + 1)
   in
   go 0

@@ -29,5 +29,9 @@ val slot : t -> int -> int
     leading coordinate of the index). *)
 
 val checksum : t -> float
-val equal : ?eps:float -> t -> t -> bool
+val equal : t -> t -> bool
+(** Same dimensions and bit-identical contents: a NaN equals only a NaN
+    with the same bits, and [-0.0] differs from [0.0]. Stops at the first
+    mismatch. *)
+
 val find : (string, t) Hashtbl.t -> string -> t

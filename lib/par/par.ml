@@ -208,7 +208,9 @@ let map p f (xs : 'a array) : 'b array =
     Array.map (function Some v -> v | None -> assert false) out
   end
 
-let iter p f xs = ignore (map p f xs : unit array)
+let iter p f xs =
+  if p.jobs = 1 || in_region () || Array.length xs <= 1 then Array.iter f xs
+  else ignore (map p f xs : unit array)
 
 let map_reduce p ~map:fm ~merge init xs =
   Array.fold_left merge init (map p fm xs)

@@ -716,9 +716,8 @@ let run ?pool ?engine ?(analytic = false) ?(name = "hybrid") ?config prog env de
             Tl.begin_ ~arg:(float_of_int (Array.length gtasks)) "sim.analytic_grids";
             let run_task (crows, off) = Common.exec_rows ctx crows ~off in
             (match pool with
-            | Some p when Par.jobs p > 1 && Array.length gtasks > 1 ->
-                Par.iter p run_task gtasks
-            | _ -> Array.iter run_task gtasks);
+            | Some p -> Par.iter p run_task gtasks
+            | None -> Array.iter run_task gtasks);
             Tl.end_ ()
           end;
           ignore (Atomic.fetch_and_add ctx.sim.blocks_analytic !nderived);

@@ -7,16 +7,8 @@ module Grid = Hextile_ir.Grid
 
 let dram_keys = [ "dram_read_transactions"; "dram_write_transactions" ]
 
-(* Bit for bit: a NaN or a signed zero counts like any other value. *)
-let grid_bits_equal (a : Grid.t) (b : Grid.t) =
-  a.dims = b.dims
-  && Array.length a.data = Array.length b.data
-  && Array.for_all2
-       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
-       a.data b.data
-
 (* What differs between two sets of arrays, if anything: the set of
-   names or an array's contents. *)
+   names or an array's contents, bit for bit ({!Grid.equal}). *)
 let grids_difference a b =
   if Hashtbl.length a <> Hashtbl.length b then Some "array set"
   else
@@ -24,7 +16,7 @@ let grids_difference a b =
       (fun name g acc ->
         match (acc, Hashtbl.find_opt b name) with
         | Some _, _ -> acc
-        | None, Some g' when grid_bits_equal g g' -> None
+        | None, Some g' when Grid.equal g g' -> None
         | None, _ -> Some ("grid " ^ name))
       a None
 

@@ -357,7 +357,7 @@ let prop_access_run_equals_access_code =
       let line_bytes = 128 in
       let mk () = L2.create ~bytes:((1 lsl sets_log) * assoc * line_bytes) ~assoc ~line_bytes in
       let run_c = mk () and line_c = mk () in
-      let probe c (line, write) = L2.access_code c ~addr:(line * line_bytes) ~write in
+      let probe c (line, write) = L2.access_code c ~line ~write in
       List.iter
         (fun a ->
           ignore (probe run_c a);

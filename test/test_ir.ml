@@ -137,7 +137,15 @@ let test_grid_equal_short_circuit () =
   Alcotest.(check bool) "copies equal" true (Grid.equal g h);
   h.data.(0) <- h.data.(0) +. 1.0;
   Alcotest.(check bool) "first element differs" false (Grid.equal g h);
-  Alcotest.(check bool) "eps absorbs the difference" true (Grid.equal ~eps:2.0 g h);
+  let with0 v = { g with data = Array.mapi (fun i x -> if i = 0 then v else x) g.data } in
+  Alcotest.(check bool) "NaN differs from a value" false (Grid.equal (with0 Float.nan) g);
+  Alcotest.(check bool) "NaN payloads differ" false
+    (Grid.equal
+       (with0 (Int64.float_of_bits 0x7ff8000000000000L))
+       (with0 (Int64.float_of_bits 0x7ff8000000000002L)));
+  Alcotest.(check bool) "same NaN bits are equal" true
+    (Grid.equal (with0 Float.nan) (with0 Float.nan));
+  Alcotest.(check bool) "-0.0 differs from 0.0" false (Grid.equal (with0 (-0.0)) (with0 0.0));
   Alcotest.(check bool) "length mismatch" false
     (Grid.equal g { g with data = Array.make 1 0.0; dims = [| 1 |] });
   (* a mismatch in the first element must stop the scan: comparing grids

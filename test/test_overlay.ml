@@ -291,10 +291,14 @@ let test_outside_overlay_raises () =
           slots;
         ov
       in
-      (* heat2d at tstep 0 reads slot 0 at x-1..x+1 and writes slot 1 *)
+      (* heat2d at tstep 0 reads slot 0 at x-1..x+1 and writes slot 1;
+         warp events only happen inside a block, so each row runs as a
+         one-block launch *)
       let row ov xs () =
-        Common.exec_stmt_row ctx ~stmt_idx:0 ~tstep:0 ~point:[| 6; 0 |] ~xs ~overlay:ov
-          ~global_reads:false ~shared_replay:1 ~interleave_store:false ~use_shared:true ()
+        Sim.launch ctx.sim ~name:"row" ~blocks:1 ~threads:32 ~shared_bytes:0 ~f:(fun _ ->
+            Common.exec_stmt_row ctx ~stmt_idx:0 ~tstep:0 ~point:[| 6; 0 |] ~xs
+              ~overlay:ov ~global_reads:false ~shared_replay:1 ~interleave_store:false
+              ~use_shared:true ())
       in
       let raises what f =
         match f () with

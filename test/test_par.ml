@@ -150,39 +150,139 @@ let lane_pair w1 w2 =
   Array.init 32 (fun i ->
       if i = 0 then Some w1 else if i = 1 then Some w2 else None)
 
-(* Block-dependent global traffic through a small L2 (so eviction order
-   matters), L1 reuse, shared accesses and barriers: every counter class
-   the parallel path must reproduce exactly. *)
+(* Block-dependent global traffic through a one-set 8-line L2 (so
+   eviction order matters and dirty lines are written back), L1 reuse,
+   shared accesses and barriers: every counter class a launch must
+   reproduce exactly. *)
+let small_l2 = { Device.gtx470 with l2_bytes = 1024 }
+
+let sim_block s b =
+  let addrs k = some_addrs (List.init 32 (fun i -> 4 * ((b * 64) + (k * 32) + i))) in
+  Sim.global_load_warp s (addrs 0);
+  Sim.global_store_warp s (addrs 1);
+  Sim.global_load_warp s (addrs 0);
+  let tids = Array.init 32 Fun.id in
+  Sim.shared_store_warp s ~tids (some_addrs (List.init 32 Fun.id));
+  Sim.sync s;
+  Sim.shared_load_warp s ~tids (some_addrs (List.init 32 Fun.id));
+  (* touch the next block's lines too: cross-block L2 interaction *)
+  Sim.global_load_warp s
+    (some_addrs (List.init 32 (fun i -> 4 * ((((b + 1) mod 16) * 64) + i))))
+
 let sim_counters pool =
-  let s = Sim.create { Device.gtx470 with l2_bytes = 8192 } in
+  let s = Sim.create small_l2 in
   Sim.launch ?pool s ~name:"k" ~blocks:16 ~threads:32 ~shared_bytes:256
-    ~f:(fun b ->
-      let addrs k =
-        some_addrs (List.init 32 (fun i -> 4 * ((b * 64) + (k * 32) + i)))
-      in
-      Sim.global_load_warp s (addrs 0);
-      Sim.global_store_warp s (addrs 1);
-      Sim.global_load_warp s (addrs 0);
-      let tids = Array.init 32 Fun.id in
-      Sim.shared_store_warp s ~tids (some_addrs (List.init 32 Fun.id));
-      Sim.sync s;
-      Sim.shared_load_warp s ~tids (some_addrs (List.init 32 Fun.id));
-      (* touch the next block's lines too: cross-block L2 interaction *)
-      Sim.global_load_warp s
-        (some_addrs
-           (List.init 32 (fun i -> 4 * ((((b + 1) mod 16) * 64) + i)))));
+    ~f:(sim_block s);
   Counters.to_assoc s.total
 
+(* The totals the simulator produced when blocks probed the shared L2
+   inline: replaying every block's L2 trace in canonical order must give
+   exactly these, so a dropped or reordered trace slice shows at jobs 1
+   (the DRAM pair moves). *)
+let sim_counters_expected =
+  [
+    ("gld_inst", 1536);
+    ("gst_inst", 512);
+    ("gld_requests", 48);
+    ("gld_transactions", 48);
+    ("gst_transactions", 16);
+    ("gld_useful_bytes", 6144);
+    ("l2_read_transactions", 32);
+    ("l2_write_transactions", 16);
+    ("dram_read_transactions", 19);
+    ("dram_write_transactions", 13);
+    ("shared_load_requests", 16);
+    ("shared_load_transactions", 16);
+    ("shared_store_requests", 16);
+    ("shared_store_transactions", 16);
+    ("serial_store_transactions", 0);
+    ("flops", 0);
+    ("syncs", 16);
+    ("kernels", 1);
+  ]
+
 let test_sim_parallel_counters () =
-  let seq = sim_counters None in
+  Alcotest.(check (list (pair string int)))
+    "counters without a pool" sim_counters_expected (sim_counters None);
   List.iter
     (fun jobs ->
       Par.with_pool ~jobs (fun p ->
           Alcotest.(check (list (pair string int)))
             (Fmt.str "counters at jobs=%d" jobs)
-            seq
+            sim_counters_expected
             (sim_counters (Some p))))
-    jobs_values
+    (1 :: jobs_values)
+
+(* Each block's [live_counters] delta, by block id. *)
+let block_deltas pool =
+  let s = Sim.create small_l2 in
+  let deltas = Array.make 16 [] in
+  Sim.launch ?pool s ~name:"k" ~blocks:16 ~threads:32 ~shared_bytes:256
+    ~f:(fun b ->
+      let before = Counters.copy (Sim.live_counters s) in
+      sim_block s b;
+      deltas.(b) <- Counters.to_assoc (Counters.diff (Sim.live_counters s) before));
+  deltas
+
+let test_block_deltas_jobs_invariant () =
+  let base = block_deltas None in
+  Array.iteri
+    (fun b d ->
+      List.iter
+        (fun k ->
+          Alcotest.(check int) (Fmt.str "block %d: %s" b k) 0 (List.assoc k d))
+        [ "dram_read_transactions"; "dram_write_transactions" ])
+    base;
+  List.iter
+    (fun jobs ->
+      Par.with_pool ~jobs (fun p ->
+          Alcotest.(check (array (list (pair string int))))
+            (Fmt.str "per-block deltas at jobs=%d" jobs)
+            base (block_deltas (Some p))))
+    (1 :: jobs_values)
+
+(* Each domain keeps one L1 replica across launches; a launch on a
+   device with a smaller L1 must not reuse a larger one. Eight lines
+   loaded twice hit the 16 KiB L1 the second time but cycle a 4-line
+   one. *)
+let test_l1_follows_device () =
+  let l2_reads pool dev =
+    let s = Sim.create dev in
+    Sim.launch ?pool s ~name:"k" ~blocks:2 ~threads:32 ~shared_bytes:0 ~f:(fun _ ->
+        for _ = 1 to 2 do
+          for l = 0 to 7 do
+            Sim.global_load_warp s (some_addrs [ 128 * l ])
+          done
+        done);
+    s.total.l2_read_transactions
+  in
+  let small = { dev with l1_bytes = 512 } in
+  List.iter
+    (fun jobs ->
+      Par.with_pool ~jobs (fun p ->
+          Alcotest.(check int) (Fmt.str "16 KiB L1 at jobs=%d" jobs) 16 (l2_reads (Some p) dev);
+          Alcotest.(check int) (Fmt.str "4-line L1 at jobs=%d" jobs) 32 (l2_reads (Some p) small);
+          Alcotest.(check int) (Fmt.str "16 KiB L1 again at jobs=%d" jobs) 16
+            (l2_reads (Some p) dev)))
+    (1 :: jobs_values)
+
+(* Warp events belong to a block: [post] (and any code outside a launch)
+   writes counters directly and may not issue them. *)
+let test_warp_event_outside_block_raises () =
+  let raises what f =
+    match f () with
+    | () -> Alcotest.failf "%s: no exception" what
+    | exception Invalid_argument _ -> ()
+  in
+  let load s () = Sim.global_load_warp s (some_addrs [ 0 ]) in
+  let from_post pool () =
+    let s = Sim.create dev in
+    Sim.launch ?pool s ~name:"k" ~blocks:4 ~threads:32 ~shared_bytes:0
+      ~post:(load s) ~f:(fun _ -> ())
+  in
+  raises "outside any launch" (load (Sim.create dev));
+  raises "from post" (from_post None);
+  Par.with_pool ~jobs:2 (fun p -> raises "from post at jobs=2" (from_post (Some p)))
 
 let with_sanitizer f =
   Sanitize.reset ();
@@ -201,24 +301,44 @@ let sanitizer_findings pool =
           if b = 0 then Sim.sync s);
       (Sanitize.findings (), Sanitize.dropped ()))
 
+(* The findings in the launch's scrambled block order (1, 0, 5, 4, 3, 2):
+   each block's race, and block 0's divergence after its race. *)
+let sanitizer_findings_expected =
+  let race b =
+    Sanitize.Race
+      {
+        r_launch = "k";
+        r_block = b;
+        r_word = b;
+        r_kind = `Write_write;
+        r_tid1 = -3;
+        r_tid2 = -4;
+      }
+  in
+  [
+    race 1;
+    race 0;
+    Sanitize.Divergence { d_launch = "k"; d_block = 0; d_syncs = 2; d_expected = 1 };
+    race 5;
+    race 4;
+    race 3;
+    race 2;
+  ]
+
 let test_sanitizer_parallel_parity () =
-  let seq_findings, seq_dropped = sanitizer_findings None in
-  Alcotest.(check bool)
-    "sequential run finds races" true
-    (List.length seq_findings >= 6);
+  let check label (findings, dropped) =
+    Alcotest.(check int) (label ^ ": dropped") 0 dropped;
+    if findings <> sanitizer_findings_expected then
+      Alcotest.failf "%s: findings differ:@ %a" label
+        Fmt.(list ~sep:sp Sanitize.pp_finding)
+        findings
+  in
+  check "without a pool" (sanitizer_findings None);
   List.iter
     (fun jobs ->
       Par.with_pool ~jobs (fun p ->
-          let par_findings, par_dropped = sanitizer_findings (Some p) in
-          Alcotest.(check int)
-            (Fmt.str "dropped at jobs=%d" jobs)
-            seq_dropped par_dropped;
-          if par_findings <> seq_findings then
-            Alcotest.failf
-              "sanitizer findings differ at jobs=%d (%d vs %d findings)" jobs
-              (List.length par_findings)
-              (List.length seq_findings)))
-    jobs_values
+          check (Fmt.str "jobs=%d" jobs) (sanitizer_findings (Some p))))
+    (1 :: jobs_values)
 
 (* ---- determinism: scheme executors over generated programs ------------ *)
 
@@ -402,6 +522,12 @@ let suite =
       test_obs_hammer;
     Alcotest.test_case "sim: parallel counters bit-identical" `Quick
       test_sim_parallel_counters;
+    Alcotest.test_case "sim: per-block deltas carry no DRAM" `Quick
+      test_block_deltas_jobs_invariant;
+    Alcotest.test_case "sim: warp event outside a block raises" `Quick
+      test_warp_event_outside_block_raises;
+    Alcotest.test_case "sim: L1 replica follows the device" `Quick
+      test_l1_follows_device;
     Alcotest.test_case "sanitizer: parallel findings identical" `Quick
       test_sanitizer_parallel_parity;
     Alcotest.test_case "schemes: deterministic at jobs 1/2/4" `Slow

@@ -265,13 +265,18 @@ let test_row_allocation_budget () =
             Common.exec_stmt_row ctx ~stmt_idx:0 ~tstep:0 ~point ~xs ~global_reads
               ~shared_replay:2 ~interleave_store:true ~use_shared:(not global_reads) ()
           in
-          row ();
           let calls = 200 in
-          let before = Gc.minor_words () in
-          for _ = 1 to calls do
-            row ()
-          done;
-          let per_call = (Gc.minor_words () -. before) /. float_of_int calls in
+          let per_call = ref 0.0 in
+          (* warp events only happen inside a block: measure within one *)
+          Sim.launch ctx.sim ~name:"rows" ~blocks:1 ~threads:32 ~shared_bytes:0
+            ~f:(fun _ ->
+              row ();
+              let before = Gc.minor_words () in
+              for _ = 1 to calls do
+                row ()
+              done;
+              per_call := (Gc.minor_words () -. before) /. float_of_int calls);
+          let per_call = !per_call in
           if per_call > budget then
             Alcotest.failf
               "%s (%s reads, %d sources): %.1f minor words per row (budget %.0f)"
